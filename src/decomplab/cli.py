@@ -78,10 +78,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="graph edge-decomposition laboratory")
     top.add_argument("--seed", type=int, default=0)
     top.add_argument("--timeout", type=float, default=60.0)
-    top.add_argument("--threads", type=int, default=1,
-                     help="accepted for interface stability; solvers run "
-                          "single-threaded for determinism")
-    top.add_argument("--format", choices=("json", "text"), default="json")
     sub = top.add_subparsers(dest="command")
 
     p = sub.add_parser("invariants", help="pattern-side parameters")

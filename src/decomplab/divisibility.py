@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import reduce
 from math import gcd
 from typing import Optional
 
 from .embeddings import find_embedding
 from .errors import (DegreeError, DomainError, InputError, ResourceError,
                      StructureError)
-from .graphs import Graph, complete_bipartite, norm_edge
+from .graphs import Graph, complete_bipartite, degree_gcd_of, norm_edge
 from .hamilton import hamilton_cycle
 
 
@@ -34,7 +33,7 @@ class DivisibilityReport:
 def check_divisibility(pattern: Graph, host: Graph) -> DivisibilityReport:
     if pattern.e < 1:
         raise InputError("pattern needs at least one edge")
-    r = reduce(gcd, [d for d in pattern.degrees() if d], 0)
+    r = degree_gcd_of(pattern)
     res = {v: host.degree(v) % r for v in range(host.n)}
     offending = sorted(v for v, rv in res.items() if rv)
     return DivisibilityReport(
@@ -164,7 +163,7 @@ def fix_edge_count(host: Graph, clique_part: list, pattern: Graph,
     """
     if pattern.e < 1:
         raise InputError("pattern needs at least one edge")
-    r = reduce(gcd, [d for d in pattern.degrees() if d], 0)
+    r = degree_gcd_of(pattern)
     ef = pattern.e
     if (2 * e_target) % r:
         raise DomainError(f"need {r} | 2*e_target")

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
-from math import gcd
 from typing import Optional
 
 from .divisibility import check_divisibility, fix_edge_count
 from .errors import DegreeError, DomainError, InputError, StructureError
-from .graphs import Graph, complete_multipartite, norm_edge
+from .graphs import Graph, complete_multipartite, degree_gcd_of, norm_edge
 from .hamilton import edge_disjoint_hamilton_cycles
 from .invariants import (THETA_UNDEFINED, bipartite_invariants,
                          chromatic_number, colouring_invariants)
@@ -231,7 +229,7 @@ def generate_theta_family(f: Graph, m: int) -> ExtremalInstance:
         raise DomainError("family needs the class-difference gcd above 1")
     if chi < 4:
         raise DomainError("family needs at least 4 colours")
-    r = reduce(gcd, [d for d in f.degrees() if d], 0)
+    r = degree_gcd_of(f)
     sizes = [r * m + 1, r * m - 1] + [r * m] * (chi - 2)
     if r * m - 1 < 1:
         raise StructureError("scale too small")
@@ -255,7 +253,7 @@ def generate_space_family(f: Graph, m: int) -> ExtremalInstance:
     gamma = inv.chi_vx - (chi - 2)
     if gamma <= 0:
         raise DomainError("family needs the star parameter above chi - 2")
-    r = reduce(gcd, [d for d in f.degrees() if d], 0)
+    r = degree_gcd_of(f)
     best = None
     for mm in range(m, 8 * m + 8):
         cap = -(-(gamma.numerator * mm) // gamma.denominator) - 1  # ceil - 1
@@ -360,7 +358,7 @@ def obstruction_check(f: Graph, g: Graph,
             return False
         if region not in [frozenset(c) for c in classes]:
             return False
-        r = reduce(gcd, [d for d in f.degrees() if d], 0)
+        r = degree_gcd_of(f)
         others = [c for c in classes if frozenset(c) != frozenset(region)]
         for other in others:
             diff = (len(region) - len(other)) % cert.modulus
@@ -388,7 +386,7 @@ def obstruction_check(f: Graph, g: Graph,
         return not f.has_bridge()   # every pattern edge closes a cycle
 
     if cert.kind == DEGREE_PARITY:
-        r = reduce(gcd, [d for d in f.degrees() if d], 0)
+        r = degree_gcd_of(f)
         if cert.modulus != r:
             return False
         return all(g.degree(v) % r == cert.residue % r for v in region) \

@@ -12,13 +12,11 @@ gadget able to swallow a prescribed bundle of extra edges at one vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from math import gcd
 
 from ..divisibility import check_divisibility
 from ..errors import DomainError, InputError, ResourceError, SizeGuardError
 from ..graphs import (Decomposition, EmbeddedCopy, Graph, GraphMap,
-                      disjoint_union, norm_edge)
+                      degree_gcd_of, disjoint_union, norm_edge)
 from ..invariants import (THETA_UNDEFINED, chromatic_number,
                           colouring_invariants, proper_colourings)
 from .compose import GadgetSpace
@@ -151,7 +149,7 @@ def build_absorber(f: Graph, h: Graph,
     the subdivided bouquet, a disjoint-copies shape with its own preimage,
     and four transformers tying them together.
     """
-    r = reduce(gcd, [d for d in f.degrees() if d], 0)
+    r = degree_gcd_of(f)
     if f.e < 2:
         raise InputError("pattern needs at least two edges")
     if h.e == 0:
@@ -475,7 +473,7 @@ def build_partite_neighbourhood_absorber(f: Graph, b: int,
     """
     if b < 1:
         raise InputError("bundle multiplier must be positive")
-    r = reduce(gcd, [d for d in f.degrees() if d], 0)
+    r = degree_gcd_of(f)
     rot = _rotater_pair(f)
     s, m = rot.s, rot.m
     M = (s - 1) * m

@@ -13,11 +13,10 @@ with a homomorphism onto the 6-cycle (a width-0 compression).
 
 from __future__ import annotations
 
-from functools import reduce
 from math import gcd
 
 from ..errors import DomainError, SizeGuardError
-from ..graphs import Graph, norm_edge
+from ..graphs import Graph, degree_gcd_of, norm_edge
 from ..invariants import _connected_mask, _support_masks, is_c4_supporting
 from .compose import GadgetSpace, attach_compressions, glue_switcher
 from .switchers import (_degree_multiset_split, _finalize_switcher,
@@ -68,7 +67,7 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
     if sides is None:
         raise DomainError("pattern must be bipartite")
     col0 = [0 if v in sides[0] else 1 for v in range(f.n)]
-    r = reduce(gcd, [d for d in f.degrees() if d], 0)
+    r = degree_gcd_of(f)
 
     family = _nonsupporting_family(f)
     counts = [cnt for _, cnt in family]

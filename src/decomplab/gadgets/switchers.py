@@ -12,8 +12,8 @@ from functools import reduce
 from math import gcd
 
 from ..errors import DomainError, InputError, ResourceError, SizeGuardError
-from ..graphs import (Decomposition, EmbeddedCopy, Graph, norm_edge,
-                      path_graph)
+from ..graphs import (Decomposition, EmbeddedCopy, Graph, degree_gcd_of,
+                      norm_edge, path_graph)
 from ..invariants import chromatic_number, proper_colourings
 from .compose import GadgetSpace, attach_compressions, glue_switcher
 from .types import Compression, CertifiedSwitcher, RootedModel
@@ -348,7 +348,7 @@ def build_k2r_switcher(f: Graph, r: int) -> CertifiedSwitcher:
     """
     if f.e < 1:
         raise InputError("pattern needs at least one edge")
-    g = reduce(gcd, [d for d in f.degrees() if d], 0)
+    g = degree_gcd_of(f)
     if r < 1 or r % g:
         raise DomainError(f"degree gcd {g} does not divide {r}")
     bip = f.is_bipartite()
@@ -490,7 +490,7 @@ TWO_P1 = Graph(4, [(0, 1), (2, 3)])
 def build_internal_teleporter(f: Graph) -> CertifiedSwitcher:
     """Single-edge switcher between {u1u2} and {u3u4} staying inside one
     bipartition pair; needs a bipartite pattern with degree gcd 1."""
-    g = reduce(gcd, [d for d in f.degrees() if d], 0)
+    g = degree_gcd_of(f)
     if not f.is_bipartite():
         raise DomainError("internal teleporter needs a bipartite pattern")
     if g != 1:

@@ -8,11 +8,9 @@ edge across.  Both certificates fall out of the two ways of switching.
 
 from __future__ import annotations
 
-from functools import reduce
-from math import gcd
-
 from ..errors import DomainError, InputError
-from ..graphs import Decomposition, EmbeddedCopy, Graph, GraphMap, norm_edge
+from ..graphs import (Decomposition, EmbeddedCopy, Graph, GraphMap,
+                      degree_gcd_of, norm_edge)
 from ..invariants import tau_of
 from .compose import GadgetSpace, glue_switcher
 from .switchers import build_c6_switcher_general, build_k2r_switcher
@@ -38,7 +36,7 @@ def build_transformer(f: Graph, h: Graph, phi: GraphMap,
     the gadget universe and stay independent inside it.  Prebuilt switchers
     can be passed in to share work across several transformers.
     """
-    r = reduce(gcd, [d for d in f.degrees() if d], 0)
+    r = degree_gcd_of(f)
     if f.e < 2:
         raise InputError("pattern needs at least two edges")
     if any(d != r for d in h.degrees()):

@@ -21,7 +21,7 @@ from .graphs import Decomposition, EmbeddedCopy, Graph
 
 def parse_edge_list(text: str) -> Graph:
     n = None
-    edges = []
+    edges = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -45,9 +45,10 @@ def parse_edge_list(text: str) -> Graph:
             raise ParseError(f"loop at {u} not allowed", line=lineno)
         if not (0 <= u < n and 0 <= v < n):
             raise ParseError(f"edge ({u},{v}) out of range", line=lineno)
-        if (min(u, v), max(u, v)) in set(edges):
+        e = (min(u, v), max(u, v))
+        if e in edges:
             raise ParseError(f"duplicate edge ({u},{v})", line=lineno)
-        edges.append((min(u, v), max(u, v)))
+        edges.add(e)
     if n is None:
         raise ParseError("empty input: missing vertex count", line=1)
     return Graph(n, edges)

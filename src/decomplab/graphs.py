@@ -283,7 +283,8 @@ class Graph:
 
 
 def degree_gcd_of(g: Graph) -> int:
-    """gcd of all vertex degrees (callers must rule out isolated vertices)."""
+    """gcd of the vertex degrees; isolated vertices do not change it, since
+    gcd(d, 0) = d.  An edgeless graph gives 0."""
     return reduce(gcd, g.degrees(), 0)
 
 
@@ -334,16 +335,6 @@ def disjoint_union(*graphs: Graph) -> Graph:
         es.extend((u + n, v + n) for u, v in g.edges)
         n += g.n
     return Graph(n, es)
-
-
-def union_blocks(graphs: Sequence[Graph]) -> tuple[Graph, list[int]]:
-    """Disjoint union plus the vertex offset of each block."""
-    offs, n, es = [], 0, []
-    for g in graphs:
-        offs.append(n)
-        es.extend((u + n, v + n) for u, v in g.edges)
-        n += g.n
-    return Graph(n, es), offs
 
 
 # -- maps and copies -------------------------------------------------------

@@ -27,10 +27,9 @@ def degree_gcd(f: Graph) -> int:
     """gcd of the vertex degrees; rejects isolated vertices."""
     if f.e < 1:
         raise InputError("pattern needs at least one edge")
-    degs = f.degrees()
-    if 0 in degs:
+    if 0 in f.degrees():
         raise InputError("pattern has an isolated vertex")
-    return reduce(gcd, degs, 0)
+    return degree_gcd_of(f)
 
 
 # -- chromatic number (DSATUR branch and bound) ----------------------------
@@ -214,14 +213,6 @@ def tau_of(f: Graph, connected_only: bool = False,
     return g
 
 
-def tau_tilde_of(f: Graph) -> int:
-    counts = [len(f.induced_edges(comp)) for comp in f.components()]
-    counts = [c for c in counts if c > 0]
-    if not counts:
-        raise InputError("pattern has no edges")
-    return reduce(gcd, counts, 0)
-
-
 def bipartite_invariants(f: Graph, guard: int = DEFAULT_SUBSET_GUARD) -> BipartiteInvariants:
     if f.e < 2:
         raise InputError("need at least two edges")
@@ -308,13 +299,6 @@ def colouring_invariants(f: Graph,
     return ColouringInvariants(
         chi=chi, chi_cr=chi_cr, sigma=sigma, sigma_per_vertex=sigma_v,
         chi_vx=chi_vx, theta=theta, witness_colourings=witnesses)
-
-
-def theta_of(f: Graph, guard: int = DEFAULT_COLOURING_GUARD) -> int:
-    inv = colouring_invariants(f, guard=guard)
-    if inv.theta is THETA_UNDEFINED:
-        raise DomainError("theta is undefined for bipartite patterns")
-    return inv.theta
 
 
 # -- colour-neighbourhood tuples ---------------------------------------------

@@ -17,7 +17,7 @@ from typing import Optional
 from .divisibility import check_divisibility
 from .errors import DomainError, InputError, StochasticFailure
 from .graphs import Graph, norm_edge
-from .solver import SAT, cover_vertex, exact_decompose, greedy_decompose
+from .solver import SAT, exact_decompose, greedy_decompose
 
 
 @dataclass
@@ -296,20 +296,3 @@ def cover_down(f: Graph, g: Graph, vortex: Vortex, seed: int = 0,
     confined = all(u in final_set and v in final_set
                    for u, v in current.edges)
     return CoverDownResult(copies, current, success and confined, stats)
-
-
-def _pinned_copy(f: Graph, host: Graph, edge, rng=None):
-    """One copy of the pattern through the given edge, if any."""
-    from .embeddings import find_embedding
-    from .graphs import EmbeddedCopy
-    x, y = edge
-    order = None
-    if rng is not None:
-        order = list(range(host.n))
-        rng.shuffle(order)
-    for (p, q) in sorted(f.edges):
-        for pins in ({p: x, q: y}, {p: y, q: x}):
-            img = find_embedding(f, host.adj, host.n, pins, host_order=order)
-            if img is not None:
-                return EmbeddedCopy(f, host, img)
-    return None

@@ -1,8 +1,16 @@
 """Exact, fractional and greedy pattern-decomposition engines.
 
-The exact engine is set-based exact cover over deduplicated candidate copies
-with most-constrained-edge branching and divisibility pruning.  Statuses keep
-UNSAT-by-divisibility, UNSAT-by-exhaustion and timeout (indeterminate) apart.
+Both exact questions run on one iterative exact-cover core, `_exact_cover`,
+over deduplicated candidate copies: primary items are covered exactly once,
+secondary items at most once, and the search branches on the primary item
+with the fewest live copies.  `exact_decompose` makes every target edge
+primary and prunes by divisibility; `cover_vertex` makes the star edges at
+the vertex primary and every other usable edge secondary.
+
+Statuses keep the answers apart: `sat` comes with a decomposition that
+`verify_decomposition` checks, `unsat_divisibility` with the violated
+residues, `unsat_exhausted` after a complete search, and `indeterminate`
+when the time budget ran out first.
 """
 
 from __future__ import annotations
@@ -16,7 +24,8 @@ from typing import Optional
 from .divisibility import check_divisibility
 from .embeddings import _search, enumerate_embeddings
 from .errors import DomainError, InputError, SizeGuardError
-from .graphs import Decomposition, EmbeddedCopy, Graph, norm_edge
+from .graphs import (Decomposition, EmbeddedCopy, Graph, degree_gcd_of,
+                     norm_edge)
 from .lp import solve_equalities_box_float, solve_equalities_nonneg
 
 SAT = "sat"
@@ -81,18 +90,6 @@ def candidate_copies(pattern: Graph, host: Graph, target: frozenset,
     return out
 
 
-class _Deadline:
-    def __init__(self, timeout):
-        self.t0 = time.monotonic()
-        self.timeout = timeout
-        self.hit = False
-
-    def expired(self) -> bool:
-        if self.timeout is not None and time.monotonic() - self.t0 > self.timeout:
-            self.hit = True
-        return self.hit
-
-
 def _component_edge_counts(n: int, edges) -> list[int]:
     parent = list(range(n))
 
@@ -113,6 +110,78 @@ def _component_edge_counts(n: int, edges) -> list[int]:
     return list(cnt.values())
 
 
+def _exact_cover(options: list, primary: frozenset,
+                 deadline: Optional[float] = None, dead=None) -> tuple[Optional[list[int]], int, bool]:
+    """Choose pairwise disjoint `options` (item collections) covering every
+    `primary` item exactly once; any other item is secondary, covered at most
+    once.
+
+    Iterative Algorithm X: a live-option count per item is kept up to date
+    as options are chosen and undone, and the search branches on the
+    uncovered primary item with the fewest live options.  `dead(uncovered)`
+    may reject a node whose uncovered primary items cannot be finished.
+    The clock (`deadline`, a `time.monotonic()` value) is read every 256
+    nodes.  Returns (chosen option indices or None, nodes, deadline hit).
+    """
+    by_item: dict = {e: [] for e in primary}
+    for i, items in enumerate(options):
+        for e in items:
+            by_item.setdefault(e, []).append(i)
+    count = {e: len(js) for e, js in by_item.items()}
+    live = [True] * len(options)
+    uncovered = set(primary)
+
+    def choose(i: int) -> list[int]:
+        killed = []
+        for e in options[i]:
+            uncovered.discard(e)
+            for j in by_item[e]:
+                if live[j]:
+                    live[j] = False
+                    killed.append(j)
+                    for k in options[j]:
+                        count[k] -= 1
+        return killed
+
+    def undo(i: int, killed: list[int]) -> None:
+        for j in killed:
+            live[j] = True
+            for k in options[j]:
+                count[k] += 1
+        uncovered.update(e for e in options[i] if e in primary)
+
+    # one entry per chosen option: [live options of the branching item,
+    # position of the one chosen, the options that choice killed]
+    stack: list = []
+    nodes = 0
+    while True:
+        nodes += 1
+        if (deadline is not None and nodes % 256 == 0
+                and time.monotonic() > deadline):
+            return None, nodes, True
+        if not uncovered:
+            return [choices[k] for choices, k, _ in stack], nodes, False
+        e0 = min(uncovered, key=count.__getitem__)
+        if count[e0] and not (dead is not None and dead(uncovered)):
+            stack.append([[j for j in by_item[e0] if live[j]], -1, None])
+        while stack:
+            level = stack[-1]
+            choices, k, killed = level
+            if killed is not None:
+                undo(choices[k], killed)
+            k += 1
+            if k < len(choices):
+                level[1], level[2] = k, choose(choices[k])
+                break
+            stack.pop()
+        else:
+            return None, nodes, False
+
+
+def _deadline(timeout: Optional[float]) -> Optional[float]:
+    return None if timeout is None else time.monotonic() + timeout
+
+
 def exact_decompose(pattern: Graph, host: Graph,
                     target_edges: Optional[frozenset] = None,
                     timeout: Optional[float] = None) -> SolveResult:
@@ -127,108 +196,43 @@ def exact_decompose(pattern: Graph, host: Graph,
               if target_edges is not None else host.edges)
     if not target <= host.edges:
         raise InputError("target edges must be edges of the host")
-    tgraph = Graph(host.n, target)
-    report = check_divisibility(pattern, tgraph)
+    report = check_divisibility(pattern, Graph(host.n, target))
     if not (report.edge_divisible and report.degree_divisible):
         return SolveResult(UNSAT_DIVISIBILITY, report=report)
-    if not target:
-        return SolveResult(SAT, Decomposition(host, target, []))
 
-    deadline = _Deadline(timeout)
+    deadline = _deadline(timeout)
     cands = candidate_copies(pattern, host, target)
-    cand_edges = [c.edge_image() for c in cands]
-    by_edge: dict = {e: set() for e in target}
-    for i, es in enumerate(cand_edges):
-        for e in es:
-            by_edge[e].add(i)
-    if any(not s for s in by_edge.values()):
-        return SolveResult(UNSAT_EXHAUSTED)
-
     pattern_connected = pattern.is_connected()
     ef = pattern.e
     min_deg = min(d for d in pattern.degrees() if d > 0)
 
-    uncovered = set(target)
-    live = {i for i in range(len(cands))}
-    chosen: list[int] = []
-    nodes = 0
-
-    deg = {}
-    for u, v in target:
-        deg[u] = deg.get(u, 0) + 1
-        deg[v] = deg.get(v, 0) + 1
-
-    def prune() -> bool:
-        if any(0 < d < min_deg for d in deg.values()):
+    def dead(uncovered) -> bool:
+        """Some vertex keeps fewer edges than any pattern degree, or (for a
+        connected pattern) a component's edge count is not a multiple of e(F)."""
+        deg = [0] * host.n
+        for u, v in uncovered:
+            deg[u] += 1
+            deg[v] += 1
+        if any(0 < d < min_deg for d in deg):
             return True
-        if pattern_connected and len(uncovered) <= 4000:
-            if any(c % ef for c in
-                   _component_edge_counts(host.n, uncovered)):
-                return True
-        return False
+        return (pattern_connected and len(uncovered) <= 4000
+                and any(c % ef for c in
+                        _component_edge_counts(host.n, uncovered)))
 
-    def solve() -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes % 256 == 0 and deadline.expired():
-            return False
-        if not uncovered:
-            return True
-        e0, cs0 = None, None
-        for e in uncovered:
-            k = len(by_edge[e] & live)
-            if k == 0:
-                return False
-            if cs0 is None or k < cs0:
-                e0, cs0 = e, k
-                if k == 1:
-                    break
-        if prune():
-            return False
-        for i in sorted(by_edge[e0] & live):
-            es = cand_edges[i]
-            removed_live = []
-            for e in es:
-                uncovered.discard(e)
-                deg[e[0]] -= 1
-                deg[e[1]] -= 1
-            for e in es:
-                for j in by_edge[e]:
-                    if j in live:
-                        live.discard(j)
-                        removed_live.append(j)
-            chosen.append(i)
-            if solve():
-                return True
-            if deadline.hit:
-                # unwind without exploring siblings
-                chosen.pop()
-                live.update(removed_live)
-                for e in es:
-                    uncovered.add(e)
-                    deg[e[0]] += 1
-                    deg[e[1]] += 1
-                return False
-            chosen.pop()
-            live.update(removed_live)
-            for e in es:
-                uncovered.add(e)
-                deg[e[0]] += 1
-                deg[e[1]] += 1
-        return False
-
-    if solve():
+    chosen, nodes, hit = _exact_cover([c.edge_image() for c in cands], target,
+                                      deadline, dead)
+    if chosen is not None:
         dec = Decomposition(host, target, [cands[i] for i in chosen])
         return SolveResult(SAT, dec, nodes=nodes)
-    if deadline.hit:
-        return SolveResult(INDETERMINATE, nodes=nodes)
-    return SolveResult(UNSAT_EXHAUSTED, nodes=nodes)
+    return SolveResult(INDETERMINATE if hit else UNSAT_EXHAUSTED, nodes=nodes)
 
 
 def verify_decomposition(dec: Decomposition) -> tuple[bool, Optional[str]]:
     """Certificate check: common pattern, valid embeddings, exact partition.
 
-    Linear in the total certificate size; the first violation is named.
+    Linear in the total certificate size: a copy's host is compared by
+    identity first, and each distinct host object by value only once.  The
+    first violation is named.
     """
     if not dec.copies:
         if dec.target_edges:
@@ -237,11 +241,14 @@ def verify_decomposition(dec: Decomposition) -> tuple[bool, Optional[str]]:
         return True, None
     pattern = dec.copies[0].pattern
     covered = set()
+    same_hosts = {id(dec.host)}
     for k, c in enumerate(dec.copies):
         if c.pattern != pattern:
             return False, f"copy {k} has a different pattern"
-        if c.host != dec.host:
-            return False, f"copy {k} lives in a different host"
+        if id(c.host) not in same_hosts:
+            if c.host != dec.host:
+                return False, f"copy {k} lives in a different host"
+            same_hosts.add(id(c.host))
         if not c.is_valid():
             return False, f"copy {k} is not a valid embedding"
         for e in c.edge_image():
@@ -389,16 +396,16 @@ def cover_vertex(pattern: Graph, host: Graph, x: int,
                  forbidden_edges: Optional[set] = None) -> SolveResult:
     """Edge-disjoint copies covering every edge at `x` (star cover).
 
-    Copies are globally edge-disjoint, not just on the star.  Divisibility of
-    the star degree by the pattern degree gcd is the cheap gate.
+    Copies are globally edge-disjoint, not just on the star: the star edges
+    are the primary items and every other usable edge a secondary one.
+    Divisibility of the star degree by the pattern degree gcd is the cheap
+    gate.
     """
-    from math import gcd
-    from functools import reduce
     if pattern.e < 1:
         raise InputError("pattern needs at least one edge")
     if not (0 <= x < host.n):
         raise InputError("vertex out of range")
-    r = reduce(gcd, [d for d in pattern.degrees() if d], 0)
+    r = degree_gcd_of(pattern)
     dx = host.degree(x)
     if dx % r:
         rep = {"vertex": x, "degree": dx, "modulus": r, "residue": dx % r}
@@ -412,70 +419,11 @@ def cover_vertex(pattern: Graph, host: Graph, x: int,
         usable = host.edges
     cands = candidate_copies(pattern, host, usable, through_vertex=x)
     cands = [c for c in cands if c.edge_image() & star]
-    cand_edges = [c.edge_image() for c in cands]
-    by_star: dict = {e: [] for e in star}
-    for i, es in enumerate(cand_edges):
-        for e in es & star:
-            by_star[e].append(i)
-    if any(not l for l in by_star.values()):
-        return SolveResult(UNSAT_EXHAUSTED)
-
-    deadline = _Deadline(timeout)
-    degrees_at = sorted({pattern.degree(v) for v in range(pattern.n)
-                         if pattern.degree(v)})
-    used: set = set()
-    star_left = set(star)
-    chosen: list[int] = []
-    nodes = 0
-
-    def star_coverable(k: int) -> bool:
-        """Can k be a sum of pattern degrees?  Coarse semigroup check."""
-        if k == 0:
-            return True
-        if k < degrees_at[0]:
-            return False
-        return True
-
-    def solve() -> bool:
-        nonlocal nodes
-        nodes += 1
-        if nodes % 256 == 0 and deadline.expired():
-            return False
-        if not star_left:
-            return True
-        if not star_coverable(len(star_left)):
-            return False
-        e0, avail = None, None
-        for e in star_left:
-            opts = [i for i in by_star[e] if not (cand_edges[i] & used)]
-            if not opts:
-                return False
-            if avail is None or len(opts) < len(avail):
-                e0, avail = e, opts
-                if len(opts) == 1:
-                    break
-        for i in avail:
-            es = cand_edges[i]
-            used.update(es)
-            removed = es & star_left
-            star_left.difference_update(removed)
-            chosen.append(i)
-            if solve():
-                return True
-            chosen.pop()
-            star_left.update(removed)
-            used.difference_update(es)
-            if deadline.hit:
-                return False
-        return False
-
-    if solve():
-        covered = set()
-        for i in chosen:
-            covered |= cand_edges[i]
-        return SolveResult(SAT, Decomposition(host, frozenset(covered),
-                                              [cands[i] for i in chosen]),
+    chosen, nodes, hit = _exact_cover([c.edge_image() for c in cands], star,
+                                      _deadline(timeout))
+    if chosen is not None:
+        copies = [cands[i] for i in chosen]
+        covered = frozenset(e for c in copies for e in c.edge_image())
+        return SolveResult(SAT, Decomposition(host, covered, copies),
                            nodes=nodes)
-    if deadline.hit:
-        return SolveResult(INDETERMINATE, nodes=nodes)
-    return SolveResult(UNSAT_EXHAUSTED, nodes=nodes)
+    return SolveResult(INDETERMINATE if hit else UNSAT_EXHAUSTED, nodes=nodes)

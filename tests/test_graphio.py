@@ -31,6 +31,13 @@ def test_out_of_range_and_dupes():
         parse_edge_list("")
 
 
+@pytest.mark.parametrize("dup", ["2 4", "4 2"])
+def test_duplicate_edge_reports_its_line(dup):
+    with pytest.raises(ParseError) as info:
+        parse_edge_list(f"5\n2 4\n0 1\n# note\n{dup}\n1 3\n")
+    assert info.value.line == 5
+
+
 def test_serialize_normal_form_idempotent():
     g = Graph(4, [(2, 3), (0, 1), (1, 2)])
     s = serialize_edge_list(g)

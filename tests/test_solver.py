@@ -1,14 +1,17 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from decomplab.errors import InputError
+from decomplab.extremal import generate_extremal
 from decomplab.graphs import (Decomposition, EmbeddedCopy, Graph,
                               complete_graph, complete_bipartite, cycle_graph,
                               path_graph)
-from decomplab.solver import (FEASIBLE, INFEASIBLE, SAT, UNSAT_DIVISIBILITY,
-                              UNSAT_EXHAUSTED, cover_vertex, exact_decompose,
+from decomplab.solver import (FEASIBLE, INDETERMINATE, INFEASIBLE, SAT,
+                              UNSAT_DIVISIBILITY, UNSAT_EXHAUSTED,
+                              cover_vertex, exact_decompose,
                               fractional_decompose, greedy_decompose,
                               verify_decomposition)
 
@@ -45,6 +48,32 @@ def test_kirkman_oracle_3_to_13():
             assert verify_decomposition(res.decomposition)[0]
 
 
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_search_depth_is_not_bounded_by_the_recursion_limit():
+    # K3 into K33 chooses 176 copies, far more than 60 frames of headroom
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 60)
+    try:
+        res = exact_decompose(K3, complete_graph(33))
+    finally:
+        sys.setrecursionlimit(old)
+    assert res.sat and len(res.decomposition.copies) == 176
+    assert verify_decomposition(res.decomposition)[0]
+
+
+def test_zero_budget_is_indeterminate_not_unsat():
+    c4 = cycle_graph(4)
+    inst = generate_extremal(c4, "tau_23", 2)
+    res = exact_decompose(c4, inst.graph, timeout=0)
+    assert res.status == INDETERMINATE
+
+
 def test_unsat_by_exhaustion_distinct_from_divisibility():
     # C5 is 2-regular with 5 edges; host: two 5-cycles sharing no edge shape
     # built to be divisible but not decomposable: C10 has 10 edges, degrees 2
@@ -74,6 +103,20 @@ def test_verify_catches_mutations():
                             dec.copies + [dec.copies[0]])
     ok, why = verify_decomposition(doubled)
     assert not ok and "twice" in why
+
+
+def test_verify_compares_hosts_by_value():
+    dec = exact_decompose(K3, complete_graph(7)).decomposition
+    twin = complete_graph(7)
+    assert twin == dec.host and twin is not dec.host
+    moved = Decomposition(dec.host, dec.target_edges,
+                          [EmbeddedCopy(K3, twin, c.image) for c in dec.copies])
+    assert verify_decomposition(moved) == (True, None)
+    other = complete_graph(8)
+    mixed = Decomposition(dec.host, dec.target_edges, dec.copies[:2] + [
+        EmbeddedCopy(K3, other, dec.copies[2].image)] + dec.copies[3:])
+    assert verify_decomposition(mixed) == (
+        False, "copy 2 lives in a different host")
 
 
 def test_verify_wrong_pattern_and_bad_embedding():
@@ -211,3 +254,31 @@ def test_cover_vertex_unsat_structure():
     g = Graph(3, [(0, 1), (0, 2)])
     res = cover_vertex(K3, g, 0)
     assert res.status == UNSAT_EXHAUSTED
+
+
+def test_exact_sat_gives_a_star_cover_at_every_vertex():
+    # hosts are unions of random edge-disjoint copies, so each is SAT
+    rng = random.Random(7)
+    for _ in range(20):
+        f = rng.choice([K3, cycle_graph(4), cycle_graph(5)])
+        n = rng.randint(5, 10)
+        edges = set()
+        for _ in range(rng.randint(1, 6)):
+            img = rng.sample(range(n), f.n)
+            es = {tuple(sorted((img[u], img[v]))) for u, v in f.edges}
+            if not es & edges:
+                edges |= es
+        g = Graph(n, edges)
+        assert exact_decompose(f, g, timeout=10).sat
+        for x in range(n):
+            if not g.degree(x):
+                continue
+            res = cover_vertex(f, g, x, timeout=10)
+            assert res.sat, (f, g.edges, x, res.status)
+            covered = set()
+            for c in res.decomposition.copies:
+                assert c.is_valid()
+                es = c.edge_image()
+                assert not (es & covered)
+                covered |= es
+            assert {e for e in g.edges if x in e} <= covered
