@@ -12,10 +12,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import DomainError, InputError
+from .errors import InputError
 from .graphs import Graph
-from .invariants import (THETA_UNDEFINED, bipartite_invariants,
-                         colouring_invariants)
+from .invariants import bipartite_invariants, colouring_invariants
 
 DELTA_FULL = "decomposition_threshold"
 DELTA_VX = "vertex_cover_threshold"
@@ -27,7 +26,7 @@ FRACTIONAL_SYMBOL = "fractional_threshold"
 class ThresholdReport:
     quantity: str
     kind: str                        # exact | interval | set | bound
-    value: Optional[Fraction] = None
+    value: Optional[Fraction] = None  # None on a bound: max(value_set)
     interval: Optional[tuple] = None
     value_set: tuple = ()            # rationals and/or symbolic strings
     rule: str = ""
@@ -103,7 +102,8 @@ def discretisation_candidates(f: Graph) -> ThresholdReport:
 
     Bipartite delegates to the exact classifier; five or more colours give a
     three-element candidate set with the fractional threshold symbolic; three
-    or four colours only yield an upper bound.
+    or four colours only yield the upper bound max{fractional threshold,
+    1 - 1/(chi+1)}, again with the fractional threshold symbolic.
     """
     if f.e < 2:
         raise InputError("pattern needs at least two edges")
@@ -120,10 +120,12 @@ def discretisation_candidates(f: Graph) -> ThresholdReport:
             assumptions=["first member is the fractional threshold, "
                          "not computed here"])
     report = ThresholdReport(
-        DELTA_FULL, "bound", 1 - Fraction(1, chi + 1),
-        rule="upper bound max(approximate threshold, 1 - 1/(chi+1)); "
-             "no discretisation at three or four colours",
-        assumptions=["approximate threshold taken at its trivial bound"])
+        DELTA_FULL, "bound",
+        value_set=(FRACTIONAL_SYMBOL, 1 - Fraction(1, chi + 1)),
+        rule="three or four colours: upper bound max(value_set); "
+             "no discretisation",
+        assumptions=["first member is the fractional threshold, "
+                     "not computed here"])
     if f == Graph(3, [(0, 1), (0, 2), (1, 2)]):
         report.assumptions.append(
             "triangle: fractional threshold known to be at most 9/10")

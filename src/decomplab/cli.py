@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .classifier import classify_bipartite, classify_vx, discretisation_candidates
-from .divisibility import check_divisibility, fix_edge_count, make_degree_divisible
+from .divisibility import fix_edge_count, make_degree_divisible
 from .errors import DecompLabError, ParseError
 from .extremal import generate_extremal, obstruction_check
 from .gadgets import (build_absorber, build_c4_switcher, build_c6_switcher,
@@ -21,7 +21,7 @@ from .graphio import (parse_edge_list, serialize_certificate,
 from .graphs import GraphMap
 from .invariants import (THETA_UNDEFINED, bipartite_invariants, cn_tuples,
                          colouring_invariants, degree_gcd)
-from .pipeline import cover_down, find_vortex, verify_vortex
+from .pipeline import cover_down, find_vortex
 from .solver import (INDETERMINATE, SAT, cover_vertex, exact_decompose,
                      fractional_decompose, greedy_decompose,
                      verify_decomposition)
@@ -240,8 +240,10 @@ def _cmd_solve(args) -> CommandResult:
                        "weights": [(_frac(w) if mode == "rational" else w)
                                    for w in sol.weights]}
             return CommandResult("ok", payload)
-        return CommandResult("unsat", {"status": "infeasible"}, [],
-                             EXIT_UNSAT)
+        if res.status == INDETERMINATE:
+            return CommandResult("indeterminate", {"status": res.status}, [],
+                                 EXIT_INDETERMINATE)
+        return CommandResult("unsat", {"status": res.status}, [], EXIT_UNSAT)
     if args.greedy:
         out = greedy_decompose(f, g, seed=args.seed)
         return CommandResult("ok", {"copies": len(out.copies),

@@ -8,7 +8,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import gcd
-from typing import Optional
 
 from .embeddings import find_embedding
 from .errors import (DegreeError, DomainError, InputError, ResourceError,

@@ -17,7 +17,7 @@ from .errors import DegreeError, DomainError, InputError, StructureError
 from .graphs import Graph, complete_multipartite, degree_gcd_of, norm_edge
 from .hamilton import edge_disjoint_hamilton_cycles
 from .invariants import (THETA_UNDEFINED, bipartite_invariants,
-                         chromatic_number, colouring_invariants)
+                         colouring_invariants)
 
 TAU_COUNT = "tau_count"
 THETA_COUNT = "theta_count"

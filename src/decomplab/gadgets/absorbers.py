@@ -17,8 +17,8 @@ from ..divisibility import check_divisibility
 from ..errors import DomainError, InputError, ResourceError, SizeGuardError
 from ..graphs import (Decomposition, EmbeddedCopy, Graph, GraphMap,
                       degree_gcd_of, disjoint_union, norm_edge)
-from ..invariants import (THETA_UNDEFINED, chromatic_number,
-                          colouring_invariants, proper_colourings)
+from ..invariants import (chromatic_number, colouring_invariants,
+                          proper_colourings)
 from .compose import GadgetSpace
 from .transformers import build_transformer, _pick_c6_switcher
 from .switchers import build_k2r_switcher

@@ -9,7 +9,7 @@ reduced clique through the blow-up step.
 from __future__ import annotations
 
 from ..errors import DomainError, SizeGuardError
-from ..graphs import Decomposition, EmbeddedCopy, Graph, complete_graph
+from ..graphs import Decomposition, EmbeddedCopy, complete_graph
 
 DEFAULT_SIZE_GUARD = 2200
 

@@ -7,7 +7,7 @@ pieces is forbidden and checked at insertion time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..errors import InputError
 from ..graphs import Decomposition, EmbeddedCopy, Graph, norm_edge

@@ -11,9 +11,8 @@ from collections import deque
 from functools import reduce
 from math import gcd
 
-from ..errors import DomainError, InputError, ResourceError, SizeGuardError
-from ..graphs import (Decomposition, EmbeddedCopy, Graph, degree_gcd_of,
-                      norm_edge, path_graph)
+from ..errors import DomainError, InputError, ResourceError
+from ..graphs import Graph, degree_gcd_of, norm_edge, path_graph
 from ..invariants import chromatic_number, proper_colourings
 from .compose import GadgetSpace, attach_compressions, glue_switcher
 from .types import Compression, CertifiedSwitcher, RootedModel

@@ -8,7 +8,7 @@ model maps onto a small reduced graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from ..errors import InputError

@@ -17,25 +17,21 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from typing import Optional
 
 from .divisibility import check_divisibility
 from .embeddings import _search, enumerate_embeddings
-from .errors import DomainError, InputError, SizeGuardError
+from .errors import InputError
 from .graphs import (Decomposition, EmbeddedCopy, Graph, degree_gcd_of,
                      norm_edge)
-from .lp import solve_equalities_box_float, solve_equalities_nonneg
+from .lp import (FEASIBLE, INDETERMINATE, solve_equalities_box_float,
+                 solve_equalities_nonneg)
+from .lp import INFEASIBLE  # noqa: F401  (re-exported with the other statuses)
 
 SAT = "sat"
 UNSAT_DIVISIBILITY = "unsat_divisibility"
 UNSAT_EXHAUSTED = "unsat_exhausted"
-INDETERMINATE = "indeterminate"
-INFEASIBLE = "infeasible"
-FEASIBLE = "feasible"
-
-DEFAULT_LP_GUARD = 20000
 
 
 @dataclass
@@ -66,6 +62,7 @@ class FractionalDecomposition:
 class FractionalResult:
     status: str
     solution: Optional[FractionalDecomposition] = None
+    farkas: Optional[list] = None         # rational infeasible: y, one per edge
 
 
 def candidate_copies(pattern: Graph, host: Graph, target: frozenset,
@@ -264,45 +261,34 @@ def verify_decomposition(dec: Decomposition) -> tuple[bool, Optional[str]]:
 
 
 def fractional_decompose(pattern: Graph, host: Graph, mode: str = "rational",
-                         tolerance: float = 1e-9,
-                         guard: int = DEFAULT_LP_GUARD) -> FractionalResult:
+                         tolerance: float = 1e-9) -> FractionalResult:
     """Solve the one-variable-per-copy, one-equation-per-edge feasibility LP.
 
-    Every copy has at least one edge, so the box bound x <= 1 is implied by
-    the row sums and plain nonnegativity suffices in rational mode.
+    Rational mode answers with an exactly checked certificate: weights, or a
+    Farkas vector in `farkas` (one `Fraction` per edge of `sorted(host.edges)`)
+    with `infeasible`; else `indeterminate`.  Float mode's weights meet every
+    edge within `tolerance`; its `infeasible` is HiGHS's claim, not a proof.
     """
     if pattern.e < 1:
         raise InputError("pattern needs at least one edge")
-    target = host.edges
-    if not target:
-        return FractionalResult(FEASIBLE,
-                                FractionalDecomposition([], [], mode))
-    cands = candidate_copies(pattern, host, target)
-    edges = sorted(target)
-    if len(cands) * len(edges) > guard * 10 or len(cands) > guard:
-        raise SizeGuardError(
-            f"LP size guard: {len(cands)} copies x {len(edges)} edges")
-    if not cands:
-        return FractionalResult(INFEASIBLE)
-    eidx = {e: i for i, e in enumerate(edges)}
-    cols = [c.edge_image() for c in cands]
-    if mode == "rational":
-        rows = [[Fraction(0)] * len(cands) for _ in edges]
-        for j, es in enumerate(cols):
-            for e in es:
-                rows[eidx[e]][j] = Fraction(1)
-        x = solve_equalities_nonneg(rows, [Fraction(1)] * len(edges))
-    elif mode == "float":
-        rows = [[0.0] * len(cands) for _ in edges]
-        for j, es in enumerate(cols):
-            for e in es:
-                rows[eidx[e]][j] = 1.0
-        x = solve_equalities_box_float(rows, [1.0] * len(edges), tolerance)
-    else:
+    if mode not in ("rational", "float"):
         raise InputError(f"unknown mode {mode!r}")
-    if x is None:
-        return FractionalResult(INFEASIBLE)
-    return FractionalResult(FEASIBLE, FractionalDecomposition(cands, x, mode))
+    import numpy as np
+    cands = candidate_copies(pattern, host, host.edges)
+    edges = sorted(host.edges)
+    eidx = {e: i for i, e in enumerate(edges)}
+    incidence = np.zeros((len(edges), len(cands)), dtype=np.int8)
+    for j, c in enumerate(cands):
+        incidence[[eidx[e] for e in c.edge_image()], j] = 1
+    rows = list(incidence)
+    if mode == "rational":
+        status, v = solve_equalities_nonneg(rows, [1] * len(edges))
+    else:
+        status, v = solve_equalities_box_float(rows, [1.0] * len(edges),
+                                               tolerance)
+    if status == FEASIBLE:
+        return FractionalResult(FEASIBLE, FractionalDecomposition(cands, v, mode))
+    return FractionalResult(status, farkas=v)
 
 
 @dataclass

@@ -1,8 +1,11 @@
 import json
+from fractions import Fraction
 
-from decomplab.cli import EXIT_OK, EXIT_USAGE, run
+from decomplab import lp
+from decomplab.cli import (EXIT_INDETERMINATE, EXIT_OK, EXIT_UNSAT,
+                           EXIT_USAGE, run)
 from decomplab.graphio import serialize_edge_list
-from decomplab.graphs import complete_graph
+from decomplab.graphs import Graph, complete_graph
 
 
 def _write(tmp_path, name, g):
@@ -31,3 +34,34 @@ def test_ignored_flags_are_gone(tmp_path):
     assert res.exit_code == EXIT_USAGE
     res = run(["--format", "text", "solve", "--pattern", f, "--host", f])
     assert res.exit_code == EXIT_USAGE
+
+
+def test_fractional_solve(tmp_path, monkeypatch):
+    f = _write(tmp_path, "k3.txt", complete_graph(3))
+    g = _write(tmp_path, "k7.txt", complete_graph(7))
+    res = run(["solve", "--fractional", "--rational", "--pattern", f,
+               "--host", g])
+    assert res.exit_code == EXIT_OK and res.payload["status"] == "feasible"
+    weights = [Fraction(w["num"], w["den"]) for w in res.payload["weights"]]
+    # three edges per copy: the loads of the 21 edges sum to 3 * sum(weights)
+    assert len(weights) == 35 and min(weights) >= 0 and 3 * sum(weights) == 21
+
+    h = _write(tmp_path, "k4e.txt",
+               Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]))
+    res = run(["solve", "--fractional", "--rational", "--pattern", f,
+               "--host", h])
+    assert res.exit_code == EXIT_UNSAT and res.payload["status"] == "infeasible"
+
+    with monkeypatch.context() as m:
+        # no certificate checks: neither feasible nor infeasible is claimed
+        m.setattr(lp, "_rationalise", lambda v: [Fraction(0)] * len(v))
+        res = run(["solve", "--fractional", "--rational", "--pattern", f,
+                   "--host", h])
+    assert res.exit_code == EXIT_INDETERMINATE
+    assert res.payload["status"] == "indeterminate"
+
+    g = _write(tmp_path, "k25.txt", complete_graph(25))
+    res = run(["solve", "--fractional", "--pattern", f, "--host", g])
+    assert res.exit_code == EXIT_OK and res.payload["status"] == "feasible"
+    assert res.payload["copies"] == 2300
+    json.dumps(res.payload)

@@ -1,0 +1,124 @@
+import random
+from fractions import Fraction
+from itertools import combinations, permutations
+
+from decomplab import lp
+from decomplab.graphs import Graph, complete_graph, cycle_graph
+from decomplab.lp import (FEASIBLE, INDETERMINATE, INFEASIBLE,
+                          solve_equalities_box_float, solve_equalities_nonneg)
+from decomplab.solver import fractional_decompose
+
+K3 = complete_graph(3)
+PATTERNS = [K3, cycle_graph(4), cycle_graph(5)]
+
+
+def _norm(u, v):
+    return (u, v) if u < v else (v, u)
+
+
+def _all_copies(pattern, host):
+    """Edge sets of every copy of the pattern in the host, by brute force."""
+    out = set()
+    for img in permutations(range(host.n), pattern.n):
+        es = frozenset(_norm(img[u], img[v]) for u, v in pattern.edges)
+        if es <= host.edges:
+            out.add(es)
+    return out
+
+
+def _exact_loads(pattern, sol):
+    load = {}
+    for c, w in zip(sol.copies, sol.weights):
+        assert isinstance(w, Fraction) and w >= 0
+        for u, v in pattern.edges:
+            e = _norm(c.image[u], c.image[v])
+            load[e] = load.get(e, 0) + w
+    return load
+
+
+def _farkas_holds(pattern, host, y):
+    """yᵀA <= 0 over every copy and yᵀ1 > 0, with y indexed by sorted edges."""
+    weight = dict(zip(sorted(host.edges), y))
+    return (len(y) == host.e and sum(y) > 0
+            and all(sum(weight[e] for e in es) <= 0
+                    for es in _all_copies(pattern, host)))
+
+
+def test_k4_minus_edge_infeasible_with_checked_farkas_vector():
+    host = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    # every edge lies in a triangle, yet no weighting covers each edge once
+    assert all(any(e in es for es in _all_copies(K3, host)) for e in host.edges)
+    res = fractional_decompose(K3, host, mode="rational")
+    assert res.status == INFEASIBLE and res.solution is None
+    assert all(isinstance(t, Fraction) for t in res.farkas)
+    assert _farkas_holds(K3, host, res.farkas)
+
+
+def test_unchecked_farkas_vector_gives_indeterminate(monkeypatch):
+    # a zero vector fails yᵀ1 > 0, so no infeasibility may be claimed
+    monkeypatch.setattr(lp, "_rationalise", lambda v: [Fraction(0)] * len(v))
+    host = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    res = fractional_decompose(K3, host, mode="rational")
+    assert res.status == INDETERMINATE and res.farkas is None
+
+
+def test_float_k25_feasible():
+    host = complete_graph(25)
+    res = fractional_decompose(K3, host, mode="float")
+    assert res.status == FEASIBLE
+    load = {e: 0.0 for e in host.edges}
+    for c, w in zip(res.solution.copies, res.solution.weights):
+        assert 0.0 <= w <= 1.0
+        for e in c.edge_image():
+            load[e] += w
+    assert max(abs(t - 1.0) for t in load.values()) <= 1e-9
+
+
+def test_support_elimination_when_rounding_fails(monkeypatch):
+    # with denominators capped at 1 the rounded vertex fails the exact check,
+    # so the weights must come from elimination on the vertex's support
+    monkeypatch.setattr(lp, "_DENOMINATOR", 1)
+    for n, pattern in ((9, K3), (7, cycle_graph(4))):
+        host = complete_graph(n)
+        res = fractional_decompose(pattern, host, mode="rational")
+        assert res.status == FEASIBLE
+        assert any(w.denominator > 1 for w in res.solution.weights)
+        assert _exact_loads(pattern, res.solution) == {e: 1 for e in host.edges}
+
+
+def test_rational_and_float_agree_on_random_hosts():
+    rng = random.Random(11)
+    seen = {FEASIBLE: 0, INFEASIBLE: 0}
+    for _ in range(120):
+        pattern = rng.choice(PATTERNS)
+        n = rng.randint(4, 7)
+        dens = rng.uniform(0.4, 0.95)
+        host = Graph(n, [e for e in combinations(range(n), 2)
+                         if rng.random() < dens])
+        exact = fractional_decompose(pattern, host, mode="rational")
+        approx = fractional_decompose(pattern, host, mode="float")
+        assert exact.status == approx.status
+        seen[exact.status] += 1
+        if exact.status == FEASIBLE:
+            load = _exact_loads(pattern, exact.solution)
+            assert load == {e: 1 for e in host.edges}
+        else:
+            assert _farkas_holds(pattern, host, exact.farkas)
+    assert min(seen.values()) >= 20
+
+
+def test_general_rows_and_rhs():
+    # x1 + x2 = 1, x1 - x2 = 3 forces x2 = -1
+    status, y = solve_equalities_nonneg([[1, 1], [1, -1]], [1, 3])
+    assert status == INFEASIBLE
+    assert y[0] + y[1] <= 0 and y[0] - y[1] <= 0 and y[0] + 3 * y[1] > 0
+    status, x = solve_equalities_nonneg(
+        [[Fraction(1, 2), 1, 0], [0, 1, 1]], [Fraction(1), Fraction(2)])
+    assert status == FEASIBLE and min(x) >= 0
+    assert x[0] / 2 + x[1] == 1 and x[1] + x[2] == 2
+    # no rows: feasible; no columns: the signs of b prove infeasibility
+    assert solve_equalities_nonneg([], []) == (FEASIBLE, [])
+    assert solve_equalities_nonneg([[], []], [0, -2]) == (
+        INFEASIBLE, [Fraction(0), Fraction(-1)])
+    assert solve_equalities_box_float([[1.0]], [1.0]) == (FEASIBLE, [1.0])
+    assert solve_equalities_box_float([[1.0]], [2.0]) == (INFEASIBLE, None)
