@@ -1,14 +1,22 @@
 """Labelled subgraph embedding search (injective homomorphisms).
 
-Branching is most-constrained-first: the next pattern vertex to place is the
-one with the most already-embedded neighbours (ties by smaller candidate
-count, then by index).  Embeddings are labelled: automorphic images count as
-distinct.  `dedup_by_edges` collapses them to one representative per image
-edge set, which is what the solvers consume.
+One kernel, `_search`, yields the images of a pattern in a host that extend
+given pins, placing next the pattern vertex with the most embedded
+neighbours (ties by index).  Embeddings are labelled: automorphic images
+count as distinct.  Entry points: `enumerate_embeddings` (all of them;
+`dedup_by_edges` keeps one per image edge set, as the solvers need),
+`find_embedding` (the first, over a raw adjacency view) and
+`find_through_edge` (the first through a given host edge).
+
+Orbit rule: pinning a pattern vertex or arc succeeds exactly when pinning
+any other member of its Aut(F)-orbit does, so pinned callers try only the
+first member of each orbit (`orbit_representatives`; a and b share an orbit
+when the kernel embeds the pattern into itself with a pinned to b).
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterator, Optional
 
 from .errors import InputError
@@ -16,12 +24,11 @@ from .graphs import EmbeddedCopy, Graph, GraphMap, norm_edge
 
 
 def _search(pattern: Graph, adj, n_host: int, pins: dict,
-            allowed=None, host_order=None) -> Iterator[tuple[int, ...]]:
+            host_order=None) -> Iterator[tuple[int, ...]]:
     """Yield images (tuples) of injective homomorphisms pattern -> host.
 
-    `adj` is an indexable of neighbour-sets for the host; `allowed` optionally
-    restricts which host vertices may be used for non-pinned vertices;
-    `host_order` fixes the deterministic candidate iteration order.
+    `adj` is an indexable of neighbour-sets for the host; `host_order` fixes
+    the deterministic candidate iteration order.
     """
     pn = pattern.n
     if pn == 0:
@@ -64,8 +71,6 @@ def _search(pattern: Graph, adj, n_host: int, pins: dict,
             if h in used:
                 continue
             if cand is not None and h not in cand:
-                continue
-            if allowed is not None and h not in allowed:
                 continue
             out.append(h)
         return out
@@ -111,7 +116,6 @@ def _search(pattern: Graph, adj, n_host: int, pins: dict,
 def enumerate_embeddings(pattern: Graph, host: Graph,
                          pins: Optional[dict] = None,
                          limit: Optional[int] = None,
-                         allowed=None,
                          host_order=None,
                          dedup_by_edges: bool = False) -> list[EmbeddedCopy]:
     """All labelled embeddings of `pattern` into `host` extending `pins`.
@@ -123,8 +127,7 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
     pins = dict(pins) if pins else {}
     out = []
     seen = set()
-    for img in _search(pattern, host.adj, host.n, pins,
-                       allowed=allowed, host_order=host_order):
+    for img in _search(pattern, host.adj, host.n, pins, host_order=host_order):
         if dedup_by_edges:
             key = frozenset(norm_edge(img[u], img[v]) for u, v in pattern.edges)
             if key in seen:
@@ -137,11 +140,42 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
 
 
 def find_embedding(pattern: Graph, adj, n_host: int, pins: dict,
-                   allowed=None, host_order=None) -> Optional[tuple[int, ...]]:
+                   host_order=None) -> Optional[tuple[int, ...]]:
     """First embedding image over a raw adjacency view, or None."""
-    for img in _search(pattern, adj, n_host, pins, allowed=allowed,
-                       host_order=host_order):
+    for img in _search(pattern, adj, n_host, pins, host_order=host_order):
         return img
+    return None
+
+
+@lru_cache(maxsize=64)
+def orbit_representatives(pattern: Graph, items: tuple) -> tuple:
+    """The first of each Aut(pattern)-orbit among `items`, in their order.
+
+    Items are equal-length tuples of distinct pattern vertices: vertices as
+    1-tuples, arcs as pattern edges (p, q).
+    """
+    reps = []
+    for b in items:
+        if all(next(_search(pattern, pattern.adj, pattern.n, dict(zip(a, b))),
+                    None) is None for a in reps):
+            reps.append(b)
+    return tuple(reps)
+
+
+def find_through_edge(pattern: Graph, adj, n_host: int, u: int, v: int,
+                      host_order=None) -> Optional[tuple[int, ...]]:
+    """First image of `pattern` using host edge {u, v}, or None.
+
+    Pins {p: u, q: v} for the first arc (p, q) of each Aut(pattern)-orbit,
+    arcs ordered as sorted pattern edges with (p, q) before (q, p); the hit
+    is the same as when every arc is tried.
+    """
+    arcs = tuple(a for p, q in sorted(pattern.edges) for a in ((p, q), (q, p)))
+    for p, q in orbit_representatives(pattern, arcs):
+        img = find_embedding(pattern, adj, n_host, {p: u, q: v},
+                             host_order=host_order)
+        if img is not None:
+            return img
     return None
 
 

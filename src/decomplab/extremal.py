@@ -289,15 +289,21 @@ def generate_space_family(f: Graph, m: int) -> ExtremalInstance:
 
 def generate_extremal(f: Graph, family: str, m: int,
                       keep_stages: bool = False) -> ExtremalInstance:
+    """Build one family at scale `m`; every report carries the graph's
+    minimum-degree share δ(G)/n as `min_degree_ratio`."""
     if family == "tau_23":
-        return generate_tau_drop_family(f, m, keep_stages)
-    if family == "halves":
-        return generate_halves_family(f, m, keep_stages)
-    if family == "theta":
-        return generate_theta_family(f, m)
-    if family == "space":
-        return generate_space_family(f, m)
-    raise InputError(f"unknown family {family!r}")
+        inst = generate_tau_drop_family(f, m, keep_stages)
+    elif family == "halves":
+        inst = generate_halves_family(f, m, keep_stages)
+    elif family == "theta":
+        inst = generate_theta_family(f, m)
+    elif family == "space":
+        inst = generate_space_family(f, m)
+    else:
+        raise InputError(f"unknown family {family!r}")
+    g = inst.graph
+    inst.report["min_degree_ratio"] = Fraction(g.min_degree(), g.n)
+    return inst
 
 
 # -- certificate validation ------------------------------------------------------

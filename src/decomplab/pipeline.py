@@ -3,8 +3,8 @@ everything outside the innermost set level by level, and confine the
 leftover there.
 
 The probabilistic machinery behind the asymptotic guarantee is replaced by
-greedy removal plus pinned exact search with retry; per-level statistics are
-reported so the confinement behaviour can be studied empirically.
+greedy removal plus pinned first-hit search with retry; per-level statistics
+are reported so the confinement behaviour can be studied empirically.
 """
 
 from __future__ import annotations
@@ -15,8 +15,9 @@ from fractions import Fraction
 from typing import Optional
 
 from .divisibility import check_divisibility
+from .embeddings import find_through_edge
 from .errors import DomainError, InputError, StochasticFailure
-from .graphs import Graph, norm_edge
+from .graphs import EmbeddedCopy, Graph, norm_edge
 from .solver import SAT, exact_decompose, greedy_decompose
 
 
@@ -154,8 +155,6 @@ def cover_down(f: Graph, g: Graph, vortex: Vortex, seed: int = 0,
     if not ok:
         raise InputError(f"vortex invalid: {why}")
     from collections import deque
-    from .embeddings import find_embedding
-    from .graphs import EmbeddedCopy
 
     rng = random.Random(seed)
     n = g.n
@@ -227,14 +226,6 @@ def cover_down(f: Graph, g: Graph, vortex: Vortex, seed: int = 0,
         prefer_outside = out_order + in_order
         prefer_inside = in_order + out_order
 
-        def pinned(x, y, order):
-            for (p, q) in sorted(f.edges):
-                for pins in ({p: x, q: y}, {p: y, q: x}):
-                    img = find_embedding(f, view, n, pins, host_order=order)
-                    if img is not None:
-                        return img
-            return None
-
         stalls = 0
         for x in sweep_order:
             committed = []      # (copy, edge set) made during this sweep
@@ -249,7 +240,7 @@ def cover_down(f: Graph, g: Graph, vortex: Vortex, seed: int = 0,
                 if b not in adj[a]:
                     continue
                 order = prefer_outside if is_cross else prefer_inside
-                img = pinned(a, b, order)
+                img = find_through_edge(f, view, n, a, b, host_order=order)
                 if img is None:
                     key = norm_edge(a, b)
                     tries = attempts.get(key, 0)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .divisibility import check_divisibility
-from .embeddings import _search, enumerate_embeddings
+from .embeddings import (enumerate_embeddings, find_through_edge,
+                         orbit_representatives)
 from .errors import InputError
 from .graphs import (Decomposition, EmbeddedCopy, Graph, degree_gcd_of,
                      norm_edge)
@@ -69,22 +70,21 @@ def candidate_copies(pattern: Graph, host: Graph, target: frozenset,
                      through_vertex: Optional[int] = None) -> list[EmbeddedCopy]:
     """Deduplicated copies (one per image edge set) lying inside `target`.
 
-    With `through_vertex`, only copies whose image contains that vertex.
+    With `through_vertex`, only copies whose image contains that vertex: the
+    first pattern vertex of each Aut(F)-orbit is pinned there in turn.  Two
+    embeddings with the same edge image differ by an automorphism, so no copy
+    comes from two orbits.
     """
     sub = Graph(host.n, target)
     if through_vertex is None:
-        return [EmbeddedCopy(pattern, host, c.image)
-                for c in enumerate_embeddings(pattern, sub, dedup_by_edges=True)]
-    seen = set()
-    out = []
-    for p in range(pattern.n):
-        for img in _search(pattern, sub.adj, sub.n, {p: through_vertex}):
-            key = frozenset(norm_edge(img[u], img[v]) for u, v in pattern.edges)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(EmbeddedCopy(pattern, host, img))
-    return out
+        pins = [None]
+    else:
+        vertices = tuple((p,) for p in range(pattern.n))
+        pins = [{p: through_vertex}
+                for (p,) in orbit_representatives(pattern, vertices)]
+    return [EmbeddedCopy(pattern, host, c.image) for pin in pins
+            for c in enumerate_embeddings(pattern, sub, pins=pin,
+                                          dedup_by_edges=True)]
 
 
 def _component_edge_counts(n: int, edges) -> list[int]:
@@ -303,12 +303,6 @@ class GreedyResult:
         return Decomposition(host, frozenset(covered), list(self.copies))
 
 
-def _pattern_edge_reps(pattern: Graph) -> list[tuple[int, int]]:
-    """One pattern edge per orbit would suffice; all edges keeps it simple
-    and still correct (the pinned search just repeats work on symmetries)."""
-    return sorted(pattern.edges)
-
-
 def greedy_decompose(pattern: Graph, host: Graph, seed: int = 0,
                      priority_edges=None) -> GreedyResult:
     """Maximal greedy collection: repeatedly remove a copy until none is left.
@@ -333,46 +327,17 @@ def greedy_decompose(pattern: Graph, host: Graph, seed: int = 0,
     else:
         queue = sorted(host.edges)
         rng.shuffle(queue)
-    reps = _pattern_edge_reps(pattern)
     copies = []
-    fast_triangle = pattern == Graph(3, [(0, 1), (1, 2), (0, 2)])
-
-    def remove(img_edges):
-        for u, v in img_edges:
-            adj[u].discard(v)
-            adj[v].discard(u)
-
-    from .embeddings import find_embedding
-
-    for e in queue:
-        while True:
-            u, v = e
-            if v not in adj[u]:
-                break
-            if fast_triangle:
-                common = adj[u] & adj[v]
-                if not common:
-                    break
-                w = min(common, key=lambda x: order[x])
-                img = (u, v, w)
-                copies.append(EmbeddedCopy(pattern, host, img))
-                remove([(u, v), (u, w), (v, w)])
-                continue
-            found = None
-            for (p, q) in reps:
-                for pins in ({p: u, q: v}, {p: v, q: u}):
-                    img = find_embedding(pattern, adj, host.n, pins,
-                                         host_order=order)
-                    if img is not None:
-                        found = img
-                        break
-                if found:
-                    break
-            if not found:
-                break
-            copy = EmbeddedCopy(pattern, host, found)
+    for u, v in queue:
+        if v not in adj[u]:
+            continue
+        img = find_through_edge(pattern, adj, host.n, u, v, host_order=order)
+        if img is not None:
+            copy = EmbeddedCopy(pattern, host, img)
             copies.append(copy)
-            remove(copy.edge_image())
+            for a, b in copy.edge_image():
+                adj[a].discard(b)
+                adj[b].discard(a)
     left_edges = [(u, v) for u in range(host.n) for v in adj[u] if u < v]
     return GreedyResult(copies, Graph(host.n, left_edges))
 

@@ -3,9 +3,10 @@ from itertools import permutations
 import pytest
 
 from decomplab.errors import DegreeError, InputError
-from decomplab.embeddings import check_map, enumerate_embeddings
+from decomplab.embeddings import (check_map, enumerate_embeddings,
+                                   orbit_representatives)
 from decomplab.graphs import (Graph, GraphMap, complete_graph,
-                              complete_bipartite, cycle_graph)
+                              complete_bipartite, cycle_graph, path_graph)
 from decomplab.hamilton import hamilton_cycle, edge_disjoint_hamilton_cycles
 
 
@@ -75,6 +76,35 @@ def test_matches_brute_force_on_random_patterns():
                           if rng.random() < .6])
         got = {c.image for c in enumerate_embeddings(pat, host)}
         assert got == set(brute_force_embeddings(pat, host))
+
+
+ORBIT_PATTERNS = {
+    "K3": complete_graph(3),
+    "C4": cycle_graph(4),
+    "C5": cycle_graph(5),
+    "K33": complete_bipartite(3, 3),
+    "P3": path_graph(2),
+    "P4": path_graph(3),
+    "paw": Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+    "K13": complete_bipartite(1, 3),
+    "P3+2K1": Graph(5, [(1, 2), (2, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", list(ORBIT_PATTERNS))
+def test_orbit_representatives_match_brute_force_automorphisms(name):
+    pattern = ORBIT_PATTERNS[name]
+    auts = [s for s in permutations(range(pattern.n))
+            if all(pattern.has_edge(s[u], s[v]) for u, v in pattern.edges)]
+    vertices = tuple((p,) for p in range(pattern.n))
+    arcs = tuple(a for p, q in sorted(pattern.edges) for a in ((p, q), (q, p)))
+    for items in (vertices, arcs):
+        expect = []
+        for b in items:
+            if not any(tuple(s[x] for x in a) == b
+                       for a in expect for s in auts):
+                expect.append(b)
+        assert orbit_representatives(pattern, items) == tuple(expect)
 
 
 def test_check_map_modes():

@@ -4,18 +4,28 @@ from fractions import Fraction
 
 import pytest
 
+from decomplab.embeddings import find_embedding
 from decomplab.errors import InputError
 from decomplab.extremal import generate_extremal
 from decomplab.graphs import (Decomposition, EmbeddedCopy, Graph,
                               complete_graph, complete_bipartite, cycle_graph,
-                              path_graph)
+                              norm_edge, path_graph)
 from decomplab.solver import (FEASIBLE, INDETERMINATE, INFEASIBLE, SAT,
                               UNSAT_DIVISIBILITY, UNSAT_EXHAUSTED,
-                              cover_vertex, exact_decompose,
+                              candidate_copies, cover_vertex, exact_decompose,
                               fractional_decompose, greedy_decompose,
                               verify_decomposition)
+from test_embeddings import brute_force_embeddings
 
 K3 = complete_graph(3)
+PAW = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
+
+
+def random_host(rng, lo, hi):
+    n = rng.randint(lo, hi)
+    p = rng.uniform(.3, .95)
+    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                     if rng.random() < p])
 
 
 def test_kirkman_k7():
@@ -219,7 +229,63 @@ def test_greedy_deterministic_per_seed():
     assert [c.image for c in a.copies] == [c.image for c in b.copies]
 
 
+def every_arc_greedy(pattern, host, seed):
+    """Reference: every pattern edge, sorted, in both orientations, first
+    hit; the same seeded vertex order and edge queue as greedy_decompose."""
+    rng = random.Random(seed)
+    adj = [set(s) for s in host.adj]
+    order = list(range(host.n))
+    rng.shuffle(order)
+    queue = sorted(host.edges)
+    rng.shuffle(queue)
+    images = []
+    for u, v in queue:
+        if v not in adj[u]:
+            continue
+        pins = [pin for p, q in sorted(pattern.edges)
+                for pin in ({p: u, q: v}, {p: v, q: u})]
+        for pin in pins:
+            img = find_embedding(pattern, adj, host.n, pin, host_order=order)
+            if img is not None:
+                images.append(img)
+                for a, b in pattern.edges:
+                    adj[img[a]].discard(img[b])
+                    adj[img[b]].discard(img[a])
+                break
+    left = {(a, b) for a in range(host.n) for b in adj[a] if a < b}
+    return images, left
+
+
+@pytest.mark.parametrize("pattern", [
+    K3, complete_graph(4), cycle_graph(4), cycle_graph(5), path_graph(2), PAW,
+    complete_bipartite(3, 3)], ids=["K3", "K4", "C4", "C5", "P3", "paw", "K33"])
+def test_greedy_matches_the_every_arc_reference(pattern):
+    rng = random.Random(13)
+    for seed in range(50):
+        g = random_host(rng, 5, 14)
+        out = greedy_decompose(pattern, g, seed=seed)
+        images, left = every_arc_greedy(pattern, g, seed)
+        assert [c.image for c in out.copies] == images
+        assert out.leftover.edges == left
+
+
 # -- cover_vertex ----------------------------------------------------------------
+
+
+def test_through_vertex_copies_match_brute_force():
+    rng = random.Random(17)
+    patterns = [K3, cycle_graph(4), path_graph(2), PAW,
+                complete_bipartite(1, 3), Graph(4, [(0, 1), (1, 2), (0, 2)])]
+    for _ in range(60):
+        f = rng.choice(patterns)
+        g = random_host(rng, f.n, 7)
+        oracle = brute_force_embeddings(f, g)
+        for x in range(g.n):
+            got = [c.edge_image() for c in
+                   candidate_copies(f, g, g.edges, through_vertex=x)]
+            want = {frozenset(norm_edge(img[u], img[v]) for u, v in f.edges)
+                    for img in oracle if x in img}
+            assert len(got) == len(want) and set(got) == want
 
 
 def test_cover_vertex_k7():
