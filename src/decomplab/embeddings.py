@@ -2,16 +2,25 @@
 
 One kernel, `_search`, yields the images of a pattern in a host that extend
 given pins, placing next the pattern vertex with the most embedded
-neighbours (ties by index).  Embeddings are labelled: automorphic images
-count as distinct.  Entry points: `enumerate_embeddings` (all of them;
-`dedup_by_edges` keeps one per image edge set, as the solvers need),
-`find_embedding` (the first, over a raw adjacency view) and
-`find_through_edge` (the first through a given host edge).
+neighbours (ties by index), each over the host order.  Embeddings are
+labelled: automorphic images count as distinct.  Entry points:
+`enumerate_embeddings` (all of them; `dedup_by_edges` keeps one per image
+edge set, as the solvers need), `find_embedding` (the first, over a raw
+adjacency view) and `find_through_edge` (the first through a given host
+edge).
 
 Orbit rule: pinning a pattern vertex or arc succeeds exactly when pinning
 any other member of its Aut(F)-orbit does, so pinned callers try only the
 first member of each orbit (`orbit_representatives`; a and b share an orbit
 when the kernel embeds the pattern into itself with a pinned to b).
+
+The same rule along a stabiliser chain breaks symmetry in full enumeration
+(Grochow & Kellis, RECOMB 2007).  With p1, p2, ... the placement order and
+O_i the orbit of p_i under the automorphisms fixing the pins and p1..p_(i-1),
+requiring every other member of O_i to land later in the host order than
+p_i keeps exactly the first embedding of each orbit, which is the one the
+edge-set dedup keeps; so `dedup_by_edges` visits one embedding per copy
+(more only where an isolated pattern vertex moves freely).
 """
 
 from __future__ import annotations
@@ -20,15 +29,65 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .errors import InputError
-from .graphs import EmbeddedCopy, Graph, GraphMap, norm_edge
+from .graphs import EmbeddedCopy, Graph, GraphMap
+
+
+@lru_cache(maxsize=256)
+def _placement(pattern: Graph, pinned: frozenset) -> tuple[tuple, tuple]:
+    """The order in which the kernel places the unpinned pattern vertices
+    (most placed neighbours first, ties by index), and for each vertex its
+    neighbours placed before it."""
+    placed = set(pinned)
+    rest = [p for p in range(pattern.n) if p not in placed]
+    seq, back = [], []
+    while rest:
+        p = min(rest, key=lambda p: (-len(pattern.adj[p] & placed), p))
+        rest.remove(p)
+        seq.append(p)
+        back.append(tuple(pattern.adj[p] & placed))
+        placed.add(p)
+    return tuple(seq), tuple(back)
+
+
+@lru_cache(maxsize=256)
+def _orbit_bounds(pattern: Graph, pinned: frozenset) -> tuple:
+    """Symmetry-breaking conditions, one tuple per placement step.
+
+    With p1, p2, ... the placement order, O_i is the orbit of p_i under the
+    automorphisms that fix the pins and p1..p_(i-1); the kernel finds it by
+    embedding the pattern into itself with those vertices pinned to
+    themselves.  Step k lists every p_i with p_k in O_i minus p_i: the image
+    of p_k must come after the image of p_i in the host order.
+    """
+    seq, _ = _placement(pattern, pinned)
+    after = [[] for _ in seq]
+    fixed = {f: f for f in pinned}
+    for i, p in enumerate(seq):
+        for k in range(i + 1, len(seq)):
+            pins = {**fixed, p: seq[k]}
+            if next(_search(pattern, pattern.adj, pattern.n, pins),
+                    None) is not None:
+                after[k].append(p)
+        fixed[p] = p
+    return tuple(tuple(a) for a in after)
+
+
+@lru_cache(maxsize=8)
+def _ranks(order: tuple) -> dict:
+    """Position of each host vertex in a host order."""
+    return {h: i for i, h in enumerate(order)}
 
 
 def _search(pattern: Graph, adj, n_host: int, pins: dict,
-            host_order=None) -> Iterator[tuple[int, ...]]:
+            host_order=None, least_per_orbit: bool = False
+            ) -> Iterator[tuple[int, ...]]:
     """Yield images (tuples) of injective homomorphisms pattern -> host.
 
-    `adj` is an indexable of neighbour-sets for the host; `host_order` fixes
-    the deterministic candidate iteration order.
+    `adj` is an indexable of neighbour-sets for the host; `host_order`, a
+    sequence of distinct host vertices, fixes the candidate order, so images
+    come in lexicographic order of their host-order ranks along the
+    placement order.  `least_per_orbit` yields only the first image of each
+    orbit under the automorphisms fixing the pins (`_orbit_bounds`).
     """
     pn = pattern.n
     if pn == 0:
@@ -50,67 +109,54 @@ def _search(pattern: Graph, adj, n_host: int, pins: dict,
         if image[u] != -1 and image[v] != -1 and image[v] not in adj[image[u]]:
             return
 
-    placed = [p for p in range(pn) if image[p] != -1]
-    remaining = [p for p in range(pn) if image[p] == -1]
-    if not remaining:
+    pinned = frozenset(pins)
+    seq, back = _placement(pattern, pinned)
+    if not seq:
         yield tuple(image)
         return
+    after = _orbit_bounds(pattern, pinned) if least_per_orbit else None
+    order = tuple(range(n_host) if host_order is None else host_order)
+    rank = _ranks(order)
+    whole = len(rank) == n_host
 
-    order = list(range(n_host)) if host_order is None else list(host_order)
+    def candidates(d: int) -> Iterator[int]:
+        # lazy: a first-hit search stops at the first candidate that fits;
+        # `used` holds the same vertices whenever this step draws one
+        lo = 0
+        if after and after[d]:
+            lo = max(rank[image[q]] for q in after[d]) + 1
+        nbr_imgs = [image[q] for q in back[d]]
+        if not nbr_imgs:
+            return (h for h in order[lo:] if h not in used)
+        cand = set(adj[nbr_imgs[0]]).intersection(
+            *[adj[x] for x in nbr_imgs[1:]])
+        if len(cand) ** 2 >= len(order) - lo:
+            return (h for h in order[lo:] if h not in used and h in cand)
+        # too few common neighbours to meet early in the walk: sort them
+        cand -= used
+        if lo or not whole:
+            cand = [h for h in cand if rank.get(h, -1) >= lo]
+        return iter(sorted(cand, key=rank.__getitem__))
 
-    def candidates(p) -> list[int]:
-        nbr_imgs = [image[q] for q in pattern.adj[p] if image[q] != -1]
-        if nbr_imgs:
-            cand = set(adj[nbr_imgs[0]])
-            for x in nbr_imgs[1:]:
-                cand &= adj[x]
-        else:
-            cand = None  # unconstrained
-        out = []
-        for h in order:
-            if h in used:
-                continue
-            if cand is not None and h not in cand:
-                continue
-            out.append(h)
-        return out
-
-    def pick() -> int:
-        best, best_key = None, None
-        for p in remaining:
-            emb_nbrs = sum(1 for q in pattern.adj[p] if image[q] != -1)
-            key = (-emb_nbrs, p)
-            if best_key is None or key < best_key:
-                best, best_key = p, key
-        return best
-
-    stack = []
-    p = pick()
-    stack.append((p, candidates(p), 0))
-    remaining.remove(p)
+    # one candidate iterator per placement step
+    last = len(seq) - 1
+    stack = [candidates(0)]
     while stack:
-        p, cand, idx = stack[-1]
-        if idx >= len(cand):
+        d = len(stack) - 1
+        p = seq[d]
+        if image[p] != -1:
+            used.discard(image[p])
+            image[p] = -1
+        h = next(stack[-1], None)
+        if h is None:
             stack.pop()
-            remaining.append(p)
-            if stack:
-                q, qc, qi = stack[-1]
-                used.discard(image[q])
-                image[q] = -1
-                stack[-1] = (q, qc, qi + 1)
             continue
-        h = cand[idx]
         image[p] = h
         used.add(h)
-        if not remaining:
+        if d == last:
             yield tuple(image)
-            used.discard(h)
-            image[p] = -1
-            stack[-1] = (p, cand, idx + 1)
-            continue
-        q = pick()
-        remaining.remove(q)
-        stack.append((q, candidates(q), 0))
+        else:
+            stack.append(candidates(d + 1))
 
 
 def enumerate_embeddings(pattern: Graph, host: Graph,
@@ -121,15 +167,18 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
     """All labelled embeddings of `pattern` into `host` extending `pins`.
 
     Complete and deterministically ordered when `limit` is None.  With
-    `dedup_by_edges`, one representative is kept per image edge set (that is,
-    per automorphism orbit).
+    `dedup_by_edges`, the first embedding of each image edge set is kept, and
+    the search skips every embedding that is not the first of its orbit
+    under the automorphisms fixing the pins.
     """
     pins = dict(pins) if pins else {}
     out = []
     seen = set()
-    for img in _search(pattern, host.adj, host.n, pins, host_order=host_order):
+    for img in _search(pattern, host.adj, host.n, pins, host_order=host_order,
+                       least_per_orbit=dedup_by_edges):
         if dedup_by_edges:
-            key = frozenset(norm_edge(img[u], img[v]) for u, v in pattern.edges)
+            key = frozenset([(img[u], img[v]) if img[u] < img[v]
+                             else (img[v], img[u]) for u, v in pattern.edges])
             if key in seen:
                 continue
             seen.add(key)

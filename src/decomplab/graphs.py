@@ -403,7 +403,8 @@ class EmbeddedCopy:
 
     def edge_image(self) -> frozenset:
         im = self.image
-        return frozenset(norm_edge(im[u], im[v]) for u, v in self.pattern.edges)
+        return frozenset([(im[u], im[v]) if im[u] < im[v] else (im[v], im[u])
+                          for u, v in self.pattern.edges])
 
     def vertex_set(self) -> frozenset:
         return frozenset(self.image)

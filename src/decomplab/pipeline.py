@@ -228,7 +228,7 @@ def cover_down(f: Graph, g: Graph, vortex: Vortex, seed: int = 0,
 
         stalls = 0
         for x in sweep_order:
-            committed = []      # (copy, edge set) made during this sweep
+            committed = []      # edge sets of the copies made this sweep
             attempts = {}
             pending = deque()
             for w in sorted(y for y in adj[x] if y in inner_set):
@@ -245,9 +245,10 @@ def cover_down(f: Graph, g: Graph, vortex: Vortex, seed: int = 0,
                     key = norm_edge(a, b)
                     tries = attempts.get(key, 0)
                     if tries < release_budget and committed:
-                        # release a recent copy, retry, requeue its edges
-                        copy, es = committed.pop()
-                        copies.remove(copy)
+                        # release the sweep's latest copy, which is also
+                        # the last of `copies`; retry, requeue its edges
+                        es = committed.pop()
+                        copies.pop()
                         restore(es)
                         attempts[key] = tries + 1
                         pending.appendleft((a, b, is_cross))
@@ -263,7 +264,7 @@ def cover_down(f: Graph, g: Graph, vortex: Vortex, seed: int = 0,
                 copy = EmbeddedCopy(f, g, img)
                 es = copy.edge_image()
                 copies.append(copy)
-                committed.append((copy, es))
+                committed.append(es)
                 remove(es)
         level["sweep_stalls"] = stalls
 

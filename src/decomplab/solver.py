@@ -115,8 +115,11 @@ def _exact_cover(options: list, primary: frozenset,
 
     Iterative Algorithm X: a live-option count per item is kept up to date
     as options are chosen and undone, and the search branches on the
-    uncovered primary item with the fewest live options.  `dead(uncovered)`
-    may reject a node whose uncovered primary items cannot be finished.
+    uncovered primary item with the fewest live options.
+    `dead(uncovered, last)` may reject a node whose uncovered primary items
+    cannot be finished.  It is asked only where every uncovered primary item
+    has a live option; `last` is the option chosen to reach the node (None
+    at the root), so `dead` has accepted its parent.
     The clock (`deadline`, a `time.monotonic()` value) is read every 256
     nodes.  Returns (chosen option indices or None, nodes, deadline hit).
     """
@@ -150,6 +153,7 @@ def _exact_cover(options: list, primary: frozenset,
     # one entry per chosen option: [live options of the branching item,
     # position of the one chosen, the options that choice killed]
     stack: list = []
+    last = None
     nodes = 0
     while True:
         nodes += 1
@@ -159,7 +163,7 @@ def _exact_cover(options: list, primary: frozenset,
         if not uncovered:
             return [choices[k] for choices, k, _ in stack], nodes, False
         e0 = min(uncovered, key=count.__getitem__)
-        if count[e0] and not (dead is not None and dead(uncovered)):
+        if count[e0] and not (dead is not None and dead(uncovered, last)):
             stack.append([[j for j in by_item[e0] if live[j]], -1, None])
         while stack:
             level = stack[-1]
@@ -169,6 +173,7 @@ def _exact_cover(options: list, primary: frozenset,
             k += 1
             if k < len(choices):
                 level[1], level[2] = k, choose(choices[k])
+                last = options[choices[k]]
                 break
             stack.pop()
         else:
@@ -193,31 +198,51 @@ def exact_decompose(pattern: Graph, host: Graph,
               if target_edges is not None else host.edges)
     if not target <= host.edges:
         raise InputError("target edges must be edges of the host")
-    report = check_divisibility(pattern, Graph(host.n, target))
+    sub = Graph(host.n, target)
+    report = check_divisibility(pattern, sub)
     if not (report.edge_divisible and report.degree_divisible):
         return SolveResult(UNSAT_DIVISIBILITY, report=report)
 
     deadline = _deadline(timeout)
     cands = candidate_copies(pattern, host, target)
-    pattern_connected = pattern.is_connected()
     ef = pattern.e
-    min_deg = min(d for d in pattern.degrees() if d > 0)
+    tadj = sub.adj
 
-    def dead(uncovered) -> bool:
-        """Some vertex keeps fewer edges than any pattern degree, or (for a
-        connected pattern) a component's edge count is not a multiple of e(F)."""
-        deg = [0] * host.n
-        for u, v in uncovered:
-            deg[u] += 1
-            deg[v] += 1
-        if any(0 < d < min_deg for d in deg):
-            return True
-        return (pattern_connected and len(uncovered) <= 4000
-                and any(c % ef for c in
-                        _component_edge_counts(host.n, uncovered)))
+    def joined(vs, uncovered) -> bool:
+        """Whether the vertices `vs` share a component of `uncovered`."""
+        want, seen, todo = set(vs[1:]), {vs[0]}, [vs[0]]
+        while todo and want:
+            v = todo.pop()
+            for w in tadj[v]:
+                if w not in seen and ((v, w) if v < w else (w, v)) in uncovered:
+                    seen.add(w)
+                    want.discard(w)
+                    todo.append(w)
+        return not want
+
+    def dead(uncovered, last) -> bool:
+        """A component of the uncovered edges (at most 4000 of them) has an
+        edge count that is not a multiple of e(F).
+
+        Below a checked parent a count changes by e(F), keeping its residue,
+        unless removing the copy `last` split its component.  Every piece
+        left holds a vertex of that copy, so joined copy vertices mean no
+        split.  (No vertex can keep fewer uncovered edges than the least
+        pattern degree: its edges have live copies, which use that many.)
+        """
+        if len(uncovered) > 4000:
+            return False
+        if last is not None and len(uncovered) + ef <= 4000:
+            left = [v for v in {x for e in last for x in e}
+                    if any(((v, w) if v < w else (w, v)) in uncovered
+                           for w in tadj[v])]
+            if len(left) < 2 or joined(left, uncovered):
+                return False
+        return any(c % ef for c in _component_edge_counts(host.n, uncovered))
 
     chosen, nodes, hit = _exact_cover([c.edge_image() for c in cands], target,
-                                      deadline, dead)
+                                      deadline,
+                                      dead if pattern.is_connected() else None)
     if chosen is not None:
         dec = Decomposition(host, target, [cands[i] for i in chosen])
         return SolveResult(SAT, dec, nodes=nodes)

@@ -3,7 +3,8 @@ from itertools import permutations
 import pytest
 
 from decomplab.errors import DegreeError, InputError
-from decomplab.embeddings import (check_map, enumerate_embeddings,
+from decomplab.embeddings import (_orbit_bounds, _placement, _search,
+                                   check_map, enumerate_embeddings,
                                    orbit_representatives)
 from decomplab.graphs import (Graph, GraphMap, complete_graph,
                               complete_bipartite, cycle_graph, path_graph)
@@ -105,6 +106,113 @@ def test_orbit_representatives_match_brute_force_automorphisms(name):
                        for a in expect for s in auts):
                 expect.append(b)
         assert orbit_representatives(pattern, items) == tuple(expect)
+
+
+# the patterns of the symmetry-breaking checks: the orbit patterns plus K4
+# and a triangle with an isolated vertex placed first or last
+SYMMETRY_PATTERNS = {
+    **{k: v for k, v in ORBIT_PATTERNS.items() if k != "P3+2K1"},
+    "K4": complete_graph(4),
+    "K1+K3": Graph(4, [(1, 2), (2, 3), (1, 3)]),
+    "K3+K1": Graph(4, [(0, 1), (1, 2), (0, 2)]),
+}
+
+
+def automorphisms(pattern, fixed=()):
+    return [s for s in permutations(range(pattern.n))
+            if all(s[x] == x for x in fixed)
+            and all(pattern.has_edge(s[u], s[v]) for u, v in pattern.edges)]
+
+
+def first_per_edge_set(copies):
+    """Reference dedup: the first labelled embedding of each edge set."""
+    seen, out = set(), []
+    for c in copies:
+        if c.edge_image() not in seen:
+            seen.add(c.edge_image())
+            out.append(c.image)
+    return out
+
+
+def test_dedup_enumeration_is_first_labelled_embedding_per_edge_set():
+    import random
+    rng = random.Random(11)
+    for k in range(100):
+        n = rng.randint(4, 7)
+        density = rng.uniform(0.3, 0.95)
+        host = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                         if rng.random() < density])
+        order = list(range(n))
+        rng.shuffle(order)
+        host_order = order if k % 2 else None
+        for pattern in SYMMETRY_PATTERNS.values():
+            if pattern.n > n:
+                continue
+            u, v = min(pattern.edges)
+            for pins in ({}, {0: order[0]}, {u: order[1], v: order[2]}):
+                labelled = enumerate_embeddings(pattern, host, pins=pins,
+                                                host_order=host_order)
+                got = enumerate_embeddings(pattern, host, pins=pins,
+                                           host_order=host_order,
+                                           dedup_by_edges=True)
+                assert [c.image for c in got] == first_per_edge_set(labelled)
+                if 0 not in pattern.degrees():
+                    # equal edge sets differ by an automorphism, so the
+                    # kernel itself emits no embedding the dedup drops
+                    raw = list(_search(pattern, host.adj, n, pins, host_order,
+                                       least_per_orbit=True))
+                    assert raw == [c.image for c in got]
+
+
+def test_dedup_enumeration_visits_one_embedding_per_copy(monkeypatch):
+    import decomplab.embeddings as emb
+    k33, host = complete_bipartite(3, 3), complete_bipartite(4, 4)
+    assert len(enumerate_embeddings(k33, host)) == 16 * 72
+    enumerate_embeddings(k33, host, dedup_by_edges=True)   # fills the caches
+    search, visited = emb._search, []
+
+    def counted(*args, **kwargs):
+        for img in search(*args, **kwargs):
+            visited.append(img)
+            yield img
+
+    monkeypatch.setattr(emb, "_search", counted)
+    copies = enumerate_embeddings(k33, host, dedup_by_edges=True)
+    assert len(copies) == len(visited) == 16
+
+
+@pytest.mark.parametrize("name", list(SYMMETRY_PATTERNS))
+def test_orbit_chain_sizes_multiply_to_the_automorphism_count(name):
+    pattern = SYMMETRY_PATTERNS[name]
+    for fixed in ((), (0,)):
+        seq, _ = _placement(pattern, frozenset(fixed))
+        bounds = _orbit_bounds(pattern, frozenset(fixed))
+        product = 1
+        for p in seq:
+            # |O_i| = p_i plus every later vertex bounded by it
+            product *= 1 + sum(p in b for b in bounds)
+        assert product == len(automorphisms(pattern, fixed))
+
+
+def test_copies_times_automorphisms_count_networkx_monomorphisms():
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.isomorphism import GraphMatcher
+    import random
+    rng = random.Random(13)
+    for _ in range(10):
+        n = rng.randint(5, 7)
+        host = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                         if rng.random() < 0.7])
+        nx_host = nx.Graph(list(host.edges))
+        nx_host.add_nodes_from(range(n))
+        for pattern in SYMMETRY_PATTERNS.values():
+            if pattern.n > n or 0 in pattern.degrees():
+                continue
+            nx_pattern = nx.Graph(list(pattern.edges))
+            monos = sum(1 for _ in GraphMatcher(
+                nx_host, nx_pattern).subgraph_monomorphisms_iter())
+            copies = enumerate_embeddings(pattern, host, dedup_by_edges=True)
+            assert monos == len(automorphisms(pattern)) * len(copies)
 
 
 def test_check_map_modes():

@@ -10,6 +10,7 @@ from decomplab.extremal import generate_extremal
 from decomplab.graphs import (Decomposition, EmbeddedCopy, Graph,
                               complete_graph, complete_bipartite, cycle_graph,
                               norm_edge, path_graph)
+from decomplab import solver
 from decomplab.solver import (FEASIBLE, INDETERMINATE, INFEASIBLE, SAT,
                               UNSAT_DIVISIBILITY, UNSAT_EXHAUSTED,
                               candidate_copies, cover_vertex, exact_decompose,
@@ -99,6 +100,44 @@ def test_target_edges_subset():
     assert res.sat and len(res.decomposition.copies) == 1
     with pytest.raises(InputError):
         exact_decompose(K3, cycle_graph(4), target_edges={(0, 2)})
+
+
+def whole_graph_dead(pattern, n, uncovered):
+    """The prune rule over the whole uncovered graph: some vertex keeps
+    fewer edges than any pattern degree, or (connected pattern, at most 4000
+    edges) a component's edge count is not a multiple of e(F)."""
+    g = Graph(n, uncovered)
+    low = min(d for d in pattern.degrees() if d)
+    if any(0 < d < low for d in g.degrees()):
+        return True
+    return (pattern.is_connected() and len(uncovered) <= 4000
+            and any(len(g.induced_edges(c)) % pattern.e
+                    for c in g.components()))
+
+
+def test_local_prune_agrees_with_the_whole_graph_rule(monkeypatch):
+    core, seen = solver._exact_cover, []
+
+    def checked(options, primary, deadline=None, dead=None):
+        def both(uncovered, last):
+            got = bool(dead is not None and dead(uncovered, last))
+            seen.append(whole_graph_dead(pattern, host.n, uncovered))
+            assert got == seen[-1]
+            return got
+        return core(options, primary, deadline, both)
+
+    monkeypatch.setattr(solver, "_exact_cover", checked)
+    rng = random.Random(2843)    # a paw host where the rule fires below the root
+    n = rng.randint(7, 11)
+    p = rng.uniform(0.4, 0.9)
+    paw_host = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                         if rng.random() < p])
+    cases = [(PAW, paw_host), (K3, complete_graph(15)),
+             (cycle_graph(4), complete_bipartite(4, 6)),
+             (Graph(4, [(0, 1), (1, 2), (0, 2)]), complete_graph(9))]
+    for pattern, host in cases:
+        exact_decompose(pattern, host, timeout=10)
+    assert any(seen) and len(seen) > 100
 
 
 def test_verify_catches_mutations():
