@@ -22,8 +22,8 @@ from .graphs import GraphMap
 from .invariants import (THETA_UNDEFINED, bipartite_invariants, cn_tuples,
                          colouring_invariants, degree_gcd)
 from .pipeline import cover_down, find_vortex
-from .solver import (INDETERMINATE, SAT, cover_vertex, exact_decompose,
-                     fractional_decompose, greedy_decompose,
+from .solver import (INDETERMINATE, SAT, UNSAT_LATTICE, cover_vertex,
+                     exact_decompose, fractional_decompose, greedy_decompose,
                      verify_decomposition)
 
 EXIT_OK = 0
@@ -260,7 +260,12 @@ def _cmd_solve(args) -> CommandResult:
         return CommandResult("indeterminate", {"status": res.status}, [],
                              EXIT_INDETERMINATE)
     payload = {"status": res.status}
-    if res.report is not None and hasattr(res.report, "degree_residues"):
+    if res.status == UNSAT_LATTICE:
+        # y over sorted(host edges), listed as [u, v, y_uv] where y_uv != 0
+        payload["modulus"] = res.lattice.modulus
+        payload["certificate"] = [[u, v, t] for (u, v), t
+                                  in zip(sorted(g.edges), res.lattice.y) if t]
+    elif res.report is not None and hasattr(res.report, "degree_residues"):
         payload["edge_residue"] = res.report.edge_residue
         payload["degree_residues"] = {
             str(k): v for k, v in res.report.degree_residues.items()}

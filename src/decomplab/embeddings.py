@@ -167,16 +167,19 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
     """All labelled embeddings of `pattern` into `host` extending `pins`.
 
     Complete and deterministically ordered when `limit` is None.  With
-    `dedup_by_edges`, the first embedding of each image edge set is kept, and
+    `dedup_by_edges`, the first embedding of each image edge set is kept:
     the search skips every embedding that is not the first of its orbit
-    under the automorphisms fixing the pins.
+    under the automorphisms fixing the pins, which leaves one per edge set
+    unless the pattern has an isolated vertex; only then are edge sets
+    compared as well.
     """
     pins = dict(pins) if pins else {}
     out = []
     seen = set()
+    compare = dedup_by_edges and 0 in pattern.degrees()
     for img in _search(pattern, host.adj, host.n, pins, host_order=host_order,
                        least_per_orbit=dedup_by_edges):
-        if dedup_by_edges:
+        if compare:
             key = frozenset([(img[u], img[v]) if img[u] < img[v]
                              else (img[v], img[u]) for u, v in pattern.edges])
             if key in seen:

@@ -169,11 +169,6 @@ def build_c4_switcher(f: Graph) -> CertifiedSwitcher:
 # -- star switchers ------------------------------------------------------------
 
 
-def _star_roots(r: int):
-    """Roots u_1..u_r (leaves), u_{r+1} (plus centre), u_{r+2} (minus)."""
-    return list(range(r + 2))
-
-
 def _p2_compression_f(leaves, plus, minus) -> dict:
     f = {u: 1 for u in leaves}
     f[plus] = 0

@@ -31,15 +31,14 @@ def _sparse(rows, n):
     CSR matrix for HiGHS."""
     import numpy as np
     from scipy.sparse import csr_matrix
-    entries = []
-    for r in rows:
-        a = np.asarray(r)
-        nz = np.flatnonzero(a).tolist()
-        entries.append(list(zip(nz, a[nz].tolist())))
-    indptr = np.cumsum([0] + [len(row) for row in entries])
+    a = np.asarray(rows)
+    i, j = a.nonzero()
+    values = a[i, j].tolist()
+    indptr = np.searchsorted(i, np.arange(len(rows) + 1))
+    pairs, cuts = list(zip(j.tolist(), values)), indptr.tolist()
+    entries = [pairs[s:t] for s, t in zip(cuts, cuts[1:])]
     return entries, csr_matrix(
-        ([float(a) for row in entries for _, a in row],
-         [j for row in entries for j, _ in row], indptr), shape=(len(rows), n))
+        ([float(v) for v in values], j, indptr), shape=(len(rows), n))
 
 
 def _rationalise(v) -> list[Fraction]:

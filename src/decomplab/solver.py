@@ -9,8 +9,11 @@ the vertex primary and every other usable edge secondary.
 
 Statuses keep the answers apart: `sat` comes with a decomposition that
 `verify_decomposition` checks, `unsat_divisibility` with the violated
-residues, `unsat_exhausted` after a complete search, and `indeterminate`
-when the time budget ran out first.
+residues, `unsat_lattice` with a mod-p certificate that
+`lattice.verify_lattice_certificate` checks, `unsat_exhausted` after a
+complete search, and `indeterminate` when the time budget ran out first.
+`exact_decompose` looks for the lattice certificate once, when its search
+has visited |target| nodes without finishing (see `lattice`).
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .embeddings import (enumerate_embeddings, find_through_edge,
 from .errors import InputError
 from .graphs import (Decomposition, EmbeddedCopy, Graph, degree_gcd_of,
                      norm_edge)
+from .lattice import LatticeCertificate, lattice_refutation
 from .lp import (FEASIBLE, INDETERMINATE, solve_equalities_box_float,
                  solve_equalities_nonneg)
 from .lp import INFEASIBLE  # noqa: F401  (re-exported with the other statuses)
@@ -33,6 +37,7 @@ from .lp import INFEASIBLE  # noqa: F401  (re-exported with the other statuses)
 SAT = "sat"
 UNSAT_DIVISIBILITY = "unsat_divisibility"
 UNSAT_EXHAUSTED = "unsat_exhausted"
+UNSAT_LATTICE = "unsat_lattice"
 
 
 @dataclass
@@ -41,6 +46,8 @@ class SolveResult:
     decomposition: Optional[Decomposition] = None
     report: Optional[object] = None       # divisibility report on that status
     nodes: int = 0
+    lattice: Optional[LatticeCertificate] = None    # on `unsat_lattice`
+    primes_tried: tuple[int, ...] = ()    # moduli the lattice test finished
 
     @property
     def sat(self) -> bool:
@@ -75,16 +82,19 @@ def candidate_copies(pattern: Graph, host: Graph, target: frozenset,
     embeddings with the same edge image differ by an automorphism, so no copy
     comes from two orbits.
     """
-    sub = Graph(host.n, target)
+    sub = host if target == host.edges else Graph(host.n, target)
     if through_vertex is None:
         pins = [None]
     else:
         vertices = tuple((p,) for p in range(pattern.n))
         pins = [{p: through_vertex}
                 for (p,) in orbit_representatives(pattern, vertices)]
-    return [EmbeddedCopy(pattern, host, c.image) for pin in pins
-            for c in enumerate_embeddings(pattern, sub, pins=pin,
-                                          dedup_by_edges=True)]
+    copies = [c for pin in pins
+              for c in enumerate_embeddings(pattern, sub, pins=pin,
+                                            dedup_by_edges=True)]
+    if sub is not host:
+        copies = [EmbeddedCopy(pattern, host, c.image) for c in copies]
+    return copies
 
 
 def _component_edge_counts(n: int, edges) -> list[int]:
@@ -108,7 +118,8 @@ def _component_edge_counts(n: int, edges) -> list[int]:
 
 
 def _exact_cover(options: list, primary: frozenset,
-                 deadline: Optional[float] = None, dead=None) -> tuple[Optional[list[int]], int, bool]:
+                 deadline: Optional[float] = None, dead=None,
+                 refute=None) -> tuple[Optional[list[int]], int, bool]:
     """Choose pairwise disjoint `options` (item collections) covering every
     `primary` item exactly once; any other item is secondary, covered at most
     once.
@@ -120,6 +131,9 @@ def _exact_cover(options: list, primary: frozenset,
     cannot be finished.  It is asked only where every uncovered primary item
     has a live option; `last` is the option chosen to reach the node (None
     at the root), so `dead` has accepted its parent.
+    `refute()` is called once, when the search has visited len(primary)
+    nodes without finishing; a true answer proves that no cover exists and
+    ends the search there.
     The clock (`deadline`, a `time.monotonic()` value) is read every 256
     nodes.  Returns (chosen option indices or None, nodes, deadline hit).
     """
@@ -162,6 +176,8 @@ def _exact_cover(options: list, primary: frozenset,
             return None, nodes, True
         if not uncovered:
             return [choices[k] for choices, k, _ in stack], nodes, False
+        if refute is not None and nodes == len(primary) and refute():
+            return None, nodes, False
         e0 = min(uncovered, key=count.__getitem__)
         if count[e0] and not (dead is not None and dead(uncovered, last)):
             stack.append([[j for j in by_item[e0] if live[j]], -1, None])
@@ -190,7 +206,9 @@ def exact_decompose(pattern: Graph, host: Graph,
     """Partition `target_edges` (default all of E(host)) into copies of
     `pattern`, or prove impossibility.
 
-    Cheap divisibility obstructions are reported before any search.
+    Cheap divisibility obstructions are reported before any search; a
+    search still running after |target| nodes asks `lattice_refutation` for
+    a mod-p certificate once (`unsat_lattice`), unless the deadline passed.
     """
     if pattern.e < 2:
         raise InputError("pattern needs at least two edges")
@@ -198,7 +216,7 @@ def exact_decompose(pattern: Graph, host: Graph,
               if target_edges is not None else host.edges)
     if not target <= host.edges:
         raise InputError("target edges must be edges of the host")
-    sub = Graph(host.n, target)
+    sub = host if target == host.edges else Graph(host.n, target)
     report = check_divisibility(pattern, sub)
     if not (report.edge_divisible and report.degree_divisible):
         return SolveResult(UNSAT_DIVISIBILITY, report=report)
@@ -240,13 +258,30 @@ def exact_decompose(pattern: Graph, host: Graph,
                 return False
         return any(c % ef for c in _component_edge_counts(host.n, uncovered))
 
-    chosen, nodes, hit = _exact_cover([c.edge_image() for c in cands], target,
-                                      deadline,
-                                      dead if pattern.is_connected() else None)
+    options = [c.edge_image() for c in cands]
+    cert, tried = None, ()
+
+    def refute() -> bool:
+        nonlocal cert, tried
+        if deadline is not None and time.monotonic() > deadline:
+            return False
+        eidx = {e: i for i, e in enumerate(sorted(target))}
+        cert, tried = lattice_refutation(
+            pattern, [[eidx[e] for e in items] for items in options],
+            len(target), deadline)
+        return cert is not None
+
+    chosen, nodes, hit = _exact_cover(options, target, deadline,
+                                      dead if pattern.is_connected() else None,
+                                      refute=refute)
     if chosen is not None:
         dec = Decomposition(host, target, [cands[i] for i in chosen])
-        return SolveResult(SAT, dec, nodes=nodes)
-    return SolveResult(INDETERMINATE if hit else UNSAT_EXHAUSTED, nodes=nodes)
+        return SolveResult(SAT, dec, nodes=nodes, primes_tried=tried)
+    if cert is not None:
+        return SolveResult(UNSAT_LATTICE, nodes=nodes, lattice=cert,
+                           primes_tried=tried)
+    return SolveResult(INDETERMINATE if hit else UNSAT_EXHAUSTED, nodes=nodes,
+                       primes_tried=tried)
 
 
 def verify_decomposition(dec: Decomposition) -> tuple[bool, Optional[str]]:
@@ -303,8 +338,8 @@ def fractional_decompose(pattern: Graph, host: Graph, mode: str = "rational",
     edges = sorted(host.edges)
     eidx = {e: i for i, e in enumerate(edges)}
     incidence = np.zeros((len(edges), len(cands)), dtype=np.int8)
-    for j, c in enumerate(cands):
-        incidence[[eidx[e] for e in c.edge_image()], j] = 1
+    copy_rows = [eidx[e] for c in cands for e in c.edge_image()]
+    incidence[copy_rows, np.repeat(np.arange(len(cands)), pattern.e)] = 1
     rows = list(incidence)
     if mode == "rational":
         status, v = solve_equalities_nonneg(rows, [1] * len(edges))

@@ -4,8 +4,9 @@ from fractions import Fraction
 from decomplab import lp
 from decomplab.cli import (EXIT_INDETERMINATE, EXIT_OK, EXIT_UNSAT,
                            EXIT_USAGE, run)
-from decomplab.graphio import serialize_edge_list
-from decomplab.graphs import Graph, complete_graph
+from decomplab.graphio import parse_edge_list, serialize_edge_list
+from decomplab.graphs import Graph, complete_graph, cycle_graph
+from decomplab.lattice import LatticeCertificate, verify_lattice_certificate
 
 
 def _write(tmp_path, name, g):
@@ -64,4 +65,23 @@ def test_fractional_solve(tmp_path, monkeypatch):
     res = run(["solve", "--fractional", "--pattern", f, "--host", g])
     assert res.exit_code == EXIT_OK and res.payload["status"] == "feasible"
     assert res.payload["copies"] == 2300
+    json.dumps(res.payload)
+
+
+def test_solve_prints_a_lattice_certificate(tmp_path):
+    c4 = cycle_graph(4)
+    f = _write(tmp_path, "c4.txt", c4)
+    res = run(["extremal", "--pattern", f, "--family", "tau23",
+               "--scale", "2"])
+    g = tmp_path / "tau23.txt"
+    g.write_text(res.payload["graph"])
+    res = run(["solve", "--pattern", f, "--host", str(g)])
+    assert res.exit_code == EXIT_UNSAT
+    assert res.payload["status"] == "unsat_lattice"
+    assert res.payload["modulus"] == 2
+    host = parse_edge_list(g.read_text())
+    y = {(u, v): t for u, v, t in res.payload["certificate"]}
+    assert set(y) <= host.edges and all(y.values())
+    cert = LatticeCertificate(2, tuple(y.get(e, 0) for e in sorted(host.edges)))
+    assert verify_lattice_certificate(c4, host, host.edges, cert) == (True, None)
     json.dumps(res.payload)

@@ -118,13 +118,13 @@ def whole_graph_dead(pattern, n, uncovered):
 def test_local_prune_agrees_with_the_whole_graph_rule(monkeypatch):
     core, seen = solver._exact_cover, []
 
-    def checked(options, primary, deadline=None, dead=None):
+    def checked(options, primary, deadline=None, dead=None, **kw):
         def both(uncovered, last):
             got = bool(dead is not None and dead(uncovered, last))
             seen.append(whole_graph_dead(pattern, host.n, uncovered))
             assert got == seen[-1]
             return got
-        return core(options, primary, deadline, both)
+        return core(options, primary, deadline, both, **kw)
 
     monkeypatch.setattr(solver, "_exact_cover", checked)
     rng = random.Random(2843)    # a paw host where the rule fires below the root
