@@ -56,8 +56,8 @@ def _prime_factors(n: int) -> set[int]:
 
 def lattice_primes(pattern: Graph) -> tuple[int, ...]:
     """2, then the other primes dividing e(F) or the degree gcd, ascending."""
-    rest = _prime_factors(pattern.e) | _prime_factors(degree_gcd_of(pattern))
-    return (2,) + tuple(sorted(rest - {2}))
+    rest = _prime_factors(pattern.e * degree_gcd_of(pattern)) - {2}
+    return (2,) + tuple(sorted(rest))
 
 
 def span_certificate(columns, rows: int, p: int,
