@@ -1,11 +1,19 @@
 """Exact, fractional and greedy pattern-decomposition engines.
 
+Each solve builds one copy table (`_copy_table`) over the deduplicated
+candidate copies: the edges in sorted order, an edge index per vertex, and
+one column per copy, the tuple of its image edges' indices.  Every consumer
+reads the columns: the exact-cover core, the divisibility prune, the lattice
+test and the fractional incidence.
+
 Both exact questions run on one iterative exact-cover core, `_exact_cover`,
-over deduplicated candidate copies: primary items are covered exactly once,
+over integer items (edge indices): primary items are covered exactly once,
 secondary items at most once, and the search branches on the primary item
-with the fewest live copies.  `exact_decompose` makes every target edge
-primary and prunes by divisibility; `cover_vertex` makes the star edges at
-the vertex primary and every other usable edge secondary.
+with the fewest live columns, the lowest index among ties.
+`exact_decompose` makes every target edge primary and prunes by
+divisibility; `cover_vertex` makes the star edges at the vertex primary and
+every other usable edge secondary, and keeps only the copies whose column
+meets the star.
 
 Statuses keep the answers apart: `sat` comes with a decomposition that
 `verify_decomposition` checks, `unsat_divisibility` with the violated
@@ -117,55 +125,76 @@ def _component_edge_counts(n: int, edges) -> list[int]:
     return list(cnt.values())
 
 
-def _exact_cover(options: list, primary: frozenset,
+def _copy_table(pattern: Graph, copies: list, n: int,
+                edges: list) -> tuple[list[dict], list[tuple[int, ...]]]:
+    """The edge index of `edges` and one column per copy.
+
+    `at[v][w]` is the index in `edges` of the edge vw; a copy's column is
+    the tuple of the indices of its image edges, read off its `image` over
+    the pattern edges.
+    """
+    at: list[dict] = [{} for _ in range(n)]
+    for i, (u, v) in enumerate(edges):
+        at[u][v] = at[v][u] = i
+    pe = tuple(pattern.edges)
+    return at, [tuple([at[im[a]][im[b]] for a, b in pe])
+                for im in (c.image for c in copies)]
+
+
+def _exact_cover(columns: list, n_items: int, primary,
                  deadline: Optional[float] = None, dead=None,
                  refute=None) -> tuple[Optional[list[int]], int, bool]:
-    """Choose pairwise disjoint `options` (item collections) covering every
-    `primary` item exactly once; any other item is secondary, covered at most
-    once.
+    """Choose pairwise disjoint `columns` (tuples of items `0..n_items-1`)
+    covering every `primary` item exactly once; any other item is
+    secondary, covered at most once.
 
-    Iterative Algorithm X: a live-option count per item is kept up to date
-    as options are chosen and undone, and the search branches on the
-    uncovered primary item with the fewest live options.
+    Iterative Algorithm X (Knuth, *Dancing Links*, 2000) over integer
+    items: `by_item` lists the columns through each item, and a live-column
+    count per item is kept up to date as columns are chosen and undone.
+    The search branches on the uncovered primary item with the fewest live
+    columns, the lowest item first among ties; both sit in one int key,
+    count * n_items + item, so the choice does not depend on set order.
     `dead(uncovered, last)` may reject a node whose uncovered primary items
     cannot be finished.  It is asked only where every uncovered primary item
-    has a live option; `last` is the option chosen to reach the node (None
+    has a live column; `last` is the column chosen to reach the node (None
     at the root), so `dead` has accepted its parent.
     `refute()` is called once, when the search has visited len(primary)
     nodes without finishing; a true answer proves that no cover exists and
     ends the search there.
     The clock (`deadline`, a `time.monotonic()` value) is read every 256
-    nodes.  Returns (chosen option indices or None, nodes, deadline hit).
+    nodes.  Returns (chosen column indices or None, nodes, deadline hit).
     """
-    by_item: dict = {e: [] for e in primary}
-    for i, items in enumerate(options):
-        for e in items:
-            by_item.setdefault(e, []).append(i)
-    count = {e: len(js) for e, js in by_item.items()}
-    live = [True] * len(options)
+    by_item: list[list[int]] = [[] for _ in range(n_items)]
+    for i, col in enumerate(columns):
+        for e in col:
+            by_item[e].append(i)
+    # live-column count * n_items + item: `min` ranks by count, then item
+    key = [len(js) * n_items + e for e, js in enumerate(by_item)]
+    live = [True] * len(columns)
+    primary = set(primary)
     uncovered = set(primary)
 
     def choose(i: int) -> list[int]:
         killed = []
-        for e in options[i]:
+        for e in columns[i]:
             uncovered.discard(e)
             for j in by_item[e]:
                 if live[j]:
                     live[j] = False
                     killed.append(j)
-                    for k in options[j]:
-                        count[k] -= 1
+                    for k in columns[j]:
+                        key[k] -= n_items
         return killed
 
     def undo(i: int, killed: list[int]) -> None:
         for j in killed:
             live[j] = True
-            for k in options[j]:
-                count[k] += 1
-        uncovered.update(e for e in options[i] if e in primary)
+            for k in columns[j]:
+                key[k] += n_items
+        uncovered.update(e for e in columns[i] if e in primary)
 
-    # one entry per chosen option: [live options of the branching item,
-    # position of the one chosen, the options that choice killed]
+    # one entry per chosen column: [live columns of the branching item,
+    # position of the one chosen, the columns that choice killed]
     stack: list = []
     last = None
     nodes = 0
@@ -178,8 +207,9 @@ def _exact_cover(options: list, primary: frozenset,
             return [choices[k] for choices, k, _ in stack], nodes, False
         if refute is not None and nodes == len(primary) and refute():
             return None, nodes, False
-        e0 = min(uncovered, key=count.__getitem__)
-        if count[e0] and not (dead is not None and dead(uncovered, last)):
+        e0 = min(uncovered, key=key.__getitem__)
+        if key[e0] >= n_items and not (dead is not None
+                                       and dead(uncovered, last)):
             stack.append([[j for j in by_item[e0] if live[j]], -1, None])
         while stack:
             level = stack[-1]
@@ -189,7 +219,7 @@ def _exact_cover(options: list, primary: frozenset,
             k += 1
             if k < len(choices):
                 level[1], level[2] = k, choose(choices[k])
-                last = options[choices[k]]
+                last = columns[choices[k]]
                 break
             stack.pop()
         else:
@@ -223,16 +253,17 @@ def exact_decompose(pattern: Graph, host: Graph,
 
     deadline = _deadline(timeout)
     cands = candidate_copies(pattern, host, target)
+    edges = sorted(target)
+    at, columns = _copy_table(pattern, cands, host.n, edges)
     ef = pattern.e
-    tadj = sub.adj
 
     def joined(vs, uncovered) -> bool:
         """Whether the vertices `vs` share a component of `uncovered`."""
         want, seen, todo = set(vs[1:]), {vs[0]}, [vs[0]]
         while todo and want:
             v = todo.pop()
-            for w in tadj[v]:
-                if w not in seen and ((v, w) if v < w else (w, v)) in uncovered:
+            for w, i in at[v].items():
+                if w not in seen and i in uncovered:
                     seen.add(w)
                     want.discard(w)
                     todo.append(w)
@@ -251,27 +282,25 @@ def exact_decompose(pattern: Graph, host: Graph,
         if len(uncovered) > 4000:
             return False
         if last is not None and len(uncovered) + ef <= 4000:
-            left = [v for v in {x for e in last for x in e}
-                    if any(((v, w) if v < w else (w, v)) in uncovered
-                           for w in tadj[v])]
+            left = [v for v in {x for i in last for x in edges[i]}
+                    if any(i in uncovered for i in at[v].values())]
             if len(left) < 2 or joined(left, uncovered):
                 return False
-        return any(c % ef for c in _component_edge_counts(host.n, uncovered))
+        return any(c % ef for c in _component_edge_counts(
+            host.n, [edges[i] for i in uncovered]))
 
-    options = [c.edge_image() for c in cands]
     cert, tried = None, ()
 
     def refute() -> bool:
         nonlocal cert, tried
         if deadline is not None and time.monotonic() > deadline:
             return False
-        eidx = {e: i for i, e in enumerate(sorted(target))}
-        cert, tried = lattice_refutation(
-            pattern, [[eidx[e] for e in items] for items in options],
-            len(target), deadline)
+        cert, tried = lattice_refutation(pattern, columns, len(edges),
+                                         deadline)
         return cert is not None
 
-    chosen, nodes, hit = _exact_cover(options, target, deadline,
+    chosen, nodes, hit = _exact_cover(columns, len(edges), range(len(edges)),
+                                      deadline,
                                       dead if pattern.is_connected() else None,
                                       refute=refute)
     if chosen is not None:
@@ -336,9 +365,9 @@ def fractional_decompose(pattern: Graph, host: Graph, mode: str = "rational",
     import numpy as np
     cands = candidate_copies(pattern, host, host.edges)
     edges = sorted(host.edges)
-    eidx = {e: i for i, e in enumerate(edges)}
+    _, columns = _copy_table(pattern, cands, host.n, edges)
     incidence = np.zeros((len(edges), len(cands)), dtype=np.int8)
-    copy_rows = [eidx[e] for c in cands for e in c.edge_image()]
+    copy_rows = [i for col in columns for i in col]
     incidence[copy_rows, np.repeat(np.arange(len(cands)), pattern.e)] = 1
     rows = list(incidence)
     if mode == "rational":
@@ -428,13 +457,19 @@ def cover_vertex(pattern: Graph, host: Graph, x: int,
             return SolveResult(UNSAT_EXHAUSTED)
     else:
         usable = host.edges
+    edges = sorted(usable)
     cands = candidate_copies(pattern, host, usable, through_vertex=x)
-    cands = [c for c in cands if c.edge_image() & star]
-    chosen, nodes, hit = _exact_cover([c.edge_image() for c in cands], star,
+    at, columns = _copy_table(pattern, cands, host.n, edges)
+    star_items = frozenset(at[x].values())
+    keep = [k for k, col in enumerate(columns)
+            if not star_items.isdisjoint(col)]
+    cands = [cands[k] for k in keep]
+    columns = [columns[k] for k in keep]
+    chosen, nodes, hit = _exact_cover(columns, len(edges), star_items,
                                       _deadline(timeout))
     if chosen is not None:
         copies = [cands[i] for i in chosen]
-        covered = frozenset(e for c in copies for e in c.edge_image())
+        covered = frozenset(edges[e] for i in chosen for e in columns[i])
         return SolveResult(SAT, Decomposition(host, covered, copies),
                            nodes=nodes)
     return SolveResult(INDETERMINATE if hit else UNSAT_EXHAUSTED, nodes=nodes)

@@ -5,6 +5,8 @@ import pytest
 from decomplab.extremal import generate_extremal
 from decomplab.graphs import (complete_bipartite, complete_graph, cycle_graph,
                               path_graph)
+from decomplab.lattice import verify_lattice_certificate
+from decomplab.solver import UNSAT_LATTICE, exact_decompose
 
 
 @pytest.mark.parametrize("pattern, family, m", [
@@ -20,3 +22,21 @@ def test_reports_carry_the_min_degree_ratio(pattern, family, m):
     g = inst.graph
     degrees = [sum(1 for e in g.edges if x in e) for x in range(g.n)]
     assert inst.report["min_degree_ratio"] == Fraction(min(degrees), g.n)
+
+
+# From m=3 on, tau_23's claimed degree bound for C4 is positive, so the
+# generator's min-degree assertion is no longer vacuous.
+@pytest.mark.parametrize("m, bound", [(3, 3), (4, 11)])
+def test_c4_tau_23_meets_a_positive_degree_bound(m, bound):
+    inst = generate_extremal(cycle_graph(4), "tau_23", m)
+    assert inst.report["claimed_bound"] == bound > 0
+    assert inst.report["min_degree"] == inst.graph.min_degree() >= bound
+
+
+def test_c4_tau_23_at_a_biting_scale_has_a_checked_lattice_refutation():
+    c4 = cycle_graph(4)
+    g = generate_extremal(c4, "tau_23", 3).graph
+    res = exact_decompose(c4, g, timeout=60)
+    assert res.status == UNSAT_LATTICE
+    ok, why = verify_lattice_certificate(c4, g, g.edges, res.lattice)
+    assert ok, why

@@ -9,16 +9,18 @@ from decomplab.errors import InputError
 from decomplab.extremal import generate_extremal
 from decomplab.graphs import (Decomposition, EmbeddedCopy, Graph,
                               complete_graph, complete_bipartite, cycle_graph,
-                              norm_edge, path_graph)
+                              degree_gcd_of, norm_edge, path_graph)
 from decomplab import solver
 from decomplab.solver import (FEASIBLE, INDETERMINATE, INFEASIBLE, SAT,
                               UNSAT_DIVISIBILITY, UNSAT_EXHAUSTED,
-                              candidate_copies, cover_vertex, exact_decompose,
-                              fractional_decompose, greedy_decompose,
-                              verify_decomposition)
+                              UNSAT_LATTICE, candidate_copies, cover_vertex,
+                              exact_decompose, fractional_decompose,
+                              greedy_decompose, verify_decomposition)
 from test_embeddings import brute_force_embeddings
 
 K3 = complete_graph(3)
+C4 = cycle_graph(4)
+K33 = complete_bipartite(3, 3)
 PAW = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
 
 
@@ -118,13 +120,16 @@ def whole_graph_dead(pattern, n, uncovered):
 def test_local_prune_agrees_with_the_whole_graph_rule(monkeypatch):
     core, seen = solver._exact_cover, []
 
-    def checked(options, primary, deadline=None, dead=None, **kw):
+    def checked(columns, n_items, primary, deadline=None, dead=None, **kw):
+        edges = sorted(host.edges)
+
         def both(uncovered, last):
             got = bool(dead is not None and dead(uncovered, last))
-            seen.append(whole_graph_dead(pattern, host.n, uncovered))
+            seen.append(whole_graph_dead(pattern, host.n,
+                                         [edges[i] for i in uncovered]))
             assert got == seen[-1]
             return got
-        return core(options, primary, deadline, both, **kw)
+        return core(columns, n_items, primary, deadline, both, **kw)
 
     monkeypatch.setattr(solver, "_exact_cover", checked)
     rng = random.Random(2843)    # a paw host where the rule fires below the root
@@ -138,6 +143,40 @@ def test_local_prune_agrees_with_the_whole_graph_rule(monkeypatch):
     for pattern, host in cases:
         exact_decompose(pattern, host, timeout=10)
     assert any(seen) and len(seen) > 100
+
+
+def test_core_branches_on_the_fewest_live_columns_then_the_lowest_item():
+    # items 1 and 64 tie on one live column; a set of {1, 64, 65} iterates
+    # 64 first, so only the explicit tie-break chooses column 1 first
+    chosen, nodes, hit = solver._exact_cover([(64,), (1,), (65,), (65,)], 66,
+                                             [65, 64, 1])
+    assert chosen == [1, 0, 2] and nodes == 4 and not hit
+    # one live column beats a lower item with two
+    chosen, _, _ = solver._exact_cover([(0,), (0,), (5,)], 6, [0, 5])
+    assert chosen == [2, 0]
+
+
+# The benchmark's exact rungs, on unrelabelled hosts: the search order is
+# fixed by the copy order and the tie-break, so these counts move only when
+# the core's order does.
+@pytest.mark.parametrize("pattern, host, status, nodes", [
+    pytest.param(K3, complete_graph(27), SAT, 123, id="K3-K27"),
+    pytest.param(K3, complete_graph(33), SAT, 177, id="K3-K33"),
+    pytest.param(K3, complete_graph(39), SAT, 248, id="K3-K39"),
+    pytest.param(K3, complete_graph(45), SAT, 335, id="K3-K45"),
+    pytest.param(C4, complete_bipartite(12, 12), SAT, 37, id="C4-K12,12"),
+    pytest.param(complete_graph(4), complete_graph(16), SAT, 28, id="K4-K16"),
+    pytest.param(K33, generate_extremal(K33, "tau_23", 1).graph,
+                 UNSAT_EXHAUSTED, 1, id="K33-tau_23-1"),
+    pytest.param(C4, generate_extremal(C4, "tau_23", 2).graph,
+                 UNSAT_LATTICE, 172, id="C4-tau_23-2"),
+])
+def test_benchmark_rungs_keep_their_status_and_node_count(pattern, host,
+                                                          status, nodes):
+    res = exact_decompose(pattern, host, timeout=60)
+    assert (res.status, res.nodes) == (status, nodes)
+    if res.sat:
+        assert verify_decomposition(res.decomposition)[0]
 
 
 def test_verify_catches_mutations():
@@ -387,3 +426,62 @@ def test_exact_sat_gives_a_star_cover_at_every_vertex():
                 assert not (es & covered)
                 covered |= es
             assert {e for e in g.edges if x in e} <= covered
+
+
+def star_cover_status(pattern, host, x):
+    """cover_vertex's status by plain search over the candidate copies
+    whose edge set meets the star at x."""
+    if host.degree(x) % degree_gcd_of(pattern):
+        return UNSAT_DIVISIBILITY
+    star = frozenset(norm_edge(x, y) for y in host.adj[x])
+    options = [es for es in (c.edge_image() for c in candidate_copies(
+        pattern, host, host.edges, through_vertex=x)) if es & star]
+
+    def cover(left, used):
+        if not left:
+            return True
+        e = min(left)
+        return any(cover(left - o, used | o) for o in options
+                   if e in o and not o & used)
+    return SAT if cover(star, frozenset()) else UNSAT_EXHAUSTED
+
+
+def test_cover_vertex_hands_the_core_only_copies_through_the_star(monkeypatch):
+    # the isolated pattern vertex may land on x, giving a copy that contains
+    # x but none of its edges
+    tri_k1 = Graph(4, [(0, 1), (1, 2), (0, 2)])
+    core, handed = solver._exact_cover, []
+
+    def recorded(columns, n_items, primary, *args, **kw):
+        handed.append((columns, set(primary)))
+        return core(columns, n_items, primary, *args, **kw)
+
+    monkeypatch.setattr(solver, "_exact_cover", recorded)
+    rng = random.Random(5)
+    statuses, isolated_on_x = set(), 0
+    for _ in range(25):
+        g = random_host(rng, 5, 8)
+        edges = sorted(g.edges)
+        for x in range(g.n):
+            if not g.degree(x):
+                continue
+            isolated_on_x += sum(c.image[3] == x for c in candidate_copies(
+                tri_k1, g, g.edges, through_vertex=x))
+            handed.clear()
+            res = cover_vertex(tri_k1, g, x, timeout=10)
+            statuses.add(res.status)
+            assert res.status == star_cover_status(tri_k1, g, x)
+            star = frozenset(norm_edge(x, y) for y in g.adj[x])
+            for columns, primary in handed:
+                assert {edges[i] for i in primary} == star
+                assert all(star & {edges[i] for i in col} for col in columns)
+            if not res.sat:
+                continue
+            covered = set()
+            for c in res.decomposition.copies:
+                es = c.edge_image()
+                assert c.is_valid() and es & star and not es & covered
+                covered |= es
+            assert star <= covered == res.decomposition.target_edges
+    assert statuses == {SAT, UNSAT_EXHAUSTED, UNSAT_DIVISIBILITY}
+    assert isolated_on_x
