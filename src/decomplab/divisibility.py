@@ -9,7 +9,7 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
-from .embeddings import find_embedding
+from .embeddings import find_embedding, host_ranks
 from .errors import (DegreeError, DomainError, InputError, ResourceError,
                      StructureError)
 from .graphs import Graph, complete_bipartite, degree_gcd_of, norm_edge
@@ -65,6 +65,28 @@ def _parity_gadget(r: int) -> tuple[Graph, int]:
     return q, z
 
 
+class _LazyRankMasks:
+    """The rank masks of `adj` under `order` (see `embeddings`), each built
+    on first use: the order changes before every gadget, and a search
+    reads the masks of only the few vertices it places."""
+
+    def __init__(self, adj, order):
+        self.adj, self.order = adj, order
+        self.rank = host_ranks(order)
+        self.bit = [1 << r for r in self.rank]
+        self.built = {}
+
+    def __len__(self) -> int:
+        return len(self.order)
+
+    def __getitem__(self, r: int) -> int:
+        m = self.built.get(r)
+        if m is None:
+            m = self.built[r] = sum(map(self.bit.__getitem__,
+                                        self.adj[self.order[r]]))
+        return m
+
+
 def make_degree_divisible(host: Graph, r: int, xi: dict,
                           max_degree_fraction=None,
                           seed: int = 0) -> Graph:
@@ -100,10 +122,13 @@ def make_degree_divisible(host: Graph, r: int, xi: dict,
         # interiors only ever contribute degree 0 mod r.  The seeded shuffle
         # spreads the load.  The search is complete: None is a dead end.
         rng.shuffle(order)
-        img = find_embedding(gadget, adj, n, pins, host_order=order)
+        masks = _LazyRankMasks(adj, order)
+        img = find_embedding(gadget, masks,
+                             {p: masks.rank[h] for p, h in pins.items()})
         if img is None:
             raise ResourceError(f"no room left for gadget at step {tag}",
                                 stuck_index=tag)
+        img = [order[r] for r in img]
         for a, b in gadget.edges:
             e = norm_edge(img[a], img[b])
             h_edges.add(e)

@@ -2,12 +2,24 @@
 
 One kernel, `_search`, yields the images of a pattern in a host that extend
 given pins, placing next the pattern vertex with the most embedded
-neighbours (ties by index), each over the host order.  Embeddings are
-labelled: automorphic images count as distinct.  Entry points:
-`enumerate_embeddings` (all of them; `dedup_by_edges` keeps one per image
-edge set, as the solvers need), `find_embedding` (the first, over a raw
-adjacency view) and `find_through_edge` (the first through a given host
-edge).
+neighbours (ties by index).  Embeddings are labelled: automorphic images
+count as distinct.
+
+Rank space.  The kernel never sees host vertex ids.  A host order, a
+permutation of the host vertices, gives each vertex its rank, its position
+in that order; pins and images are ranks, and the host is handed over as
+`masks`, where `masks[r]` is the neighbour set of the vertex of rank r as an
+int with bit s set for each neighbour of rank s (`rank_masks`).  The
+candidates at a step are the AND of the masks of the placed neighbours'
+images minus the mask of used ranks, drawn lowest bit first; so images come
+in host order, lexicographically in their ranks along the placement order.
+
+Entry points: `enumerate_embeddings` (all of them, in host vertex ids; its
+`host_order` must be a permutation of the host vertices, else InputError,
+and without one the ranks are the ids; `dedup_by_edges` keeps one per image
+edge set, as the solvers need), `find_embedding` (the first, over rank
+masks and rank pins) and `find_through_edge` (the first through the host
+edge between two ranks).
 
 Orbit rule: pinning a pattern vertex or arc succeeds exactly when pinning
 any other member of its Aut(F)-orbit does, so pinned callers try only the
@@ -30,6 +42,27 @@ from typing import Iterator, Optional
 
 from .errors import InputError
 from .graphs import EmbeddedCopy, Graph, GraphMap
+
+
+def host_ranks(order) -> list[int]:
+    """`rank[h]`: the position of vertex h in the permutation `order`."""
+    rank = [0] * len(order)
+    for r, h in enumerate(order):
+        rank[h] = r
+    return rank
+
+
+def rank_masks(adj, order) -> list[int]:
+    """`masks[r]`: the neighbours in `adj` of vertex `order[r]`, bit s set
+    for the neighbour of rank s."""
+    bit = [1 << r for r in host_ranks(order)]
+    return [sum(map(bit.__getitem__, adj[h])) for h in order]
+
+
+@lru_cache(maxsize=256)
+def _self_masks(pattern: Graph) -> tuple[int, ...]:
+    """The pattern's own masks, ranks equal to its vertex ids."""
+    return tuple(rank_masks(pattern.adj, range(pattern.n)))
 
 
 @lru_cache(maxsize=256)
@@ -60,53 +93,48 @@ def _orbit_bounds(pattern: Graph, pinned: frozenset) -> tuple:
     of p_k must come after the image of p_i in the host order.
     """
     seq, _ = _placement(pattern, pinned)
+    masks = _self_masks(pattern)
     after = [[] for _ in seq]
     fixed = {f: f for f in pinned}
     for i, p in enumerate(seq):
         for k in range(i + 1, len(seq)):
             pins = {**fixed, p: seq[k]}
-            if next(_search(pattern, pattern.adj, pattern.n, pins),
-                    None) is not None:
+            if next(_search(pattern, masks, pins), None) is not None:
                 after[k].append(p)
         fixed[p] = p
     return tuple(tuple(a) for a in after)
 
 
-@lru_cache(maxsize=8)
-def _ranks(order: tuple) -> dict:
-    """Position of each host vertex in a host order."""
-    return {h: i for i, h in enumerate(order)}
+def _search(pattern: Graph, masks, pins: dict,
+            least_per_orbit: bool = False) -> Iterator[tuple[int, ...]]:
+    """Yield images (tuples of ranks) of injective homomorphisms
+    pattern -> host.
 
-
-def _search(pattern: Graph, adj, n_host: int, pins: dict,
-            host_order=None, least_per_orbit: bool = False
-            ) -> Iterator[tuple[int, ...]]:
-    """Yield images (tuples) of injective homomorphisms pattern -> host.
-
-    `adj` is an indexable of neighbour-sets for the host; `host_order`, a
-    sequence of distinct host vertices, fixes the candidate order, so images
-    come in lexicographic order of their host-order ranks along the
-    placement order.  `least_per_orbit` yields only the first image of each
-    orbit under the automorphisms fixing the pins (`_orbit_bounds`).
+    `masks[r]` is the neighbour mask of the host vertex of rank r; pins map
+    pattern vertices to ranks.  Candidates are drawn lowest rank first.
+    `least_per_orbit` yields only the first image of each orbit under the
+    automorphisms fixing the pins (`_orbit_bounds`).
     """
     pn = pattern.n
     if pn == 0:
         yield ()
         return
+    n_host = len(masks)
     image = [-1] * pn
-    used = set()
-    for p, h in pins.items():
+    used = 0
+    for p, r in pins.items():
         if not (0 <= p < pn):
             raise InputError(f"pinned pattern vertex {p} out of range")
-        if not (0 <= h < n_host):
-            raise InputError(f"pinned host vertex {h} out of range")
-        if h in used:
+        if not (0 <= r < n_host):
+            raise InputError(f"pinned host vertex {r} out of range")
+        if used >> r & 1:
             raise InputError("pins must map distinct vertices to distinct images")
-        image[p] = h
-        used.add(h)
+        image[p] = r
+        used |= 1 << r
     # pins must already respect pattern edges among themselves
     for u, v in pattern.edges:
-        if image[u] != -1 and image[v] != -1 and image[v] not in adj[image[u]]:
+        if image[u] != -1 and image[v] != -1 \
+                and not masks[image[u]] >> image[v] & 1:
             return
 
     pinned = frozenset(pins)
@@ -115,48 +143,39 @@ def _search(pattern: Graph, adj, n_host: int, pins: dict,
         yield tuple(image)
         return
     after = _orbit_bounds(pattern, pinned) if least_per_orbit else None
-    order = tuple(range(n_host) if host_order is None else host_order)
-    rank = _ranks(order)
-    whole = len(rank) == n_host
+    full = (1 << n_host) - 1
 
-    def candidates(d: int) -> Iterator[int]:
-        # lazy: a first-hit search stops at the first candidate that fits;
-        # `used` holds the same vertices whenever this step draws one
-        lo = 0
+    def candidates(d: int, used: int) -> int:
+        m = full ^ used
+        for q in back[d]:
+            m &= masks[image[q]]
         if after and after[d]:
-            lo = max(rank[image[q]] for q in after[d]) + 1
-        nbr_imgs = [image[q] for q in back[d]]
-        if not nbr_imgs:
-            return (h for h in order[lo:] if h not in used)
-        cand = set(adj[nbr_imgs[0]]).intersection(
-            *[adj[x] for x in nbr_imgs[1:]])
-        if len(cand) ** 2 >= len(order) - lo:
-            return (h for h in order[lo:] if h not in used and h in cand)
-        # too few common neighbours to meet early in the walk: sort them
-        cand -= used
-        if lo or not whole:
-            cand = [h for h in cand if rank.get(h, -1) >= lo]
-        return iter(sorted(cand, key=rank.__getitem__))
+            lo = max(image[q] for q in after[d]) + 1
+            m = m >> lo << lo
+        return m
 
-    # one candidate iterator per placement step
+    # one candidate mask per placement step; `used` holds the same ranks
+    # whenever a step draws from its mask
     last = len(seq) - 1
-    stack = [candidates(0)]
+    stack = [candidates(0, used)]
     while stack:
         d = len(stack) - 1
         p = seq[d]
         if image[p] != -1:
-            used.discard(image[p])
+            used ^= 1 << image[p]
             image[p] = -1
-        h = next(stack[-1], None)
-        if h is None:
+        m = stack[d]
+        if not m:
             stack.pop()
             continue
-        image[p] = h
-        used.add(h)
+        low = m & -m
+        stack[d] = m ^ low
+        image[p] = low.bit_length() - 1
+        used |= low
         if d == last:
             yield tuple(image)
         else:
-            stack.append(candidates(d + 1))
+            stack.append(candidates(d + 1, used))
 
 
 def enumerate_embeddings(pattern: Graph, host: Graph,
@@ -166,19 +185,32 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
                          dedup_by_edges: bool = False) -> list[EmbeddedCopy]:
     """All labelled embeddings of `pattern` into `host` extending `pins`.
 
-    Complete and deterministically ordered when `limit` is None.  With
-    `dedup_by_edges`, the first embedding of each image edge set is kept:
-    the search skips every embedding that is not the first of its orbit
-    under the automorphisms fixing the pins, which leaves one per edge set
-    unless the pattern has an isolated vertex; only then are edge sets
-    compared as well.
+    Complete and ordered by `host_order` (default: ascending ids), which
+    must be a permutation of the host vertices.  With `dedup_by_edges`, the
+    first embedding of each image edge set is kept: the search skips every
+    embedding that is not the first of its orbit under the automorphisms
+    fixing the pins, which leaves one per edge set unless the pattern has
+    an isolated vertex; only then are edge sets compared as well.
     """
     pins = dict(pins) if pins else {}
+    if host_order is None:
+        order = None
+        masks = rank_masks(host.adj, range(host.n))
+    else:
+        order = tuple(host_order)
+        if sorted(order) != list(range(host.n)):
+            raise InputError("host_order must be a permutation of the host "
+                             "vertices")
+        rank = {h: r for r, h in enumerate(order)}
+        masks = rank_masks(host.adj, order)
+        # an out-of-range pin stays as it is for the kernel to reject
+        pins = {p: rank.get(h, h) for p, h in pins.items()}
     out = []
     seen = set()
     compare = dedup_by_edges and 0 in pattern.degrees()
-    for img in _search(pattern, host.adj, host.n, pins, host_order=host_order,
-                       least_per_orbit=dedup_by_edges):
+    for img in _search(pattern, masks, pins, least_per_orbit=dedup_by_edges):
+        if order is not None:
+            img = tuple([order[r] for r in img])
         if compare:
             key = frozenset([(img[u], img[v]) if img[u] < img[v]
                              else (img[v], img[u]) for u, v in pattern.edges])
@@ -191,10 +223,11 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
     return out
 
 
-def find_embedding(pattern: Graph, adj, n_host: int, pins: dict,
-                   host_order=None) -> Optional[tuple[int, ...]]:
-    """First embedding image over a raw adjacency view, or None."""
-    for img in _search(pattern, adj, n_host, pins, host_order=host_order):
+def find_embedding(pattern: Graph, masks, pins: dict
+                   ) -> Optional[tuple[int, ...]]:
+    """First embedding image (ranks) over rank masks and rank pins, or
+    None."""
+    for img in _search(pattern, masks, pins):
         return img
     return None
 
@@ -206,26 +239,33 @@ def orbit_representatives(pattern: Graph, items: tuple) -> tuple:
     Items are equal-length tuples of distinct pattern vertices: vertices as
     1-tuples, arcs as pattern edges (p, q).
     """
+    masks = _self_masks(pattern)
     reps = []
     for b in items:
-        if all(next(_search(pattern, pattern.adj, pattern.n, dict(zip(a, b))),
-                    None) is None for a in reps):
+        if all(next(_search(pattern, masks, dict(zip(a, b))), None) is None
+               for a in reps):
             reps.append(b)
     return tuple(reps)
 
 
-def find_through_edge(pattern: Graph, adj, n_host: int, u: int, v: int,
-                      host_order=None) -> Optional[tuple[int, ...]]:
-    """First image of `pattern` using host edge {u, v}, or None.
-
-    Pins {p: u, q: v} for the first arc (p, q) of each Aut(pattern)-orbit,
-    arcs ordered as sorted pattern edges with (p, q) before (q, p); the hit
-    is the same as when every arc is tried.
-    """
+@lru_cache(maxsize=64)
+def _arc_representatives(pattern: Graph) -> tuple:
+    """The first arc of each Aut(pattern)-orbit, arcs ordered as sorted
+    pattern edges with (p, q) before (q, p)."""
     arcs = tuple(a for p, q in sorted(pattern.edges) for a in ((p, q), (q, p)))
-    for p, q in orbit_representatives(pattern, arcs):
-        img = find_embedding(pattern, adj, n_host, {p: u, q: v},
-                             host_order=host_order)
+    return orbit_representatives(pattern, arcs)
+
+
+def find_through_edge(pattern: Graph, masks, u: int, v: int
+                      ) -> Optional[tuple[int, ...]]:
+    """First image (ranks) of `pattern` using the host edge between ranks
+    u and v, or None.
+
+    Pins {p: u, q: v} for each `_arc_representatives` arc (p, q) in turn;
+    the hit is the same as when every arc is tried.
+    """
+    for p, q in _arc_representatives(pattern):
+        img = find_embedding(pattern, masks, {p: u, q: v})
         if img is not None:
             return img
     return None

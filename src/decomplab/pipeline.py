@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .divisibility import check_divisibility
-from .embeddings import find_through_edge
+from .embeddings import find_through_edge, host_ranks, rank_masks
 from .errors import DomainError, InputError, StochasticFailure
 from .graphs import EmbeddedCopy, Graph, norm_edge
 from .solver import SAT, exact_decompose, greedy_decompose
@@ -183,19 +183,6 @@ def cover_down(f: Graph, g: Graph, vortex: Vortex, seed: int = 0,
         outside = [x for x in range(n) if x not in inner_set and adj[x]]
         level = {"level": depth, "inner": len(inner_set)}
 
-        # edges that the next level will need: anything inside the current
-        # inner set touching the next interior stays untouched
-        def protected(u, v):
-            if u in inner_set and v in inner_set:
-                return u in next_inner or v in next_inner
-            return False
-
-        class _View:
-            def __getitem__(self, u):
-                return {y for y in adj[u] if not protected(u, y)}
-
-        view = _View()
-
         # partner reserve: each outside vertex keeps about as many outside
         # edges as it has cross edges, so cross edges can pair up later
         reserved = set()
@@ -225,6 +212,23 @@ def cover_down(f: Graph, g: Graph, vortex: Vortex, seed: int = 0,
         in_order = sorted(inner_set - next_inner) + sorted(next_inner)
         prefer_outside = out_order + in_order
         prefer_inside = in_order + out_order
+        # edges that the next level will need: anything inside the current
+        # inner set touching the next interior is left out of the searches
+        usable = [adj[u] - (inner_set if u in next_inner else next_inner)
+                  if u in inner_set else adj[u] for u in range(n)]
+        searches = []       # (host order, rank of each vertex, rank masks)
+        for order in (prefer_outside, prefer_inside):
+            searches.append((order, host_ranks(order),
+                             rank_masks(usable, order)))
+
+        def toggle(img_edges):
+            # kept alongside remove and restore: the searched edges are
+            # never protected, so each flip adds or drops a live edge
+            for _, rank, masks in searches:
+                for u, v in img_edges:
+                    ru, rv = rank[u], rank[v]
+                    masks[ru] ^= 1 << rv
+                    masks[rv] ^= 1 << ru
 
         stalls = 0
         for x in sweep_order:
@@ -239,8 +243,8 @@ def cover_down(f: Graph, g: Graph, vortex: Vortex, seed: int = 0,
                 a, b, is_cross = pending.popleft()
                 if b not in adj[a]:
                     continue
-                order = prefer_outside if is_cross else prefer_inside
-                img = find_through_edge(f, view, n, a, b, host_order=order)
+                order, rank, masks = searches[0 if is_cross else 1]
+                img = find_through_edge(f, masks, rank[a], rank[b])
                 if img is None:
                     key = norm_edge(a, b)
                     tries = attempts.get(key, 0)
@@ -250,6 +254,7 @@ def cover_down(f: Graph, g: Graph, vortex: Vortex, seed: int = 0,
                         es = committed.pop()
                         copies.pop()
                         restore(es)
+                        toggle(es)
                         attempts[key] = tries + 1
                         pending.appendleft((a, b, is_cross))
                         for (u, v) in sorted(es):
@@ -261,11 +266,12 @@ def cover_down(f: Graph, g: Graph, vortex: Vortex, seed: int = 0,
                         continue
                     stalls += 1
                     continue
-                copy = EmbeddedCopy(f, g, img)
+                copy = EmbeddedCopy(f, g, tuple([order[r] for r in img]))
                 es = copy.edge_image()
                 copies.append(copy)
                 committed.append(es)
                 remove(es)
+                toggle(es)
         level["sweep_stalls"] = stalls
 
         residue = sum(1 for u, v in live_edges()

@@ -33,7 +33,8 @@ from typing import Optional
 
 from .divisibility import check_divisibility
 from .embeddings import (enumerate_embeddings, find_through_edge,
-                         orbit_representatives)
+                         host_ranks, orbit_representatives,
+                         rank_masks)
 from .errors import InputError
 from .graphs import (Decomposition, EmbeddedCopy, Graph, degree_gcd_of,
                      norm_edge)
@@ -316,9 +317,9 @@ def exact_decompose(pattern: Graph, host: Graph,
 def verify_decomposition(dec: Decomposition) -> tuple[bool, Optional[str]]:
     """Certificate check: common pattern, valid embeddings, exact partition.
 
-    Linear in the total certificate size: a copy's host is compared by
-    identity first, and each distinct host object by value only once.  The
-    first violation is named.
+    Linear in the total certificate size: a copy's pattern and host are
+    compared by identity first, and each distinct pattern or host object by
+    value only once.  The first violation is named.
     """
     if not dec.copies:
         if dec.target_edges:
@@ -327,10 +328,13 @@ def verify_decomposition(dec: Decomposition) -> tuple[bool, Optional[str]]:
         return True, None
     pattern = dec.copies[0].pattern
     covered = set()
+    same_patterns = {id(pattern)}
     same_hosts = {id(dec.host)}
     for k, c in enumerate(dec.copies):
-        if c.pattern != pattern:
-            return False, f"copy {k} has a different pattern"
+        if id(c.pattern) not in same_patterns:
+            if c.pattern != pattern:
+                return False, f"copy {k} has a different pattern"
+            same_patterns.add(id(c.pattern))
         if id(c.host) not in same_hosts:
             if c.host != dec.host:
                 return False, f"copy {k} lives in a different host"
@@ -403,9 +407,10 @@ def greedy_decompose(pattern: Graph, host: Graph, seed: int = 0,
     if pattern.e < 1:
         raise InputError("pattern needs at least one edge")
     rng = random.Random(seed)
-    adj = [set(s) for s in host.adj]
     order = list(range(host.n))
     rng.shuffle(order)
+    rank = host_ranks(order)
+    masks = rank_masks(host.adj, order)
     if priority_edges:
         prio = [norm_edge(*e) for e in priority_edges]
         pset = set(prio)
@@ -418,16 +423,24 @@ def greedy_decompose(pattern: Graph, host: Graph, seed: int = 0,
         rng.shuffle(queue)
     copies = []
     for u, v in queue:
-        if v not in adj[u]:
+        ru, rv = rank[u], rank[v]
+        if not masks[ru] >> rv & 1:
             continue
-        img = find_through_edge(pattern, adj, host.n, u, v, host_order=order)
+        img = find_through_edge(pattern, masks, ru, rv)
         if img is not None:
-            copy = EmbeddedCopy(pattern, host, img)
-            copies.append(copy)
-            for a, b in copy.edge_image():
-                adj[a].discard(b)
-                adj[b].discard(a)
-    left_edges = [(u, v) for u in range(host.n) for v in adj[u] if u < v]
+            copies.append(EmbeddedCopy(pattern, host,
+                                       tuple([order[r] for r in img])))
+            for a, b in pattern.edges:
+                ra, rb = img[a], img[b]
+                masks[ra] ^= 1 << rb
+                masks[rb] ^= 1 << ra
+    left_edges = []
+    for ra, m in enumerate(masks):
+        m >>= ra    # each leftover edge once, from its lower rank
+        while m:
+            low = m & -m
+            m ^= low
+            left_edges.append((order[ra], order[ra + low.bit_length() - 1]))
     return GreedyResult(copies, Graph(host.n, left_edges))
 
 

@@ -85,3 +85,35 @@ def test_solve_prints_a_lattice_certificate(tmp_path):
     cert = LatticeCertificate(2, tuple(y.get(e, 0) for e in sorted(host.edges)))
     assert verify_lattice_certificate(c4, host, host.edges, cert) == (True, None)
     json.dumps(res.payload)
+
+
+def test_greedy_fix_and_pipeline_outputs(tmp_path):
+    # outputs of the set-based kernel before rank masks
+    f = _write(tmp_path, "k3.txt", complete_graph(3))
+    k21 = _write(tmp_path, "k21.txt", complete_graph(21))
+    k12 = _write(tmp_path, "k12.txt", complete_graph(12))
+    res = run(["solve", "--greedy", "--pattern", f, "--host", k21])
+    assert res.exit_code == EXIT_OK
+    assert res.payload == {"copies": 64, "leftover_edges": 18}
+
+    res = run(["fix", "--mode", "degree", "--pattern", f, "--host", k12])
+    assert res.exit_code == EXIT_OK
+    removed = ("12\n0 4\n0 5\n0 9\n1 2\n1 3\n1 7\n1 8\n1 9\n2 3\n2 4\n"
+               "3 5\n3 6\n3 7\n3 10\n3 11\n4 10\n5 7\n5 8\n5 9\n5 10\n"
+               "5 11\n6 8\n6 10\n10 11\n")
+    assert res.payload == {"removed": removed, "removed_edges": 24,
+                           "max_degree": 7}
+    # K3's degree gcd is 2: what is left of K12 has every degree even
+    h = parse_edge_list(removed)
+    assert all((11 - d) % 2 == 0 for d in h.degrees())
+
+    res = run(["pipeline", "--pattern", f, "--host", k21, "--mu", "1/2",
+               "--final-size", "5"])
+    assert res.status == "error"
+    assert res.payload == {
+        "levels": 2, "final_size": 5, "success": False, "copies": 65,
+        "leftover_edges": 15, "stats": [
+            {"level": 1, "inner": 10, "greedy_copies": 0, "sweep_stalls": 17,
+             "outside_residue": 12},
+            {"level": 2, "inner": 5, "greedy_copies": 0, "sweep_stalls": 18,
+             "outside_residue": 13}]}

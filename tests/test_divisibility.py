@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -56,6 +57,17 @@ def test_make_degree_divisible_random_targets():
         g2 = g.minus(h)
         for v in range(n):
             assert g2.degree(v) % r == xi[v], (trial, v)
+
+
+def test_make_degree_divisible_keeps_its_gadget_placements():
+    # H as placed by the set-based kernel before rank masks, with the order
+    # reshuffled before every gadget
+    g = dense_random(random.Random(5), 150, .8)
+    assert (g.min_degree(), g.e) == (109, 8939)
+    h = make_degree_divisible(g, 5, {v: 0 for v in range(150)}, seed=7)
+    assert h.e == 4729
+    digest = hashlib.sha256(repr(sorted(h.edges)).encode()).hexdigest()
+    assert digest[:16] == "c6f964d58bbfdda3"
 
 
 def test_make_degree_divisible_sum_precondition():

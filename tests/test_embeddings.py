@@ -5,7 +5,7 @@ import pytest
 from decomplab.errors import DegreeError, InputError
 from decomplab.embeddings import (_orbit_bounds, _placement, _search,
                                    check_map, enumerate_embeddings,
-                                   orbit_representatives)
+                                   orbit_representatives, rank_masks)
 from decomplab.graphs import (Graph, GraphMap, complete_graph,
                               complete_bipartite, cycle_graph, path_graph)
 from decomplab.hamilton import hamilton_cycle, edge_disjoint_hamilton_cycles
@@ -134,6 +134,22 @@ def first_per_edge_set(copies):
     return out
 
 
+def test_host_order_must_be_a_permutation():
+    k2, k3 = Graph(2, [(0, 1)]), complete_graph(3)
+    full = [c.image for c in enumerate_embeddings(k2, k3,
+                                                  host_order=[2, 0, 1])]
+    assert full == [(2, 0), (2, 1), (0, 2), (0, 1), (1, 2), (1, 0)]
+    # a repeated vertex once listed every embedding through it twice
+    with pytest.raises(InputError):
+        enumerate_embeddings(k2, k3, host_order=[0, 0, 1, 2])
+    # an out-of-range vertex once ended in a bare IndexError
+    with pytest.raises(InputError):
+        enumerate_embeddings(k2, k3, host_order=[0, 1, 2, 7])
+    # a partial order once restricted the candidates but not the pins
+    with pytest.raises(InputError):
+        enumerate_embeddings(k2, k3, pins={0: 2}, host_order=[0, 1])
+
+
 def test_dedup_enumeration_is_first_labelled_embedding_per_edge_set():
     import random
     rng = random.Random(11)
@@ -159,8 +175,12 @@ def test_dedup_enumeration_is_first_labelled_embedding_per_edge_set():
                 if 0 not in pattern.degrees():
                     # equal edge sets differ by an automorphism, so the
                     # kernel itself emits no embedding the dedup drops
-                    raw = list(_search(pattern, host.adj, n, pins, host_order,
-                                       least_per_orbit=True))
+                    ranks = host_order or range(n)
+                    rank = {h: r for r, h in enumerate(ranks)}
+                    raw = [tuple(ranks[r] for r in img) for img in _search(
+                        pattern, rank_masks(host.adj, ranks),
+                        {p: rank[h] for p, h in pins.items()},
+                        least_per_orbit=True)]
                     assert raw == [c.image for c in got]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -70,3 +71,20 @@ def test_cover_down_confines_k15_to_the_final_level():
     res = cover_down(K3, g, v, seed=1)
     check_cover_down(g, v, res)
     assert v.depth == 2 and res.success
+
+
+@pytest.mark.parametrize("seed, copies, residues, digest", [
+    (1, 570, (101, 241, 120), "7aa93655e19fc895"),
+    (2, 572, (77, 205, 114), "56ed04d846b3d092"),
+    (3, 573, (86, 223, 111), "8d11c9760f7a218e"),
+])
+def test_cover_down_k61_keeps_its_copies(seed, copies, residues, digest):
+    # the copies and per-level residue of the set-based kernel before rank
+    # masks: the sweep's two host orders pick the same first hits
+    g = complete_graph(61)
+    v = find_vortex(g, Fraction(3, 4), Fraction(1, 2), 8, seed=seed)
+    res = cover_down(K3, g, v, seed=seed)
+    images = [c.image for c in res.copies]
+    assert len(images) == copies
+    assert tuple(level["outside_residue"] for level in res.stats) == residues
+    assert hashlib.sha256(repr(images).encode()).hexdigest()[:16] == digest

@@ -1,10 +1,11 @@
+import hashlib
 import random
 import sys
 from fractions import Fraction
 
 import pytest
 
-from decomplab.embeddings import find_embedding
+from decomplab.embeddings import find_embedding, rank_masks
 from decomplab.errors import InputError
 from decomplab.extremal import generate_extremal
 from decomplab.graphs import (Decomposition, EmbeddedCopy, Graph,
@@ -207,6 +208,21 @@ def test_verify_compares_hosts_by_value():
         False, "copy 2 lives in a different host")
 
 
+def test_verify_compares_patterns_by_value():
+    dec = exact_decompose(K3, complete_graph(7)).decomposition
+    twin = complete_graph(3)
+    assert twin == dec.copies[0].pattern and twin is not dec.copies[0].pattern
+    copies = [EmbeddedCopy(twin, c.host, c.image) if k % 2 else c
+              for k, c in enumerate(dec.copies)]
+    same = Decomposition(dec.host, dec.target_edges, copies)
+    assert verify_decomposition(same) == (True, None)
+    other = Graph(3, [(0, 1), (1, 2)])
+    copies[3] = EmbeddedCopy(other, dec.host, dec.copies[3].image)
+    mixed = Decomposition(dec.host, dec.target_edges, copies)
+    assert verify_decomposition(mixed) == (
+        False, "copy 3 has a different pattern")
+
+
 def test_verify_wrong_pattern_and_bad_embedding():
     k4 = complete_graph(4)
     dec = Decomposition(k4, k4.edges, [
@@ -314,6 +330,7 @@ def every_arc_greedy(pattern, host, seed):
     adj = [set(s) for s in host.adj]
     order = list(range(host.n))
     rng.shuffle(order)
+    rank = {h: r for r, h in enumerate(order)}
     queue = sorted(host.edges)
     rng.shuffle(queue)
     images = []
@@ -322,9 +339,12 @@ def every_arc_greedy(pattern, host, seed):
             continue
         pins = [pin for p, q in sorted(pattern.edges)
                 for pin in ({p: u, q: v}, {p: v, q: u})]
+        masks = rank_masks(adj, order)
         for pin in pins:
-            img = find_embedding(pattern, adj, host.n, pin, host_order=order)
+            img = find_embedding(pattern, masks,
+                                 {p: rank[h] for p, h in pin.items()})
             if img is not None:
+                img = tuple(order[r] for r in img)
                 images.append(img)
                 for a, b in pattern.edges:
                     adj[img[a]].discard(img[b])
@@ -332,6 +352,18 @@ def every_arc_greedy(pattern, host, seed):
                 break
     left = {(a, b) for a in range(host.n) for b in adj[a] if a < b}
     return images, left
+
+
+@pytest.mark.parametrize("k, copies, leftover, digest", [
+    (3, 3145, 295, "f34e9ca43d812824"),
+    (4, 1460, 970, "efb76ce55d4be1ca"),
+])
+def test_greedy_on_k140_keeps_its_copies(k, copies, leftover, digest):
+    # the images and leftover of the set-based kernel before rank masks
+    out = greedy_decompose(complete_graph(k), complete_graph(140), seed=k)
+    images = [c.image for c in out.copies]
+    assert (len(images), out.leftover.e) == (copies, leftover)
+    assert hashlib.sha256(repr(images).encode()).hexdigest()[:16] == digest
 
 
 @pytest.mark.parametrize("pattern", [
