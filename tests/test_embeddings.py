@@ -134,20 +134,15 @@ def first_per_edge_set(copies):
     return out
 
 
-def test_host_order_must_be_a_permutation():
-    k2, k3 = Graph(2, [(0, 1)]), complete_graph(3)
-    full = [c.image for c in enumerate_embeddings(k2, k3,
-                                                  host_order=[2, 0, 1])]
-    assert full == [(2, 0), (2, 1), (0, 2), (0, 1), (1, 2), (1, 0)]
-    # a repeated vertex once listed every embedding through it twice
+@pytest.mark.parametrize("pins, host_order", [
+    ({}, [0, 0, 1, 2]),      # once listed each embedding through 0 twice
+    ({}, [0, 1, 2, 7]),      # once ended in a bare IndexError
+    ({0: 2}, [0, 1]),        # once restricted the candidates, not the pins
+], ids=["repeated", "out-of-range", "partial"])
+def test_host_order_must_be_a_permutation(pins, host_order):
     with pytest.raises(InputError):
-        enumerate_embeddings(k2, k3, host_order=[0, 0, 1, 2])
-    # an out-of-range vertex once ended in a bare IndexError
-    with pytest.raises(InputError):
-        enumerate_embeddings(k2, k3, host_order=[0, 1, 2, 7])
-    # a partial order once restricted the candidates but not the pins
-    with pytest.raises(InputError):
-        enumerate_embeddings(k2, k3, pins={0: 2}, host_order=[0, 1])
+        enumerate_embeddings(Graph(2, [(0, 1)]), complete_graph(3), pins=pins,
+                             host_order=host_order)
 
 
 def test_dedup_enumeration_is_first_labelled_embedding_per_edge_set():
