@@ -376,7 +376,10 @@ def _cmd_pipeline(args) -> CommandResult:
     if args.report:
         with open(args.report, "w") as fh:
             json.dump(payload, fh, indent=2)
-    return CommandResult("ok" if res.success else "error", payload)
+    if not res.success:
+        # a failed cover-down is no answer, not a proof of anything
+        return CommandResult("error", payload, [], EXIT_INDETERMINATE)
+    return CommandResult("ok", payload)
 
 
 def main(argv=None) -> int:

@@ -33,7 +33,7 @@ class GadgetSpace:
     def add_edge(self, u: int, v: int, merge: bool = False):
         if u == v:
             raise InputError("gluing created a loop")
-        e = norm_edge(u, v)
+        e = (u, v) if u < v else (v, u)
         if e in self.edges and not merge:
             raise InputError(f"edge {e} glued twice")
         self.edges.add(e)
@@ -51,12 +51,12 @@ class GadgetSpace:
     def finalize(self, tag, extra_edges=()) -> Decomposition:
         """Build the decomposition recorded under `tag`, hosted on the current
         universe plus `extra_edges`."""
-        host = Graph(self.n, self.edges | {norm_edge(*e) for e in extra_edges})
-        copies = [EmbeddedCopy(p, host, img) for p, img in self.copies.get(tag, [])]
-        target = set()
-        for c in copies:
-            target |= c.edge_image()
-        return Decomposition(host, frozenset(target), copies)
+        host = Graph(self.n, [*self.edges, *extra_edges])
+        recorded = self.copies.get(tag, [])
+        copies = [EmbeddedCopy(p, host, img) for p, img in recorded]
+        # Decomposition normalises the image edges
+        target = [(img[u], img[v]) for p, img in recorded for u, v in p.edges]
+        return Decomposition(host, target, copies)
 
 
 @dataclass
@@ -88,7 +88,8 @@ def glue_switcher(space: GadgetSpace, sw, root_images) -> GluedSwitcher:
         if vmap[v] == -1:
             vmap[v] = space.fresh_one()
     space.add_graph(m.graph, vmap)
-    remap_e = lambda es: frozenset(norm_edge(vmap[u], vmap[v]) for u, v in es)
+    remap_e = lambda es: frozenset([(vmap[u], vmap[v]) if vmap[u] < vmap[v]
+                                    else (vmap[v], vmap[u]) for u, v in es])
     return GluedSwitcher(
         tuple(vmap),
         remap_e(sw.e1),

@@ -9,13 +9,19 @@ Certificate JSON: {"host": {"n":..,"edges":[[u,v],..]}, "pattern": {...},
 "target_edges": [[u,v],..], "copies": [[image..],..]} with edges sorted and
 copies sorted by image array.  A certificate that is not a valid partition
 still parses; `verify_decomposition` is the judge of validity.
+
+Each array of a certificate is validated once: the host and pattern edge
+lists by the `Graph` constructor, the target edges in one pass after
+normalisation, the copy images by length per copy and by range in bulk.
+Every malformed input raises `ParseError`, never a bare `InputError`,
+naming `host` or `pattern` where the fault lies in one of them.
 """
 
 from __future__ import annotations
 
 import json
 
-from .errors import ParseError
+from .errors import InputError, ParseError
 from .graphs import Decomposition, EmbeddedCopy, Graph
 
 
@@ -61,30 +67,26 @@ def serialize_edge_list(g: Graph) -> str:
 
 
 def _graph_to_obj(g: Graph) -> dict:
-    return {"n": g.n, "edges": [list(e) for e in sorted(g.edges)]}
+    return {"n": g.n, "edges": sorted(g.edges)}
 
 
 def _graph_from_obj(obj, what: str) -> Graph:
     try:
-        n = int(obj["n"])
-        edges = [(int(u), int(v)) for u, v in obj["edges"]]
+        return Graph(int(obj["n"]), ((int(u), int(v)) for u, v in obj["edges"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed {what} object: {exc}")
-    for u, v in edges:
-        if u == v:
-            raise ParseError(f"loop at {u} in {what}")
-        if not (0 <= u < n and 0 <= v < n):
-            raise ParseError(f"edge ({u},{v}) out of range in {what}")
-    return Graph(n, edges)
+    except InputError as exc:
+        raise ParseError(f"{exc} in {what}")
 
 
 def serialize_certificate(dec: Decomposition) -> str:
+    # json encodes the sorted tuples as arrays
     pattern = dec.pattern
     obj = {
         "host": _graph_to_obj(dec.host),
         "pattern": _graph_to_obj(pattern) if pattern else {"n": 0, "edges": []},
-        "target_edges": [list(e) for e in sorted(dec.target_edges)],
-        "copies": sorted([list(c.image) for c in dec.copies]),
+        "target_edges": sorted(dec.target_edges),
+        "copies": sorted([c.image for c in dec.copies]),
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -98,22 +100,24 @@ def parse_certificate(text: str) -> Decomposition:
         raise ParseError("certificate must be a JSON object")
     host = _graph_from_obj(obj.get("host"), "host")
     pattern = _graph_from_obj(obj.get("pattern"), "pattern")
+    n, k = host.n, pattern.n
     try:
-        target = [(int(u), int(v)) for u, v in obj.get("target_edges", [])]
-        images = [tuple(int(x) for x in img) for img in obj.get("copies", [])]
+        dec = Decomposition(host, ((int(u), int(v)) for u, v
+                                   in obj.get("target_edges", [])))
+        images = [tuple(map(int, img)) for img in obj.get("copies", [])]
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate arrays: {exc}")
-    for u, v in target:
-        if not (0 <= u < host.n and 0 <= v < host.n) or u == v:
-            raise ParseError(f"target edge ({u},{v}) out of range")
-    copies = []
+    bad = [e for e in dec.target_edges if not 0 <= e[0] < e[1] < n]
+    if bad:
+        raise ParseError("target edge ({},{}) out of range".format(*min(bad)))
     for img in images:
-        if len(img) != pattern.n:
+        if len(img) != k:
             raise ParseError("copy image length does not match pattern")
-        if any(not (0 <= x < host.n) for x in img):
-            raise ParseError("copy image vertex out of range")
-        copies.append(EmbeddedCopy(pattern, host, img))
-    return Decomposition(host, frozenset(target), copies)
+    if k and images and (min(map(min, images)) < 0
+                         or max(map(max, images)) >= n):
+        raise ParseError("copy image vertex out of range")
+    dec.copies = [EmbeddedCopy(pattern, host, img) for img in images]
+    return dec
 
 
 def io_roundtrip(data: bytes | str, fmt: str):

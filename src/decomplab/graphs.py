@@ -20,6 +20,14 @@ def norm_edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
+def _reject_edge(n: int, norm: frozenset):
+    """Raise for the lowest normalised edge that is a loop or out of range."""
+    u, v = min(e for e in norm if not 0 <= e[0] < e[1] < n)
+    if u == v:
+        raise InputError(f"loop at vertex {u} is not allowed")
+    raise InputError(f"edge ({u},{v}) out of range for {n} vertices")
+
+
 class Graph:
     """Finite simple undirected graph on vertices 0..n-1.
 
@@ -33,15 +41,12 @@ class Graph:
                  labels: Optional[Sequence[str]] = None):
         if n < 0:
             raise InputError("vertex_count must be nonnegative")
-        norm = set()
-        for u, v in edges:
-            if u == v:
-                raise InputError(f"loop at vertex {u} is not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise InputError(f"edge ({u},{v}) out of range for {n} vertices")
-            norm.add(norm_edge(u, v))
+        norm = frozenset([(u, v) if u < v else (v, u) for u, v in edges])
+        for u, v in norm:
+            if not 0 <= u < v < n:
+                _reject_edge(n, norm)
         self.n = n
-        self.edges = frozenset(norm)
+        self.edges = norm
         self.labels = tuple(labels) if labels is not None else None
         self._adj = None
         self._hash = None
@@ -393,7 +398,7 @@ class GraphMap:
                         tuple(then.image[x] for x in self.image))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EmbeddedCopy:
     """An injective homomorphic image of a pattern inside a host graph."""
 
@@ -438,7 +443,8 @@ class Decomposition:
     copies: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.target_edges = frozenset(norm_edge(u, v) for u, v in self.target_edges)
+        self.target_edges = frozenset([(u, v) if u < v else (v, u)
+                                       for u, v in self.target_edges])
 
     @property
     def pattern(self) -> Optional[Graph]:

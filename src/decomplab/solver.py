@@ -319,14 +319,19 @@ def verify_decomposition(dec: Decomposition) -> tuple[bool, Optional[str]]:
 
     Linear in the total certificate size: a copy's pattern and host are
     compared by identity first, and each distinct pattern or host object by
-    value only once.  The first violation is named.
+    value only once.  Each copy is checked in one pass: its image (length,
+    range, distinct vertices), then its image edges as one list against the
+    host, the edges covered so far and the target.  A copy that fails is
+    walked again edge by edge to name the first violation.
     """
+    target = dec.target_edges
     if not dec.copies:
-        if dec.target_edges:
-            e = min(dec.target_edges)
-            return False, f"uncovered edge {e}"
+        if target:
+            return False, f"uncovered edge {min(target)}"
         return True, None
     pattern = dec.copies[0].pattern
+    pe, pn = tuple(pattern.edges), pattern.n
+    host_edges, hn = dec.host.edges, dec.host.n
     covered = set()
     same_patterns = {id(pattern)}
     same_hosts = {id(dec.host)}
@@ -339,17 +344,25 @@ def verify_decomposition(dec: Decomposition) -> tuple[bool, Optional[str]]:
             if c.host != dec.host:
                 return False, f"copy {k} lives in a different host"
             same_hosts.add(id(c.host))
-        if not c.is_valid():
+        im = c.image
+        if len(im) != pn or len(set(im)) != pn or (
+                pn and (min(im) < 0 or max(im) >= hn)):
             return False, f"copy {k} is not a valid embedding"
+        es = [(im[u], im[v]) if im[u] < im[v] else (im[v], im[u])
+              for u, v in pe]
+        if not host_edges.issuperset(es):
+            return False, f"copy {k} is not a valid embedding"
+        if covered.isdisjoint(es) and target.issuperset(es):
+            covered.update(es)
+            continue
         for e in c.edge_image():
             if e in covered:
                 return False, f"edge {e} covered twice"
-            if e not in dec.target_edges:
+            if e not in target:
                 return False, f"edge {e} outside the target set"
             covered.add(e)
-    if covered != dec.target_edges:
-        e = min(dec.target_edges - covered)
-        return False, f"uncovered edge {e}"
+    if len(covered) != len(target):
+        return False, f"uncovered edge {min(target - covered)}"
     return True, None
 
 
@@ -390,10 +403,10 @@ class GreedyResult:
     leftover: Graph
 
     def as_decomposition(self, host: Graph) -> Decomposition:
-        covered = set()
-        for c in self.copies:
-            covered |= c.edge_image()
-        return Decomposition(host, frozenset(covered), list(self.copies))
+        # Decomposition normalises the image edges
+        covered = [(c.image[u], c.image[v])
+                   for c in self.copies for u, v in c.pattern.edges]
+        return Decomposition(host, covered, list(self.copies))
 
 
 def greedy_decompose(pattern: Graph, host: Graph, seed: int = 0,

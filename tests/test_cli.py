@@ -109,7 +109,7 @@ def test_greedy_fix_and_pipeline_outputs(tmp_path):
 
     res = run(["pipeline", "--pattern", f, "--host", k21, "--mu", "1/2",
                "--final-size", "5"])
-    assert res.status == "error"
+    assert res.status == "error" and res.exit_code == EXIT_INDETERMINATE
     assert res.payload == {
         "levels": 2, "final_size": 5, "success": False, "copies": 65,
         "leftover_edges": 15, "stats": [

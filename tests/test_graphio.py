@@ -1,10 +1,16 @@
+import hashlib
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from decomplab.errors import ParseError
 from decomplab.graphio import (io_roundtrip, parse_certificate, parse_edge_list,
                                serialize_certificate, serialize_edge_list)
-from decomplab.graphs import Decomposition, EmbeddedCopy, Graph, complete_graph
+from decomplab.gadgets.absorbers import build_absorber
+from decomplab.graphs import (Decomposition, EmbeddedCopy, Graph,
+                              complete_graph, cycle_graph)
+from decomplab.solver import greedy_decompose
 
 
 def test_parse_path():
@@ -84,3 +90,82 @@ def test_non_partition_certificate_parses():
             '"target_edges": [[0,1]], "copies": [[0,1],[1,0]]}')
     dec = parse_certificate(text)
     assert len(dec.copies) == 2
+
+
+@lru_cache(maxsize=None)
+def _c4_absorber():
+    return build_absorber(cycle_graph(4), cycle_graph(4))
+
+
+def _greedy_k140(k):
+    host = complete_graph(140)
+    return greedy_decompose(complete_graph(k), host, seed=k).as_decomposition(host)
+
+
+GOLDEN_CERTIFICATES = {
+    "greedy K3->K140": lambda: _greedy_k140(3),
+    "greedy K4->K140": lambda: _greedy_k140(4),
+    "C4 absorber cert_a": lambda: _c4_absorber().cert_a,
+    "C4 absorber cert_ah": lambda: _c4_absorber().cert_ah,
+}
+
+
+@pytest.mark.parametrize("name, size, digest", [
+    ("greedy K3->K140", 198254,
+     "b93ab918a2e7dff9ebf59ed534709baf0054409ee06c8c1df02f6994195babe0"),
+    ("greedy K4->K140", 177691,
+     "9b0482572203eebefcf460c96b565072154eddc2da97b89d34e1f48100d86342"),
+    ("C4 absorber cert_a", 211772,
+     "a8e9c1180dfe555a35c5730031b5dc36df9d92ba477872ca68a3d9c4b0de00c0"),
+    ("C4 absorber cert_ah", 211830,
+     "979dd31c8ba6e265dde4b16022ac655cf5d5f8dc95edce31dc2d2532f9fda237"),
+])
+def test_certificate_text_is_golden(name, size, digest):
+    # the text serialize_certificate wrote when it built one list per edge
+    s = serialize_certificate(GOLDEN_CERTIFICATES[name]())
+    assert len(s) == size
+    assert hashlib.sha256(s.encode()).hexdigest() == digest
+    assert serialize_certificate(parse_certificate(s)) == s
+
+
+@pytest.mark.parametrize("what", ["host", "pattern"])
+def test_negative_vertex_count_is_a_parse_error(what):
+    obj = {"host": '{"n": 3, "edges": []}',
+           "pattern": '{"n": 2, "edges": [[0,1]]}'}
+    obj[what] = '{"n": -2, "edges": []}'
+    text = (f'{{"host": {obj["host"]}, "pattern": {obj["pattern"]}, '
+            '"target_edges": [], "copies": []}')
+    with pytest.raises(ParseError) as info:
+        parse_certificate(text)
+    assert str(info.value) == f"vertex_count must be nonnegative in {what}"
+
+
+def _certificate(host="[[0,1],[1,2]]", pattern="[[0,1]]",
+                 target="[[0,1]]", copies="[[0,1]]"):
+    return (f'{{"host": {{"n": 3, "edges": {host}}}, '
+            f'"pattern": {{"n": 2, "edges": {pattern}}}, '
+            f'"target_edges": {target}, "copies": {copies}}}')
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"host": "[[1,1]]"}, "loop at vertex 1 is not allowed in host"),
+    ({"host": "[[2,3]]"}, "edge (2,3) out of range for 3 vertices in host"),
+    ({"pattern": "[[0,2]]"},
+     "edge (0,2) out of range for 2 vertices in pattern"),
+    ({"host": "[[0,1,2]]"}, None),
+    ({"pattern": "[[0,\"x\"]]"}, None),
+    ({"target": "[[2,0],[3,1],[1,-1]]"}, "target edge (-1,1) out of range"),
+    ({"target": "[[2,2]]"}, "target edge (2,2) out of range"),
+    ({"target": "[[0]]"}, None),
+    ({"copies": "[[0,1],[2]]"}, "copy image length does not match pattern"),
+    ({"copies": "[[0,1],[2,3]]"}, "copy image vertex out of range"),
+    ({"copies": "[[0,1],[-1,2]]"}, "copy image vertex out of range"),
+    ({"copies": "[[0,1],7]"}, None),
+])
+def test_every_malformed_array_is_a_parse_error(fields, message):
+    with pytest.raises(ParseError) as info:
+        parse_certificate(_certificate(**fields))
+    if message is not None:
+        assert str(info.value) == message
+    else:
+        assert str(info.value).startswith("malformed")

@@ -96,3 +96,38 @@ def test_relabel_roundtrip():
     for v, p in enumerate(perm):
         inv[p] = v
     assert h.relabel(inv) == g
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1), (2, 2)], "loop at vertex 2 is not allowed"),
+    ([(0, 1), (1, 3)], "edge (1,3) out of range for 3 vertices"),
+    ([(0, 1), (-1, 2)], "edge (-1,2) out of range for 3 vertices"),
+], ids=["loop", "out-of-range", "negative"])
+def test_constructor_names_the_defect(edges, message):
+    with pytest.raises(InputError) as info:
+        Graph(3, edges)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(5, 7), (2, 2), (1, 9), (0, 1), (4, -3)],
+     "edge (-3,4) out of range for 6 vertices"),
+    ([(5, 7), (2, 2), (1, 9), (0, 1)], "edge (1,9) out of range for 6 vertices"),
+    ([(5, 7), (0, 1), (2, 2), (3, 3)], "loop at vertex 2 is not allowed"),
+])
+def test_constructor_names_the_lowest_bad_edge(edges, message):
+    # the same edge is named whatever the input order
+    for k in range(len(edges)):
+        with pytest.raises(InputError) as info:
+            Graph(6, edges[k:] + edges[:k])
+        assert str(info.value) == message
+
+
+def test_constructor_takes_a_generator():
+    edges = [(i, (3 * i + 5) % 17) for i in range(17) if (3 * i + 5) % 17 != i]
+    g = Graph(17, edges)
+    assert Graph(17, (e for e in edges)) == g
+    assert Graph(17, ((v, u) for u, v in edges)) == g
+    assert all(u < v for u, v in g.edges)
+    with pytest.raises(InputError):
+        Graph(17, ((u, 17) for u, _ in edges))
