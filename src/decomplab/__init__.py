@@ -9,9 +9,9 @@ decomposition on concrete hosts.
 from .graphs import (Graph, GraphMap, EmbeddedCopy, Decomposition,
                      complete_graph, complete_bipartite, complete_multipartite,
                      cycle_graph, path_graph, empty_graph, disjoint_union)
-from .embeddings import enumerate_embeddings, check_map
+from .embeddings import enumerate_embeddings
 from .hamilton import hamilton_cycle
-from .graphio import io_roundtrip, parse_edge_list, serialize_edge_list
+from .graphio import parse_edge_list, serialize_edge_list
 from .invariants import (degree_gcd, bipartite_invariants, colouring_invariants,
                          cn_tuples, rooted_degeneracy, chromatic_number)
 from .divisibility import check_divisibility, make_degree_divisible, fix_edge_count

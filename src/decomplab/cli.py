@@ -88,21 +88,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="threshold values")
     p.add_argument("graph")
-    p.add_argument("--delta-e", type=_parse_fraction, default=None)
-    p.add_argument("--vertex-cover", action="store_true",
-                   help="report the star-cover threshold instead")
-    p.add_argument("--candidates", action="store_true",
-                   help="report discretisation candidates instead")
+    p.add_argument("--delta-e", type=_parse_fraction, default=None,
+                   help="vertex-cover mode: the edge threshold to use")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--vertex-cover", action="store_true",
+                      help="report the star-cover threshold instead")
+    mode.add_argument("--candidates", action="store_true",
+                      help="report discretisation candidates instead")
 
     p = sub.add_parser("solve", help="exact/fractional decomposition")
     p.add_argument("--pattern", required=True)
     p.add_argument("--host", required=True)
-    p.add_argument("--fractional", action="store_true")
     p.add_argument("--rational", action="store_true",
                    help="exact arithmetic for the fractional mode")
-    p.add_argument("--vertex", type=int, default=None,
-                   help="cover all edges at this vertex instead")
-    p.add_argument("--greedy", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("--fractional", action="store_true")
+    mode.add_argument("--vertex", type=int, default=None,
+                      help="cover all edges at this vertex instead")
+    mode.add_argument("--greedy", action="store_true")
 
     p = sub.add_parser("fix", help="divisibility repairs")
     p.add_argument("--pattern", required=True)
@@ -145,16 +148,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _usage(why: str) -> CommandResult:
+    return CommandResult("error", {"error": "usage"}, [why], EXIT_USAGE)
+
+
 def run(argv, stdin=b"") -> CommandResult:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return CommandResult("error", {"error": "usage"},
-                             ["unrecognised arguments"], EXIT_USAGE)
+    except SystemExit:
+        return _usage("unrecognised arguments")
     if not args.command:
-        return CommandResult("error", {"error": "usage"},
-                             ["missing subcommand"], EXIT_USAGE)
+        return _usage("missing subcommand")
     try:
         return _dispatch(args)
     except FileNotFoundError as exc:
@@ -182,7 +187,7 @@ def _dispatch(args) -> CommandResult:
         return _cmd_extremal(args)
     if args.command == "pipeline":
         return _cmd_pipeline(args)
-    return CommandResult("error", {"error": "usage"}, [], EXIT_USAGE)
+    return _usage("unknown command")
 
 
 def _cmd_invariants(args) -> CommandResult:
@@ -214,6 +219,8 @@ def _cmd_invariants(args) -> CommandResult:
 
 
 def _cmd_classify(args) -> CommandResult:
+    if args.delta_e is not None and not args.vertex_cover:
+        return _usage("--delta-e needs --vertex-cover")
     g = _load_graph(args.graph)
     if args.vertex_cover:
         rep = classify_vx(g, args.delta_e)
@@ -228,6 +235,8 @@ def _cmd_classify(args) -> CommandResult:
 
 
 def _cmd_solve(args) -> CommandResult:
+    if args.rational and not args.fractional:
+        return _usage("--rational needs --fractional")
     f = _load_graph(args.pattern)
     g = _load_graph(args.host)
     if args.fractional:
@@ -278,9 +287,8 @@ def _cmd_fix(args) -> CommandResult:
     f = _load_graph(args.pattern)
     g = _load_graph(args.host)
     if args.mode == "degree":
-        r = args.modulus or degree_gcd(f)
-        xi = {v: 0 for v in range(g.n)}
-        h = make_degree_divisible(g, r, xi, seed=args.seed)
+        r = degree_gcd(f) if args.modulus is None else args.modulus
+        h = make_degree_divisible(g, r, {}, seed=args.seed)
     else:
         h = fix_edge_count(g, list(range(g.n)), f, args.target,
                            seed=args.seed)
@@ -291,7 +299,7 @@ def _cmd_fix(args) -> CommandResult:
 
 def _cmd_gadget(args) -> CommandResult:
     if args.gadget_command != "build":
-        return CommandResult("error", {"error": "usage"}, [], EXIT_USAGE)
+        return _usage("missing gadget subcommand")
     f = _load_graph(args.pattern)
     kind = args.kind
     if kind == "c4":
@@ -299,7 +307,7 @@ def _cmd_gadget(args) -> CommandResult:
     elif kind == "c6":
         sw = build_c6_switcher(f, args.strategy)
     elif kind == "k2r":
-        r = args.r or degree_gcd(f)
+        r = degree_gcd(f) if args.r is None else args.r
         sw = build_k2r_switcher(f, r)
     elif kind == "teleporter":
         sw = build_teleporter(f, args.mode)

@@ -88,9 +88,9 @@ class _LazyRankMasks:
 
 
 def make_degree_divisible(host: Graph, r: int, xi: dict,
-                          max_degree_fraction=None,
                           seed: int = 0) -> Graph:
-    """Find H inside `host` with d_{host-H}(x) = xi(x) (mod r) for every x.
+    """Find H inside `host` with d_{host-H}(x) = xi[x] (mod r) for every x
+    (a vertex missing from `xi` targets 0).
 
     A chain of shift gadgets moves the accumulated residue from each vertex to
     the next (ascending id); parity gadgets at the last vertex absorb the
@@ -100,8 +100,7 @@ def make_degree_divisible(host: Graph, r: int, xi: dict,
     n = host.n
     if r < 1:
         raise InputError("modulus must be positive")
-    xi_full = {v: int(xi.get(v, 0)) % r for v in range(n)} if isinstance(xi, dict) \
-        else {v: int(xi[v]) % r for v in range(n)}
+    xi_full = {v: int(xi.get(v, 0)) % r for v in range(n)}
     if sum(xi_full.values()) % r:
         raise DomainError("modulus must divide the sum of target residues")
     if r == 1:

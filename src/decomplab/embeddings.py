@@ -41,7 +41,7 @@ from functools import lru_cache
 from typing import Iterator, Optional
 
 from .errors import InputError
-from .graphs import EmbeddedCopy, Graph, GraphMap
+from .graphs import EmbeddedCopy, Graph
 
 
 def host_ranks(order) -> list[int]:
@@ -269,18 +269,3 @@ def find_through_edge(pattern: Graph, masks, u: int, v: int
         if img is not None:
             return img
     return None
-
-
-def check_map(gmap: GraphMap, mode: str) -> bool:
-    """Check a GraphMap property: homomorphism, edge_bijective or isomorphism.
-
-    Malformed maps (image out of range) are rejected at GraphMap construction,
-    not reported as False here.
-    """
-    if mode == "homomorphism":
-        return gmap.is_homomorphism()
-    if mode == "edge_bijective":
-        return gmap.is_edge_bijective()
-    if mode == "isomorphism":
-        return gmap.is_isomorphism()
-    raise InputError(f"unknown check_map mode: {mode!r}")

@@ -33,14 +33,6 @@ class ResourceError(DecompLabError):
         self.stuck_index = stuck_index
 
 
-class StochasticFailure(DecompLabError):
-    """A randomized construction exhausted its resample budget."""
-
-    def __init__(self, message, worst_vertex=None):
-        super().__init__(message)
-        self.worst_vertex = worst_vertex
-
-
 class ParseError(InputError):
     """Syntax error in an external format, with position information."""
 

@@ -41,7 +41,6 @@ class ExtremalInstance:
     graph: Graph
     certificate: Optional[ObstructionCertificate]
     report: dict = field(default_factory=dict)
-    stages: dict = field(default_factory=dict)
 
 
 def _two_cliques_bipartite_frame(n1: int, n2: int, n3: int) -> Graph:
@@ -56,8 +55,7 @@ def _two_cliques_bipartite_frame(n1: int, n2: int, n3: int) -> Graph:
     return g.with_edges(inner).without_edges(drop)
 
 
-def generate_tau_drop_family(f: Graph, m: int,
-                             keep_stages: bool = False) -> ExtremalInstance:
+def generate_tau_drop_family(f: Graph, m: int) -> ExtremalInstance:
     """Two-cliques-plus-middle family for bipartite patterns with tau > 1:
     the first clique's edge count dodges every multiple of tau."""
     inv = bipartite_invariants(f)
@@ -74,7 +72,6 @@ def generate_tau_drop_family(f: Graph, m: int,
         raise StructureError(f"scale {m} too small for the degree repairs")
     g = _two_cliques_bipartite_frame(n1, n2, n3)
     v3 = list(range(n1 + n2, n1 + n2 + n3))
-    stages = {"frame": g} if keep_stages else {}
 
     gp = g
     if ham_cycles:
@@ -85,8 +82,6 @@ def generate_tau_drop_family(f: Graph, m: int,
             drop.extend((v3[cyc[i]], v3[cyc[(i + 1) % len(cyc)]])
                         for i in range(len(cyc)))
         gp = gp.without_edges(drop)
-    if keep_stages:
-        stages["degree_fixed"] = gp
 
     try:
         h = fix_edge_count(gp, v3, f, gp.e, seed=m)
@@ -94,8 +89,6 @@ def generate_tau_drop_family(f: Graph, m: int,
         raise StructureError(
             f"scale {m} too small for the edge-count repair: {exc}")
     gpp = gp.minus(h)
-    if keep_stages:
-        stages["final"] = gpp
 
     rep = check_divisibility(f, gpp)
     assert rep.divisible, "family promises divisibility"
@@ -107,7 +100,7 @@ def generate_tau_drop_family(f: Graph, m: int,
     report = {"min_degree": gpp.min_degree(), "claimed_bound": min_deg_bound,
               "sizes": (n1, n2, n3)}
     assert gpp.min_degree() >= min_deg_bound
-    return ExtremalInstance(gpp, cert, report, stages)
+    return ExtremalInstance(gpp, cert, report)
 
 
 def _degree_one_gadget(r: int) -> tuple[Graph, int]:
@@ -127,8 +120,7 @@ def _degree_one_gadget(r: int) -> tuple[Graph, int]:
     return Graph(q + 1, edges), q
 
 
-def generate_halves_family(f: Graph, m: int,
-                           keep_stages: bool = False) -> ExtremalInstance:
+def generate_halves_family(f: Graph, m: int) -> ExtremalInstance:
     """Two-clique families certifying that half degree is necessary when the
     component counts share a factor, or when every edge closes a cycle."""
     inv = bipartite_invariants(f)
@@ -150,8 +142,7 @@ def generate_halves_family(f: Graph, m: int,
         rep = check_divisibility(f, g)
         assert rep.divisible
         cert = ObstructionCertificate(BRIDGE_CUT, {0, half}, 2, 1)
-        return ExtremalInstance(g, cert, {"style": "bridge"},
-                                {"final": g} if keep_stages else {})
+        return ExtremalInstance(g, cert, {"style": "bridge"})
 
     a = r if r % 2 else r // 2
     if a < tt:
@@ -182,8 +173,7 @@ def generate_halves_family(f: Graph, m: int,
         count = len(gp.induced_edges(region))
         cert = ObstructionCertificate(TAU_COUNT, region, tt, count % tt)
         assert cert.residue != 0
-        return ExtremalInstance(gp, cert, {"style": "component_count"},
-                                {"final": gp} if keep_stages else {})
+        return ExtremalInstance(gp, cert, {"style": "component_count"})
 
     # r odd with tau_tilde == r: a bridge between two near-cliques survives
     if not every_edge_cyclic:
@@ -215,8 +205,7 @@ def generate_halves_family(f: Graph, m: int,
     rep = check_divisibility(f, gpp)
     assert rep.divisible, rep
     cert = ObstructionCertificate(BRIDGE_CUT, {0, half}, 2, 1)
-    return ExtremalInstance(gpp, cert, {"style": "odd_regular_bridge"},
-                            {"final": gpp} if keep_stages else {})
+    return ExtremalInstance(gpp, cert, {"style": "odd_regular_bridge"})
 
 
 def generate_theta_family(f: Graph, m: int) -> ExtremalInstance:
@@ -287,14 +276,13 @@ def generate_space_family(f: Graph, m: int) -> ExtremalInstance:
     return ExtremalInstance(g, None, report)
 
 
-def generate_extremal(f: Graph, family: str, m: int,
-                      keep_stages: bool = False) -> ExtremalInstance:
+def generate_extremal(f: Graph, family: str, m: int) -> ExtremalInstance:
     """Build one family at scale `m`; every report carries the graph's
     minimum-degree share δ(G)/n as `min_degree_ratio`."""
     if family == "tau_23":
-        inst = generate_tau_drop_family(f, m, keep_stages)
+        inst = generate_tau_drop_family(f, m)
     elif family == "halves":
-        inst = generate_halves_family(f, m, keep_stages)
+        inst = generate_halves_family(f, m)
     elif family == "theta":
         inst = generate_theta_family(f, m)
     elif family == "space":

@@ -384,9 +384,7 @@ def _rotater_pair(f: Graph, guard_colours: int = 20) -> _Rotater:
                 remap[cc] = nxt
                 nxt += 1
         c = {x: remap[base[x]] for x in range(f.n)}
-        pieces = [(f, v, c)] * (s - 1)
         m = f.degree(v)
-        joined, hub0, col0 = f, v, c
         fp, hub, col, vmaps = _glue_rotated_copies(
             f, [v] * (s - 1), [c] * (s - 1), s, rotate=True)
         f_imgs = []

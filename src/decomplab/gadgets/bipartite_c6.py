@@ -19,7 +19,7 @@ from ..errors import DomainError, SizeGuardError
 from ..graphs import Graph, degree_gcd_of, norm_edge
 from ..invariants import _connected_mask, _support_masks, is_c4_supporting
 from .compose import GadgetSpace, attach_compressions, glue_switcher
-from .switchers import (_degree_multiset_split, _finalize_switcher,
+from .switchers import (_component_multiset_split, _finalize_switcher,
                         build_internal_teleporter, build_k2r_switcher)
 from .types import CertifiedSwitcher, Compression
 
@@ -70,13 +70,8 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
     r = degree_gcd_of(f)
 
     family = _nonsupporting_family(f)
-    counts = [cnt for _, cnt in family]
-    m1_vals, m2_vals = _degree_multiset_split(counts, 1)
-    val2idx = {}
-    for i, c in enumerate(counts):
-        val2idx.setdefault(c, i)
-    occ = ([(val2idx[c], -1) for c in m1_vals]
-           + [(val2idx[c], +1) for c in m2_vals])
+    m1_idx, m2_idx = _component_multiset_split([cnt for _, cnt in family])
+    occ = [(ei, -1) for ei in m1_idx] + [(ei, +1) for ei in m2_idx]
 
     space = GadgetSpace()
     rho: dict = {}
@@ -308,10 +303,7 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
         space.record("cert1", f, mirrored(img))
         space.record("cert2", f, img)
     for _, _, g in star_glued:
-        for p, img in g.cert1_copies:
-            space.record("cert1", p, img)
-        for p, img in g.cert2_copies:
-            space.record("cert2", p, img)
+        space.take(g)
 
     roots = (u1, u2, u3, u4, u5, u6)
     e1 = [(u1, u2), (u3, u4), (u5, u6)]

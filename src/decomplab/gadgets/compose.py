@@ -48,15 +48,21 @@ class GadgetSpace:
     def record(self, tag, pattern: Graph, image) -> None:
         self.copies.setdefault(tag, []).append((pattern, tuple(image)))
 
+    def take(self, glued: "GluedSwitcher", swap: bool = False) -> None:
+        """Record a glued switcher's certificate copies on the two sides,
+        `cert1` and `cert2`; with `swap`, crosswise."""
+        one, two = ("cert2", "cert1") if swap else ("cert1", "cert2")
+        self.copies.setdefault(one, []).extend(glued.cert1_copies)
+        self.copies.setdefault(two, []).extend(glued.cert2_copies)
+
     def finalize(self, tag, extra_edges=()) -> Decomposition:
-        """Build the decomposition recorded under `tag`, hosted on the current
-        universe plus `extra_edges`."""
+        """The copies recorded under `tag` as a decomposition of the current
+        universe plus `extra_edges`: host and target are that edge set, so
+        `verify_decomposition` checks that the copies partition all of it."""
         host = Graph(self.n, [*self.edges, *extra_edges])
-        recorded = self.copies.get(tag, [])
-        copies = [EmbeddedCopy(p, host, img) for p, img in recorded]
-        # Decomposition normalises the image edges
-        target = [(img[u], img[v]) for p, img in recorded for u, v in p.edges]
-        return Decomposition(host, target, copies)
+        return Decomposition(host, host.edges,
+                             [EmbeddedCopy(p, host, img)
+                              for p, img in self.copies.get(tag, [])])
 
 
 @dataclass

@@ -113,14 +113,6 @@ def build_c4_switcher(f: Graph) -> CertifiedSwitcher:
         img = list(partial_img) + [last_at]
         space.record(tag, f, [img[perm[x]] for x in range(f.n)])
 
-    def row_star(i, k):
-        return [(k, star[(i, j)]) for j in range(ell)
-                if (i, j) in star]
-
-    def col_star(j, k):
-        return [(k, star[(i, j)]) for i in range(ell)
-                if (i, j) in star]
-
     # cert1 decomposes S + {u1u2, u3u4}: u1 completes the rows, u3 the
     # columns; the split cell's row copy picks up u1u2, its column u3u4
     for i in range(ell):
@@ -184,11 +176,10 @@ def build_bipartite_degree_star_switcher(f: Graph, v: int) -> CertifiedSwitcher:
     if sides is None:
         raise DomainError("pattern must be bipartite for this route")
     a_side = sides[0] if v in sides[0] else sides[1]
-    r = f.degree(v)
     leaves = sorted(f.adj[v])
 
     space = GadgetSpace()
-    vmap = space.fresh(f.n)       # pattern vertices keep their ids
+    space.fresh(f.n)              # pattern vertices keep their ids
     vprime = space.fresh_one()
     for x, y in f.edges:
         if v in (x, y):
@@ -248,13 +239,9 @@ def build_clique_degree_star_switcher(f: Graph, v: int) -> CertifiedSwitcher:
             f_img_minus[x] = fm_ids[down(x)]
     # gadget+E+ = (pattern at plus) + each bridge switched to {w_i-, leaf_i+}
     space.record("cert1", f, f_img_plus)
-    for g in glued:
-        for p, img in g.cert2_copies:
-            space.record("cert1", p, img)
     space.record("cert2", f, f_img_minus)
     for g in glued:
-        for p, img in g.cert1_copies:
-            space.record("cert2", p, img)
+        space.take(g, swap=True)
 
     e1 = [(plus, leaves[i]) for i in range(r)]
     e2 = [(minus, leaves[i]) for i in range(r)]
@@ -399,19 +386,7 @@ def build_k2r_switcher(f: Graph, r: int) -> CertifiedSwitcher:
         glued = glue_switcher(space, sub,
                               tuple(grp) + (plus, minus))
         # gadget+E+ uses: V2 stars switched to plus, V1 stars to minus
-        if side == "v2":
-            for p, img in glued.cert1_copies:
-                space.record("cert1", p, img)
-            for p, img in glued.cert2_copies:
-                space.record("cert2", p, img)
-        else:
-            for p, img in glued.cert2_copies:
-                space.record("cert1", p, img)
-            for p, img in glued.cert1_copies:
-                space.record("cert2", p, img)
-        sub_f = {u: 1 for u in grp}
-        sub_f[plus] = 0
-        sub_f[minus] = 2
+        space.take(glued, swap=side == "v1")
         beta = {0: 0, 1: 1, 2: 2}
         attachments.append((sub.compression, beta, glued.vmap))
 
@@ -445,10 +420,7 @@ def build_c6_switcher_general(f: Graph) -> CertifiedSwitcher:
 
     # gadget + {u1u2, u3u4, u5u6} splits along each bridge's first switch
     for g in (s1, s2, s3, s4):
-        for p, img in g.cert1_copies:
-            space.record("cert1", p, img)
-        for p, img in g.cert2_copies:
-            space.record("cert2", p, img)
+        space.take(g)
 
     e1 = [(u[0], u[1]), (u[2], u[3]), (u[4], u[5])]
     e2 = [(u[1], u[2]), (u[3], u[4]), (u[5], u[0])]
@@ -501,18 +473,9 @@ def build_internal_teleporter(f: Graph) -> CertifiedSwitcher:
     s2 = glue_switcher(space, k21, (w, u[1], u[3]))
     s3 = glue_switcher(space, k21, (u[3], w, u[2]))
 
-    for p, img in s1.cert1_copies:   # covers u1u2
-        space.record("cert1", p, img)
-    for p, img in s2.cert1_copies:   # covers u2w
-        space.record("cert1", p, img)
-    for p, img in s3.cert1_copies:   # covers wu4
-        space.record("cert1", p, img)
-    for p, img in s1.cert2_copies:   # covers wu2
-        space.record("cert2", p, img)
-    for p, img in s2.cert2_copies:   # covers u4w
-        space.record("cert2", p, img)
-    for p, img in s3.cert2_copies:   # covers u3u4
-        space.record("cert2", p, img)
+    # cert1 covers u1u2, u2w and wu4; cert2 covers wu2, u4w and u3u4
+    for g in (s1, s2, s3):
+        space.take(g)
 
     psi = [-1] * space.n
     psi[u[0]] = psi[u[2]] = 0
@@ -610,11 +573,11 @@ def build_external_teleporter(f: Graph) -> CertifiedSwitcher:
     plus_tels, minus_tels = [], []
     for (x, y), (x2, y2) in zip(e_plus[1], e_plus[2]):
         g = glue_switcher(space, tel, (x, y, x2, y2))
-        plus_tels.append(((x, y), (x2, y2), g))
+        plus_tels.append(g)
         attachments.append((tel.compression, {0: 0, 1: 1}, g.vmap))
     for (x, y), (x2, y2) in zip(e_minus[1], e_minus[2]):
         g = glue_switcher(space, tel, (x, y, x2, y2))
-        minus_tels.append(((x, y), (x2, y2), g))
+        minus_tels.append(g)
         attachments.append((tel.compression, {0: 2, 1: 3}, g.vmap))
 
     def record_copy(tag, vmap_pairs):
@@ -638,16 +601,11 @@ def build_external_teleporter(f: Graph) -> CertifiedSwitcher:
         else:
             record_copy("cert1", (pmap, zmap))
             record_copy("cert2", (mmap, zmap))
-    for (e_light, e_heavy, g) in plus_tels:
-        for p, img in g.cert1_copies:     # covers the light edge
-            space.record("cert1", p, img)
-        for p, img in g.cert2_copies:     # covers the heavy edge
-            space.record("cert2", p, img)
-    for (e_light, e_heavy, g) in minus_tels:
-        for p, img in g.cert2_copies:     # covers the heavy edge
-            space.record("cert1", p, img)
-        for p, img in g.cert1_copies:     # covers the light edge
-            space.record("cert2", p, img)
+    # a teleporter's cert1 covers its light edge, its cert2 the heavy one
+    for g in plus_tels:
+        space.take(g)
+    for g in minus_tels:
+        space.take(g, swap=True)
 
     psi = [-1] * space.n
     for (ci, side, pmap, mmap, zmap) in pieces:

@@ -9,8 +9,7 @@ edge across.  Both certificates fall out of the two ways of switching.
 from __future__ import annotations
 
 from ..errors import DomainError, InputError
-from ..graphs import (Decomposition, EmbeddedCopy, Graph, GraphMap,
-                      degree_gcd_of, norm_edge)
+from ..graphs import Graph, GraphMap, degree_gcd_of, norm_edge
 from ..invariants import tau_of
 from .compose import GadgetSpace, glue_switcher
 from .switchers import build_c6_switcher_general, build_k2r_switcher
@@ -61,40 +60,21 @@ def build_transformer(f: Graph, h: Graph, phi: GraphMap,
     star = star_switcher or build_k2r_switcher(f, r)
     c6 = c6_switcher or _pick_c6_switcher(f)
 
-    glued_stars = []
     for x in range(h.n):
         leaves = tuple(z[x][y] for y in sorted(h.adj[x]))
-        g = glue_switcher(space, star,
-                          leaves + (h_ids[x], hp_ids[phi.image[x]]))
-        glued_stars.append(g)
+        space.take(glue_switcher(space, star,
+                                 leaves + (h_ids[x], hp_ids[phi.image[x]])))
         for lv in leaves:
             space.add_edge(h_ids[x], lv)                 # towards h
             space.add_edge(hp_ids[phi.image[x]], lv)     # towards h'
 
-    glued_cycles = []
     for a, b in sorted(h.edges):
         roots = (h_ids[a], h_ids[b], z[b][a],
                  hp_ids[phi.image[b]], hp_ids[phi.image[a]], z[a][b])
-        glued_cycles.append(glue_switcher(space, c6, roots))
-
-    t = space.graph()
-    host_h = Graph(space.n, space.edges | h_edges)
-    host_hp = Graph(space.n, space.edges | hp_edges)
-
-    copies_h, copies_hp = [], []
-    for g in glued_cycles:
-        # first switching covers {xy, x'z_xy, y'z_yx}; the second covers
+        # the first switching covers {xy, x'z_xy, y'z_yx}, the second
         # {x'y', xz_xy, yz_yx}
-        copies_h.extend(EmbeddedCopy(p, host_h, img)
-                        for p, img in g.cert1_copies)
-        copies_hp.extend(EmbeddedCopy(p, host_hp, img)
-                         for p, img in g.cert2_copies)
-    for g in glued_stars:
-        copies_h.extend(EmbeddedCopy(p, host_h, img)
-                        for p, img in g.cert1_copies)
-        copies_hp.extend(EmbeddedCopy(p, host_hp, img)
-                         for p, img in g.cert2_copies)
+        space.take(glue_switcher(space, c6, roots))
 
-    cert_h = Decomposition(host_h, host_h.edges, copies_h)
-    cert_hp = Decomposition(host_hp, host_hp.edges, copies_hp)
-    return CertifiedTransformer(t, h_edges, hp_edges, cert_h, cert_hp)
+    return CertifiedTransformer(space.graph(), h_edges, hp_edges,
+                                space.finalize("cert1", h_edges),
+                                space.finalize("cert2", hp_edges))

@@ -118,13 +118,3 @@ def parse_certificate(text: str) -> Decomposition:
         raise ParseError("copy image vertex out of range")
     dec.copies = [EmbeddedCopy(pattern, host, img) for img in images]
     return dec
-
-
-def io_roundtrip(data: bytes | str, fmt: str):
-    """Parse `data` per format; the parse/serialize pair is idempotent."""
-    text = data.decode() if isinstance(data, bytes) else data
-    if fmt == "edge_list":
-        return parse_edge_list(text)
-    if fmt == "certificate_json":
-        return parse_certificate(text)
-    raise ParseError(f"unknown format {fmt!r}")

@@ -31,14 +31,13 @@ def _reject_edge(n: int, norm: frozenset):
 class Graph:
     """Finite simple undirected graph on vertices 0..n-1.
 
-    Vertex identity is a dense integer index; labels are decorative.
+    Vertex identity is a dense integer index.
     Invariants: no loops, no duplicate edges, endpoints < vertex_count.
     """
 
-    __slots__ = ("n", "edges", "labels", "_adj", "_hash")
+    __slots__ = ("n", "edges", "_adj", "_hash")
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (),
-                 labels: Optional[Sequence[str]] = None):
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise InputError("vertex_count must be nonnegative")
         norm = frozenset([(u, v) if u < v else (v, u) for u, v in edges])
@@ -47,7 +46,6 @@ class Graph:
                 _reject_edge(n, norm)
         self.n = n
         self.edges = norm
-        self.labels = tuple(labels) if labels is not None else None
         self._adj = None
         self._hash = None
 
@@ -74,9 +72,6 @@ class Graph:
             self._adj = tuple(frozenset(s) for s in nbr)
         return self._adj
 
-    def neighbours(self, v: int) -> frozenset:
-        return self.adj[v]
-
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
@@ -91,9 +86,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return norm_edge(u, v) in self.edges
-
-    def common_neighbours(self, u: int, v: int) -> frozenset:
-        return self.adj[u] & self.adj[v]
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Graph) and self.n == other.n
@@ -110,39 +102,28 @@ class Graph:
     # -- derived values ----------------------------------------------------
 
     def with_edges(self, extra: Iterable[tuple[int, int]]) -> "Graph":
-        return Graph(self.n, set(self.edges) | {norm_edge(u, v) for u, v in extra},
-                     self.labels)
+        return Graph(self.n,
+                     set(self.edges) | {norm_edge(u, v) for u, v in extra})
 
     def without_edges(self, gone: Iterable[tuple[int, int]]) -> "Graph":
-        return Graph(self.n, set(self.edges) - {norm_edge(u, v) for u, v in gone},
-                     self.labels)
+        return Graph(self.n,
+                     set(self.edges) - {norm_edge(u, v) for u, v in gone})
 
     def minus(self, other: "Graph") -> "Graph":
         """Edge difference on the same vertex set (G - H in edge terms)."""
         return self.without_edges(other.edges)
-
-    def union_edges(self, other: "Graph") -> "Graph":
-        if other.n > self.n:
-            raise InputError("union requires other graph to fit in this vertex set")
-        return self.with_edges(other.edges)
 
     def induced(self, vs: Iterable[int]) -> "Graph":
         """Induced subgraph; vertices are relabelled 0..k-1 in sorted order."""
         order = sorted(set(vs))
         pos = {v: i for i, v in enumerate(order)}
         es = [(pos[u], pos[v]) for u, v in self.edges if u in pos and v in pos]
-        labels = [self.labels[v] for v in order] if self.labels else None
-        return Graph(len(order), es, labels)
+        return Graph(len(order), es)
 
     def induced_edges(self, vs: Iterable[int]) -> frozenset:
         """Edges with both endpoints inside vs, keeping original ids."""
         s = set(vs)
         return frozenset((u, v) for u, v in self.edges if u in s and v in s)
-
-    def edges_between(self, xs: Iterable[int], ys: Iterable[int]) -> frozenset:
-        a, b = set(xs), set(ys)
-        return frozenset(e for e in self.edges
-                         if (e[0] in a and e[1] in b) or (e[0] in b and e[1] in a))
 
     def without_vertices(self, vs: Iterable[int]) -> "Graph":
         """G - X, relabelled to a dense range."""
@@ -154,13 +135,7 @@ class Graph:
         if sorted(perm) != list(range(self.n)):
             raise InputError("relabel requires a permutation of all vertices")
         es = [(perm[u], perm[v]) for u, v in self.edges]
-        labels = None
-        if self.labels:
-            inv = [0] * self.n
-            for v, p in enumerate(perm):
-                inv[p] = v
-            labels = [self.labels[inv[i]] for i in range(self.n)]
-        return Graph(self.n, es, labels)
+        return Graph(self.n, es)
 
     def complement(self) -> "Graph":
         es = [(u, v) for u in range(self.n) for v in range(u + 1, self.n)
@@ -282,9 +257,6 @@ class Graph:
 
     def has_bridge(self) -> bool:
         return bool(self.bridges())
-
-    def edge_in_cycle(self, u: int, v: int) -> bool:
-        return norm_edge(u, v) not in set(self.bridges())
 
 
 def degree_gcd_of(g: Graph) -> int:
@@ -411,9 +383,6 @@ class EmbeddedCopy:
         return frozenset([(im[u], im[v]) if im[u] < im[v] else (im[v], im[u])
                           for u, v in self.pattern.edges])
 
-    def vertex_set(self) -> frozenset:
-        return frozenset(self.image)
-
     def is_valid(self) -> bool:
         if len(self.image) != self.pattern.n:
             return False
@@ -425,14 +394,6 @@ class EmbeddedCopy:
         return all(norm_edge(im[u], im[v]) in self.host.edges
                    for u, v in self.pattern.edges)
 
-    def retarget(self, new_host: Graph, vmap=None) -> "EmbeddedCopy":
-        """Reinterpret inside a different host, optionally via a vertex map."""
-        if vmap is None:
-            img = self.image
-        else:
-            img = tuple(vmap[x] for x in self.image)
-        return EmbeddedCopy(self.pattern, new_host, img)
-
 
 @dataclass
 class Decomposition:
@@ -443,8 +404,11 @@ class Decomposition:
     copies: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.target_edges = frozenset([(u, v) if u < v else (v, u)
-                                       for u, v in self.target_edges])
+        # a Graph's edge set is normal already; gadget certificates and
+        # whole-host solves pass it as the target
+        if self.target_edges is not self.host.edges:
+            self.target_edges = frozenset([(u, v) if u < v else (v, u)
+                                           for u, v in self.target_edges])
 
     @property
     def pattern(self) -> Optional[Graph]:

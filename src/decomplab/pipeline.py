@@ -16,9 +16,12 @@ from typing import Optional
 
 from .divisibility import check_divisibility
 from .embeddings import find_through_edge, host_ranks, rank_masks
-from .errors import DomainError, InputError, StochasticFailure
+from .errors import DomainError, InputError
 from .graphs import EmbeddedCopy, Graph, norm_edge
-from .solver import SAT, exact_decompose, greedy_decompose
+from .solver import greedy_decompose
+
+RESAMPLES = 64          # vortex level draws before the best one is kept
+RELEASE_BUDGET = 3      # copies a stuck cover-down edge may release
 
 
 @dataclass
@@ -35,14 +38,13 @@ class Vortex:
 
 
 def find_vortex(g: Graph, delta, mu, m_target: int,
-                w=(), seed: int = 0, resamples: int = 64,
-                require_nominal: bool = False) -> Vortex:
+                w=(), seed: int = 0) -> Vortex:
     """Sample a nested vortex with geometric shrinkage.
 
     Each level is drawn uniformly (containing the surrounded set) and kept
     if every previous-level vertex retains the target degree share into it;
-    after the resample budget the best sample is kept, recording the
-    achieved share (or failing when `require_nominal`).
+    after `RESAMPLES` draws the best sample is kept.  The vortex's `delta`
+    is the least of the target share and every share achieved.
     """
     delta = Fraction(delta)
     mu = Fraction(mu)
@@ -67,14 +69,13 @@ def find_vortex(g: Graph, delta, mu, m_target: int,
         sizes.append(int(sizes[-1] * mu))
     levels = [list(range(g.n))]
     achieved = []
-    worst_vertex = None
     for depth in range(1, len(sizes)):
         want = sizes[depth]
         prev = levels[-1]
         if want < len(w):
             raise InputError("surrounded set larger than a vortex level")
         best, best_share = None, None
-        for _ in range(resamples):
+        for _ in range(RESAMPLES):
             pool = [x for x in prev if x not in w]
             rng.shuffle(pool)
             cand = sorted(list(w) + pool[:want - len(w)])
@@ -84,19 +85,11 @@ def find_vortex(g: Graph, delta, mu, m_target: int,
                  for x in prev), default=Fraction(1))
             if best_share is None or share > best_share:
                 best, best_share = cand, share
-                worst_vertex = min(
-                    (x for x in prev),
-                    key=lambda x: sum(1 for y in g.adj[x] if y in cset))
             if share >= target:
                 break
         achieved.append(best_share)
         levels.append(best)
-    if require_nominal and any(a < target for a in achieved):
-        raise StochasticFailure(
-            f"resample budget exhausted below share {target}",
-            worst_vertex=worst_vertex)
-    final_delta = min([target] + achieved) if achieved else target
-    return Vortex(levels, final_delta, mu, len(levels[-1]), w)
+    return Vortex(levels, min([target] + achieved), mu, len(levels[-1]), w)
 
 
 def verify_vortex(g: Graph, v: Vortex) -> tuple[bool, Optional[str]]:
@@ -132,10 +125,8 @@ class CoverDownResult:
         return out
 
 
-def cover_down(f: Graph, g: Graph, vortex: Vortex, seed: int = 0,
-               release_budget: int = 3,
-               finish_exact: bool = False,
-               finish_timeout: float = 60.0) -> CoverDownResult:
+def cover_down(f: Graph, g: Graph, vortex: Vortex,
+               seed: int = 0) -> CoverDownResult:
     """Cover every edge outside the innermost vortex level.
 
     Level by level: a bulk greedy pass eats the outside-induced part, minus
@@ -143,9 +134,9 @@ def cover_down(f: Graph, g: Graph, vortex: Vortex, seed: int = 0,
     seeded per-vertex sweep then covers the remaining edges one at a time
     with pinned copies, preferring outside partners for cross edges and
     inward partners for outside edges.  A stuck edge may release one of the
-    sweep's earlier copies and retry, a few times.  Edges touching the next
-    level's interior from inside are never consumed early.  Stalls set the
-    failure flag, never silently.
+    sweep's earlier copies and retry, `RELEASE_BUDGET` times.  Edges
+    touching the next level's interior from inside are never consumed
+    early.  Stalls set the failure flag, never silently.
     """
     rep = check_divisibility(f, g)
     if not rep.degree_divisible:
@@ -248,7 +239,7 @@ def cover_down(f: Graph, g: Graph, vortex: Vortex, seed: int = 0,
                 if img is None:
                     key = norm_edge(a, b)
                     tries = attempts.get(key, 0)
-                    if tries < release_budget and committed:
+                    if tries < RELEASE_BUDGET and committed:
                         # release the sweep's latest copy, which is also
                         # the last of `copies`; retry, requeue its edges
                         es = committed.pop()
@@ -282,14 +273,6 @@ def cover_down(f: Graph, g: Graph, vortex: Vortex, seed: int = 0,
         stats.append(level)
 
     current = Graph(n, live_edges())
-    if finish_exact and success:
-        res = exact_decompose(f, current, timeout=finish_timeout)
-        if res.status == SAT:
-            for c in res.decomposition.copies:
-                copies.append(EmbeddedCopy(f, g, c.image))
-            current = current.without_edges(
-                e for c in res.decomposition.copies for e in c.edge_image())
-
     final_set = set(vortex.sets[-1])
     confined = all(u in final_set and v in final_set
                    for u, v in current.edges)

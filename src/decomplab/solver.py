@@ -12,7 +12,7 @@ secondary items at most once, and the search branches on the primary item
 with the fewest live columns, the lowest index among ties.
 `exact_decompose` makes every target edge primary and prunes by
 divisibility; `cover_vertex` makes the star edges at the vertex primary and
-every other usable edge secondary, and keeps only the copies whose column
+every other host edge secondary, and keeps only the copies whose column
 meets the star.
 
 Statuses keep the answers apart: `sat` comes with a decomposition that
@@ -409,13 +409,12 @@ class GreedyResult:
         return Decomposition(host, covered, list(self.copies))
 
 
-def greedy_decompose(pattern: Graph, host: Graph, seed: int = 0,
-                     priority_edges=None) -> GreedyResult:
+def greedy_decompose(pattern: Graph, host: Graph,
+                     seed: int = 0) -> GreedyResult:
     """Maximal greedy collection: repeatedly remove a copy until none is left.
 
     An edge found inextensible stays inextensible as the graph shrinks, so
-    each edge is processed once.  Deterministic for a given seed;
-    `priority_edges` go to the front of the processing queue.
+    each edge is processed once, in a seeded shuffle of the sorted edges.
     """
     if pattern.e < 1:
         raise InputError("pattern needs at least one edge")
@@ -424,16 +423,8 @@ def greedy_decompose(pattern: Graph, host: Graph, seed: int = 0,
     rng.shuffle(order)
     rank = host_ranks(order)
     masks = rank_masks(host.adj, order)
-    if priority_edges:
-        prio = [norm_edge(*e) for e in priority_edges]
-        pset = set(prio)
-        rng.shuffle(prio)
-        rest = sorted(e for e in host.edges if e not in pset)
-        rng.shuffle(rest)
-        queue = prio + rest
-    else:
-        queue = sorted(host.edges)
-        rng.shuffle(queue)
+    queue = sorted(host.edges)
+    rng.shuffle(queue)
     copies = []
     for u, v in queue:
         ru, rv = rank[u], rank[v]
@@ -458,12 +449,11 @@ def greedy_decompose(pattern: Graph, host: Graph, seed: int = 0,
 
 
 def cover_vertex(pattern: Graph, host: Graph, x: int,
-                 timeout: Optional[float] = None,
-                 forbidden_edges: Optional[set] = None) -> SolveResult:
+                 timeout: Optional[float] = None) -> SolveResult:
     """Edge-disjoint copies covering every edge at `x` (star cover).
 
     Copies are globally edge-disjoint, not just on the star: the star edges
-    are the primary items and every other usable edge a secondary one.
+    are the primary items and every other host edge a secondary one.
     Divisibility of the star degree by the pattern degree gcd is the cheap
     gate.
     """
@@ -476,15 +466,8 @@ def cover_vertex(pattern: Graph, host: Graph, x: int,
     if dx % r:
         rep = {"vertex": x, "degree": dx, "modulus": r, "residue": dx % r}
         return SolveResult(UNSAT_DIVISIBILITY, report=rep)
-    star = frozenset(norm_edge(x, y) for y in host.adj[x])
-    if forbidden_edges:
-        usable = host.edges - frozenset(norm_edge(*e) for e in forbidden_edges)
-        if not star <= usable:
-            return SolveResult(UNSAT_EXHAUSTED)
-    else:
-        usable = host.edges
-    edges = sorted(usable)
-    cands = candidate_copies(pattern, host, usable, through_vertex=x)
+    edges = sorted(host.edges)
+    cands = candidate_copies(pattern, host, host.edges, through_vertex=x)
     at, columns = _copy_table(pattern, cands, host.n, edges)
     star_items = frozenset(at[x].values())
     keep = [k for k, col in enumerate(columns)

@@ -1,11 +1,14 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from decomplab import lp
-from decomplab.cli import (EXIT_INDETERMINATE, EXIT_OK, EXIT_UNSAT,
-                           EXIT_USAGE, run)
+from decomplab.cli import (EXIT_ERROR, EXIT_INDETERMINATE, EXIT_OK,
+                           EXIT_UNSAT, EXIT_USAGE, run)
 from decomplab.graphio import parse_edge_list, serialize_edge_list
-from decomplab.graphs import Graph, complete_graph, cycle_graph
+from decomplab.graphs import (Graph, complete_graph, cycle_graph,
+                              disjoint_union, path_graph)
 from decomplab.lattice import LatticeCertificate, verify_lattice_certificate
 
 
@@ -35,6 +38,54 @@ def test_ignored_flags_are_gone(tmp_path):
     assert res.exit_code == EXIT_USAGE
     res = run(["--format", "text", "solve", "--pattern", f, "--host", f])
     assert res.exit_code == EXIT_USAGE
+    # options that the chosen mode would not read
+    for argv in (["solve", "--rational", "--pattern", f, "--host", f],
+                 ["solve", "--greedy", "--vertex", "0", "--pattern", f,
+                  "--host", f],
+                 ["classify", "--vertex-cover", "--candidates", f],
+                 ["classify", "--delta-e", "1/2", f]):
+        res = run(argv)
+        assert res.exit_code == EXIT_USAGE, argv
+        assert res.payload == {"error": "usage"}, argv
+
+
+def test_zero_reaches_the_builders(tmp_path):
+    # 0 is a value, not a request for the pattern's degree gcd
+    f = _write(tmp_path, "k3.txt", complete_graph(3))
+    g = _write(tmp_path, "k7.txt", complete_graph(7))
+    res = run(["gadget", "build", "--kind", "k2r", "--pattern", f,
+               "--r", "0"])
+    assert res.exit_code == EXIT_ERROR
+    assert res.payload["type"] == "DomainError"
+    res = run(["fix", "--mode", "degree", "--modulus", "0", "--pattern", f,
+               "--host", g])
+    assert res.exit_code == EXIT_ERROR
+    assert res.payload["type"] == "InputError"
+
+
+@pytest.mark.parametrize("kind, pattern, options", [
+    ("c4", complete_graph(3), []),
+    ("c6", complete_graph(3), ["--strategy", "general"]),
+    ("c6", path_graph(2), ["--strategy", "bipartite"]),
+    ("k2r", complete_graph(3), []),
+    ("teleporter", path_graph(2), ["--mode", "internal"]),
+    ("teleporter", disjoint_union(complete_graph(2), path_graph(2)),
+     ["--mode", "external"]),
+    ("transformer", cycle_graph(4), ["--leftover", cycle_graph(5)]),
+    ("absorber", cycle_graph(4), ["--leftover", cycle_graph(4)]),
+    ("partite-abs", complete_graph(3), ["--b", "1"]),
+])
+def test_gadget_build_every_kind(tmp_path, kind, pattern, options):
+    options = [_write(tmp_path, "leftover.txt", o) if isinstance(o, Graph)
+               else o for o in options]
+    res = run(["gadget", "build", "--kind", kind,
+               "--pattern", _write(tmp_path, "pattern.txt", pattern),
+               *options])
+    assert res.exit_code == EXIT_OK, res.payload
+    assert res.payload["kind"] == kind
+    if kind != "partite-abs":       # the only kind without a verifier run
+        assert res.payload["verified"] is True
+    json.dumps(res.payload)
 
 
 def test_fractional_solve(tmp_path, monkeypatch):

@@ -107,7 +107,8 @@ def edge_outside_host(dec, k):
     gone = min(dec.copies[k].edge_image())
     host = dec.host.without_edges([gone])
     return Decomposition(host, dec.target_edges,
-                         [c.retarget(host) for c in dec.copies])
+                         [EmbeddedCopy(c.pattern, host, c.image)
+                          for c in dec.copies])
 
 
 def edge_outside_target(dec, k):
