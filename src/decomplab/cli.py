@@ -152,7 +152,7 @@ def _usage(why: str) -> CommandResult:
     return CommandResult("error", {"error": "usage"}, [why], EXIT_USAGE)
 
 
-def run(argv, stdin=b"") -> CommandResult:
+def run(argv) -> CommandResult:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -192,7 +192,6 @@ def generate_halves_family(f: Graph, m: int) -> ExtremalInstance:
     for base, anchor in ((0, 0), (half, half)):
         vmap = {}
         vmap[q_vertex] = anchor
-        nxt = base + 1 if anchor == base else base
         pool = iter(v for v in range(base, base + half) if v != anchor)
         for t in range(q_graph.n):
             if t == q_vertex:
@@ -341,10 +340,6 @@ def obstruction_check(f: Graph, g: Graph,
         classes = [set(c) for c in g.complement().components()]
         if len(classes) != inv.chi:
             return False
-        for a in range(g.n):
-            for bset in classes:
-                if a in bset:
-                    break
         # the graph must be complete multipartite over these classes
         expected = sum(len(a) * len(b) for i, a in enumerate(classes)
                        for b in classes[i + 1:])

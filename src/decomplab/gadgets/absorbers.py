@@ -2,8 +2,9 @@
 
 The chain construction attaches pattern copies to the leftover, expands it
 into a subdivided/attached pair of shapes sharing a common regular preimage,
-and concatenates four transformers so that either everything or everything-
-plus-the-leftover falls apart into pattern copies.
+and places four transformers between those shapes in the absorber's own
+gadget space, so that either everything or everything-plus-the-leftover
+falls apart into pattern copies.
 
 The partite neighbourhood absorber targets star covers instead: a coloured
 gadget able to swallow a prescribed bundle of extra edges at one vertex.
@@ -20,7 +21,7 @@ from ..graphs import (Decomposition, EmbeddedCopy, Graph, GraphMap,
 from ..invariants import (chromatic_number, colouring_invariants,
                           proper_colourings)
 from .compose import GadgetSpace
-from .transformers import build_transformer, _pick_c6_switcher
+from .transformers import _pick_c6_switcher, _place_transformer
 from .switchers import build_k2r_switcher
 from .types import CertifiedAbsorber
 
@@ -42,11 +43,12 @@ class _Expanded:
     h_n: int                    # leftover vertices occupy ids 0..h_n-1
     blocks: list                # per edge: (x, y, base offset of its copy)
     uv: tuple                   # the pattern edge that gets cut
+    pattern: Graph
 
     def to_attached(self) -> tuple[Graph, GraphMap]:
         """Identify each copy's v-end with the edge's tail: the attached
         shape (leftover plus pendant copies)."""
-        u, v = self.uv
+        v = self.uv[1]
         f_n = self.pattern.n
         # attached graph vertex ids: leftover keeps 0..h_n-1; copy i keeps
         # its block but drops v (merged into x)
@@ -90,8 +92,6 @@ class _Expanded:
         loop = Graph(nxt, edges)
         return loop, GraphMap(self.graph, loop, tuple(img))
 
-    pattern: Graph = None
-
 
 def _expand(f: Graph, h: Graph, uv: tuple) -> _Expanded:
     """One pattern copy per oriented leftover edge, with the chosen pattern
@@ -110,9 +110,7 @@ def _expand(f: Graph, h: Graph, uv: tuple) -> _Expanded:
         edges.add(norm_edge(x, off + u))
         edges.add(norm_edge(y, off + v))
         blocks.append((x, y, off))
-    ex = _Expanded(Graph(nxt, edges), h.n, blocks, uv)
-    ex.pattern = f
-    return ex
+    return _Expanded(Graph(nxt, edges), h.n, blocks, uv, f)
 
 
 def _split_to_regular(g: Graph, r: int) -> tuple[Graph, GraphMap]:
@@ -187,20 +185,9 @@ def build_absorber(f: Graph, h: Graph,
     if est > guard:
         raise SizeGuardError(f"projected absorber size ~{est} exceeds {guard}")
 
-    star = build_k2r_switcher(f, r)
-    c6 = _pick_c6_switcher(f)
-
-    def transformer(src: Graph, dst_map: GraphMap):
-        return build_transformer(f, src, dst_map,
-                                 c6_switcher=c6, star_switcher=star)
-
-    t1 = transformer(h0, to_att)       # preimage <-> attached(h)
-    t2 = transformer(h0, to_loop)      # preimage <-> bouquet
-    t3 = transformer(pf0, pf_to_att)   # pf preimage <-> attached(pf)
-    t4 = transformer(pf0, pf_to_loop)  # pf preimage <-> bouquet
-
     # assemble the universe: the leftover block first, then every shared
-    # shape planted once, then transformer interiors
+    # shape planted once, then the four transformers' interiors.  The side
+    # `cert1` decomposes A, the side `cert2` decomposes A + H.
     space = GadgetSpace()
     h_ids = space.fresh(h.n)
 
@@ -221,71 +208,34 @@ def build_absorber(f: Graph, h: Graph,
     pf0_map = plant(pf0, {})
     pf_att_map = plant(pf_att, {})
 
-    def plant_transformer(tr, src_map, dst_map, src_n):
-        """Plant a transformer whose universe starts with its source block
-        and then its target block; interiors fresh.  Returns the two copy
-        lists remapped into the absorber universe."""
-        vmap = [-1] * tr.cert_h.host.n
-        for x in range(src_n):
-            vmap[x] = src_map[x]
-        for x in range(len(dst_map)):
-            vmap[src_n + x] = dst_map[x]
-        for x in range(len(vmap)):
-            if vmap[x] == -1:
-                vmap[x] = space.fresh_one()
-        for a, b in tr.t.edges:
-            space.add_edge(vmap[a], vmap[b])
-        remap = lambda copies: [(c.pattern, tuple(vmap[t] for t in c.image))
-                                for c in copies]
-        return remap(tr.cert_h.copies), remap(tr.cert_hp.copies)
+    star = build_k2r_switcher(f, r)
+    c6 = _pick_c6_switcher(f)
+    # T1: preimage + T1 in A, h + attached(h) + T1 in A + H;
+    # T2: bouquet + T2 in A, preimage + T2 in A + H;
+    # T3: attached(pf) + T3 in A, pf preimage + T3 in A + H;
+    # T4: pf preimage + T4 in A, bouquet + T4 in A + H
+    for src, phi, src_map, dst_map, swap in (
+            (h0, to_att, h0_map, att_map, False),
+            (h0, to_loop, h0_map, loop_map, True),
+            (pf0, pf_to_att, pf0_map, pf_att_map, True),
+            (pf0, pf_to_loop, pf0_map, loop_map, False)):
+        _place_transformer(space, f, src, phi, src_map, dst_map, star, c6,
+                           swap)
 
-    t1_h0, t1_att = plant_transformer(t1, h0_map, att_map, h0.n)
-    t2_h0, t2_loop = plant_transformer(t2, h0_map, loop_map, h0.n)
-    t3_pf0, t3_att = plant_transformer(t3, pf0_map, pf_att_map, pf0.n)
-    t4_pf0, t4_loop = plant_transformer(t4, pf0_map, loop_map, pf0.n)
-
-    def block_copies(ex: _Expanded, shape_map) -> list:
-        """One pattern copy per block of an attached shape: the tail vertex
-        plays the cut edge's far end, the block supplies the rest."""
-        u, v = ex.uv
-        att, amap = ex.to_attached()
-        out = []
-        for x, y, off in ex.blocks:
-            img = [0] * f.n
-            for t in range(f.n):
-                img[t] = shape_map[amap.image[off + t]]
-            out.append((f, tuple(img)))
-        return out
-
-    h_edges_set = frozenset(norm_edge(h_ids[a], h_ids[b]) for a, b in h.edges)
-    a_graph = space.graph()
-    host_a = a_graph
-    host_ah = Graph(space.n, space.edges | h_edges_set)
-
-    copies_a = []
-    copies_a.extend(block_copies(ex_h, att_map))   # attached(h) minus h
-    copies_a.extend(t1_h0)                         # preimage + T1
-    copies_a.extend(t2_loop)                       # bouquet + T2
-    copies_a.extend(t4_pf0)                        # pf preimage + T4
-    copies_a.extend(t3_att)                        # attached(pf) + T3
-
-    copies_ah = []
-    copies_ah.extend(t1_att)                       # h + attached(h) + T1
-    copies_ah.extend(t2_h0)                        # preimage + T2
-    copies_ah.extend(t4_loop)                      # bouquet + T4
-    copies_ah.extend(t3_pf0)                       # pf preimage + T3
-    copies_ah.extend(block_copies(ex_pf, pf_att_map))
+    # one pattern copy per block of an attached shape: the tail vertex plays
+    # the cut edge's far end, the block supplies the rest
+    for tag, ex, amap, shape_map in (("cert1", ex_h, map_att, att_map),
+                                     ("cert2", ex_pf, map_pf_att, pf_att_map)):
+        for _, _, off in ex.blocks:
+            space.record(tag, f, [shape_map[amap.image[off + t]]
+                                  for t in range(f.n)])
     for j in range(p):                             # the p standalone copies
-        copies_ah.append(
-            (f, tuple(pf_att_map[j * f.n + t] for t in range(f.n))))
+        space.record("cert2", f, pf_att_map[j * f.n:(j + 1) * f.n])
 
-    cert_a = Decomposition(host_a, host_a.edges,
-                           [EmbeddedCopy(pp, host_a, im)
-                            for pp, im in copies_a])
-    cert_ah = Decomposition(host_ah, host_ah.edges,
-                            [EmbeddedCopy(pp, host_ah, im)
-                             for pp, im in copies_ah])
-    return CertifiedAbsorber(a_graph, h_edges_set, cert_a, cert_ah)
+    h_edges = frozenset(norm_edge(h_ids[a], h_ids[b]) for a, b in h.edges)
+    cert_a = space.finalize("cert1")
+    return CertifiedAbsorber(cert_a.host, h_edges, cert_a,
+                             space.finalize("cert2", h_edges))
 
 
 # -- colour rotation and the partite neighbourhood absorber ---------------------

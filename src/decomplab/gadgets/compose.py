@@ -68,11 +68,9 @@ class GadgetSpace:
 @dataclass
 class GluedSwitcher:
     """A switcher instance placed in a space: vmap sends local ids to the
-    space; e1/e2 are the mapped root edge sets."""
+    space."""
 
     vmap: tuple
-    e1: frozenset
-    e2: frozenset
     cert1_copies: list            # list of (pattern, image in space)
     cert2_copies: list
 
@@ -94,12 +92,8 @@ def glue_switcher(space: GadgetSpace, sw, root_images) -> GluedSwitcher:
         if vmap[v] == -1:
             vmap[v] = space.fresh_one()
     space.add_graph(m.graph, vmap)
-    remap_e = lambda es: frozenset([(vmap[u], vmap[v]) if vmap[u] < vmap[v]
-                                    else (vmap[v], vmap[u]) for u, v in es])
     return GluedSwitcher(
         tuple(vmap),
-        remap_e(sw.e1),
-        remap_e(sw.e2),
         [(c.pattern, tuple(vmap[x] for x in c.image)) for c in sw.cert1.copies],
         [(c.pattern, tuple(vmap[x] for x in c.image)) for c in sw.cert2.copies],
     )

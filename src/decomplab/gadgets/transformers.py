@@ -8,7 +8,7 @@ edge across.  Both certificates fall out of the two ways of switching.
 
 from __future__ import annotations
 
-from ..errors import DomainError, InputError
+from ..errors import DecompLabError, DomainError, InputError
 from ..graphs import Graph, GraphMap, degree_gcd_of, norm_edge
 from ..invariants import tau_of
 from .compose import GadgetSpace, glue_switcher
@@ -22,18 +22,20 @@ def _pick_c6_switcher(f: Graph):
             if tau_of(f) == 1:
                 from .bipartite_c6 import build_c6_switcher_bipartite
                 return build_c6_switcher_bipartite(f)
-        except Exception:
+        except DecompLabError:
             pass
     return build_c6_switcher_general(f)
 
 
-def build_transformer(f: Graph, h: Graph, phi: GraphMap,
-                      c6_switcher=None, star_switcher=None) -> CertifiedTransformer:
-    """Gadget transforming the leftover `h` into its edge-bijective image.
+def _place_transformer(space: GadgetSpace, f: Graph, h: Graph, phi: GraphMap,
+                       h_ids, hp_ids, star, c6, swap: bool) -> None:
+    """Place a transformer for `h` and its image under `phi` into `space`.
 
-    `phi` maps h onto h'; the two graphs land on disjoint vertex blocks of
-    the gadget universe and stay independent inside it.  Prebuilt switchers
-    can be passed in to share work across several transformers.
+    `h_ids` and `hp_ids` are the space vertices of h's and phi.target's
+    blocks; every other vertex is fresh and neither leftover's edges join the
+    space.  `star` and `c6` are the pattern's k2r and six-cycle switchers.
+    The copies that cover T + H are recorded on the side `cert1`, those
+    that cover T + H' on `cert2`; with `swap`, crosswise.
     """
     r = degree_gcd_of(f)
     if f.e < 2:
@@ -44,26 +46,17 @@ def build_transformer(f: Graph, h: Graph, phi: GraphMap,
         raise InputError("phi must map the given leftover")
     if not phi.is_edge_bijective():
         raise DomainError("phi must be an edge-bijective homomorphism")
-    hp = phi.target
-
-    space = GadgetSpace()
-    h_ids = space.fresh(h.n)
-    hp_ids = space.fresh(hp.n)
-    h_edges = frozenset(norm_edge(h_ids[a], h_ids[b]) for a, b in h.edges)
-    hp_edges = frozenset(norm_edge(hp_ids[a], hp_ids[b]) for a, b in hp.edges)
 
     # middle vertices: z[x][y] sits between x and phi(x), tagged by the
     # neighbour y it will be walked towards
     z = {x: {y: space.fresh_one() for y in sorted(h.adj[x])}
          for x in range(h.n)}
 
-    star = star_switcher or build_k2r_switcher(f, r)
-    c6 = c6_switcher or _pick_c6_switcher(f)
-
     for x in range(h.n):
         leaves = tuple(z[x][y] for y in sorted(h.adj[x]))
         space.take(glue_switcher(space, star,
-                                 leaves + (h_ids[x], hp_ids[phi.image[x]])))
+                                 leaves + (h_ids[x], hp_ids[phi.image[x]])),
+                   swap)
         for lv in leaves:
             space.add_edge(h_ids[x], lv)                 # towards h
             space.add_edge(hp_ids[phi.image[x]], lv)     # towards h'
@@ -73,8 +66,24 @@ def build_transformer(f: Graph, h: Graph, phi: GraphMap,
                  hp_ids[phi.image[b]], hp_ids[phi.image[a]], z[a][b])
         # the first switching covers {xy, x'z_xy, y'z_yx}, the second
         # {x'y', xz_xy, yz_yx}
-        space.take(glue_switcher(space, c6, roots))
+        space.take(glue_switcher(space, c6, roots), swap)
 
+
+def build_transformer(f: Graph, h: Graph, phi: GraphMap) -> CertifiedTransformer:
+    """Gadget transforming the leftover `h` into its edge-bijective image.
+
+    `phi` maps h onto h'; the two graphs land on disjoint vertex blocks of
+    the gadget universe and stay independent inside it.
+    """
+    space = GadgetSpace()
+    h_ids = space.fresh(h.n)
+    hp_ids = space.fresh(phi.target.n)
+    _place_transformer(space, f, h, phi, h_ids, hp_ids,
+                       build_k2r_switcher(f, degree_gcd_of(f)),
+                       _pick_c6_switcher(f), swap=False)
+    h_edges = frozenset(norm_edge(h_ids[a], h_ids[b]) for a, b in h.edges)
+    hp_edges = frozenset(norm_edge(hp_ids[a], hp_ids[b])
+                         for a, b in phi.target.edges)
     return CertifiedTransformer(space.graph(), h_edges, hp_edges,
                                 space.finalize("cert1", h_edges),
                                 space.finalize("cert2", hp_edges))

@@ -12,23 +12,24 @@ import random
 from .errors import DegreeError, DecompLabError
 from .graphs import Graph
 
+RESTARTS = 64
 
-def hamilton_cycle(host: Graph, seed: int = 0, require_dirac: bool = True,
-                   restarts: int = 64) -> list[int]:
+
+def hamilton_cycle(host: Graph, seed: int = 0) -> list[int]:
     """Return a Hamilton cycle as a vertex sequence (closing edge implicit).
 
-    Requires |host| >= 3 and, by default, min degree >= |host|/2.
+    Requires |host| >= 3 and min degree >= |host|/2.
     """
     n = host.n
     if n < 3:
         raise DegreeError("Hamilton cycles need at least 3 vertices")
-    if require_dirac and 2 * host.min_degree() < n:
+    if 2 * host.min_degree() < n:
         raise DegreeError(
             f"minimum degree {host.min_degree()} below Dirac bound {n}/2")
     rng = random.Random(seed)
     adj = host.adj
 
-    for attempt in range(restarts):
+    for attempt in range(RESTARTS):
         start = rng.randrange(n)
         path = [start]
         on_path = [False] * n
@@ -62,11 +63,8 @@ def hamilton_cycle(host: Graph, seed: int = 0, require_dirac: bool = True,
                 pos[v] = i + 1 + j
             stall += 1
         # restart with a new seed-derived start vertex
-    if require_dirac:
-        raise DecompLabError(
-            "rotation-extension failed under the Dirac condition; "
-            "this is a defect")
-    raise DegreeError("no Hamilton cycle found (precondition not guaranteed)")
+    raise DecompLabError(
+        "rotation-extension failed under the Dirac condition; this is a defect")
 
 
 def edge_disjoint_hamilton_cycles(host: Graph, count: int, seed: int = 0):

@@ -188,11 +188,10 @@ def _connected_mask(nbr, mask: int) -> bool:
     return seen == mask
 
 
-def tau_of(f: Graph, connected_only: bool = False,
-           guard: int = DEFAULT_SUBSET_GUARD) -> int:
-    """gcd of e(F[X]) over X that are not C4-supporting (optionally only over
-    X inducing connected subgraphs).  Plain subset scan with an early gcd==1
-    cutoff; the cutoff is exact since gcd can only shrink towards 1."""
+def tau_of(f: Graph, guard: int = DEFAULT_SUBSET_GUARD) -> int:
+    """gcd of e(F[X]) over X that are not C4-supporting.  Plain subset scan
+    with an early gcd==1 cutoff; the cutoff is exact since gcd can only
+    shrink towards 1."""
     if f.n > guard:
         raise SizeGuardError(f"subset enumeration guard: {f.n} > {guard}")
     nbr, edge_list = _support_masks(f)
@@ -200,8 +199,6 @@ def tau_of(f: Graph, connected_only: bool = False,
     for mask in range(1, 1 << f.n):
         cnt = _edges_inside_count(edge_list, mask)
         if cnt == 0:
-            continue
-        if connected_only and not _connected_mask(nbr, mask):
             continue
         if is_c4_supporting(f, mask, nbr, edge_list):
             continue

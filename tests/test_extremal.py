@@ -25,10 +25,15 @@ def test_reports_carry_the_min_degree_ratio(pattern, family, m):
 
 
 # From m=3 on, tau_23's claimed degree bound for C4 is positive, so the
-# generator's min-degree assertion is no longer vacuous.
-@pytest.mark.parametrize("m, bound", [(3, 3), (4, 11)])
-def test_c4_tau_23_meets_a_positive_degree_bound(m, bound):
-    inst = generate_extremal(cycle_graph(4), "tau_23", m)
+# generator's min-degree assertion is no longer vacuous; for K3,3 the first
+# scale with a positive bound is m=7 (n=125).
+@pytest.mark.parametrize("pattern, m, bound", [
+    pytest.param(cycle_graph(4), 3, 3, id="3-3"),
+    pytest.param(cycle_graph(4), 4, 11, id="4-11"),
+    pytest.param(complete_bipartite(3, 3), 7, 23, id="K33-7-23"),
+])
+def test_c4_tau_23_meets_a_positive_degree_bound(pattern, m, bound):
+    inst = generate_extremal(pattern, "tau_23", m)
     assert inst.report["claimed_bound"] == bound > 0
     assert inst.report["min_degree"] == inst.graph.min_degree() >= bound
 

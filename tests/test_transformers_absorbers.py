@@ -91,6 +91,20 @@ def test_transformer_nontrivial_edge_bijection():
     assert ok, why
 
 
+def test_transformer_does_not_hide_a_bipartite_switcher_defect(monkeypatch):
+    # P2 takes the bipartite six-cycle route; a defect there must surface,
+    # not fall back to the general switcher
+    from decomplab.gadgets import bipartite_c6
+
+    def broken(f):
+        raise AssertionError("defect in the bipartite route")
+
+    monkeypatch.setattr(bipartite_c6, "build_c6_switcher_bipartite", broken)
+    h = Graph(2, [(0, 1)])
+    with pytest.raises(AssertionError, match="bipartite route"):
+        build_transformer(path_graph(2), h, GraphMap(h, h, (0, 1)))
+
+
 # -- absorbers ----------------------------------------------------------------------
 
 
