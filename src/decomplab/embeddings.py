@@ -13,6 +13,9 @@ int with bit s set for each neighbour of rank s (`rank_masks`).  The
 candidates at a step are the AND of the masks of the placed neighbours'
 images minus the mask of used ranks, drawn lowest bit first; so images come
 in host order, lexicographically in their ranks along the placement order.
+The steps before the last keep their masks on a stack; the last step's mask
+is drawn in one tight loop that yields an image per bit, so a leaf costs a
+bit extraction and a tuple, not a round of the stack loop.
 
 Entry points: `enumerate_embeddings` (all of them, in host vertex ids; its
 `host_order` must be a permutation of the host vertices, else InputError,
@@ -111,7 +114,8 @@ def _search(pattern: Graph, masks, pins: dict,
     pattern -> host.
 
     `masks[r]` is the neighbour mask of the host vertex of rank r; pins map
-    pattern vertices to ranks.  Candidates are drawn lowest rank first.
+    pattern vertices to ranks.  Candidates are drawn lowest rank first;
+    those of the last placement step in one loop per placed prefix.
     `least_per_orbit` yields only the first image of each orbit under the
     automorphisms fixing the pins (`_orbit_bounds`).
     """
@@ -150,32 +154,46 @@ def _search(pattern: Graph, masks, pins: dict,
         for q in back[d]:
             m &= masks[image[q]]
         if after and after[d]:
-            lo = max(image[q] for q in after[d]) + 1
+            lo = max(map(image.__getitem__, after[d])) + 1
             m = m >> lo << lo
         return m
 
-    # one candidate mask per placement step; `used` holds the same ranks
-    # whenever a step draws from its mask
+    # one candidate mask per placement step but the last, on `stack`; `used`
+    # holds the same ranks whenever a step draws from its mask.  Once every
+    # earlier step is placed, the last step's mask is drawn in one loop; its
+    # image stays set after the loop, as no step's candidates read it.
     last = len(seq) - 1
-    stack = [candidates(0, used)]
-    while stack:
-        d = len(stack) - 1
-        p = seq[d]
-        if image[p] != -1:
-            used ^= 1 << image[p]
-            image[p] = -1
-        m = stack[d]
-        if not m:
-            stack.pop()
-            continue
-        low = m & -m
-        stack[d] = m ^ low
-        image[p] = low.bit_length() - 1
-        used |= low
+    p_last = seq[last]
+    stack: list[int] = []
+    d = 0       # the step to place next
+    while True:
         if d == last:
-            yield tuple(image)
+            m = candidates(last, used)
+            while m:
+                low = m & -m
+                m ^= low
+                image[p_last] = low.bit_length() - 1
+                yield tuple(image)
         else:
-            stack.append(candidates(d + 1, used))
+            stack.append(candidates(d, used))
+        # advance the deepest step that has a candidate left
+        while stack:
+            d = len(stack) - 1
+            p = seq[d]
+            if image[p] != -1:
+                used ^= 1 << image[p]
+                image[p] = -1
+            m = stack[d]
+            if m:
+                low = m & -m
+                stack[d] = m ^ low
+                image[p] = low.bit_length() - 1
+                used |= low
+                d += 1
+                break
+            stack.pop()
+        else:
+            return
 
 
 def enumerate_embeddings(pattern: Graph, host: Graph,

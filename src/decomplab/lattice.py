@@ -15,6 +15,8 @@ The test is sound and not complete: a ℤ-span obstruction that shows only
 modulo a prime power or modulo a prime not tried (Hermite or Smith normal
 forms would find those) goes unseen.  The primes tried are p = 2, then
 every prime dividing e(F) or the degree gcd of F (`lattice_primes`).
+The elimination holds its GF(2) vectors as int bitsets, one bit per edge,
+so that a row operation is one XOR; at odd p it holds sparse dicts.
 
 `exact_decompose` runs `lattice_refutation` once, when its search has
 visited |target| nodes without finishing: a search that never backtracks
@@ -66,14 +68,27 @@ def span_certificate(columns, rows: int, p: int,
     when the all-ones vector lies in the columns' span mod p, or when the
     deadline (a `time.monotonic()` value, read every 256 columns) passed.
 
-    Each column lists the rows where it holds a 1.  Gauss-Jordan over GF(p)
-    on sparse dict vectors: `basis` maps each pivot row to a vector with 1
-    there and 0 at every other pivot, and `rest` is the all-ones vector
-    reduced by the basis, so the elimination stops once `rest` is 0.
-    Otherwise y is read off the basis: 1/rest[s] at a non-pivot row s with
-    rest[s] ≢ 0, -b[s]/rest[s] at the pivot of each basis vector b, 0 at the
-    other rows.
+    Each column lists the rows where it holds a 1.  Gauss-Jordan over GF(p),
+    the columns in their order: `basis` maps each pivot row to a vector with
+    1 there and 0 at every other pivot, a new vector's pivot is its lowest
+    nonzero row, and `rest` is the all-ones vector reduced by the basis, so
+    the elimination stops once `rest` is 0.  Otherwise y is read off the
+    basis: 1/rest[s] at the lowest row s with rest[s] ≢ 0, -b[s]/rest[s] at
+    the pivot of each basis vector b, 0 at the other rows.
+
+    At p = 2 the vectors are int bitsets (bit j is row j) and a row
+    operation is one XOR (`_span_certificate_gf2`); at odd p they are
+    sparse dicts from row to residue (`_span_certificate_dicts`).  Both
+    give the same y at p = 2.
     """
+    if p == 2:
+        return _span_certificate_gf2(columns, rows, deadline)
+    return _span_certificate_dicts(columns, rows, p, deadline)
+
+
+def _span_certificate_dicts(columns, rows: int, p: int,
+                            deadline: Optional[float]) -> Optional[list[int]]:
+    """`span_certificate` on sparse dict vectors, any prime p."""
     basis: dict[int, dict[int, int]] = {}
     rest = dict.fromkeys(range(rows), 1)
     for k, col in enumerate(columns):
@@ -113,6 +128,44 @@ def span_certificate(columns, rows: int, p: int,
     y[s] = inv
     for q, b in basis.items():
         y[q] = -b.get(s, 0) * inv % p
+    return y
+
+
+def _span_certificate_gf2(columns, rows: int,
+                          deadline: Optional[float]) -> Optional[list[int]]:
+    """`span_certificate` at p = 2 on int bitsets.
+
+    Reducing a column by the basis replaces each of its pivot rows i by the
+    basis vector there minus its own pivot bit; eliminating a new pivot q
+    from a vector that holds bit q XORs the new vector into it.
+    """
+    basis: dict[int, int] = {}
+    rest = (1 << rows) - 1
+    for k, col in enumerate(columns):
+        if (deadline is not None and k % 256 == 255
+                and time.monotonic() > deadline):
+            return None
+        v = 0
+        for i in col:
+            bit = 1 << i
+            b = basis.get(i)
+            v ^= bit if b is None else b ^ bit
+        if not v:
+            continue
+        q = (v & -v).bit_length() - 1
+        for j, b in basis.items():
+            if b >> q & 1:
+                basis[j] = b ^ v
+        basis[q] = v
+        if rest >> q & 1:
+            rest ^= v
+            if not rest:
+                return None
+    s = (rest & -rest).bit_length() - 1
+    y = [0] * rows
+    y[s] = 1
+    for q, b in basis.items():
+        y[q] = b >> s & 1
     return y
 
 

@@ -132,14 +132,15 @@ def _copy_table(pattern: Graph, copies: list, n: int,
 
     `at[v][w]` is the index in `edges` of the edge vw; a copy's column is
     the tuple of the indices of its image edges, read off its `image` over
-    the pattern edges.
+    the pattern edges.  The table is built column-major: one list per
+    pattern edge over all images, zipped into the columns.
     """
     at: list[dict] = [{} for _ in range(n)]
     for i, (u, v) in enumerate(edges):
         at[u][v] = at[v][u] = i
-    pe = tuple(pattern.edges)
-    return at, [tuple([at[im[a]][im[b]] for a, b in pe])
-                for im in (c.image for c in copies)]
+    images = [c.image for c in copies]
+    return at, list(zip(*[[at[im[a]][im[b]] for im in images]
+                          for a, b in pattern.edges]))
 
 
 def _exact_cover(columns: list, n_items: int, primary,
@@ -263,7 +264,16 @@ def exact_decompose(pattern: Graph, host: Graph,
         want, seen, todo = set(vs[1:]), {vs[0]}, [vs[0]]
         while todo and want:
             v = todo.pop()
-            for w, i in at[v].items():
+            near = at[v]
+            # the edges to the wanted vertices first: in a dense host they
+            # end the walk before a scan of the whole neighbourhood
+            for t in [t for t in want if near.get(t) in uncovered]:
+                want.discard(t)
+                seen.add(t)
+                todo.append(t)
+            if not want:
+                break
+            for w, i in near.items():
                 if w not in seen and i in uncovered:
                     seen.add(w)
                     want.discard(w)

@@ -4,8 +4,9 @@ import pytest
 
 from decomplab.errors import DegreeError, InputError
 from decomplab.embeddings import (_orbit_bounds, _placement, _search,
-                                   enumerate_embeddings,
-                                   orbit_representatives, rank_masks)
+                                   enumerate_embeddings, find_embedding,
+                                   find_through_edge, orbit_representatives,
+                                   rank_masks)
 from decomplab.graphs import (Graph, GraphMap, complete_graph,
                               complete_bipartite, cycle_graph, path_graph)
 from decomplab.hamilton import hamilton_cycle, edge_disjoint_hamilton_cycles
@@ -294,3 +295,95 @@ def test_edge_disjoint_hamilton_cycles():
             assert e not in seen
             seen.add(e)
     assert rest.degrees() == [4] * 11
+
+
+# -- the kernel's last placement step, drawn in one loop ---------------------
+
+
+def ranked_brute_force(pattern, masks, pins, least_per_orbit):
+    """Independent oracle for `_search`: every injection into the ranks that
+    extends the pins and keeps the pattern edges, in rank order along the
+    placement order; with `least_per_orbit`, only the first of each orbit
+    under the automorphisms fixing the pins."""
+    seq, _ = _placement(pattern, frozenset(pins))
+    free = [p for p in range(pattern.n) if p not in pins]
+    rest = [r for r in range(len(masks)) if r not in pins.values()]
+    imgs = []
+    for pick in permutations(rest, len(free)):
+        img = [0] * pattern.n
+        for p, r in (*pins.items(), *zip(free, pick)):
+            img[p] = r
+        if all(masks[img[u]] >> img[v] & 1 for u, v in pattern.edges):
+            imgs.append(tuple(img))
+    imgs.sort(key=lambda img: [img[p] for p in seq])
+    if not least_per_orbit:
+        return imgs
+    auts = automorphisms(pattern, fixed=tuple(pins))
+    seen, out = set(), []
+    for img in imgs:
+        if img not in seen:
+            out.append(img)
+            seen.update(tuple(img[s[x]] for x in range(pattern.n))
+                        for s in auts)
+    return out
+
+
+KERNEL_PATTERNS = [complete_graph(3), cycle_graph(4), path_graph(2),
+                   complete_graph(4), ORBIT_PATTERNS["paw"],
+                   SYMMETRY_PATTERNS["K1+K3"]]
+
+
+@pytest.mark.parametrize("least_per_orbit", [False, True])
+@pytest.mark.parametrize("unpinned", ["none", "one", "several"])
+def test_kernel_matches_brute_force_in_rank_order(unpinned, least_per_orbit):
+    import random
+    rng = random.Random(17)
+    for _ in range(30):
+        n = rng.randint(4, 7)
+        host = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                         if rng.random() < 0.7])
+        order = list(range(n))
+        rng.shuffle(order)
+        masks = rank_masks(host.adj, order)
+        for pattern in KERNEL_PATTERNS:
+            if pattern.n > n:
+                continue
+            ranks = rng.sample(range(n), pattern.n)
+            free = {"none": 0, "one": 1,
+                    "several": rng.randint(2, pattern.n)}[unpinned]
+            pins = dict(list(enumerate(ranks))[free:])
+            got = list(_search(pattern, masks, pins, least_per_orbit))
+            assert got == ranked_brute_force(pattern, masks, pins,
+                                             least_per_orbit)
+
+
+def test_first_hit_stops_mid_batch_with_the_same_image():
+    import random
+    rng = random.Random(19)
+    mid_batch = 0
+    for _ in range(15):
+        n = rng.randint(5, 8)
+        host = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                         if rng.random() < 0.8])
+        order = list(range(n))
+        rng.shuffle(order)
+        rank = {h: r for r, h in enumerate(order)}
+        masks = rank_masks(host.adj, order)
+        for pattern in KERNEL_PATTERNS[:5]:
+            if pattern.n > n:
+                continue
+            for u, v in sorted(host.edges):
+                ru, rv = rank[u], rank[v]
+                # every arc in turn, as find_through_edge promises
+                per_arc = [ranked_brute_force(pattern, masks,
+                                              {p: ru, q: rv}, False)
+                           for a, b in sorted(pattern.edges)
+                           for p, q in ((a, b), (b, a))]
+                first = next((hits for hits in per_arc if hits), [None])
+                assert find_through_edge(pattern, masks, ru, rv) == first[0]
+                # one step left: the hit is the first bit of a longer batch
+                mid_batch += pattern.n == 3 and len(first) > 1
+            whole = ranked_brute_force(pattern, masks, {}, False)
+            assert find_embedding(pattern, masks, {}) == (
+                whole[0] if whole else None)
+    assert mid_batch

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import product
 
 import pytest
 
@@ -7,9 +8,9 @@ from decomplab.divisibility import check_divisibility
 from decomplab.extremal import generate_extremal
 from decomplab.graphs import (Graph, complete_bipartite, complete_graph,
                               cycle_graph, norm_edge, path_graph)
-from decomplab.lattice import (LatticeCertificate, lattice_primes,
-                               lattice_refutation, span_certificate,
-                               verify_lattice_certificate)
+from decomplab.lattice import (LatticeCertificate, _span_certificate_dicts,
+                               lattice_primes, lattice_refutation,
+                               span_certificate, verify_lattice_certificate)
 from decomplab.solver import (SAT, UNSAT_EXHAUSTED, UNSAT_LATTICE,
                               candidate_copies, exact_decompose)
 
@@ -70,8 +71,34 @@ def test_elimination_gives_up_at_the_deadline():
     cols = _columns(C4, g)
     assert span_certificate(cols, g.e, 2) is not None
     past = time.monotonic() - 1
+    # p = 2 runs on bitsets, the dict vectors serve every odd p
     assert span_certificate(cols, g.e, 2, deadline=past) is None
+    assert _span_certificate_dicts(cols, g.e, 2, deadline=past) is None
     assert lattice_refutation(C4, cols, g.e, deadline=past) == (None, ())
+
+
+def _gf2_certificates(columns, rows):
+    """Brute force: every y in GF(2)^rows with yᵀc ≡ 0 for each column c
+    and Σy ≡ 1."""
+    return {y for y in product((0, 1), repeat=rows)
+            if sum(y) % 2
+            and not any(sum(y[i] for i in c) % 2 for c in columns)}
+
+
+def test_gf2_elimination_matches_brute_force():
+    rng = random.Random(3)
+    outcomes = set()
+    for _ in range(300):
+        rows = rng.randint(1, 10)
+        cols = [rng.sample(range(rows), rng.randint(1, rows))
+                for _ in range(rng.randint(0, 12))]
+        y = span_certificate(cols, rows, 2)
+        ys = _gf2_certificates(cols, rows)
+        assert (y is None) == (not ys)
+        assert y is None or tuple(y) in ys
+        assert y == _span_certificate_dicts(cols, rows, 2, None)
+        outcomes.add(y is None)
+    assert outcomes == {True, False}
 
 
 def test_primes_tried_are_recorded_when_none_refutes():

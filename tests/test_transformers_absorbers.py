@@ -63,14 +63,13 @@ def test_transformer_figure_instance():
 
 
 def test_transformer_fold_map():
-    # an edge-bijective fold: C6 onto two triangles is not edge-bijective
-    # (odd identifications collapse), so the builder must reject a non
-    # edge-bijective map
-    h = cycle_graph(6).minus(cycle_graph(6))  # empty graph, degree 0 != r
-    with pytest.raises(DomainError):
-        build_transformer(K3, Graph(3, [(0, 1)]),
-                          GraphMap(Graph(3, [(0, 1)]), Graph(2, [(0, 1)]),
-                                   (0, 1, 0)))
+    # C6 wound twice round C3 is a homomorphism onto a 2-regular leftover of
+    # K3's degree gcd, but it maps two edges onto each triangle edge, so the
+    # builder must reject it as not edge-bijective
+    fold = GraphMap(cycle_graph(6), cycle_graph(3), (0, 1, 2, 0, 1, 2))
+    assert fold.is_homomorphism() and not fold.is_edge_bijective()
+    with pytest.raises(DomainError, match="edge-bijective"):
+        build_transformer(K3, cycle_graph(6), fold)
 
 
 def test_transformer_rejects_bad_phi():
