@@ -17,12 +17,13 @@ The steps before the last keep their masks on a stack; the last step's mask
 is drawn in one tight loop that yields an image per bit, so a leaf costs a
 bit extraction and a tuple, not a round of the stack loop.
 
-Entry points: `enumerate_embeddings` (all of them, in host vertex ids; its
-`host_order` must be a permutation of the host vertices, else InputError,
-and without one the ranks are the ids; `dedup_by_edges` keeps one per image
-edge set, as the solvers need), `find_embedding` (the first, over rank
-masks and rank pins) and `find_through_edge` (the first through the host
-edge between two ranks).
+Entry points: `enumerate_embeddings` (all of them, as image tuples in host
+vertex ids; its `host_order` must be a permutation of the host vertices,
+else InputError, and without one the ranks are the ids; `dedup_by_edges`
+keeps one per image edge set, as the solvers need), `find_embedding` (the
+first, over rank masks and rank pins) and `find_through_edge` (the first
+through the host edge between two ranks).  No entry point builds an
+`EmbeddedCopy`: callers wrap only the images they hand out.
 
 Orbit rule: pinning a pattern vertex or arc succeeds exactly when pinning
 any other member of its Aut(F)-orbit does, so pinned callers try only the
@@ -41,10 +42,11 @@ edge-set dedup keeps; so `dedup_by_edges` visits one embedding per copy
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice
 from typing import Iterator, Optional
 
 from .errors import InputError
-from .graphs import EmbeddedCopy, Graph
+from .graphs import Graph
 
 
 def host_ranks(order) -> list[int]:
@@ -200,8 +202,11 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
                          pins: Optional[dict] = None,
                          limit: Optional[int] = None,
                          host_order=None,
-                         dedup_by_edges: bool = False) -> list[EmbeddedCopy]:
-    """All labelled embeddings of `pattern` into `host` extending `pins`.
+                         dedup_by_edges: bool = False
+                         ) -> list[tuple[int, ...]]:
+    """The images, in host vertex ids, of all labelled embeddings of
+    `pattern` into `host` extending `pins`; only the first `limit` of them
+    when `limit` is given (a negative `limit` raises InputError).
 
     Complete and ordered by `host_order` (default: ascending ids), which
     must be a permutation of the host vertices.  With `dedup_by_edges`, the
@@ -210,6 +215,8 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
     fixing the pins, which leaves one per edge set unless the pattern has
     an isolated vertex; only then are edge sets compared as well.
     """
+    if limit is not None and limit < 0:
+        raise InputError(f"limit must be nonnegative, not {limit}")
     pins = dict(pins) if pins else {}
     if host_order is None:
         order = None
@@ -223,22 +230,23 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
         masks = rank_masks(host.adj, order)
         # an out-of-range pin stays as it is for the kernel to reject
         pins = {p: rank.get(h, h) for p, h in pins.items()}
-    out = []
+    images = _search(pattern, masks, pins, least_per_orbit=dedup_by_edges)
+    if order is not None:
+        images = (tuple([order[r] for r in img]) for img in images)
+    if dedup_by_edges and 0 in pattern.degrees():
+        images = _first_per_edge_set(pattern, images)
+    return list(islice(images, limit))
+
+
+def _first_per_edge_set(pattern: Graph, images) -> Iterator[tuple[int, ...]]:
+    """The images whose edge set no earlier image has."""
     seen = set()
-    compare = dedup_by_edges and 0 in pattern.degrees()
-    for img in _search(pattern, masks, pins, least_per_orbit=dedup_by_edges):
-        if order is not None:
-            img = tuple([order[r] for r in img])
-        if compare:
-            key = frozenset([(img[u], img[v]) if img[u] < img[v]
-                             else (img[v], img[u]) for u, v in pattern.edges])
-            if key in seen:
-                continue
+    for img in images:
+        key = frozenset([(img[u], img[v]) if img[u] < img[v]
+                         else (img[v], img[u]) for u, v in pattern.edges])
+        if key not in seen:
             seen.add(key)
-        out.append(EmbeddedCopy(pattern, host, img))
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+            yield img
 
 
 def find_embedding(pattern: Graph, masks, pins: dict

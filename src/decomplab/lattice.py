@@ -208,10 +208,9 @@ def verify_lattice_certificate(pattern: Graph, host: Graph, target,
     if sum(y) % p == 0:
         return False, f"the entries sum to 0 mod {p}"
     weight = dict(zip(edges, y))
-    for c in enumerate_embeddings(pattern, Graph(host.n, edges)):
-        im = c.image
+    for im in enumerate_embeddings(pattern, Graph(host.n, edges)):
         total = sum(weight[norm_edge(im[u], im[v])]
                     for u, v in pattern.edges) % p
         if total:
-            return False, f"copy {c.image} sums to {total} mod {p}"
+            return False, f"copy {im} sums to {total} mod {p}"
     return True, None

@@ -4,7 +4,10 @@ Each solve builds one copy table (`_copy_table`) over the deduplicated
 candidate copies: the edges in sorted order, an edge index per vertex, and
 one column per copy, the tuple of its image edges' indices.  Every consumer
 reads the columns: the exact-cover core, the divisibility prune, the lattice
-test and the fractional incidence.
+test and the fractional incidence.  Candidates are image tuples straight
+from the embedding kernel; an `EmbeddedCopy` is built only for a copy that
+a result hands out (the chosen columns of an exact or star cover, and every
+column of a fractional solution, whose weights are aligned with them).
 
 Both exact questions run on one iterative exact-cover core, `_exact_cover`,
 over integer items (edge indices): primary items are covered exactly once,
@@ -83,8 +86,10 @@ class FractionalResult:
 
 
 def candidate_copies(pattern: Graph, host: Graph, target: frozenset,
-                     through_vertex: Optional[int] = None) -> list[EmbeddedCopy]:
-    """Deduplicated copies (one per image edge set) lying inside `target`.
+                     through_vertex: Optional[int] = None
+                     ) -> list[tuple[int, ...]]:
+    """The images (tuples of host vertices) of the deduplicated copies, one
+    per image edge set, lying inside `target`.
 
     With `through_vertex`, only copies whose image contains that vertex: the
     first pattern vertex of each Aut(F)-orbit is pinned there in turn.  Two
@@ -98,12 +103,9 @@ def candidate_copies(pattern: Graph, host: Graph, target: frozenset,
         vertices = tuple((p,) for p in range(pattern.n))
         pins = [{p: through_vertex}
                 for (p,) in orbit_representatives(pattern, vertices)]
-    copies = [c for pin in pins
-              for c in enumerate_embeddings(pattern, sub, pins=pin,
+    return [img for pin in pins
+            for img in enumerate_embeddings(pattern, sub, pins=pin,
                                             dedup_by_edges=True)]
-    if sub is not host:
-        copies = [EmbeddedCopy(pattern, host, c.image) for c in copies]
-    return copies
 
 
 def _component_edge_counts(n: int, edges) -> list[int]:
@@ -126,19 +128,18 @@ def _component_edge_counts(n: int, edges) -> list[int]:
     return list(cnt.values())
 
 
-def _copy_table(pattern: Graph, copies: list, n: int,
+def _copy_table(pattern: Graph, images: list, n: int,
                 edges: list) -> tuple[list[dict], list[tuple[int, ...]]]:
-    """The edge index of `edges` and one column per copy.
+    """The edge index of `edges` and one column per copy image.
 
     `at[v][w]` is the index in `edges` of the edge vw; a copy's column is
-    the tuple of the indices of its image edges, read off its `image` over
+    the tuple of the indices of its image edges, read off its image over
     the pattern edges.  The table is built column-major: one list per
     pattern edge over all images, zipped into the columns.
     """
     at: list[dict] = [{} for _ in range(n)]
     for i, (u, v) in enumerate(edges):
         at[u][v] = at[v][u] = i
-    images = [c.image for c in copies]
     return at, list(zip(*[[at[im[a]][im[b]] for im in images]
                           for a, b in pattern.edges]))
 
@@ -315,7 +316,8 @@ def exact_decompose(pattern: Graph, host: Graph,
                                       dead if pattern.is_connected() else None,
                                       refute=refute)
     if chosen is not None:
-        dec = Decomposition(host, target, [cands[i] for i in chosen])
+        copies = [EmbeddedCopy(pattern, host, cands[i]) for i in chosen]
+        dec = Decomposition(host, target, copies)
         return SolveResult(SAT, dec, nodes=nodes, primes_tried=tried)
     if cert is not None:
         return SolveResult(UNSAT_LATTICE, nodes=nodes, lattice=cert,
@@ -403,7 +405,9 @@ def fractional_decompose(pattern: Graph, host: Graph, mode: str = "rational",
         status, v = solve_equalities_box_float(rows, [1.0] * len(edges),
                                                tolerance)
     if status == FEASIBLE:
-        return FractionalResult(FEASIBLE, FractionalDecomposition(cands, v, mode))
+        copies = [EmbeddedCopy(pattern, host, img) for img in cands]
+        return FractionalResult(FEASIBLE,
+                                FractionalDecomposition(copies, v, mode))
     return FractionalResult(status, farkas=v)
 
 
@@ -487,7 +491,7 @@ def cover_vertex(pattern: Graph, host: Graph, x: int,
     chosen, nodes, hit = _exact_cover(columns, len(edges), star_items,
                                       _deadline(timeout))
     if chosen is not None:
-        copies = [cands[i] for i in chosen]
+        copies = [EmbeddedCopy(pattern, host, cands[i]) for i in chosen]
         covered = frozenset(edges[e] for i in chosen for e in columns[i])
         return SolveResult(SAT, Decomposition(host, covered, copies),
                            nodes=nodes)

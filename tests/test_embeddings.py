@@ -1,3 +1,4 @@
+import hashlib
 from itertools import permutations
 
 import pytest
@@ -7,8 +8,9 @@ from decomplab.embeddings import (_orbit_bounds, _placement, _search,
                                    enumerate_embeddings, find_embedding,
                                    find_through_edge, orbit_representatives,
                                    rank_masks)
-from decomplab.graphs import (Graph, GraphMap, complete_graph,
-                              complete_bipartite, cycle_graph, path_graph)
+from decomplab.graphs import (EmbeddedCopy, Graph, GraphMap, complete_graph,
+                              complete_bipartite, cycle_graph, norm_edge,
+                              path_graph)
 from decomplab.hamilton import hamilton_cycle, edge_disjoint_hamilton_cycles
 
 
@@ -21,15 +23,20 @@ def brute_force_embeddings(pattern, host):
     return out
 
 
+def edge_set(pattern, img):
+    """The host edges of the copy of `pattern` with image `img`."""
+    return frozenset(norm_edge(img[u], img[v]) for u, v in pattern.edges)
+
+
 def test_k3_in_k4_labelled_count():
     k3, k4 = complete_graph(3), complete_graph(4)
     oracle = brute_force_embeddings(k3, k4)
     assert len(oracle) == 24
     found = enumerate_embeddings(k3, k4)
     assert len(found) == 24
-    assert {c.image for c in found} == set(oracle)
+    assert set(found) == set(oracle)
     # 4 copies up to vertex set
-    assert len({frozenset(c.image) for c in found}) == 4
+    assert len({frozenset(img) for img in found}) == 4
     assert len(enumerate_embeddings(k3, k4, dedup_by_edges=True)) == 4
 
 
@@ -37,7 +44,7 @@ def test_single_edge_two_embeddings():
     k2 = Graph(2, [(0, 1)])
     host = Graph(2, [(0, 1)])
     found = enumerate_embeddings(k2, host)
-    assert sorted(c.image for c in found) == [(0, 1), (1, 0)]
+    assert sorted(found) == [(0, 1), (1, 0)]
 
 
 def test_no_room_is_empty():
@@ -47,10 +54,10 @@ def test_no_room_is_empty():
 def test_pins_respected_and_identity_found():
     c6 = cycle_graph(6)
     found = enumerate_embeddings(c6, c6, pins={0: 0, 1: 1})
-    assert any(c.image == tuple(range(6)) for c in found)
-    for c in found:
-        assert c.image[0] == 0 and c.image[1] == 1
-        assert c.is_valid()
+    assert any(img == tuple(range(6)) for img in found)
+    for img in found:
+        assert img[0] == 0 and img[1] == 1
+        assert EmbeddedCopy(c6, c6, img).is_valid()
 
 
 def test_pins_must_be_injective():
@@ -63,7 +70,7 @@ def test_limit_truncates_deterministically():
     k3, k6 = complete_graph(3), complete_graph(6)
     full = enumerate_embeddings(k3, k6)
     head = enumerate_embeddings(k3, k6, limit=7)
-    assert [c.image for c in head] == [c.image for c in full[:7]]
+    assert head == full[:7]
 
 
 def test_matches_brute_force_on_random_patterns():
@@ -76,7 +83,7 @@ def test_matches_brute_force_on_random_patterns():
                          if rng.random() < .6])
         host = Graph(hn, [(i, j) for i in range(hn) for j in range(i + 1, hn)
                           if rng.random() < .6])
-        got = {c.image for c in enumerate_embeddings(pat, host)}
+        got = set(enumerate_embeddings(pat, host))
         assert got == set(brute_force_embeddings(pat, host))
 
 
@@ -125,13 +132,13 @@ def automorphisms(pattern, fixed=()):
             and all(pattern.has_edge(s[u], s[v]) for u, v in pattern.edges)]
 
 
-def first_per_edge_set(copies):
+def first_per_edge_set(pattern, images):
     """Reference dedup: the first labelled embedding of each edge set."""
     seen, out = set(), []
-    for c in copies:
-        if c.edge_image() not in seen:
-            seen.add(c.edge_image())
-            out.append(c.image)
+    for img in images:
+        if edge_set(pattern, img) not in seen:
+            seen.add(edge_set(pattern, img))
+            out.append(img)
     return out
 
 
@@ -167,7 +174,7 @@ def test_dedup_enumeration_is_first_labelled_embedding_per_edge_set():
                 got = enumerate_embeddings(pattern, host, pins=pins,
                                            host_order=host_order,
                                            dedup_by_edges=True)
-                assert [c.image for c in got] == first_per_edge_set(labelled)
+                assert got == first_per_edge_set(pattern, labelled)
                 if 0 not in pattern.degrees():
                     # equal edge sets differ by an automorphism, so the
                     # kernel itself emits no embedding the dedup drops
@@ -177,7 +184,7 @@ def test_dedup_enumeration_is_first_labelled_embedding_per_edge_set():
                         pattern, rank_masks(host.adj, ranks),
                         {p: rank[h] for p, h in pins.items()},
                         least_per_orbit=True)]
-                    assert raw == [c.image for c in got]
+                    assert raw == got
 
 
 def test_dedup_enumeration_visits_one_embedding_per_copy(monkeypatch):
@@ -387,3 +394,54 @@ def test_first_hit_stops_mid_batch_with_the_same_image():
             assert find_embedding(pattern, masks, {}) == (
                 whole[0] if whole else None)
     assert mid_batch
+
+
+# -- golden enumeration panel --------------------------------------------------
+
+GOLDEN_PATTERNS = [complete_graph(3), cycle_graph(4), complete_bipartite(3, 3),
+                   ORBIT_PATTERNS["paw"], SYMMETRY_PATTERNS["K3+K1"]]
+
+
+def golden_panel():
+    """(pattern, host, keyword arguments) of `enumerate_embeddings` calls on
+    seeded hosts: with and without pins, `host_order` and `dedup_by_edges`."""
+    import random
+    rng = random.Random(1603)
+    for _ in range(8):
+        n = rng.randint(6, 8)
+        density = rng.uniform(0.5, 0.9)
+        host = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                         if rng.random() < density])
+        order = list(range(n))
+        rng.shuffle(order)
+        for pattern in GOLDEN_PATTERNS:
+            u, v = min(pattern.edges)
+            for pins in (None, {0: order[0]}, {u: order[1], v: order[2]}):
+                for host_order in (None, order):
+                    for dedup in (False, True):
+                        yield pattern, host, dict(pins=pins,
+                                                  host_order=host_order,
+                                                  dedup_by_edges=dedup)
+
+
+def test_enumeration_is_golden():
+    # digest of the image lists as the enumeration gave them when it still
+    # built one EmbeddedCopy per embedding: same images, order and dedup
+    runs = [enumerate_embeddings(pattern, host, **kw)
+            for pattern, host, kw in golden_panel()]
+    assert len(runs) == 480 and sum(map(len, runs)) == 83214
+    assert all(type(img) is tuple for run in runs for img in run)
+    digest = hashlib.sha256(repr(runs).encode()).hexdigest()[:16]
+    assert digest == "5f8b2bd07b53b108"
+
+
+def test_limit_zero_gives_no_embedding():
+    k3, k5 = complete_graph(3), complete_graph(5)
+    assert enumerate_embeddings(k3, k5, limit=0) == []
+    assert enumerate_embeddings(k3, k5, limit=1) == [(0, 1, 2)]
+
+
+@pytest.mark.parametrize("limit", [-1, -2])
+def test_negative_limit_is_rejected(limit):
+    with pytest.raises(InputError):
+        enumerate_embeddings(complete_graph(3), complete_graph(5), limit=limit)

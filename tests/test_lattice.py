@@ -22,8 +22,8 @@ PAW = Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])
 def _columns(pattern, g):
     """Each candidate copy's edge indices in sorted(E(g))."""
     index = {e: i for i, e in enumerate(sorted(g.edges))}
-    return [[index[e] for e in c.edge_image()]
-            for c in candidate_copies(pattern, g, g.edges)]
+    return [[index[norm_edge(img[u], img[v])] for u, v in pattern.edges]
+            for img in candidate_copies(pattern, g, g.edges)]
 
 
 def test_primes_are_two_then_those_of_the_edge_count_and_degree_gcd():

@@ -17,7 +17,7 @@ from decomplab.solver import (FEASIBLE, INDETERMINATE, INFEASIBLE, SAT,
                               UNSAT_LATTICE, candidate_copies, cover_vertex,
                               exact_decompose, fractional_decompose,
                               greedy_decompose, verify_decomposition)
-from test_embeddings import brute_force_embeddings
+from test_embeddings import GOLDEN_PATTERNS, brute_force_embeddings, edge_set
 
 K3 = complete_graph(3)
 C4 = cycle_graph(4)
@@ -391,7 +391,7 @@ def test_through_vertex_copies_match_brute_force():
         g = random_host(rng, f.n, 7)
         oracle = brute_force_embeddings(f, g)
         for x in range(g.n):
-            got = [c.edge_image() for c in
+            got = [edge_set(f, img) for img in
                    candidate_copies(f, g, g.edges, through_vertex=x)]
             want = {frozenset(norm_edge(img[u], img[v]) for u, v in f.edges)
                     for img in oracle if x in img}
@@ -466,8 +466,10 @@ def star_cover_status(pattern, host, x):
     if host.degree(x) % degree_gcd_of(pattern):
         return UNSAT_DIVISIBILITY
     star = frozenset(norm_edge(x, y) for y in host.adj[x])
-    options = [es for es in (c.edge_image() for c in candidate_copies(
-        pattern, host, host.edges, through_vertex=x)) if es & star]
+    options = [es for es in (edge_set(pattern, img) for img in
+                             candidate_copies(pattern, host, host.edges,
+                                              through_vertex=x))
+               if es & star]
 
     def cover(left, used):
         if not left:
@@ -497,7 +499,7 @@ def test_cover_vertex_hands_the_core_only_copies_through_the_star(monkeypatch):
         for x in range(g.n):
             if not g.degree(x):
                 continue
-            isolated_on_x += sum(c.image[3] == x for c in candidate_copies(
+            isolated_on_x += sum(img[3] == x for img in candidate_copies(
                 tri_k1, g, g.edges, through_vertex=x))
             handed.clear()
             res = cover_vertex(tri_k1, g, x, timeout=10)
@@ -517,3 +519,47 @@ def test_cover_vertex_hands_the_core_only_copies_through_the_star(monkeypatch):
             assert star <= covered == res.decomposition.target_edges
     assert statuses == {SAT, UNSAT_EXHAUSTED, UNSAT_DIVISIBILITY}
     assert isolated_on_x
+
+
+# -- candidate images and the copies a result hands out -----------------------
+
+
+def test_candidate_images_are_golden():
+    # digest of the image lists as candidate_copies gave them when it still
+    # built EmbeddedCopy values: whole hosts, proper-subset targets, and
+    # copies through each vertex
+    rng = random.Random(4724)
+    runs = []
+    for _ in range(8):
+        n = rng.randint(6, 8)
+        host = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                         if rng.random() < 0.8])
+        target = frozenset(e for e in host.edges if rng.random() < 0.8)
+        for pattern in GOLDEN_PATTERNS:
+            for edges in (host.edges, target):
+                for x in (None, *range(n)):
+                    runs.append(candidate_copies(pattern, host, edges,
+                                                 through_vertex=x))
+    assert len(runs) == 620 and sum(map(len, runs)) == 10958
+    digest = hashlib.sha256(repr(runs).encode()).hexdigest()[:16]
+    assert digest == "b00dbd49fb85530f"
+
+
+def test_returned_copies_live_in_the_callers_host():
+    host = complete_graph(7)
+    triangle = {(0, 1), (0, 2), (1, 2)}
+    res = exact_decompose(K3, host, host.edges - triangle)
+    assert res.sat and len(res.decomposition.copies) == 6
+    assert verify_decomposition(res.decomposition) == (True, None)
+    star = cover_vertex(K3, host, 0)
+    assert star.sat and len(star.decomposition.copies) == 3
+    frac = fractional_decompose(K3, host)
+    assert frac.status == FEASIBLE
+    sol = frac.solution
+    assert len(sol.copies) == len(sol.weights) == 35
+    for c in [*res.decomposition.copies, *star.decomposition.copies,
+              *sol.copies]:
+        assert type(c) is EmbeddedCopy
+        assert c.host is host and c.pattern is K3
+    # the weights stay aligned with their copies: each edge carries 1
+    assert all(sol.weight_on_edge(e) == 1 for e in host.edges)
