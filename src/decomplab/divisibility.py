@@ -13,7 +13,7 @@ from .embeddings import find_embedding, host_ranks
 from .errors import (DegreeError, DomainError, InputError, ResourceError,
                      StructureError)
 from .graphs import Graph, complete_bipartite, degree_gcd_of, norm_edge
-from .hamilton import hamilton_cycle
+from .hamilton import edge_disjoint_hamilton_cycles
 
 
 @dataclass
@@ -214,15 +214,10 @@ def fix_edge_count(host: Graph, clique_part: list, pattern: Graph,
         raise DegreeError(
             f"clique part min degree {local.min_degree()} below "
             f"{need:.1f} needed for {cycles_needed} Hamilton cycles")
-    h_edges = set()
-    g = local
-    for i in range(cycles_needed):
-        cyc = hamilton_cycle(g, seed=seed + i)
-        ce = [(cyc[j], cyc[(j + 1) % np_]) for j in range(np_)]
-        g = g.without_edges(ce)
-        h_edges.update(norm_edge(vprime[u], vprime[v]) for u, v in ce)
-
-    h = Graph(host.n, h_edges)
+    cycles, _ = edge_disjoint_hamilton_cycles(local, cycles_needed,
+                                             seed=seed)
+    h = Graph(host.n, [(vprime[c[j - 1]], vprime[c[j]])
+                       for c in cycles for j in range(np_)])
     assert h.e % ef == e_target % ef
     assert all(d % r == 0 for d in h.degrees())
     assert h.max_degree() <= 2 * ef * r

@@ -354,15 +354,6 @@ class GraphMap:
             seen.add(e)
         return len(seen) == self.target.e == self.source.e
 
-    def is_isomorphism(self) -> bool:
-        if self.source.n != self.target.n or self.source.e != self.target.e:
-            return False
-        if len(set(self.image)) != self.source.n:
-            return False
-        im = self.image
-        return all(norm_edge(im[u], im[v]) in self.target.edges
-                   for u, v in self.source.edges)
-
     def compose(self, then: "GraphMap") -> "GraphMap":
         if then.source is not self.target and then.source != self.target:
             raise InputError("maps do not compose")

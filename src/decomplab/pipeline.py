@@ -118,12 +118,6 @@ class CoverDownResult:
     success: bool
     stats: list = field(default_factory=list)
 
-    def covered_edges(self) -> set:
-        out = set()
-        for c in self.copies:
-            out |= c.edge_image()
-        return out
-
 
 def cover_down(f: Graph, g: Graph, vortex: Vortex,
                seed: int = 0) -> CoverDownResult:

@@ -3,20 +3,23 @@
 Each solve builds one copy table (`_copy_table`) over the deduplicated
 candidate copies: the edges in sorted order, an edge index per vertex, and
 one column per copy, the tuple of its image edges' indices.  Every consumer
-reads the columns: the exact-cover core, the divisibility prune, the lattice
-test and the fractional incidence.  Candidates are image tuples straight
-from the embedding kernel; an `EmbeddedCopy` is built only for a copy that
-a result hands out (the chosen columns of an exact or star cover, and every
-column of a fractional solution, whose weights are aligned with them).
+reads the columns: the exact-cover core, the lattice test and the fractional
+incidence.  Candidates are image tuples straight from the embedding kernel;
+an `EmbeddedCopy` is built only for a copy that a result hands out (the
+chosen columns of an exact or star cover, and every column of a fractional
+solution, whose weights are aligned with them).
 
 Both exact questions run on one iterative exact-cover core, `_exact_cover`,
 over integer items (edge indices): primary items are covered exactly once,
 secondary items at most once, and the search branches on the primary item
 with the fewest live columns, the lowest index among ties.
-`exact_decompose` makes every target edge primary and prunes by
-divisibility; `cover_vertex` makes the star edges at the vertex primary and
-every other host edge secondary, and keeps only the copies whose column
-meets the star.
+`exact_decompose` makes every target edge primary; `cover_vertex` makes the
+star edges at the vertex primary and every other host edge secondary, and
+keeps only the copies whose column meets the star.
+
+Divisibility is checked once, before any search: for the whole target, and
+for a connected pattern also for each component of the target, since such
+a pattern decomposes each component on its own.
 
 Statuses keep the answers apart: `sat` comes with a decomposition that
 `verify_decomposition` checks, `unsat_divisibility` with the violated
@@ -72,11 +75,6 @@ class FractionalDecomposition:
     weights: list
     mode: str
 
-    def weight_on_edge(self, e):
-        e = norm_edge(*e)
-        return sum(w for c, w in zip(self.copies, self.weights)
-                   if e in c.edge_image())
-
 
 @dataclass
 class FractionalResult:
@@ -108,26 +106,6 @@ def candidate_copies(pattern: Graph, host: Graph, target: frozenset,
                                             dedup_by_edges=True)]
 
 
-def _component_edge_counts(n: int, edges) -> list[int]:
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    cnt = {}
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[rv] = ru
-            cnt[ru] = cnt.get(ru, 0) + cnt.pop(rv, 0) + 1
-        else:
-            cnt[ru] = cnt.get(ru, 0) + 1
-    return list(cnt.values())
-
-
 def _copy_table(pattern: Graph, images: list, n: int,
                 edges: list) -> tuple[list[dict], list[tuple[int, ...]]]:
     """The edge index of `edges` and one column per copy image.
@@ -145,7 +123,7 @@ def _copy_table(pattern: Graph, images: list, n: int,
 
 
 def _exact_cover(columns: list, n_items: int, primary,
-                 deadline: Optional[float] = None, dead=None,
+                 deadline: Optional[float] = None,
                  refute=None) -> tuple[Optional[list[int]], int, bool]:
     """Choose pairwise disjoint `columns` (tuples of items `0..n_items-1`)
     covering every `primary` item exactly once; any other item is
@@ -157,10 +135,6 @@ def _exact_cover(columns: list, n_items: int, primary,
     The search branches on the uncovered primary item with the fewest live
     columns, the lowest item first among ties; both sit in one int key,
     count * n_items + item, so the choice does not depend on set order.
-    `dead(uncovered, last)` may reject a node whose uncovered primary items
-    cannot be finished.  It is asked only where every uncovered primary item
-    has a live column; `last` is the column chosen to reach the node (None
-    at the root), so `dead` has accepted its parent.
     `refute()` is called once, when the search has visited len(primary)
     nodes without finishing; a true answer proves that no cover exists and
     ends the search there.
@@ -199,7 +173,6 @@ def _exact_cover(columns: list, n_items: int, primary,
     # one entry per chosen column: [live columns of the branching item,
     # position of the one chosen, the columns that choice killed]
     stack: list = []
-    last = None
     nodes = 0
     while True:
         nodes += 1
@@ -211,8 +184,7 @@ def _exact_cover(columns: list, n_items: int, primary,
         if refute is not None and nodes == len(primary) and refute():
             return None, nodes, False
         e0 = min(uncovered, key=key.__getitem__)
-        if key[e0] >= n_items and not (dead is not None
-                                       and dead(uncovered, last)):
+        if key[e0] >= n_items:
             stack.append([[j for j in by_item[e0] if live[j]], -1, None])
         while stack:
             level = stack[-1]
@@ -222,7 +194,6 @@ def _exact_cover(columns: list, n_items: int, primary,
             k += 1
             if k < len(choices):
                 level[1], level[2] = k, choose(choices[k])
-                last = columns[choices[k]]
                 break
             stack.pop()
         else:
@@ -239,9 +210,10 @@ def exact_decompose(pattern: Graph, host: Graph,
     """Partition `target_edges` (default all of E(host)) into copies of
     `pattern`, or prove impossibility.
 
-    Cheap divisibility obstructions are reported before any search; a
-    search still running after |target| nodes asks `lattice_refutation` for
-    a mod-p certificate once (`unsat_lattice`), unless the deadline passed.
+    Divisibility obstructions, of the whole target or (connected pattern)
+    of one of its components, are reported before any search; a search
+    still running after |target| nodes asks `lattice_refutation` for a
+    mod-p certificate once (`unsat_lattice`), unless the deadline passed.
     """
     if pattern.e < 2:
         raise InputError("pattern needs at least two edges")
@@ -253,54 +225,18 @@ def exact_decompose(pattern: Graph, host: Graph,
     report = check_divisibility(pattern, sub)
     if not (report.edge_divisible and report.degree_divisible):
         return SolveResult(UNSAT_DIVISIBILITY, report=report)
+    if pattern.is_connected():
+        # each component of the target is decomposed on its own
+        for comp in sub.components():
+            if (sum(map(sub.degree, comp)) // 2) % pattern.e:
+                piece = Graph(host.n, sub.induced_edges(comp))
+                return SolveResult(UNSAT_DIVISIBILITY,
+                                   report=check_divisibility(pattern, piece))
 
     deadline = _deadline(timeout)
     cands = candidate_copies(pattern, host, target)
     edges = sorted(target)
-    at, columns = _copy_table(pattern, cands, host.n, edges)
-    ef = pattern.e
-
-    def joined(vs, uncovered) -> bool:
-        """Whether the vertices `vs` share a component of `uncovered`."""
-        want, seen, todo = set(vs[1:]), {vs[0]}, [vs[0]]
-        while todo and want:
-            v = todo.pop()
-            near = at[v]
-            # the edges to the wanted vertices first: in a dense host they
-            # end the walk before a scan of the whole neighbourhood
-            for t in [t for t in want if near.get(t) in uncovered]:
-                want.discard(t)
-                seen.add(t)
-                todo.append(t)
-            if not want:
-                break
-            for w, i in near.items():
-                if w not in seen and i in uncovered:
-                    seen.add(w)
-                    want.discard(w)
-                    todo.append(w)
-        return not want
-
-    def dead(uncovered, last) -> bool:
-        """A component of the uncovered edges (at most 4000 of them) has an
-        edge count that is not a multiple of e(F).
-
-        Below a checked parent a count changes by e(F), keeping its residue,
-        unless removing the copy `last` split its component.  Every piece
-        left holds a vertex of that copy, so joined copy vertices mean no
-        split.  (No vertex can keep fewer uncovered edges than the least
-        pattern degree: its edges have live copies, which use that many.)
-        """
-        if len(uncovered) > 4000:
-            return False
-        if last is not None and len(uncovered) + ef <= 4000:
-            left = [v for v in {x for i in last for x in edges[i]}
-                    if any(i in uncovered for i in at[v].values())]
-            if len(left) < 2 or joined(left, uncovered):
-                return False
-        return any(c % ef for c in _component_edge_counts(
-            host.n, [edges[i] for i in uncovered]))
-
+    _, columns = _copy_table(pattern, cands, host.n, edges)
     cert, tried = None, ()
 
     def refute() -> bool:
@@ -312,9 +248,7 @@ def exact_decompose(pattern: Graph, host: Graph,
         return cert is not None
 
     chosen, nodes, hit = _exact_cover(columns, len(edges), range(len(edges)),
-                                      deadline,
-                                      dead if pattern.is_connected() else None,
-                                      refute=refute)
+                                      deadline, refute=refute)
     if chosen is not None:
         copies = [EmbeddedCopy(pattern, host, cands[i]) for i in chosen]
         dec = Decomposition(host, target, copies)

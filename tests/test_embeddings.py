@@ -244,7 +244,7 @@ def test_graph_map_properties():
     fold = GraphMap(c6, k2, (0, 1, 0, 1, 0, 1))
     assert fold.is_homomorphism()
     assert not fold.is_edge_bijective()
-    assert GraphMap(c6, c6, tuple(range(6))).is_isomorphism()
+    assert GraphMap(c6, c6, tuple(range(6))).is_edge_bijective()
     with pytest.raises(InputError):
         GraphMap(c6, k2, (0, 1, 0, 1, 0, 5))
 

@@ -65,7 +65,7 @@ def test_complete_multipartite():
 def test_graphmap_modes():
     c6 = cycle_graph(6)
     ident = GraphMap(c6, c6, tuple(range(6)))
-    assert ident.is_isomorphism()
+    assert ident.is_edge_bijective()
     # fold C6 onto a single edge via its 2-colouring
     k2 = Graph(2, [(0, 1)])
     fold = GraphMap(c6, k2, (0, 1, 0, 1, 0, 1))

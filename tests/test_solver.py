@@ -5,13 +5,17 @@ from fractions import Fraction
 
 import pytest
 
+from decomplab.cli import EXIT_UNSAT, run
+from decomplab.divisibility import check_divisibility
 from decomplab.embeddings import find_embedding, rank_masks
 from decomplab.errors import InputError
 from decomplab.extremal import generate_extremal
 from decomplab.graphs import (Decomposition, EmbeddedCopy, Graph,
                               complete_graph, complete_bipartite, cycle_graph,
-                              degree_gcd_of, norm_edge, path_graph)
+                              degree_gcd_of, disjoint_union, norm_edge,
+                              path_graph)
 from decomplab import solver
+from decomplab.graphio import serialize_edge_list
 from decomplab.solver import (FEASIBLE, INDETERMINATE, INFEASIBLE, SAT,
                               UNSAT_DIVISIBILITY, UNSAT_EXHAUSTED,
                               UNSAT_LATTICE, candidate_copies, cover_vertex,
@@ -105,45 +109,52 @@ def test_target_edges_subset():
         exact_decompose(K3, cycle_graph(4), target_edges={(0, 2)})
 
 
-def whole_graph_dead(pattern, n, uncovered):
-    """The prune rule over the whole uncovered graph: some vertex keeps
-    fewer edges than any pattern degree, or (connected pattern, at most 4000
-    edges) a component's edge count is not a multiple of e(F)."""
-    g = Graph(n, uncovered)
-    low = min(d for d in pattern.degrees() if d)
-    if any(0 < d < low for d in g.degrees()):
-        return True
-    return (pattern.is_connected() and len(uncovered) <= 4000
-            and any(len(g.induced_edges(c)) % pattern.e
-                    for c in g.components()))
+def _k88_minus_c6():
+    # K8,8 on 0..7 | 8..15 minus the 6-cycle 0-8-1-9-2-10: 58 edges, degrees
+    # 6 and 8
+    cyc = [0, 8, 1, 9, 2, 10]
+    return complete_bipartite(8, 8).without_edges(
+        zip(cyc, cyc[1:] + cyc[:1]))
 
 
-def test_local_prune_agrees_with_the_whole_graph_rule(monkeypatch):
-    core, seen = solver._exact_cover, []
+# Divisible hosts with two components whose edge counts are not multiples of
+# e(F): every degree is even and e(G) is a multiple of e(F), so only the
+# component rule refutes them.  Without it the C4 host times out.
+SPLIT_HOSTS = [
+    (C4, disjoint_union(_k88_minus_c6(), _k88_minus_c6()), 58 % 4),
+    (K3, disjoint_union(complete_graph(9).minus(cycle_graph(4)),
+                        complete_graph(9).minus(cycle_graph(5))), 32 % 3),
+]
 
-    def checked(columns, n_items, primary, deadline=None, dead=None, **kw):
-        edges = sorted(host.edges)
 
-        def both(uncovered, last):
-            got = bool(dead is not None and dead(uncovered, last))
-            seen.append(whole_graph_dead(pattern, host.n,
-                                         [edges[i] for i in uncovered]))
-            assert got == seen[-1]
-            return got
-        return core(columns, n_items, primary, deadline, both, **kw)
+@pytest.mark.parametrize("pattern, host, residue", SPLIT_HOSTS,
+                         ids=["C4-two-K88-minus-C6", "K3-K9-minus-C4-C5"])
+def test_an_indivisible_component_ends_the_solve_before_the_search(
+        tmp_path, pattern, host, residue):
+    assert check_divisibility(pattern, host).divisible
+    res = exact_decompose(pattern, host, timeout=20)
+    assert res.status == UNSAT_DIVISIBILITY and res.nodes == 0
+    # the report is the first component's own
+    assert res.report.edge_residue == residue
+    assert res.report.degree_divisible
+    f, g = tmp_path / "f.txt", tmp_path / "g.txt"
+    f.write_text(serialize_edge_list(pattern))
+    g.write_text(serialize_edge_list(host))
+    out = run(["solve", "--pattern", str(f), "--host", str(g)])
+    assert out.exit_code == EXIT_UNSAT
+    assert out.payload == {"status": UNSAT_DIVISIBILITY,
+                           "edge_residue": residue, "degree_residues": {}}
 
-    monkeypatch.setattr(solver, "_exact_cover", checked)
-    rng = random.Random(2843)    # a paw host where the rule fires below the root
-    n = rng.randint(7, 11)
-    p = rng.uniform(0.4, 0.9)
-    paw_host = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
-                         if rng.random() < p])
-    cases = [(PAW, paw_host), (K3, complete_graph(15)),
-             (cycle_graph(4), complete_bipartite(4, 6)),
-             (Graph(4, [(0, 1), (1, 2), (0, 2)]), complete_graph(9))]
-    for pattern, host in cases:
-        exact_decompose(pattern, host, timeout=10)
-    assert any(seen) and len(seen) > 100
+
+def test_component_rule_needs_a_connected_pattern():
+    # two disjoint edges: a copy may use both components, so a triangle and
+    # a path of three edges (3 and 3 edges, neither even) still split into
+    # copies across them
+    two_edges = Graph(4, [(0, 1), (2, 3)])
+    host = disjoint_union(complete_graph(3), Graph(4, [(0, 1), (1, 2),
+                                                       (2, 3)]))
+    res = exact_decompose(two_edges, host)
+    assert res.sat and verify_decomposition(res.decomposition) == (True, None)
 
 
 def test_core_branches_on_the_fewest_live_columns_then_the_lowest_item():
@@ -244,6 +255,15 @@ def test_fractional_k4_forced_half():
     assert all(w == Fraction(1, 2) for w in sol.weights)
 
 
+def edge_loads(sol):
+    """The weight on each edge, summed in one pass over the copies."""
+    load = {}
+    for c, w in zip(sol.copies, sol.weights):
+        for e in c.edge_image():
+            load[e] = load.get(e, 0) + w
+    return load
+
+
 def test_fractional_k6_quarter_feasible():
     # fractional relaxation ignores the degree obstruction
     res = fractional_decompose(K3, complete_graph(6), mode="rational")
@@ -251,8 +271,8 @@ def test_fractional_k6_quarter_feasible():
     sol = res.solution
     # each edge of K6 lies in exactly 4 triangles; the uniform 1/4 vector is
     # feasible, and whatever the solver returned must satisfy the system
-    for e in complete_graph(6).edges:
-        assert sol.weight_on_edge(e) == 1
+    load = edge_loads(sol)
+    assert all(load.get(e) == 1 for e in complete_graph(6).edges)
 
 
 def test_fractional_tree_infeasible():
@@ -263,8 +283,8 @@ def test_fractional_tree_infeasible():
 def test_fractional_float_mode():
     res = fractional_decompose(K3, complete_graph(4), mode="float")
     assert res.status == FEASIBLE
-    for e in complete_graph(4).edges:
-        assert abs(res.solution.weight_on_edge(e) - 1) < 1e-7
+    load = edge_loads(res.solution)
+    assert all(abs(load.get(e, 0) - 1) < 1e-7 for e in complete_graph(4).edges)
 
 
 def test_exact_sat_implies_fractional_feasible():
@@ -562,4 +582,5 @@ def test_returned_copies_live_in_the_callers_host():
         assert type(c) is EmbeddedCopy
         assert c.host is host and c.pattern is K3
     # the weights stay aligned with their copies: each edge carries 1
-    assert all(sol.weight_on_edge(e) == 1 for e in host.edges)
+    load = edge_loads(sol)
+    assert all(load.get(e) == 1 for e in host.edges)
