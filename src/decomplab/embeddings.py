@@ -1,9 +1,10 @@
 """Labelled subgraph embedding search (injective homomorphisms).
 
-One kernel, `_search`, yields the images of a pattern in a host that extend
-given pins, placing next the pattern vertex with the most embedded
-neighbours (ties by index).  Embeddings are labelled: automorphic images
-count as distinct.
+One kernel, `_search`, returns the images of a pattern in a host that extend
+given pins, at most `limit` of them, placing next the pattern vertex with
+the most embedded neighbours (ties by index).  Embeddings are labelled:
+automorphic images count as distinct.  The kernel stops as soon as it holds
+`limit` images, so a first-hit search builds one image tuple.
 
 Rank space.  The kernel never sees host vertex ids.  A host order, a
 permutation of the host vertices, gives each vertex its rank, its position
@@ -14,16 +15,25 @@ candidates at a step are the AND of the masks of the placed neighbours'
 images minus the mask of used ranks, drawn lowest bit first; so images come
 in host order, lexicographically in their ranks along the placement order.
 The steps before the last keep their masks on a stack; the last step's mask
-is drawn in one tight loop that yields an image per bit, so a leaf costs a
+is drawn in one tight loop that appends an image per bit, so a leaf costs a
 bit extraction and a tuple, not a round of the stack loop.
+
+Plans.  What the kernel needs of the pattern for one set of pinned vertices
+(the placement order, each step's neighbours placed before it, the pattern
+edges between two pinned vertices and, for symmetry breaking, the orbit
+bounds) is worked out once and kept in a memo on the pattern `Graph`
+itself, as its adjacency is; so are its orbit representatives.  A call finds
+its plan by the pin set alone: the pattern is never hashed or compared by
+value, though every job builds a pattern of its own.
 
 Entry points: `enumerate_embeddings` (all of them, as image tuples in host
 vertex ids; its `host_order` must be a permutation of the host vertices,
 else InputError, and without one the ranks are the ids; `dedup_by_edges`
 keeps one per image edge set, as the solvers need), `find_embedding` (the
 first, over rank masks and rank pins) and `find_through_edge` (the first
-through the host edge between two ranks).  No entry point builds an
-`EmbeddedCopy`: callers wrap only the images they hand out.
+through the host edge between two ranks, one `find_embedding` per arc
+tried).  No entry point builds an `EmbeddedCopy`: callers wrap only the
+images they hand out.
 
 Orbit rule: pinning a pattern vertex or arc succeeds exactly when pinning
 any other member of its Aut(F)-orbit does, so pinned callers try only the
@@ -41,9 +51,8 @@ edge-set dedup keeps; so `dedup_by_edges` visits one embedding per copy
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import islice
-from typing import Iterator, Optional
+import sys
+from typing import Optional
 
 from .errors import InputError
 from .graphs import Graph
@@ -64,30 +73,55 @@ def rank_masks(adj, order) -> list[int]:
     return [sum(map(bit.__getitem__, adj[h])) for h in order]
 
 
-@lru_cache(maxsize=256)
-def _self_masks(pattern: Graph) -> tuple[int, ...]:
+def _memo(pattern: Graph) -> dict:
+    """The pattern's memo: a frozenset of pinned vertices -> its `_Plan`, a
+    tuple of items -> their orbit representatives, "arcs" -> the arc
+    representatives and "masks" -> the pattern's own masks."""
+    if pattern._memo is None:
+        pattern._memo = {}
+    return pattern._memo
+
+
+class _Plan:
+    """How the kernel places the unpinned pattern vertices around one set
+    of pinned ones: the order (most placed neighbours first, ties by index),
+    each vertex's neighbours placed before it, the pattern edges between two
+    pinned vertices, and the orbit bounds, filled in on first use."""
+
+    __slots__ = ("seq", "back", "pinned_edges", "after")
+
+    def __init__(self, pattern: Graph, pinned: frozenset):
+        placed = set(pinned)
+        rest = [p for p in range(pattern.n) if p not in placed]
+        seq, back = [], []
+        while rest:
+            p = min(rest, key=lambda p: (-len(pattern.adj[p] & placed), p))
+            rest.remove(p)
+            seq.append(p)
+            back.append(tuple(pattern.adj[p] & placed))
+            placed.add(p)
+        self.seq, self.back = tuple(seq), tuple(back)
+        self.pinned_edges = tuple(e for e in sorted(pattern.edges)
+                                  if e[0] in pinned and e[1] in pinned)
+        self.after = None
+
+
+def _plan(pattern: Graph, pinned: frozenset) -> _Plan:
+    memo = _memo(pattern)
+    plan = memo.get(pinned)
+    if plan is None:
+        plan = memo[pinned] = _Plan(pattern, pinned)
+    return plan
+
+
+def _self_masks(pattern: Graph) -> list[int]:
     """The pattern's own masks, ranks equal to its vertex ids."""
-    return tuple(rank_masks(pattern.adj, range(pattern.n)))
+    memo = _memo(pattern)
+    if "masks" not in memo:
+        memo["masks"] = rank_masks(pattern.adj, range(pattern.n))
+    return memo["masks"]
 
 
-@lru_cache(maxsize=256)
-def _placement(pattern: Graph, pinned: frozenset) -> tuple[tuple, tuple]:
-    """The order in which the kernel places the unpinned pattern vertices
-    (most placed neighbours first, ties by index), and for each vertex its
-    neighbours placed before it."""
-    placed = set(pinned)
-    rest = [p for p in range(pattern.n) if p not in placed]
-    seq, back = [], []
-    while rest:
-        p = min(rest, key=lambda p: (-len(pattern.adj[p] & placed), p))
-        rest.remove(p)
-        seq.append(p)
-        back.append(tuple(pattern.adj[p] & placed))
-        placed.add(p)
-    return tuple(seq), tuple(back)
-
-
-@lru_cache(maxsize=256)
 def _orbit_bounds(pattern: Graph, pinned: frozenset) -> tuple:
     """Symmetry-breaking conditions, one tuple per placement step.
 
@@ -97,34 +131,38 @@ def _orbit_bounds(pattern: Graph, pinned: frozenset) -> tuple:
     themselves.  Step k lists every p_i with p_k in O_i minus p_i: the image
     of p_k must come after the image of p_i in the host order.
     """
-    seq, _ = _placement(pattern, pinned)
-    masks = _self_masks(pattern)
-    after = [[] for _ in seq]
-    fixed = {f: f for f in pinned}
-    for i, p in enumerate(seq):
-        for k in range(i + 1, len(seq)):
-            pins = {**fixed, p: seq[k]}
-            if next(_search(pattern, masks, pins), None) is not None:
-                after[k].append(p)
-        fixed[p] = p
-    return tuple(tuple(a) for a in after)
+    plan = _plan(pattern, pinned)
+    if plan.after is None:
+        seq = plan.seq
+        masks = _self_masks(pattern)
+        after = [[] for _ in seq]
+        fixed = {f: f for f in pinned}
+        for i, p in enumerate(seq):
+            for k in range(i + 1, len(seq)):
+                if _search(pattern, masks, {**fixed, p: seq[k]}, limit=1):
+                    after[k].append(p)
+            fixed[p] = p
+        plan.after = tuple(tuple(a) for a in after)
+    return plan.after
 
 
 def _search(pattern: Graph, masks, pins: dict,
-            least_per_orbit: bool = False) -> Iterator[tuple[int, ...]]:
-    """Yield images (tuples of ranks) of injective homomorphisms
-    pattern -> host.
+            least_per_orbit: bool = False,
+            limit: Optional[int] = None) -> list[tuple[int, ...]]:
+    """The images (tuples of ranks) of injective homomorphisms
+    pattern -> host that extend `pins`, in the kernel's order; only the
+    first `limit` of them when `limit` is given.
 
     `masks[r]` is the neighbour mask of the host vertex of rank r; pins map
     pattern vertices to ranks.  Candidates are drawn lowest rank first;
     those of the last placement step in one loop per placed prefix.
-    `least_per_orbit` yields only the first image of each orbit under the
+    `least_per_orbit` keeps only the first image of each orbit under the
     automorphisms fixing the pins (`_orbit_bounds`).
     """
+    room = sys.maxsize if limit is None else limit
     pn = pattern.n
     if pn == 0:
-        yield ()
-        return
+        return [()][:room]
     n_host = len(masks)
     image = [-1] * pn
     used = 0
@@ -137,47 +175,47 @@ def _search(pattern: Graph, masks, pins: dict,
             raise InputError("pins must map distinct vertices to distinct images")
         image[p] = r
         used |= 1 << r
-    # pins must already respect pattern edges among themselves
-    for u, v in pattern.edges:
-        if image[u] != -1 and image[v] != -1 \
-                and not masks[image[u]] >> image[v] & 1:
-            return
-
     pinned = frozenset(pins)
-    seq, back = _placement(pattern, pinned)
-    if not seq:
-        yield tuple(image)
-        return
+    plan = _plan(pattern, pinned)
+    # pins must already respect pattern edges among themselves
+    for u, v in plan.pinned_edges:
+        if not masks[image[u]] >> image[v] & 1:
+            return []
+    seq, back = plan.seq, plan.back
+    if not seq or not room:
+        return [tuple(image)][:room]
     after = _orbit_bounds(pattern, pinned) if least_per_orbit else None
     full = (1 << n_host) - 1
 
-    def candidates(d: int, used: int) -> int:
+    # one candidate mask per placement step but the last, on `stack`; `used`
+    # holds the same ranks whenever a step draws from its mask.  A step's
+    # candidates are the unused ranks adjacent to the images of its placed
+    # neighbours, past the images of its orbit bounds.  Once every earlier
+    # step is placed, the last step's mask is drawn in one loop; its image
+    # stays set after the loop, as no step's candidates read it.
+    images = []
+    last = len(seq) - 1
+    p_last = seq[last]
+    stack: list[int] = []
+    d = 0       # the step to place next
+    while True:
         m = full ^ used
         for q in back[d]:
             m &= masks[image[q]]
         if after and after[d]:
             lo = max(map(image.__getitem__, after[d])) + 1
             m = m >> lo << lo
-        return m
-
-    # one candidate mask per placement step but the last, on `stack`; `used`
-    # holds the same ranks whenever a step draws from its mask.  Once every
-    # earlier step is placed, the last step's mask is drawn in one loop; its
-    # image stays set after the loop, as no step's candidates read it.
-    last = len(seq) - 1
-    p_last = seq[last]
-    stack: list[int] = []
-    d = 0       # the step to place next
-    while True:
         if d == last:
-            m = candidates(last, used)
             while m:
                 low = m & -m
                 m ^= low
                 image[p_last] = low.bit_length() - 1
-                yield tuple(image)
+                images.append(tuple(image))
+                room -= 1
+                if not room:
+                    return images
         else:
-            stack.append(candidates(d, used))
+            stack.append(m)
         # advance the deepest step that has a candidate left
         while stack:
             d = len(stack) - 1
@@ -195,7 +233,7 @@ def _search(pattern: Graph, masks, pins: dict,
                 break
             stack.pop()
         else:
-            return
+            return images
 
 
 def enumerate_embeddings(pattern: Graph, host: Graph,
@@ -230,56 +268,68 @@ def enumerate_embeddings(pattern: Graph, host: Graph,
         masks = rank_masks(host.adj, order)
         # an out-of-range pin stays as it is for the kernel to reject
         pins = {p: rank.get(h, h) for p, h in pins.items()}
-    images = _search(pattern, masks, pins, least_per_orbit=dedup_by_edges)
+    # with an isolated pattern vertex, edge sets are compared after the
+    # search, and the limit can only be applied after that
+    compare = dedup_by_edges and 0 in pattern.degrees()
+    images = _search(pattern, masks, pins, least_per_orbit=dedup_by_edges,
+                     limit=None if compare else limit)
     if order is not None:
-        images = (tuple([order[r] for r in img]) for img in images)
-    if dedup_by_edges and 0 in pattern.degrees():
-        images = _first_per_edge_set(pattern, images)
-    return list(islice(images, limit))
+        images = [tuple([order[r] for r in img]) for img in images]
+    if compare:
+        images = _first_per_edge_set(pattern, images)[:limit]
+    return images
 
 
-def _first_per_edge_set(pattern: Graph, images) -> Iterator[tuple[int, ...]]:
+def _first_per_edge_set(pattern: Graph, images: list
+                        ) -> list[tuple[int, ...]]:
     """The images whose edge set no earlier image has."""
-    seen = set()
+    seen, out = set(), []
     for img in images:
         key = frozenset([(img[u], img[v]) if img[u] < img[v]
                          else (img[v], img[u]) for u, v in pattern.edges])
         if key not in seen:
             seen.add(key)
-            yield img
+            out.append(img)
+    return out
 
 
 def find_embedding(pattern: Graph, masks, pins: dict
                    ) -> Optional[tuple[int, ...]]:
     """First embedding image (ranks) over rank masks and rank pins, or
     None."""
-    for img in _search(pattern, masks, pins):
-        return img
-    return None
+    first = _search(pattern, masks, pins, limit=1)
+    return first[0] if first else None
 
 
-@lru_cache(maxsize=64)
 def orbit_representatives(pattern: Graph, items: tuple) -> tuple:
     """The first of each Aut(pattern)-orbit among `items`, in their order.
 
     Items are equal-length tuples of distinct pattern vertices: vertices as
     1-tuples, arcs as pattern edges (p, q).
     """
-    masks = _self_masks(pattern)
-    reps = []
-    for b in items:
-        if all(next(_search(pattern, masks, dict(zip(a, b))), None) is None
-               for a in reps):
-            reps.append(b)
-    return tuple(reps)
+    memo = _memo(pattern)
+    reps = memo.get(items)
+    if reps is None:
+        masks = _self_masks(pattern)
+        found = []
+        for b in items:
+            if not any(_search(pattern, masks, dict(zip(a, b)), limit=1)
+                       for a in found):
+                found.append(b)
+        reps = memo[items] = tuple(found)
+    return reps
 
 
-@lru_cache(maxsize=64)
 def _arc_representatives(pattern: Graph) -> tuple:
     """The first arc of each Aut(pattern)-orbit, arcs ordered as sorted
     pattern edges with (p, q) before (q, p)."""
-    arcs = tuple(a for p, q in sorted(pattern.edges) for a in ((p, q), (q, p)))
-    return orbit_representatives(pattern, arcs)
+    memo = _memo(pattern)
+    reps = memo.get("arcs")
+    if reps is None:
+        arcs = tuple(a for p, q in sorted(pattern.edges)
+                     for a in ((p, q), (q, p)))
+        reps = memo["arcs"] = orbit_representatives(pattern, arcs)
+    return reps
 
 
 def find_through_edge(pattern: Graph, masks, u: int, v: int
@@ -287,8 +337,9 @@ def find_through_edge(pattern: Graph, masks, u: int, v: int
     """First image (ranks) of `pattern` using the host edge between ranks
     u and v, or None.
 
-    Pins {p: u, q: v} for each `_arc_representatives` arc (p, q) in turn;
-    the hit is the same as when every arc is tried.
+    Pins {p: u, q: v} for each `_arc_representatives` arc (p, q) in turn,
+    one `find_embedding` call each; the hit is the same as when every arc is
+    tried.
     """
     for p, q in _arc_representatives(pattern):
         img = find_embedding(pattern, masks, {p: u, q: v})

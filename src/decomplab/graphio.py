@@ -10,9 +10,11 @@ Certificate JSON: {"host": {"n":..,"edges":[[u,v],..]}, "pattern": {...},
 copies sorted by image array.  A certificate that is not a valid partition
 still parses; `verify_decomposition` is the judge of validity.
 
-Each array of a certificate is validated once: the host and pattern edge
-lists by the `Graph` constructor, the target edges in one pass after
-normalisation, the copy images by length per copy and by range in bulk.
+Each array of a certificate is validated once: every vertex count and id
+by type (a JSON integer; `1.9`, `"0"` and `true` are refused, where `int()`
+would read them), the host and pattern edge lists by the `Graph`
+constructor, the target edges in one pass after normalisation, the copy
+images by length per copy and by range in bulk.
 Every malformed input raises `ParseError`, never a bare `InputError`,
 naming `host` or `pattern` where the fault lies in one of them.
 """
@@ -20,6 +22,7 @@ naming `host` or `pattern` where the fault lies in one of them.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .errors import InputError, ParseError
 from .graphs import Decomposition, EmbeddedCopy, Graph
@@ -70,9 +73,21 @@ def _graph_to_obj(g: Graph) -> dict:
     return {"n": g.n, "edges": sorted(g.edges)}
 
 
+def _check_ints(arrays, where: str = "") -> None:
+    """Raise ValueError naming the first entry of the arrays that is not an
+    int.  A bool is not one: `int()` would read true as 1, cut 1.9 down to 1
+    and read "0" as 0."""
+    if not set(map(type, chain.from_iterable(arrays))) <= {int}:
+        bad = next(x for x in chain.from_iterable(arrays) if type(x) is not int)
+        raise ValueError(f"{json.dumps(bad)}{where} is not an integer")
+
+
 def _graph_from_obj(obj, what: str) -> Graph:
     try:
-        return Graph(int(obj["n"]), ((int(u), int(v)) for u, v in obj["edges"]))
+        n, edges = obj["n"], obj["edges"]
+        _check_ints([[n]])
+        _check_ints(edges)
+        return Graph(n, edges)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed {what} object: {exc}")
     except InputError as exc:
@@ -102,9 +117,11 @@ def parse_certificate(text: str) -> Decomposition:
     pattern = _graph_from_obj(obj.get("pattern"), "pattern")
     n, k = host.n, pattern.n
     try:
-        dec = Decomposition(host, ((int(u), int(v)) for u, v
-                                   in obj.get("target_edges", [])))
-        images = [tuple(map(int, img)) for img in obj.get("copies", [])]
+        target, copies = obj.get("target_edges", []), obj.get("copies", [])
+        _check_ints(target, " in target_edges")
+        _check_ints(copies, " in copies")
+        dec = Decomposition(host, target)
+        images = [tuple(img) for img in copies]
     except (TypeError, ValueError) as exc:
         raise ParseError(f"malformed certificate arrays: {exc}")
     bad = [e for e in dec.target_edges if not 0 <= e[0] < e[1] < n]

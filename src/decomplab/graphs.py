@@ -35,7 +35,7 @@ class Graph:
     Invariants: no loops, no duplicate edges, endpoints < vertex_count.
     """
 
-    __slots__ = ("n", "edges", "_adj", "_hash")
+    __slots__ = ("n", "edges", "_adj", "_hash", "_memo")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -48,6 +48,7 @@ class Graph:
         self.edges = norm
         self._adj = None
         self._hash = None
+        self._memo = None       # the embedding kernel's plans for a pattern
 
     # -- basic accessors ---------------------------------------------------
 

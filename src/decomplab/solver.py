@@ -35,6 +35,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 from .divisibility import check_divisibility
@@ -234,7 +235,7 @@ def exact_decompose(pattern: Graph, host: Graph,
                                    report=check_divisibility(pattern, piece))
 
     deadline = _deadline(timeout)
-    cands = candidate_copies(pattern, host, target)
+    cands = candidate_copies(pattern, sub, sub.edges)
     edges = sorted(target)
     _, columns = _copy_table(pattern, cands, host.n, edges)
     cert, tried = None, ()
@@ -262,6 +263,72 @@ def exact_decompose(pattern: Graph, host: Graph,
 
 def verify_decomposition(dec: Decomposition) -> tuple[bool, Optional[str]]:
     """Certificate check: common pattern, valid embeddings, exact partition.
+
+    One int64 array pass (`_valid_in_bulk`) accepts a valid certificate
+    whose copies all share its host and pattern.  Only when that pass does
+    not accept is the certificate walked copy by copy (`_verify_by_walk`),
+    to name the first violation; so the verdict and its message are the
+    walk's, and a valid certificate is never walked.
+    """
+    if _valid_in_bulk(dec):
+        return True, None
+    return _verify_by_walk(dec)
+
+
+def _same_graphs(first: Graph, graphs) -> bool:
+    """Whether every graph is `first`, each distinct object compared by
+    value once."""
+    distinct = dict(zip(map(id, graphs), graphs))
+    return all(g is first or g == first for g in distinct.values())
+
+
+def _valid_in_bulk(dec: Decomposition) -> bool:
+    """Whether `dec` is a valid certificate, checked in one array pass;
+    False also where a copy has another host or pattern, or where a vertex
+    is not an int.
+
+    With the target inside the host, it is the copies' image edges that
+    must be the target's edges, each once: the sorted codes u*n + v of the
+    copies' edges, lower end first, must equal the sorted codes of the
+    target's.  The codes of distinct edges differ, as each image is checked
+    to be in range with distinct vertices first.
+    """
+    import numpy as np
+    copies, host, target = dec.copies, dec.host, dec.target_edges
+    if not copies:
+        return not target
+    pattern = copies[0].pattern
+    if not (_same_graphs(pattern, [c.pattern for c in copies])
+            and _same_graphs(host, [c.host for c in copies])):
+        return False
+    if target is not host.edges and not target <= host.edges:
+        return False
+    pn, hn = pattern.n, host.n
+    images = [c.image for c in copies]
+    if set(map(len, images)) != {pn}:
+        return False
+    try:
+        im = np.array(list(chain.from_iterable(images)))
+        want = np.array([u * hn + v for u, v in target])
+    except (TypeError, ValueError):     # the walk names the bad vertex
+        return False
+    if im.dtype.kind != "i" or want.dtype.kind != "i" \
+            or len(want) != len(copies) * pattern.e:
+        return False
+    im = im.astype(np.int64, copy=False).reshape(len(copies), pn)
+    if im.size and (im.min() < 0 or im.max() >= hn):
+        return False
+    if (np.diff(np.sort(im, axis=1), axis=1) == 0).any():
+        return False
+    a, b = np.array(sorted(pattern.edges), dtype=np.int64).reshape(-1, 2).T
+    lo, hi = np.minimum(im[:, a], im[:, b]), np.maximum(im[:, a], im[:, b])
+    codes = np.sort((lo * hn + hi).ravel())
+    return bool((codes == np.sort(want.astype(np.int64, copy=False))).all())
+
+
+def _verify_by_walk(dec: Decomposition) -> tuple[bool, Optional[str]]:
+    """`verify_decomposition`'s verdict, copy by copy: the first violation
+    by name, or (True, None).
 
     Linear in the total certificate size: a copy's pattern and host are
     compared by identity first, and each distinct pattern or host object by

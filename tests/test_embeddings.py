@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from decomplab.errors import DegreeError, InputError
-from decomplab.embeddings import (_orbit_bounds, _placement, _search,
+from decomplab.embeddings import (_orbit_bounds, _plan, _search,
                                    enumerate_embeddings, find_embedding,
                                    find_through_edge, orbit_representatives,
                                    rank_masks)
@@ -191,13 +191,13 @@ def test_dedup_enumeration_visits_one_embedding_per_copy(monkeypatch):
     import decomplab.embeddings as emb
     k33, host = complete_bipartite(3, 3), complete_bipartite(4, 4)
     assert len(enumerate_embeddings(k33, host)) == 16 * 72
-    enumerate_embeddings(k33, host, dedup_by_edges=True)   # fills the caches
+    enumerate_embeddings(k33, host, dedup_by_edges=True)   # fills the memo
     search, visited = emb._search, []
 
     def counted(*args, **kwargs):
-        for img in search(*args, **kwargs):
-            visited.append(img)
-            yield img
+        images = search(*args, **kwargs)
+        visited.extend(images)
+        return images
 
     monkeypatch.setattr(emb, "_search", counted)
     copies = enumerate_embeddings(k33, host, dedup_by_edges=True)
@@ -208,7 +208,7 @@ def test_dedup_enumeration_visits_one_embedding_per_copy(monkeypatch):
 def test_orbit_chain_sizes_multiply_to_the_automorphism_count(name):
     pattern = SYMMETRY_PATTERNS[name]
     for fixed in ((), (0,)):
-        seq, _ = _placement(pattern, frozenset(fixed))
+        seq = _plan(pattern, frozenset(fixed)).seq
         bounds = _orbit_bounds(pattern, frozenset(fixed))
         product = 1
         for p in seq:
@@ -312,7 +312,7 @@ def ranked_brute_force(pattern, masks, pins, least_per_orbit):
     extends the pins and keeps the pattern edges, in rank order along the
     placement order; with `least_per_orbit`, only the first of each orbit
     under the automorphisms fixing the pins."""
-    seq, _ = _placement(pattern, frozenset(pins))
+    seq = _plan(pattern, frozenset(pins)).seq
     free = [p for p in range(pattern.n) if p not in pins]
     rest = [r for r in range(len(masks)) if r not in pins.values()]
     imgs = []
@@ -445,3 +445,78 @@ def test_limit_zero_gives_no_embedding():
 def test_negative_limit_is_rejected(limit):
     with pytest.raises(InputError):
         enumerate_embeddings(complete_graph(3), complete_graph(5), limit=limit)
+
+
+# -- the list-returning kernel and its first hit -------------------------------
+
+
+def test_first_hit_is_the_first_image_of_the_full_pinned_search():
+    import random
+    rng = random.Random(23)
+    violated = 0
+    for _ in range(40):
+        n = rng.randint(4, 9)
+        host = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                         if rng.random() < rng.choice((0.5, 0.8))])
+        order = list(range(n))
+        rng.shuffle(order)
+        masks = rank_masks(host.adj, order)
+        for pattern in KERNEL_PATTERNS:
+            if pattern.n > n:
+                continue
+            ranks = rng.sample(range(n), pattern.n)
+            pins = dict(rng.sample(list(enumerate(ranks)),
+                                   rng.randint(0, pattern.n)))
+            whole = _search(pattern, masks, pins)
+            assert whole == ranked_brute_force(pattern, masks, pins, False)
+            got = find_embedding(pattern, masks, pins)
+            assert got == (whole[0] if whole else None)
+            # the same first image through the public enumeration
+            ids = {p: order[r] for p, r in pins.items()}
+            first = enumerate_embeddings(pattern, host, pins=ids, limit=1,
+                                         host_order=order)
+            assert first == ([tuple(order[r] for r in got)] if got else [])
+            if any(u in pins and v in pins
+                   and not masks[pins[u]] >> pins[v] & 1
+                   for u, v in pattern.edges):
+                assert got is None
+                violated += 1
+    assert violated
+
+
+@pytest.mark.parametrize("pins", [{3: 0}, {-1: 0}, {0: 7}, {0: -1},
+                                  {0: 2, 1: 2}])
+def test_a_bad_pin_still_raises(pins):
+    masks = rank_masks(complete_graph(7).adj, range(7))
+    with pytest.raises(InputError):
+        find_embedding(complete_graph(3), masks, pins)
+    with pytest.raises(InputError):
+        _search(complete_graph(3), masks, pins, limit=0)
+
+
+def test_a_pin_through_a_non_edge_gives_no_image():
+    host = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
+    masks = rank_masks(host.adj, range(5))
+    assert find_embedding(complete_graph(3), masks, {0: 0, 1: 3}) is None
+    assert find_through_edge(complete_graph(3), masks, 0, 3) is None
+    assert find_through_edge(complete_graph(3), masks, 0, 1) == (0, 1, 2)
+
+
+def test_the_kernel_neither_hashes_nor_compares_the_pattern(monkeypatch):
+    # plans and orbit representatives live in a memo on the pattern itself
+    def refuse(*args):
+        raise AssertionError("pattern hashed or compared by value")
+
+    host = complete_graph(9)
+    masks = rank_masks(host.adj, range(9))
+    for pattern in KERNEL_PATTERNS:
+        fresh = Graph(pattern.n, pattern.edges)
+        expect = enumerate_embeddings(pattern, host, dedup_by_edges=True)
+        hit = find_through_edge(pattern, masks, 2, 5)
+        with monkeypatch.context() as m:
+            m.setattr(Graph, "__hash__", refuse)
+            m.setattr(Graph, "__eq__", refuse)
+            assert enumerate_embeddings(fresh, host,
+                                        dedup_by_edges=True) == expect
+            assert find_through_edge(fresh, masks, 2, 5) == hit
+            assert find_through_edge(fresh, masks, 2, 5) == hit

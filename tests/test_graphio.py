@@ -169,3 +169,48 @@ def test_every_malformed_array_is_a_parse_error(fields, message):
         assert str(info.value) == message
     else:
         assert str(info.value).startswith("malformed")
+
+
+# -- vertex counts and ids must be JSON integers --------------------------------
+
+_TRIANGLE = ('{"host": {"n": 3, "edges": [[0,1],[0,2],[1,2]]}, '
+             '"pattern": {"n": 3, "edges": [[0,1],[0,2],[1,2]]}, '
+             '"target_edges": [[0,1],[0,2],[1,2]], "copies": [[0,1,2]]}')
+
+
+def test_the_triangle_certificate_parses_and_verifies():
+    from decomplab.solver import verify_decomposition
+    assert verify_decomposition(parse_certificate(_TRIANGLE)) == (True, None)
+
+
+def test_non_integer_ids_no_longer_pass_as_a_valid_certificate():
+    # int() read 1.9 as 1, "0" as 0 and 2.5 as 2: this parsed and verified
+    text = ('{"host": {"n": 3, "edges": [[0,1.9],["0",2],[1,2]]}, '
+            '"pattern": {"n": 3, "edges": [[0,1],[0,2],[1,2]]}, '
+            '"target_edges": [[0,1],[0,2],[1,2]], "copies": [[0,1,2.5]]}')
+    with pytest.raises(ParseError) as info:
+        parse_certificate(text)
+    assert str(info.value) == "malformed host object: 1.9 is not an integer"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ('"host": {"n": 3,', '"host": {"n": 3.0,',
+     "malformed host object: 3.0 is not an integer"),
+    ('"edges": [[0,1],[0,2],[1,2]]}, "pattern"',
+     '"edges": [[0,1],[0,2],[1,true]]}, "pattern"',
+     "malformed host object: true is not an integer"),
+    ('"pattern": {"n": 3,', '"pattern": {"n": "3",',
+     'malformed pattern object: "3" is not an integer'),
+    ('"edges": [[0,1],[0,2],[1,2]]}, "target',
+     '"edges": [[0,1],[0,2.0],[1,2]]}, "target',
+     "malformed pattern object: 2.0 is not an integer"),
+    ('"target_edges": [[0,1],', '"target_edges": [[0,1.5],',
+     "malformed certificate arrays: 1.5 in target_edges is not an integer"),
+    ('"copies": [[0,1,2]]', '"copies": [[0,false,2]]',
+     "malformed certificate arrays: false in copies is not an integer"),
+])
+def test_each_place_rejects_a_non_integer(old, new, message):
+    assert _TRIANGLE.count(old) == 1
+    with pytest.raises(ParseError) as info:
+        parse_certificate(_TRIANGLE.replace(old, new))
+    assert str(info.value) == message

@@ -584,3 +584,19 @@ def test_returned_copies_live_in_the_callers_host():
     # the weights stay aligned with their copies: each edge carries 1
     load = edge_loads(sol)
     assert all(load.get(e) == 1 for e in host.edges)
+
+
+def test_a_proper_subset_target_is_built_once(monkeypatch):
+    # the divisibility checks and the candidate search share one target graph
+    host = complete_graph(45)
+    target = host.edges - {(0, 1), (0, 2), (1, 2)}
+    init, builds = Graph.__init__, []
+
+    def counted(self, n, edges=()):
+        init(self, n, edges)
+        builds.append(self.edges == target)
+
+    monkeypatch.setattr(Graph, "__init__", counted)
+    res = exact_decompose(K3, host, target)
+    assert res.sat and sum(builds) == 1
+    assert verify_decomposition(res.decomposition) == (True, None)
