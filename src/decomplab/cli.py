@@ -252,7 +252,18 @@ def _cmd_solve(args) -> CommandResult:
         if res.status == INDETERMINATE:
             return CommandResult("indeterminate", {"status": res.status}, [],
                                  EXIT_INDETERMINATE)
-        return CommandResult("unsat", {"status": res.status}, [], EXIT_UNSAT)
+        if mode == "float":
+            # HiGHS's claim, not a proof: no unsat exit code
+            return CommandResult("indeterminate", {"status": res.status,
+                                                   "proved": False}, [],
+                                 EXIT_INDETERMINATE)
+        # the checked Farkas y over sorted(host edges), as [u, v, y_uv]
+        # where y_uv != 0
+        return CommandResult("unsat", {
+            "status": res.status, "proved": True,
+            "certificate": [[u, v, _frac(t)] for (u, v), t
+                            in zip(sorted(g.edges), res.farkas) if t]},
+            [], EXIT_UNSAT)
     if args.greedy:
         out = greedy_decompose(f, g, seed=args.seed)
         return CommandResult("ok", {"copies": len(out.copies),
@@ -263,8 +274,12 @@ def _cmd_solve(args) -> CommandResult:
         res = exact_decompose(f, g, timeout=args.timeout)
     if res.status == SAT:
         ok, why = verify_decomposition(res.decomposition)
-        payload = json.loads(serialize_certificate(res.decomposition))
-        return CommandResult("ok", payload, [] if ok else [why or ""])
+        if not ok:
+            return CommandResult("error", {
+                "error": "the decomposition fails its verifier",
+                "violation": why}, [why or ""], EXIT_ERROR)
+        return CommandResult(
+            "ok", json.loads(serialize_certificate(res.decomposition)))
     if res.status == INDETERMINATE:
         return CommandResult("indeterminate", {"status": res.status}, [],
                              EXIT_INDETERMINATE)

@@ -1,21 +1,28 @@
 """Feasibility LPs for fractional decomposition: x >= 0 with A x = b.
 
 A is a list of equal-length rows, each a list or a 1-D array.  Both modes
-hand its nonzeros to scipy's HiGHS dual simplex as a sparse matrix and
-return (status, vector).  Float mode's `feasible` x meets every row within a
+hand its nonzeros to scipy's HiGHS as a sparse matrix and return (status,
+vector), and both try HiGHS's interior point without crossover first: on a
+symmetric host it lands on the uniform weighting, whose few distinct values
+round exactly, where a simplex vertex can carry huge denominators.  When
+the interior point does not pass the check below, the dual-simplex vertex is
+the fallback.  Float mode's `feasible` x meets every row within a
 tolerance; its `infeasible` is HiGHS's claim, not a proof.  Rational mode
 certifies over `Fraction` (Applegate, Cook, Dash and Espinoza, "Exact
 solutions to linear programming problems", Oper. Res. Lett. 2007): its x is
-the rationalised vertex or else the exact solution on the vertex's support
-columns, which are independent, and is returned only once A x = b and x >= 0
-hold exactly; its `infeasible` comes with a rationalised Farkas vector y
-that satisfies yᵀA <= 0 and yᵀb > 0 exactly, a proof that no x exists.
-When neither check passes the status is `indeterminate`.
+the rationalised interior point, else the rationalised vertex, else the
+exact solution on the vertex's support columns, which are independent, and
+is returned only once A x = b and x >= 0 hold exactly; its `infeasible`
+comes with a rationalised Farkas vector y that satisfies yᵀA <= 0 and
+yᵀb > 0 exactly, a proof that no x exists.  There the exact checks are the
+only judge, and HiGHS's statuses only choose which candidate to check next;
+when no check passes the status is `indeterminate`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 FEASIBLE = "feasible"
@@ -26,29 +33,63 @@ _DENOMINATOR = 10 ** 6   # largest denominator tried when rationalising
 _ZERO = 1e-9             # HiGHS values at or below this are off the support
 
 
-def _sparse(rows, n):
-    """Per row, the (column, value) pairs of its nonzeros; and A as a float
-    CSR matrix for HiGHS."""
+def _sparse(rows, n, exact: bool):
+    """A as a float CSR matrix for HiGHS; and with `exact`, per row, the
+    (column, exact value) pairs of its nonzeros, each value an int or a
+    `Fraction`, else None."""
     import numpy as np
     from scipy.sparse import csr_matrix
     a = np.asarray(rows)
     i, j = a.nonzero()
-    values = a[i, j].tolist()
+    values = a[i, j]
     indptr = np.searchsorted(i, np.arange(len(rows) + 1))
-    pairs, cuts = list(zip(j.tolist(), values)), indptr.tolist()
-    entries = [pairs[s:t] for s, t in zip(cuts, cuts[1:])]
-    return entries, csr_matrix(
-        ([float(v) for v in values], j, indptr), shape=(len(rows), n))
+    A = csr_matrix((values.astype(float), j, indptr), shape=(len(rows), n))
+    if not exact:
+        return A, None
+    ints = values.dtype.kind in "biu"
+    pairs = list(zip(j.tolist(), values.tolist() if ints
+                     else map(Fraction, values.tolist())))
+    cuts = indptr.tolist()
+    return A, [pairs[s:t] for s, t in zip(cuts, cuts[1:])]
+
+
+def _interior(A, b, upper):
+    """HiGHS's interior point without crossover on A x = b, 0 <= x <= upper
+    (None: no upper bound): linprog's (status, x)."""
+    import re
+    import warnings
+    import numpy as np
+    from scipy.optimize import OptimizeWarning, linprog
+    with warnings.catch_warnings():
+        # scipy does not know the HiGHS option and says it passes it on
+        warnings.filterwarnings("ignore", re.escape(
+            "Unrecognized options detected: {'run_crossover': 'off'}"),
+            OptimizeWarning)
+        res = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=b,
+                      bounds=(0, upper), method="highs-ipm",
+                      options={"run_crossover": "off"})
+    return res.status, res.x
 
 
 def _rationalise(v) -> list[Fraction]:
-    return [Fraction(float(t)).limit_denominator(_DENOMINATOR) for t in v]
+    """The nearest fraction to each entry with denominator at most
+    `_DENOMINATOR`, worked out once per distinct value."""
+    import numpy as np
+    values, at = np.unique(np.asarray(v, dtype=float), return_inverse=True)
+    near = [Fraction(t).limit_denominator(_DENOMINATOR)
+            for t in values.tolist()]
+    return [near[k] for k in at.tolist()]
 
 
 def _solves(entries, b, x) -> bool:
-    """A x = b and x >= 0, exactly."""
-    return min(x) >= 0 and all(sum(a * x[j] for j, a in row) == bi
-                               for row, bi in zip(entries, b))
+    """A x = b and x >= 0, exactly: over integers, with x scaled by the
+    least common denominator d of its entries and b by d."""
+    if min(x) < 0:
+        return False
+    d = lcm(*{t.denominator for t in x})
+    scaled = [t.numerator * (d // t.denominator) for t in x]
+    return all(sum(a * scaled[j] for j, a in row) == bi * d
+               for row, bi in zip(entries, b))
 
 
 def _proves_infeasible(entries, n, b, y) -> bool:
@@ -64,8 +105,8 @@ def _solve_support(entries, n, b, support) -> Optional[list[Fraction]]:
     """The x with A x = b and x_j = 0 off `support`, by Gauss-Jordan
     elimination over Fraction on the augmented rows, whose column n holds b;
     None when a support column has no pivot."""
-    eqs = [dict([(j, a) for j, a in row if j in support] + [(n, bi)])
-           for row, bi in zip(entries, b)]
+    eqs = [dict([(j, Fraction(a)) for j, a in row if j in support]
+                + [(n, bi)]) for row, bi in zip(entries, b)]
     free, x, pivots = set(range(len(eqs))), [Fraction(0)] * n, []
     for j in sorted(support):
         p = min((t for t in free if eqs[t].get(j)), key=lambda t: len(eqs[t]),
@@ -94,33 +135,56 @@ def solve_equalities_nonneg(rows, rhs) -> tuple[str, Optional[list[Fraction]]]:
     y) with a checked Farkas vector, one entry per row, or
     (`indeterminate`, None)."""
     import numpy as np
-    from scipy.optimize import linprog
     b = [Fraction(t) for t in rhs]
     n = len(rows[0]) if rows else 0
     if n == 0:
         # with no columns, the signs of b are a Farkas vector unless b = 0
         y = [Fraction((t > 0) - (t < 0)) for t in b]
         return (INFEASIBLE, y) if any(y) else (FEASIBLE, [])
-    entries, A = _sparse(rows, n)
-    entries = [[(j, Fraction(a)) for j, a in row] for row in entries]
+    A, entries = _sparse(rows, n, exact=True)
     bf = np.array(b, dtype=float)
+    status, x = _interior(A, bf, None)
+    if status == 0:
+        x = _rationalise(x)
+        if _solves(entries, b, x):
+            return FEASIBLE, x
+    # HiGHS's claim that no x exists sends the search to a proof first
+    y = _farkas(A, entries, n, b, bf) if status == 2 else None
+    if y is not None:
+        return INFEASIBLE, y
+    return _by_vertex(A, entries, n, b, bf)
+
+
+def _by_vertex(A, entries, n, b, bf) -> tuple[str, Optional[list[Fraction]]]:
+    """`solve_equalities_nonneg` from HiGHS's dual-simplex vertex: rounded,
+    else solved exactly on its support; with no vertex, the Farkas LP."""
+    import numpy as np
+    from scipy.optimize import linprog
     res = linprog(np.zeros(n), A_eq=A, b_eq=bf, bounds=(0, None),
                   method="highs-ds")
-    if res.status == 0:
-        x = _rationalise(res.x)
-        if not _solves(entries, b, x):
-            support = set(np.flatnonzero(res.x > _ZERO).tolist())
-            x = _solve_support(entries, n, b, support)
-        if x is not None and _solves(entries, b, x):
-            return FEASIBLE, x
-        return INDETERMINATE, None
-    # Farkas LP: maximise bᵀy subject to Aᵀy <= 0 in the box -1 <= y <= 1
+    if res.status != 0:
+        y = _farkas(A, entries, n, b, bf)
+        return (INFEASIBLE, y) if y is not None else (INDETERMINATE, None)
+    x = _rationalise(res.x)
+    if not _solves(entries, b, x):
+        support = set(np.flatnonzero(res.x > _ZERO).tolist())
+        x = _solve_support(entries, n, b, support)
+        if x is None or not _solves(entries, b, x):
+            return INDETERMINATE, None
+    return FEASIBLE, x
+
+
+def _farkas(A, entries, n, b, bf) -> Optional[list[Fraction]]:
+    """A rationalised y that `_proves_infeasible`, or None.  The LP
+    maximises bᵀy subject to Aᵀy <= 0 in the box -1 <= y <= 1."""
+    import numpy as np
+    from scipy.optimize import linprog
     res = linprog(-bf, A_ub=A.T, b_ub=np.zeros(n), bounds=(-1, 1),
                   method="highs-ds")
-    y = _rationalise(res.x) if res.status == 0 else None
-    if y is not None and _proves_infeasible(entries, n, b, y):
-        return INFEASIBLE, y
-    return INDETERMINATE, None
+    if res.status != 0:
+        return None
+    y = _rationalise(res.x)
+    return y if _proves_infeasible(entries, n, b, y) else None
 
 
 def solve_equalities_box_float(rows, rhs, tolerance: float = 1e-9
@@ -134,11 +198,20 @@ def solve_equalities_box_float(rows, rhs, tolerance: float = 1e-9
     n = len(rows[0]) if rows else 0
     if n == 0:
         return (INFEASIBLE, None) if b.any() else (FEASIBLE, [])
-    _, A = _sparse(rows, n)
-    res = linprog(np.zeros(n), A_eq=A, b_eq=b, bounds=(0, 1), method="highs-ds")
-    if res.status != 0:
-        return (INFEASIBLE if res.status == 2 else INDETERMINATE), None
-    x = np.clip(res.x, 0.0, 1.0)
-    if np.abs(A @ x - b).max() > tolerance:
-        return INDETERMINATE, None
-    return FEASIBLE, x.tolist()
+    A, _ = _sparse(rows, n, exact=False)
+
+    def within(x):
+        x = np.clip(x, 0.0, 1.0)
+        return x if np.abs(A @ x - b).max() <= tolerance else None
+
+    status, x = _interior(A, b, 1)
+    x = within(x) if status == 0 else None
+    # an interior-point `infeasible` is HiGHS's word, as the vertex's is
+    if x is None and status != 2:
+        res = linprog(np.zeros(n), A_eq=A, b_eq=b, bounds=(0, 1),
+                      method="highs-ds")
+        status = res.status
+        x = within(res.x) if status == 0 else None
+    if x is not None:
+        return FEASIBLE, x.tolist()
+    return (INFEASIBLE if status == 2 else INDETERMINATE), None

@@ -307,8 +307,11 @@ def _valid_in_bulk(dec: Decomposition) -> bool:
     images = [c.image for c in copies]
     if set(map(len, images)) != {pn}:
         return False
+    flat = list(chain.from_iterable(images))
+    if not set(map(type, flat)) <= {int}:   # bool and float ids are walked
+        return False
     try:
-        im = np.array(list(chain.from_iterable(images)))
+        im = np.array(flat)
         want = np.array([u * hn + v for u, v in target])
     except (TypeError, ValueError):     # the walk names the bad vertex
         return False
@@ -333,9 +336,9 @@ def _verify_by_walk(dec: Decomposition) -> tuple[bool, Optional[str]]:
     Linear in the total certificate size: a copy's pattern and host are
     compared by identity first, and each distinct pattern or host object by
     value only once.  Each copy is checked in one pass: its image (length,
-    range, distinct vertices), then its image edges as one list against the
-    host, the edges covered so far and the target.  A copy that fails is
-    walked again edge by edge to name the first violation.
+    distinct int vertices in range), then its image edges as one list
+    against the host, the edges covered so far and the target.  A copy that
+    fails is walked again edge by edge to name the first violation.
     """
     target = dec.target_edges
     if not dec.copies:
@@ -358,7 +361,8 @@ def _verify_by_walk(dec: Decomposition) -> tuple[bool, Optional[str]]:
                 return False, f"copy {k} lives in a different host"
             same_hosts.add(id(c.host))
         im = c.image
-        if len(im) != pn or len(set(im)) != pn or (
+        if len(im) != pn or len(set(im)) != pn or any(
+                type(v) is not int for v in im) or (
                 pn and (min(im) < 0 or max(im) >= hn)):
             return False, f"copy {k} is not a valid embedding"
         es = [(im[u], im[v]) if im[u] < im[v] else (im[v], im[u])
@@ -383,7 +387,10 @@ def fractional_decompose(pattern: Graph, host: Graph, mode: str = "rational",
                          tolerance: float = 1e-9) -> FractionalResult:
     """Solve the one-variable-per-copy, one-equation-per-edge feasibility LP.
 
-    Rational mode answers with an exactly checked certificate: weights, or a
+    Both modes try HiGHS's interior point first, which on an
+    edge-transitive host is the uniform weighting, and fall back to the
+    dual-simplex vertex (see `lp`).  Rational mode answers with an exactly
+    checked certificate, the only judge of either point: weights, or a
     Farkas vector in `farkas` (one `Fraction` per edge of `sorted(host.edges)`)
     with `infeasible`; else `indeterminate`.  Float mode's weights meet every
     edge within `tolerance`; its `infeasible` is HiGHS's claim, not a proof.

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from decomplab import lp
+from decomplab import cli, lp
 from decomplab.cli import (EXIT_ERROR, EXIT_INDETERMINATE, EXIT_OK,
                            EXIT_UNSAT, EXIT_USAGE, run)
 from decomplab.graphio import parse_edge_list, serialize_edge_list
 from decomplab.graphs import (Graph, complete_graph, cycle_graph,
                               disjoint_union, path_graph)
 from decomplab.lattice import LatticeCertificate, verify_lattice_certificate
+from test_lp import _farkas_holds
 
 
 def _write(tmp_path, name, g):
@@ -117,6 +118,40 @@ def test_fractional_solve(tmp_path, monkeypatch):
     assert res.exit_code == EXIT_OK and res.payload["status"] == "feasible"
     assert res.payload["copies"] == 2300
     json.dumps(res.payload)
+
+
+def test_fractional_infeasible_exit_codes(tmp_path):
+    k3 = complete_graph(3)
+    host = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    f = _write(tmp_path, "k3.txt", k3)
+    h = _write(tmp_path, "k4e.txt", host)
+    # a rational infeasible is proved: its Farkas y is printed, nonzero
+    # entries only, as [u, v, y_uv] over the sorted host edges
+    res = run(["solve", "--fractional", "--rational", "--pattern", f,
+               "--host", h])
+    assert res.exit_code == EXIT_UNSAT
+    assert res.payload["status"] == "infeasible" and res.payload["proved"]
+    y = {(u, v): Fraction(t["num"], t["den"])
+         for u, v, t in res.payload["certificate"]}
+    assert set(y) <= host.edges and all(y.values())
+    assert _farkas_holds(k3, host, [y.get(e, 0) for e in sorted(host.edges)])
+    json.dumps(res.payload)
+    # a float infeasible is HiGHS's claim only
+    res = run(["solve", "--fractional", "--pattern", f, "--host", h])
+    assert res.exit_code == EXIT_INDETERMINATE
+    assert res.payload == {"status": "infeasible", "proved": False}
+
+
+def test_solve_rejects_a_certificate_its_verifier_rejects(tmp_path,
+                                                          monkeypatch):
+    f = _write(tmp_path, "k3.txt", complete_graph(3))
+    g = _write(tmp_path, "k7.txt", complete_graph(7))
+    monkeypatch.setattr(cli, "verify_decomposition",
+                        lambda dec: (False, "edge (0, 1) covered twice"))
+    res = run(["solve", "--pattern", f, "--host", g])
+    assert res.status == "error" and res.exit_code == EXIT_ERROR
+    assert res.payload["violation"] == "edge (0, 1) covered twice"
+    assert "copies" not in res.payload
 
 
 def test_solve_prints_a_lattice_certificate(tmp_path):

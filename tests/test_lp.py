@@ -1,6 +1,9 @@
 import random
+import warnings
 from fractions import Fraction
 from itertools import combinations, permutations
+
+import scipy.optimize
 
 from decomplab import lp
 from decomplab.graphs import Graph, complete_graph, cycle_graph
@@ -105,6 +108,84 @@ def test_rational_and_float_agree_on_random_hosts():
         else:
             assert _farkas_holds(pattern, host, exact.farkas)
     assert min(seen.values()) >= 20
+
+
+def _methods(monkeypatch):
+    """The HiGHS methods of every linprog call from here on, in order."""
+    called, linprog = [], scipy.optimize.linprog
+
+    def spy(*args, **kwargs):
+        called.append(kwargs["method"])
+        return linprog(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "linprog", spy)
+    return called
+
+
+def test_rational_k34_interior_point_is_uniform(monkeypatch):
+    # the vertex's denominators reach 10**41 here; the interior point
+    # without crossover is the uniform weighting, which rounds exactly
+    called = _methods(monkeypatch)
+    host = complete_graph(34)
+    res = fractional_decompose(K3, host, mode="rational")
+    assert res.status == FEASIBLE and called == ["highs-ipm"]
+    assert len(res.solution.copies) == 5984
+    assert set(res.solution.weights) == {Fraction(1, 32)}
+
+
+def test_failed_interior_point_leaves_the_vertex_path(monkeypatch):
+    # status 4: HiGHS reports numerical difficulties
+    monkeypatch.setattr(lp, "_interior", lambda A, b, upper: (4, None))
+    solve_support, supports = lp._solve_support, []
+
+    def spy(entries, n, b, support):
+        supports.append(support)
+        return solve_support(entries, n, b, support)
+
+    monkeypatch.setattr(lp, "_solve_support", spy)
+    called = _methods(monkeypatch)
+    k4e = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    for pattern, host in ((K3, complete_graph(16)), (cycle_graph(4), k4e),
+                          (K3, k4e)):
+        exact = fractional_decompose(pattern, host, mode="rational")
+        approx = fractional_decompose(pattern, host, mode="float")
+        assert exact.status == approx.status
+        if exact.status == FEASIBLE:
+            load = _exact_loads(pattern, exact.solution)
+            assert load == {e: 1 for e in host.edges}
+        else:
+            assert _farkas_holds(pattern, host, exact.farkas)
+    assert called and set(called) == {"highs-ds"}
+    # K16's vertex does not round: its weights come from the support solve
+    assert len(supports) == 1
+
+
+def test_float_interior_point_outside_tolerance_falls_back(monkeypatch):
+    interior = lp._interior
+
+    def off_by_1e6(A, b, upper):
+        status, x = interior(A, b, upper)
+        return status, x + 1e-6
+
+    monkeypatch.setattr(lp, "_interior", off_by_1e6)
+    called = _methods(monkeypatch)
+    host = complete_graph(19)
+    res = fractional_decompose(K3, host, mode="float")
+    assert res.status == FEASIBLE and called == ["highs-ipm", "highs-ds"]
+    load = {e: 0.0 for e in host.edges}
+    for c, w in zip(res.solution.copies, res.solution.weights):
+        for e in c.edge_image():
+            load[e] += w
+    assert max(abs(t - 1.0) for t in load.values()) <= 1e-9
+
+
+def test_fractional_decompose_warns_nothing():
+    k4e = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for host in (complete_graph(9), k4e):
+            for mode in ("rational", "float"):
+                fractional_decompose(K3, host, mode=mode)
 
 
 def test_general_rows_and_rhs():

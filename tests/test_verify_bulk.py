@@ -143,11 +143,22 @@ def test_each_mutation_gets_the_walks_verdict(name, mutate):
 
 
 def test_a_non_int_vertex_is_left_to_the_walk():
-    # 1.0 equals 1 as a set member, so the walk accepts it; 1.5 is no vertex
+    # 1.0 equals 1 as a set member, yet only an int is a vertex
     dec = certificate("exact K3->K45")
     im = dec.copies[0].image
-    for x, ok in ((float(im[1]), True), (im[1] + 0.5, False)):
+    for x in (float(im[1]), im[1] + 0.5):
         bad = _image(dec, 0, (im[0], x, im[2]))
         assert not _valid_in_bulk(bad)
-        assert verify_decomposition(bad)[0] == ok
-        assert verify_decomposition(bad) == _verify_by_walk(bad)
+        assert verify_decomposition(bad) == _verify_by_walk(bad) == (
+            False, "copy 0 is not a valid embedding")
+
+
+@pytest.mark.parametrize("image", [(0, 1.0, 2), (0, True, 2)],
+                         ids=["float", "bool"])
+def test_bool_and_float_vertex_ids_are_rejected(image):
+    # True is an int to numpy, so the array pass scans the types first
+    k3 = complete_graph(3)
+    dec = Decomposition(k3, k3.edges, [EmbeddedCopy(k3, k3, image)])
+    assert not _valid_in_bulk(dec)
+    assert verify_decomposition(dec) == _verify_by_walk(dec) == (
+        False, "copy 0 is not a valid embedding")
