@@ -15,7 +15,8 @@ from .errors import DecompLabError, ParseError
 from .extremal import generate_extremal, obstruction_check
 from .gadgets import (build_absorber, build_c4_switcher, build_c6_switcher,
                       build_k2r_switcher, build_partite_neighbourhood_absorber,
-                      build_teleporter, build_transformer, verify_switcher)
+                      build_teleporter, build_transformer, verify_absorber,
+                      verify_star_cover, verify_switcher, verify_transformer)
 from .graphio import (parse_edge_list, serialize_certificate,
                       serialize_edge_list)
 from .graphs import GraphMap
@@ -123,14 +124,14 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("c4", "c6", "k2r", "teleporter", "transformer",
                             "absorber", "partite-abs"))
     b.add_argument("--pattern", required=True)
+    # None marks a flag not given: a kind that does not read it refuses it
     b.add_argument("--r", type=int, default=None)
     b.add_argument("--strategy", choices=("general", "bipartite"),
-                   default="general")
-    b.add_argument("--mode", choices=("internal", "external"),
-                   default="internal")
+                   default=None)
+    b.add_argument("--mode", choices=("internal", "external"), default=None)
     b.add_argument("--leftover", default=None,
                    help="transformer/absorber: edge-list file")
-    b.add_argument("--b", type=int, default=1)
+    b.add_argument("--b", type=int, default=None)
 
     p = sub.add_parser("extremal", help="lower-bound families")
     p.add_argument("--pattern", required=True)
@@ -312,41 +313,60 @@ def _cmd_fix(args) -> CommandResult:
                                 "max_degree": h.max_degree()})
 
 
+# the kinds that read each gadget build flag
+_GADGET_FLAGS = {"r": ("k2r",), "strategy": ("c6",), "mode": ("teleporter",),
+                 "leftover": ("transformer", "absorber"),
+                 "b": ("partite-abs",)}
+
+
+def _verdict(payload: dict, ok: bool, why) -> CommandResult:
+    """A built gadget with its own verifier's verdict; a rejected one is an
+    error."""
+    payload.update(verified=ok, violation=why)
+    if ok:
+        return CommandResult("ok", payload)
+    return CommandResult("error", payload, [why or ""], EXIT_ERROR)
+
+
 def _cmd_gadget(args) -> CommandResult:
     if args.gadget_command != "build":
         return _usage("missing gadget subcommand")
-    f = _load_graph(args.pattern)
     kind = args.kind
+    for flag, kinds in _GADGET_FLAGS.items():
+        if getattr(args, flag) is not None and kind not in kinds:
+            return _usage(f"--{flag} is not read by --kind {kind}")
+    if kind in ("transformer", "absorber") and args.leftover is None:
+        return _usage(f"--kind {kind} needs --leftover")
+    f = _load_graph(args.pattern)
     if kind == "c4":
         sw = build_c4_switcher(f)
     elif kind == "c6":
-        sw = build_c6_switcher(f, args.strategy)
+        sw = build_c6_switcher(f, args.strategy or "general")
     elif kind == "k2r":
         r = degree_gcd(f) if args.r is None else args.r
         sw = build_k2r_switcher(f, r)
     elif kind == "teleporter":
-        sw = build_teleporter(f, args.mode)
+        sw = build_teleporter(f, args.mode or "internal")
     elif kind == "transformer":
         h = _load_graph(args.leftover)
         tr = build_transformer(f, h, GraphMap(h, h, tuple(range(h.n))))
-        from .gadgets import verify_transformer
-        ok, why = verify_transformer(tr)
-        return CommandResult("ok" if ok else "error", {
-            "kind": "transformer", "vertices": tr.t.n, "edges": tr.t.e,
-            "verified": ok, "violation": why})
+        return _verdict({"kind": kind, "vertices": tr.t.n, "edges": tr.t.e},
+                        *verify_transformer(tr))
     elif kind == "absorber":
         h = _load_graph(args.leftover)
         ab = build_absorber(f, h)
-        from .gadgets import verify_absorber
-        ok, why = verify_absorber(ab)
-        return CommandResult("ok" if ok else "error", {
-            "kind": "absorber", "vertices": ab.a.n, "edges": ab.a.e,
-            "verified": ok, "violation": why})
+        return _verdict({"kind": kind, "vertices": ab.a.n, "edges": ab.a.e},
+                        *verify_absorber(ab))
     else:
-        pa = build_partite_neighbourhood_absorber(f, args.b)
-        return CommandResult("ok", {
-            "kind": "partite-abs", "vertices": pa.graph.n,
-            "bundle": len(pa.w), "centre": pa.x})
+        pa = build_partite_neighbourhood_absorber(
+            f, 1 if args.b is None else args.b)
+        plus = pa.graph.with_edges((pa.x, w) for w in pa.w)
+        ok, why = verify_star_cover(f, pa.graph, pa.x, pa.cover_plain)
+        if ok:
+            ok, why = verify_star_cover(f, plus, pa.x, pa.cover_with_w)
+            why = why and f"with the bundle: {why}"
+        return _verdict({"kind": kind, "vertices": pa.graph.n,
+                         "bundle": len(pa.w), "centre": pa.x}, ok, why)
     ok, why = verify_switcher(sw)
     payload = {
         "kind": kind,
@@ -359,12 +379,10 @@ def _cmd_gadget(args) -> CommandResult:
         "e2": sorted(list(e) for e in sw.e2),
         "cert1": json.loads(serialize_certificate(sw.cert1)),
         "cert2": json.loads(serialize_certificate(sw.cert2)),
-        "verified": ok,
     }
     if sw.compression is not None:
         payload["compression_width"] = sw.compression.d
-    return CommandResult("ok" if ok else "error", payload,
-                         [] if ok else [why or ""])
+    return _verdict(payload, ok, why)
 
 
 def _cmd_extremal(args) -> CommandResult:

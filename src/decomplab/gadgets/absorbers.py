@@ -188,25 +188,14 @@ def build_absorber(f: Graph, h: Graph,
     # assemble the universe: the leftover block first, then every shared
     # shape planted once, then the four transformers' interiors.  The side
     # `cert1` decomposes A, the side `cert2` decomposes A + H.
-    space = GadgetSpace()
+    space = GadgetSpace(f)
     h_ids = space.fresh(h.n)
-
-    def plant(g: Graph, pins: dict) -> list[int]:
-        vmap = [pins.get(x, -1) for x in range(g.n)]
-        for x in range(g.n):
-            if vmap[x] == -1:
-                vmap[x] = space.fresh_one()
-        for a, b in g.edges:
-            if a in pins and b in pins:
-                continue  # leftover-internal edges stay out of the absorber
-            space.add_edge(vmap[a], vmap[b])
-        return vmap
-
-    att_map = plant(h_att, {x: h_ids[x] for x in range(h.n)})
-    h0_map = plant(h0, {})
-    loop_map = plant(loop_h, {})
-    pf0_map = plant(pf0, {})
-    pf_att_map = plant(pf_att, {})
+    # pinned to the leftover block, whose own edges stay out of the absorber
+    att_map = space.place(h_att, dict(enumerate(h_ids)))
+    h0_map = space.place(h0, {})
+    loop_map = space.place(loop_h, {})
+    pf0_map = space.place(pf0, {})
+    pf_att_map = space.place(pf_att, {})
 
     star = build_k2r_switcher(f, r)
     c6 = _pick_c6_switcher(f)
@@ -219,18 +208,17 @@ def build_absorber(f: Graph, h: Graph,
             (h0, to_loop, h0_map, loop_map, True),
             (pf0, pf_to_att, pf0_map, pf_att_map, True),
             (pf0, pf_to_loop, pf0_map, loop_map, False)):
-        _place_transformer(space, f, src, phi, src_map, dst_map, star, c6,
-                           swap)
+        _place_transformer(space, src, phi, src_map, dst_map, star, c6, swap)
 
     # one pattern copy per block of an attached shape: the tail vertex plays
     # the cut edge's far end, the block supplies the rest
     for tag, ex, amap, shape_map in (("cert1", ex_h, map_att, att_map),
                                      ("cert2", ex_pf, map_pf_att, pf_att_map)):
         for _, _, off in ex.blocks:
-            space.record(tag, f, [shape_map[amap.image[off + t]]
-                                  for t in range(f.n)])
+            space.record(tag, [shape_map[amap.image[off + t]]
+                               for t in range(f.n)])
     for j in range(p):                             # the p standalone copies
-        space.record("cert2", f, pf_att_map[j * f.n:(j + 1) * f.n])
+        space.record("cert2", pf_att_map[j * f.n:(j + 1) * f.n])
 
     h_edges = frozenset(norm_edge(h_ids[a], h_ids[b]) for a, b in h.edges)
     cert_a = space.finalize("cert1")
@@ -468,7 +456,7 @@ def build_partite_neighbourhood_absorber(f: Graph, b: int,
     if chosen_degrees is None:
         raise ResourceError("no copy multiset reaches the bundle size")
 
-    space = GadgetSpace()
+    space = GadgetSpace(f)
     x = space.fresh_one()
     col = {x: s}
     cover_with_w = []
@@ -485,11 +473,7 @@ def build_partite_neighbourhood_absorber(f: Graph, b: int,
                 while nxt_col in remap.values():
                     nxt_col += 1
                 remap[cc] = nxt_col
-        vmap = {}
-        for t in range(f.n):
-            vmap[t] = x if t == v else space.fresh_one()
-        for a_, b_ in f.edges:
-            space.add_edge(vmap[a_], vmap[b_])
+        vmap = space.place(f, {v: x})
         for t in range(f.n):
             if t == v:
                 continue
@@ -498,7 +482,7 @@ def build_partite_neighbourhood_absorber(f: Graph, b: int,
             star_class[vmap[y]] = remap[base[y]]
             if remap[base[y]] == 1:
                 class1_nbrs.append(vmap[y])
-        cover_with_w.append((f, tuple(vmap[t] for t in range(f.n))))
+        cover_with_w.append(tuple(vmap))
 
     w_set = tuple(sorted(class1_nbrs)[:br])
     for wv in w_set:
@@ -555,7 +539,7 @@ def build_partite_neighbourhood_absorber(f: Graph, b: int,
                 assert col[vmap[t]] == tcol
             else:
                 col[vmap[t]] = tcol
-        return [(f, tuple(vmap[v] for v in img)) for img in rot.f_copy_images]
+        return [tuple([vmap[v] for v in img]) for img in rot.f_copy_images]
 
     # skew copies shave one unit off a surplus class per use
     for (i, jj), cnt in sorted(bmat.items()):
@@ -585,8 +569,6 @@ def build_partite_neighbourhood_absorber(f: Graph, b: int,
     t_graph = space.graph()
     if t_graph.n > guard:
         raise SizeGuardError(f"gadget grew to {t_graph.n} vertices")
-    host_plus = Graph(t_graph.n,
-                      t_graph.edges | {norm_edge(x, wv) for wv in w_set})
-    plain = [EmbeddedCopy(pp, t_graph, im) for pp, im in cover_plain]
-    plus = [EmbeddedCopy(pp, host_plus, im) for pp, im in cover_with_w]
-    return PartiteNeighbourhoodAbsorber(t_graph, col, x, w_set, plain, plus)
+    return PartiteNeighbourhoodAbsorber(
+        t_graph, col, x, w_set, [EmbeddedCopy(f, im) for im in cover_plain],
+        [EmbeddedCopy(f, im) for im in cover_with_w])

@@ -73,7 +73,7 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
     m1_idx, m2_idx = _component_multiset_split([cnt for _, cnt in family])
     occ = [(ei, -1) for ei in m1_idx] + [(ei, +1) for ei in m2_idx]
 
-    space = GadgetSpace()
+    space = GadgetSpace(f)
     rho: dict = {}
 
     def fresh_with(label) -> int:
@@ -147,9 +147,9 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
                 if v_space not in rho:
                     # interior labels follow the teleporter's own fold
                     rho[v_space] = C1 if tel.compression.psi[v_local] == 0 else C2
-            for p, img in g.cert1_copies:     # covers the light edge
+            for img in g.cert1_copies:        # covers the light edge
                 delta_plus_raw.extend(split_tilde_copy(img))
-            for p, img in g.cert2_copies:     # covers the heavy edge
+            for img in g.cert2_copies:        # covers the heavy edge
                 delta_minus_raw.extend(split_tilde_copy(img))
 
     for ei, sign, vmap, skipped in placements:
@@ -291,17 +291,17 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
     # -- record both certificates ------------------------------------------------
 
     for img in plus_copies:
-        space.record("cert1", f, img)
-        space.record("cert2", f, mirrored(img))
+        space.record("cert1", img)
+        space.record("cert2", mirrored(img))
     for img in minus_copies:
-        space.record("cert1", f, mirrored(img))
-        space.record("cert2", f, img)
+        space.record("cert1", mirrored(img))
+        space.record("cert2", img)
     for img in (f1_img, f2_img):
-        space.record("cert1", f, mirrored(img))
-        space.record("cert2", f, img)
+        space.record("cert1", mirrored(img))
+        space.record("cert2", img)
     for img in fe_copies:
-        space.record("cert1", f, mirrored(img))
-        space.record("cert2", f, img)
+        space.record("cert1", mirrored(img))
+        space.record("cert2", img)
     for _, _, g in star_glued:
         space.take(g)
 

@@ -68,7 +68,7 @@ def clique_power_decomposition(p: int, k: int,
         raise SizeGuardError(f"{n} vertices exceeds the guard {guard}")
     host = complete_graph(n)
     pattern = complete_graph(p)
-    copies = [EmbeddedCopy(pattern, host, tuple(t))
+    copies = [EmbeddedCopy(pattern, tuple(t))
               for t in _decompose_clique_power(p, k)]
     expected = (n * (n - 1)) // (p * (p - 1))
     assert len(copies) == expected

@@ -1,8 +1,12 @@
 """Vertex allocation and gluing for gadget composition.
 
-Attaching a gadget identifies its roots with chosen existing vertices and
-allocates every other vertex fresh.  Edge multi-occurrence across glued
-pieces is forbidden and checked at insertion time.
+A gadget space holds copies of one pattern, given once when the space is
+opened; each copy it records on a certificate side is a bare image tuple,
+and `finalize` hands them out with that pattern and the space's graph as
+their host.  `place` wires every piece into the space: pinned vertices keep
+their given ids and every other vertex is allocated fresh.  Edge
+multi-occurrence across glued pieces is forbidden and checked at insertion
+time.
 """
 
 from __future__ import annotations
@@ -15,12 +19,14 @@ from .types import Compression
 
 
 class GadgetSpace:
-    """A growing vertex universe accumulating edge-disjoint gadget pieces."""
+    """A growing vertex universe accumulating edge-disjoint gadget pieces
+    and the copies of `pattern` that decompose them."""
 
-    def __init__(self):
+    def __init__(self, pattern: Graph):
+        self.pattern = pattern
         self.n = 0
         self.edges: set = set()
-        self.copies: dict = {}        # tag -> list of (pattern, image tuple)
+        self.copies: dict = {}        # side -> list of image tuples
 
     def fresh(self, k: int) -> list[int]:
         out = list(range(self.n, self.n + k))
@@ -28,7 +34,8 @@ class GadgetSpace:
         return out
 
     def fresh_one(self) -> int:
-        return self.fresh(1)[0]
+        self.n += 1
+        return self.n - 1
 
     def add_edge(self, u: int, v: int, merge: bool = False):
         if u == v:
@@ -38,15 +45,25 @@ class GadgetSpace:
             raise InputError(f"edge {e} glued twice")
         self.edges.add(e)
 
-    def add_graph(self, g: Graph, vmap, merge: bool = False):
-        for u, v in g.edges:
-            self.add_edge(vmap[u], vmap[v], merge=merge)
+    def place(self, g: Graph, pins: dict) -> list[int]:
+        """Wire a copy of `g` into the space and return its vertex map.
+
+        Each vertex in `pins` keeps its given space id; every other vertex
+        gets a fresh id, in vertex order.  Each edge of `g` that does not
+        join two pinned vertices is added.
+        """
+        vmap = [pins[x] if x in pins else self.fresh_one()
+                for x in range(g.n)]
+        for a, b in g.edges:
+            if a not in pins or b not in pins:
+                self.add_edge(vmap[a], vmap[b])
+        return vmap
 
     def graph(self) -> Graph:
         return Graph(self.n, self.edges)
 
-    def record(self, tag, pattern: Graph, image) -> None:
-        self.copies.setdefault(tag, []).append((pattern, tuple(image)))
+    def record(self, side, image) -> None:
+        self.copies.setdefault(side, []).append(tuple(image))
 
     def take(self, glued: "GluedSwitcher", swap: bool = False) -> None:
         """Record a glued switcher's certificate copies on the two sides,
@@ -55,14 +72,14 @@ class GadgetSpace:
         self.copies.setdefault(one, []).extend(glued.cert1_copies)
         self.copies.setdefault(two, []).extend(glued.cert2_copies)
 
-    def finalize(self, tag, extra_edges=()) -> Decomposition:
-        """The copies recorded under `tag` as a decomposition of the current
+    def finalize(self, side, extra_edges=()) -> Decomposition:
+        """The copies recorded on `side` as a decomposition of the current
         universe plus `extra_edges`: host and target are that edge set, so
         `verify_decomposition` checks that the copies partition all of it."""
         host = Graph(self.n, [*self.edges, *extra_edges])
         return Decomposition(host, host.edges,
-                             [EmbeddedCopy(p, host, img)
-                              for p, img in self.copies.get(tag, [])])
+                             [EmbeddedCopy(self.pattern, img)
+                              for img in self.copies.get(side, [])])
 
 
 @dataclass
@@ -71,7 +88,7 @@ class GluedSwitcher:
     space."""
 
     vmap: tuple
-    cert1_copies: list            # list of (pattern, image in space)
+    cert1_copies: list            # image tuples in the space
     cert2_copies: list
 
 
@@ -85,17 +102,11 @@ def glue_switcher(space: GadgetSpace, sw, root_images) -> GluedSwitcher:
         raise InputError("root image count mismatch")
     if len(set(root_images)) != len(root_images):
         raise InputError("root images must be distinct")
-    vmap = [-1] * m.graph.n
-    for r, t in zip(m.roots, root_images):
-        vmap[r] = t
-    for v in range(m.graph.n):
-        if vmap[v] == -1:
-            vmap[v] = space.fresh_one()
-    space.add_graph(m.graph, vmap)
+    vmap = space.place(m.graph, dict(zip(m.roots, root_images)))
     return GluedSwitcher(
         tuple(vmap),
-        [(c.pattern, tuple(vmap[x] for x in c.image)) for c in sw.cert1.copies],
-        [(c.pattern, tuple(vmap[x] for x in c.image)) for c in sw.cert2.copies],
+        [tuple([vmap[x] for x in c.image]) for c in sw.cert1.copies],
+        [tuple([vmap[x] for x in c.image]) for c in sw.cert2.copies],
     )
 
 

@@ -66,7 +66,7 @@ def build_c4_switcher(f: Graph) -> CertifiedSwitcher:
     f_rows = fr.without_vertices([ell])   # pattern minus the last role
     nbr_last = fr.adj[ell]                # roles adjacent to the last role
 
-    space = GadgetSpace()
+    space = GadgetSpace(f)
     u1, u2, u3, u4 = space.fresh(4)
     grid = {}
     for i in range(ell):
@@ -111,7 +111,7 @@ def build_c4_switcher(f: Graph) -> CertifiedSwitcher:
     def full_copy(tag, partial_img, last_at):
         # roles back to original pattern vertices: vertex x plays role perm[x]
         img = list(partial_img) + [last_at]
-        space.record(tag, f, [img[perm[x]] for x in range(f.n)])
+        space.record(tag, [img[perm[x]] for x in range(f.n)])
 
     # cert1 decomposes S + {u1u2, u3u4}: u1 completes the rows, u3 the
     # columns; the split cell's row copy picks up u1u2, its column u3u4
@@ -178,16 +178,12 @@ def build_bipartite_degree_star_switcher(f: Graph, v: int) -> CertifiedSwitcher:
     a_side = sides[0] if v in sides[0] else sides[1]
     leaves = sorted(f.adj[v])
 
-    space = GadgetSpace()
-    space.fresh(f.n)              # pattern vertices keep their ids
+    space = GadgetSpace(f)
+    # pattern vertices keep their ids; the edges at v are the switched ones
+    space.place(f.without_edges([(v, u) for u in leaves]), {})
     vprime = space.fresh_one()
-    for x, y in f.edges:
-        if v in (x, y):
-            continue
-        space.add_edge(x, y)
-    space.record("cert1", f, list(range(f.n)))
-    img2 = [vprime if x == v else x for x in range(f.n)]
-    space.record("cert2", f, img2)
+    space.record("cert1", range(f.n))
+    space.record("cert2", [vprime if x == v else x for x in range(f.n)])
 
     e1 = [(v, u) for u in leaves]
     e2 = [(vprime, u) for u in leaves]
@@ -211,12 +207,11 @@ def build_clique_degree_star_switcher(f: Graph, v: int) -> CertifiedSwitcher:
     fm = f.without_vertices([v])          # relabels: vertices > v shift down
     down = lambda x: x - 1 if x > v else x
 
-    space = GadgetSpace()
-    fm_ids = space.fresh(fm.n)
+    space = GadgetSpace(f)
+    fm_ids = space.place(fm, {})
     plus = space.fresh_one()
     minus = space.fresh_one()
     leaves = space.fresh(r)
-    space.add_graph(fm, fm_ids)
     w = [fm_ids[down(x)] for x in nbrs]   # images of the old neighbourhood
     for wi in w:
         space.add_edge(plus, wi)          # D+
@@ -238,8 +233,8 @@ def build_clique_degree_star_switcher(f: Graph, v: int) -> CertifiedSwitcher:
             f_img_plus[x] = fm_ids[down(x)]
             f_img_minus[x] = fm_ids[down(x)]
     # gadget+E+ = (pattern at plus) + each bridge switched to {w_i-, leaf_i+}
-    space.record("cert1", f, f_img_plus)
-    space.record("cert2", f, f_img_minus)
+    space.record("cert1", f_img_plus)
+    space.record("cert2", f_img_minus)
     for g in glued:
         space.take(g, swap=True)
 
@@ -347,7 +342,7 @@ def build_k2r_switcher(f: Graph, r: int) -> CertifiedSwitcher:
     # double-star reduction: W carries sum(V1) shared leaves; the leaf roots
     # u_1..u_r enter only through the V2 stars
     v1, v2 = _degree_multiset_split(degs, r)
-    space = GadgetSpace()
+    space = GadgetSpace(f)
     leaves = space.fresh(r)
     plus = space.fresh_one()
     minus = space.fresh_one()
@@ -404,7 +399,7 @@ def build_c6_switcher_general(f: Graph) -> CertifiedSwitcher:
     vertices; works for every pattern with at least two edges."""
     if f.e < 2:
         raise InputError("pattern needs at least two edges")
-    space = GadgetSpace()
+    space = GadgetSpace(f)
     u = space.fresh(6)           # u[0..5] are u1..u6
     w1 = space.fresh_one()
     w2 = space.fresh_one()
@@ -461,7 +456,7 @@ def build_internal_teleporter(f: Graph) -> CertifiedSwitcher:
         raise DomainError("internal teleporter needs a bipartite pattern")
     if g != 1:
         raise DomainError(f"internal teleporter needs degree gcd 1, got {g}")
-    space = GadgetSpace()
+    space = GadgetSpace(f)
     u = space.fresh(4)
     w = space.fresh_one()
     space.add_edge(u[1], w)
@@ -526,22 +521,20 @@ def build_external_teleporter(f: Graph) -> CertifiedSwitcher:
     sides = f.bipartition()
     colour = lambda x: 0 if x in sides[0] else 1
 
-    space = GadgetSpace()
+    space = GadgetSpace(f)
     u = space.fresh(4)
     star_occ = next(i for i, (_, side) in enumerate(occ) if side == 2)
     anchor_comp = occ[star_occ][0]
     vw = min(f.induced_edges(comps[anchor_comp]))
     v0, w0 = (vw if colour(vw[0]) == 0 else (vw[1], vw[0]))
 
-    def place(vs, pins, skip_edge=None):
-        vmap = {}
-        for x in sorted(vs):
-            vmap[x] = pins[x] if x in pins else space.fresh_one()
-        for x, y in f.induced_edges(vs):
-            if skip_edge and norm_edge(x, y) == skip_edge:
-                continue
-            space.add_edge(vmap[x], vmap[y])
-        return vmap
+    def place(vs, pins):
+        """Place the pattern's subgraph induced on `vs`; its map from
+        pattern vertices to space ids."""
+        vs = sorted(vs)
+        got = space.place(f.induced(vs), {i: pins[x] for i, x in enumerate(vs)
+                                          if x in pins})
+        return dict(zip(vs, got))
 
     # per occurrence: plus and minus copies of its component, plus a copy of
     # the rest of the pattern (shared by both certificate sides)
@@ -552,8 +545,8 @@ def build_external_teleporter(f: Graph) -> CertifiedSwitcher:
         cvs = comps[ci]
         rest = [x for x in range(f.n) if x not in set(cvs)]
         if i == star_occ:
-            pmap = place(cvs, {v0: u[0], w0: u[1]}, skip_edge=norm_edge(*vw))
-            mmap = place(cvs, {v0: u[2], w0: u[3]}, skip_edge=norm_edge(*vw))
+            pmap = place(cvs, {v0: u[0], w0: u[1]})
+            mmap = place(cvs, {v0: u[2], w0: u[3]})
         else:
             pmap = place(cvs, {})
             mmap = place(cvs, {})
@@ -586,7 +579,7 @@ def build_external_teleporter(f: Graph) -> CertifiedSwitcher:
         for vmap in vmap_pairs:
             for x, gx in vmap.items():
                 img[x] = gx
-        space.record(tag, f, img)
+        space.record(tag, img)
 
     # gadget + {u1u2}: the anchor closes on the plus side, light occurrences
     # close on minus, heavy ones on plus; teleporters absorb the light plus

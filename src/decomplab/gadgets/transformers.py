@@ -27,9 +27,10 @@ def _pick_c6_switcher(f: Graph):
     return build_c6_switcher_general(f)
 
 
-def _place_transformer(space: GadgetSpace, f: Graph, h: Graph, phi: GraphMap,
+def _place_transformer(space: GadgetSpace, h: Graph, phi: GraphMap,
                        h_ids, hp_ids, star, c6, swap: bool) -> None:
-    """Place a transformer for `h` and its image under `phi` into `space`.
+    """Place a transformer for `h` and its image under `phi` into `space`,
+    for the space's pattern.
 
     `h_ids` and `hp_ids` are the space vertices of h's and phi.target's
     blocks; every other vertex is fresh and neither leftover's edges join the
@@ -37,6 +38,7 @@ def _place_transformer(space: GadgetSpace, f: Graph, h: Graph, phi: GraphMap,
     The copies that cover T + H are recorded on the side `cert1`, those
     that cover T + H' on `cert2`; with `swap`, crosswise.
     """
+    f = space.pattern
     r = degree_gcd_of(f)
     if f.e < 2:
         raise InputError("pattern needs at least two edges")
@@ -75,10 +77,10 @@ def build_transformer(f: Graph, h: Graph, phi: GraphMap) -> CertifiedTransformer
     `phi` maps h onto h'; the two graphs land on disjoint vertex blocks of
     the gadget universe and stay independent inside it.
     """
-    space = GadgetSpace()
+    space = GadgetSpace(f)
     h_ids = space.fresh(h.n)
     hp_ids = space.fresh(phi.target.n)
-    _place_transformer(space, f, h, phi, h_ids, hp_ids,
+    _place_transformer(space, h, phi, h_ids, hp_ids,
                        build_k2r_switcher(f, degree_gcd_of(f)),
                        _pick_c6_switcher(f), swap=False)
     h_edges = frozenset(norm_edge(h_ids[a], h_ids[b]) for a, b in h.edges)

@@ -133,5 +133,5 @@ def parse_certificate(text: str) -> Decomposition:
     if k and images and (min(map(min, images)) < 0
                          or max(map(max, images)) >= n):
         raise ParseError("copy image vertex out of range")
-    dec.copies = [EmbeddedCopy(pattern, host, img) for img in images]
+    dec.copies = [EmbeddedCopy(pattern, img) for img in images]
     return dec

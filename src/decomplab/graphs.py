@@ -21,7 +21,11 @@ def norm_edge(u: int, v: int) -> tuple[int, int]:
 
 
 def _reject_edge(n: int, norm: frozenset):
-    """Raise for the lowest normalised edge that is a loop or out of range."""
+    """Raise for the lowest non-int vertex id (by its text), else for the
+    lowest normalised edge that is a loop or out of range."""
+    bad = sorted({repr(x) for e in norm for x in e if type(x) is not int})
+    if bad:
+        raise InputError(f"vertex id {bad[0]} is not an int")
     u, v = min(e for e in norm if not 0 <= e[0] < e[1] < n)
     if u == v:
         raise InputError(f"loop at vertex {u} is not allowed")
@@ -32,7 +36,8 @@ class Graph:
     """Finite simple undirected graph on vertices 0..n-1.
 
     Vertex identity is a dense integer index.
-    Invariants: no loops, no duplicate edges, endpoints < vertex_count.
+    Invariants: no loops, no duplicate edges, endpoints are ints (not bools)
+    below vertex_count.
     """
 
     __slots__ = ("n", "edges", "_adj", "_hash", "_memo")
@@ -40,9 +45,12 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
             raise InputError("vertex_count must be nonnegative")
-        norm = frozenset([(u, v) if u < v else (v, u) for u, v in edges])
+        try:
+            norm = frozenset([(u, v) if u < v else (v, u) for u, v in edges])
+        except TypeError:       # ids that do not even compare
+            raise InputError("vertex ids must be ints") from None
         for u, v in norm:
-            if not 0 <= u < v < n:
+            if type(u) is not int or type(v) is not int or not 0 <= u < v < n:
                 _reject_edge(n, norm)
         self.n = n
         self.edges = norm
@@ -364,10 +372,14 @@ class GraphMap:
 
 @dataclass(frozen=True, slots=True)
 class EmbeddedCopy:
-    """An injective homomorphic image of a pattern inside a host graph."""
+    """An injective homomorphic image of a pattern: `image[v]` is the host
+    vertex of pattern vertex v.
+
+    A copy does not name its host: that is the host of the `Decomposition`
+    or result that holds it, and `is_valid` takes it as its argument.
+    """
 
     pattern: Graph
-    host: Graph
     image: tuple[int, ...]
 
     def edge_image(self) -> frozenset:
@@ -375,15 +387,15 @@ class EmbeddedCopy:
         return frozenset([(im[u], im[v]) if im[u] < im[v] else (im[v], im[u])
                           for u, v in self.pattern.edges])
 
-    def is_valid(self) -> bool:
+    def is_valid(self, host: Graph) -> bool:
         if len(self.image) != self.pattern.n:
             return False
-        if any(not (0 <= x < self.host.n) for x in self.image):
+        if any(not (0 <= x < host.n) for x in self.image):
             return False
         if len(set(self.image)) != self.pattern.n:
             return False
         im = self.image
-        return all(norm_edge(im[u], im[v]) in self.host.edges
+        return all(norm_edge(im[u], im[v]) in host.edges
                    for u, v in self.pattern.edges)
 
 

@@ -184,8 +184,8 @@ def cover_down(f: Graph, g: Graph, vortex: Vortex,
                     and (u, v) not in reserved]
         got = greedy_decompose(f, Graph(n, universe),
                                seed=rng.randrange(1 << 30))
+        copies.extend(got.copies)
         for c in got.copies:
-            copies.append(EmbeddedCopy(f, g, c.image))
             remove(c.edge_image())
         level["greedy_copies"] = len(got.copies)
 
@@ -251,7 +251,7 @@ def cover_down(f: Graph, g: Graph, vortex: Vortex,
                         continue
                     stalls += 1
                     continue
-                copy = EmbeddedCopy(f, g, tuple([order[r] for r in img]))
+                copy = EmbeddedCopy(f, tuple([order[r] for r in img]))
                 es = copy.edge_image()
                 copies.append(copy)
                 committed.append(es)

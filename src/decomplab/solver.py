@@ -84,18 +84,17 @@ class FractionalResult:
     farkas: Optional[list] = None         # rational infeasible: y, one per edge
 
 
-def candidate_copies(pattern: Graph, host: Graph, target: frozenset,
+def candidate_copies(pattern: Graph, host: Graph,
                      through_vertex: Optional[int] = None
                      ) -> list[tuple[int, ...]]:
-    """The images (tuples of host vertices) of the deduplicated copies, one
-    per image edge set, lying inside `target`.
+    """The images (tuples of host vertices) of the deduplicated copies in
+    `host`, one per image edge set.
 
     With `through_vertex`, only copies whose image contains that vertex: the
     first pattern vertex of each Aut(F)-orbit is pinned there in turn.  Two
     embeddings with the same edge image differ by an automorphism, so no copy
     comes from two orbits.
     """
-    sub = host if target == host.edges else Graph(host.n, target)
     if through_vertex is None:
         pins = [None]
     else:
@@ -103,7 +102,7 @@ def candidate_copies(pattern: Graph, host: Graph, target: frozenset,
         pins = [{p: through_vertex}
                 for (p,) in orbit_representatives(pattern, vertices)]
     return [img for pin in pins
-            for img in enumerate_embeddings(pattern, sub, pins=pin,
+            for img in enumerate_embeddings(pattern, host, pins=pin,
                                             dedup_by_edges=True)]
 
 
@@ -235,7 +234,7 @@ def exact_decompose(pattern: Graph, host: Graph,
                                    report=check_divisibility(pattern, piece))
 
     deadline = _deadline(timeout)
-    cands = candidate_copies(pattern, sub, sub.edges)
+    cands = candidate_copies(pattern, sub)
     edges = sorted(target)
     _, columns = _copy_table(pattern, cands, host.n, edges)
     cert, tried = None, ()
@@ -251,7 +250,7 @@ def exact_decompose(pattern: Graph, host: Graph,
     chosen, nodes, hit = _exact_cover(columns, len(edges), range(len(edges)),
                                       deadline, refute=refute)
     if chosen is not None:
-        copies = [EmbeddedCopy(pattern, host, cands[i]) for i in chosen]
+        copies = [EmbeddedCopy(pattern, cands[i]) for i in chosen]
         dec = Decomposition(host, target, copies)
         return SolveResult(SAT, dec, nodes=nodes, primes_tried=tried)
     if cert is not None:
@@ -265,7 +264,7 @@ def verify_decomposition(dec: Decomposition) -> tuple[bool, Optional[str]]:
     """Certificate check: common pattern, valid embeddings, exact partition.
 
     One int64 array pass (`_valid_in_bulk`) accepts a valid certificate
-    whose copies all share its host and pattern.  Only when that pass does
+    whose copies all share one pattern.  Only when that pass does
     not accept is the certificate walked copy by copy (`_verify_by_walk`),
     to name the first violation; so the verdict and its message are the
     walk's, and a valid certificate is never walked.
@@ -284,8 +283,8 @@ def _same_graphs(first: Graph, graphs) -> bool:
 
 def _valid_in_bulk(dec: Decomposition) -> bool:
     """Whether `dec` is a valid certificate, checked in one array pass;
-    False also where a copy has another host or pattern, or where a vertex
-    is not an int.
+    False also where a copy has another pattern, or where a vertex is not
+    an int.
 
     With the target inside the host, it is the copies' image edges that
     must be the target's edges, each once: the sorted codes u*n + v of the
@@ -298,8 +297,7 @@ def _valid_in_bulk(dec: Decomposition) -> bool:
     if not copies:
         return not target
     pattern = copies[0].pattern
-    if not (_same_graphs(pattern, [c.pattern for c in copies])
-            and _same_graphs(host, [c.host for c in copies])):
+    if not _same_graphs(pattern, [c.pattern for c in copies]):
         return False
     if target is not host.edges and not target <= host.edges:
         return False
@@ -333,11 +331,11 @@ def _verify_by_walk(dec: Decomposition) -> tuple[bool, Optional[str]]:
     """`verify_decomposition`'s verdict, copy by copy: the first violation
     by name, or (True, None).
 
-    Linear in the total certificate size: a copy's pattern and host are
-    compared by identity first, and each distinct pattern or host object by
-    value only once.  Each copy is checked in one pass: its image (length,
-    distinct int vertices in range), then its image edges as one list
-    against the host, the edges covered so far and the target.  A copy that
+    Linear in the total certificate size: a copy's pattern is compared by
+    identity first, and each distinct pattern object by value only once.
+    Each copy is checked in one pass: its image (length, distinct int
+    vertices in range), then its image edges as one list against the host,
+    the edges covered so far and the target.  A copy that
     fails is walked again edge by edge to name the first violation.
     """
     target = dec.target_edges
@@ -350,16 +348,11 @@ def _verify_by_walk(dec: Decomposition) -> tuple[bool, Optional[str]]:
     host_edges, hn = dec.host.edges, dec.host.n
     covered = set()
     same_patterns = {id(pattern)}
-    same_hosts = {id(dec.host)}
     for k, c in enumerate(dec.copies):
         if id(c.pattern) not in same_patterns:
             if c.pattern != pattern:
                 return False, f"copy {k} has a different pattern"
             same_patterns.add(id(c.pattern))
-        if id(c.host) not in same_hosts:
-            if c.host != dec.host:
-                return False, f"copy {k} lives in a different host"
-            same_hosts.add(id(c.host))
         im = c.image
         if len(im) != pn or len(set(im)) != pn or any(
                 type(v) is not int for v in im) or (
@@ -400,7 +393,7 @@ def fractional_decompose(pattern: Graph, host: Graph, mode: str = "rational",
     if mode not in ("rational", "float"):
         raise InputError(f"unknown mode {mode!r}")
     import numpy as np
-    cands = candidate_copies(pattern, host, host.edges)
+    cands = candidate_copies(pattern, host)
     edges = sorted(host.edges)
     _, columns = _copy_table(pattern, cands, host.n, edges)
     incidence = np.zeros((len(edges), len(cands)), dtype=np.int8)
@@ -413,7 +406,7 @@ def fractional_decompose(pattern: Graph, host: Graph, mode: str = "rational",
         status, v = solve_equalities_box_float(rows, [1.0] * len(edges),
                                                tolerance)
     if status == FEASIBLE:
-        copies = [EmbeddedCopy(pattern, host, img) for img in cands]
+        copies = [EmbeddedCopy(pattern, img) for img in cands]
         return FractionalResult(FEASIBLE,
                                 FractionalDecomposition(copies, v, mode))
     return FractionalResult(status, farkas=v)
@@ -454,7 +447,7 @@ def greedy_decompose(pattern: Graph, host: Graph,
             continue
         img = find_through_edge(pattern, masks, ru, rv)
         if img is not None:
-            copies.append(EmbeddedCopy(pattern, host,
+            copies.append(EmbeddedCopy(pattern,
                                        tuple([order[r] for r in img])))
             for a, b in pattern.edges:
                 ra, rb = img[a], img[b]
@@ -489,7 +482,7 @@ def cover_vertex(pattern: Graph, host: Graph, x: int,
         rep = {"vertex": x, "degree": dx, "modulus": r, "residue": dx % r}
         return SolveResult(UNSAT_DIVISIBILITY, report=rep)
     edges = sorted(host.edges)
-    cands = candidate_copies(pattern, host, host.edges, through_vertex=x)
+    cands = candidate_copies(pattern, host, through_vertex=x)
     at, columns = _copy_table(pattern, cands, host.n, edges)
     star_items = frozenset(at[x].values())
     keep = [k for k, col in enumerate(columns)
@@ -499,7 +492,7 @@ def cover_vertex(pattern: Graph, host: Graph, x: int,
     chosen, nodes, hit = _exact_cover(columns, len(edges), star_items,
                                       _deadline(timeout))
     if chosen is not None:
-        copies = [EmbeddedCopy(pattern, host, cands[i]) for i in chosen]
+        copies = [EmbeddedCopy(pattern, cands[i]) for i in chosen]
         covered = frozenset(edges[e] for i in chosen for e in columns[i])
         return SolveResult(SAT, Decomposition(host, covered, copies),
                            nodes=nodes)

@@ -84,9 +84,54 @@ def test_gadget_build_every_kind(tmp_path, kind, pattern, options):
                *options])
     assert res.exit_code == EXIT_OK, res.payload
     assert res.payload["kind"] == kind
-    if kind != "partite-abs":       # the only kind without a verifier run
-        assert res.payload["verified"] is True
+    assert res.payload["verified"] is True
+    assert res.payload["violation"] is None
     json.dumps(res.payload)
+
+
+@pytest.mark.parametrize("kind, options", [
+    ("c4", ["--r", "2"]),
+    ("k2r", ["--strategy", "general"]),
+    ("c6", ["--mode", "internal"]),
+    ("teleporter", ["--b", "1"]),
+    ("partite-abs", ["--leftover", "c4.txt"]),
+    ("absorber", ["--leftover", "c4.txt", "--r", "2"]),
+    ("transformer", []),
+    ("absorber", []),
+])
+def test_gadget_build_rejects_flags_its_kind_does_not_read(tmp_path, kind,
+                                                           options):
+    c4 = _write(tmp_path, "c4.txt", cycle_graph(4))
+    options = [c4 if o == "c4.txt" else o for o in options]
+    res = run(["gadget", "build", "--kind", kind, "--pattern", c4, *options])
+    assert res.exit_code == EXIT_USAGE, res.diagnostics
+    assert res.payload == {"error": "usage"}
+
+
+@pytest.mark.parametrize("kind, builder, options, damage", [
+    ("c4", "build_c4_switcher", [], lambda g: g.cert1.copies.pop()),
+    ("absorber", "build_absorber", ["--leftover", "c4.txt"],
+     lambda g: g.cert_ah.copies.pop()),
+    ("partite-abs", "build_partite_neighbourhood_absorber", [],
+     lambda g: g.cover_with_w.pop()),
+])
+def test_gadget_build_rejected_by_its_verifier_is_an_error(
+        tmp_path, monkeypatch, kind, builder, options, damage):
+    c4 = _write(tmp_path, "c4.txt", cycle_graph(4))
+    options = [c4 if o == "c4.txt" else o for o in options]
+    build = getattr(cli, builder)
+
+    def broken(*args):
+        gadget = build(*args)
+        damage(gadget)
+        return gadget
+
+    monkeypatch.setattr(cli, builder, broken)
+    res = run(["gadget", "build", "--kind", kind, "--pattern", c4, *options])
+    assert res.status == "error" and res.exit_code == EXIT_ERROR
+    assert res.payload["verified"] is False
+    assert res.payload["violation"] and res.diagnostics == [
+        res.payload["violation"]]
 
 
 def test_fractional_solve(tmp_path, monkeypatch):

@@ -57,7 +57,7 @@ def test_pins_respected_and_identity_found():
     assert any(img == tuple(range(6)) for img in found)
     for img in found:
         assert img[0] == 0 and img[1] == 1
-        assert EmbeddedCopy(c6, c6, img).is_valid()
+        assert EmbeddedCopy(c6, img).is_valid(c6)
 
 
 def test_pins_must_be_injective():

@@ -67,7 +67,7 @@ def test_roundtrip_property(g):
 
 def test_certificate_roundtrip_identity():
     k3 = complete_graph(3)
-    dec = Decomposition(k3, k3.edges, [EmbeddedCopy(k3, k3, (0, 1, 2))])
+    dec = Decomposition(k3, k3.edges, [EmbeddedCopy(k3, (0, 1, 2))])
     s = serialize_certificate(dec)
     back = parse_certificate(s)
     assert back.host == dec.host

@@ -76,14 +76,14 @@ def test_graphmap_modes():
 def test_embedded_copy_validity():
     k3 = complete_graph(3)
     k4 = complete_graph(4)
-    good = EmbeddedCopy(k3, k4, (0, 1, 2))
-    assert good.is_valid()
+    good = EmbeddedCopy(k3, (0, 1, 2))
+    assert good.is_valid(k4)
     assert good.edge_image() == frozenset({(0, 1), (0, 2), (1, 2)})
-    assert not EmbeddedCopy(k3, k4, (0, 0, 2)).is_valid()
+    assert not EmbeddedCopy(k3, (0, 0, 2)).is_valid(k4)
     c4 = cycle_graph(4)
-    assert not EmbeddedCopy(c4, k4, (0, 1, 3, 2)).is_valid() or True
+    assert not EmbeddedCopy(c4, (0, 1, 3, 2)).is_valid(k4) or True
     # C4 image 0-1-3-2 has edges 01,13,32,20 -- all in K4, so valid
-    assert EmbeddedCopy(c4, k4, (0, 1, 3, 2)).is_valid()
+    assert EmbeddedCopy(c4, (0, 1, 3, 2)).is_valid(k4)
 
 
 def test_relabel_roundtrip():
@@ -129,3 +129,17 @@ def test_constructor_takes_a_generator():
     assert all(u < v for u, v in g.edges)
     with pytest.raises(InputError):
         Graph(17, ((u, 17) for u, _ in edges))
+
+
+@pytest.mark.parametrize("edges, message", [
+    ([(0, 1.5), (True, 2)], "vertex id 1.5 is not an int"),
+    ([(0, 1), (True, 2)], "vertex id True is not an int"),
+    ([(0, 1.0)], "vertex id 1.0 is not an int"),
+    ([("0", "1")], "vertex id '0' is not an int"),
+    ([(0, None)], "vertex ids must be ints"),
+], ids=["float-and-bool", "bool", "integral-float", "str", "none"])
+def test_constructor_refuses_non_int_vertex_ids(edges, message):
+    # a bool or a float equals an int id, yet only an int is a vertex
+    with pytest.raises(InputError) as info:
+        Graph(3, edges)
+    assert str(info.value) == message

@@ -23,7 +23,7 @@ def _columns(pattern, g):
     """Each candidate copy's edge indices in sorted(E(g))."""
     index = {e: i for i, e in enumerate(sorted(g.edges))}
     return [[index[norm_edge(img[u], img[v])] for u, v in pattern.edges]
-            for img in candidate_copies(pattern, g, g.edges)]
+            for img in candidate_copies(pattern, g)]
 
 
 def test_primes_are_two_then_those_of_the_edge_count_and_degree_gcd():

@@ -45,7 +45,7 @@ def check_cover_down(g, v, res):
     confined to the final level."""
     covered = set()
     for c in res.copies:
-        assert c.pattern == K3 and c.is_valid()
+        assert c.pattern == K3 and c.is_valid(g)
         es = c.edge_image()
         assert not es & covered
         covered |= es
