@@ -50,13 +50,21 @@ class GadgetSpace:
 
         Each vertex in `pins` keeps its given space id; every other vertex
         gets a fresh id, in vertex order.  Each edge of `g` that does not
-        join two pinned vertices is added.
+        join two pinned vertices is added, all in one checked set update: a
+        one-to-one map makes no loop and no edge twice within the piece, so
+        the piece's edges need only miss the space's.  Any other piece is
+        added edge by edge, which names the first loop or repeated edge.
         """
         vmap = [pins[x] if x in pins else self.fresh_one()
                 for x in range(g.n)]
-        for a, b in g.edges:
-            if a not in pins or b not in pins:
-                self.add_edge(vmap[a], vmap[b])
+        new = [(u, v) if u < v else (v, u) for a, b in g.edges
+               if a not in pins or b not in pins
+               for u, v in ((vmap[a], vmap[b]),)]
+        if len(set(vmap)) == g.n and self.edges.isdisjoint(new):
+            self.edges.update(new)
+        else:
+            for u, v in new:
+                self.add_edge(u, v)
         return vmap
 
     def graph(self) -> Graph:

@@ -5,16 +5,33 @@ is "u v" with 0 <= u < v < n; '#' starts a comment.  Serialisation emits the
 bit-exact normal form (edges sorted lexicographically), so
 serialize(parse(serialize(x))) == serialize(x).
 
+Reading an edge list accepts in bulk and walks only to name an error, as
+`verify_decomposition` does: a plain text (the count alone on the first
+line, then blank lines or lines of two unsigned decimal ends, with any line
+breaks) is checked by one regular expression, split and converted once and
+handed to `Graph`, which finds a loop or an end out of range; fewer edges
+than edge lines means a repeated edge.  Any other text, and a plain one
+that fails there, is read line by line: that reader also reads comments and
+what `int()` reads (signs, underscores), and names the first bad line.
+
 Certificate JSON: {"host": {"n":..,"edges":[[u,v],..]}, "pattern": {...},
 "target_edges": [[u,v],..], "copies": [[image..],..]} with edges sorted and
 copies sorted by image array.  A certificate that is not a valid partition
 still parses; `verify_decomposition` is the judge of validity.
 
-Each array of a certificate is validated once: every vertex count and id
-by type (a JSON integer; `1.9`, `"0"` and `true` are refused, where `int()`
-would read them), the host and pattern edge lists by the `Graph`
-constructor, the target edges in one pass after normalisation, the copy
-images by length per copy and by range in bulk.
+The writer emits that text itself, with the keys in sorted order and no
+spaces, exactly as `json.dumps(..., sort_keys=True, separators=(",", ":"))`
+would: each edge array is sorted by its int codes u*n + v (the order of the
+pairs for in-range edges) and each array is written with one join.  It
+refuses with `InputError` what the reader would refuse: an id that is not an
+int, a target edge out of range, or a copy image of the wrong length or
+with a vertex out of range.
+
+Each array of a certificate is validated once on reading: every vertex
+count and id by type (a JSON integer; `1.9`, `"0"` and `true` are refused,
+where `int()` would read them), the host and pattern edge lists by the
+`Graph` constructor, the target edges in one pass after normalisation, the
+copy images by length per copy and by range in bulk.
 Every malformed input raises `ParseError`, never a bare `InputError`,
 naming `host` or `pattern` where the fault lies in one of them.
 """
@@ -22,13 +39,40 @@ naming `host` or `pattern` where the fault lies in one of them.
 from __future__ import annotations
 
 import json
+import re
 from itertools import chain
 
 from .errors import InputError, ParseError
 from .graphs import Decomposition, EmbeddedCopy, Graph
 
 
+# The plain edge-list text: the vertex count alone on the first line, then
+# lines that are blank or hold two unsigned decimal ends.  CR, LF and CRLF
+# all end a line, for `str.splitlines` as here (CRLF as an empty line more).
+_PLAIN = re.compile(r"[ \t]*[0-9]+[ \t]*"
+                    r"(?:[\r\n][ \t]*(?:[0-9]+[ \t]+[0-9]+[ \t]*)?)*")
+
+
 def parse_edge_list(text: str) -> Graph:
+    """Read an edge list; `ParseError` names the first bad line.
+
+    A plain text is read in bulk; any other, or one the bulk pass refuses,
+    by `_parse_lines` (see the module docstring).
+    """
+    if _PLAIN.fullmatch(text):
+        try:    # int() refuses over 4300 digits, Graph loops and range
+            ends = list(map(int, text.split()))
+            g = Graph(ends[0], zip(ends[1::2], ends[2::2]))
+        except (ValueError, InputError):
+            pass
+        else:
+            if 2 * g.e == len(ends) - 1:        # no edge repeated
+                return g
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> Graph:
+    """`parse_edge_list` line by line: the reference reader."""
     n = None
     edges = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -69,17 +113,21 @@ def serialize_edge_list(g: Graph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _graph_to_obj(g: Graph) -> dict:
-    return {"n": g.n, "edges": sorted(g.edges)}
+def _non_ints(arrays) -> list:
+    """The entries of the arrays that are not ints, first to last.  A bool
+    is not one: `int()` would read true as 1, cut 1.9 down to 1 and read
+    "0" as 0."""
+    if set(map(type, chain.from_iterable(arrays))) <= {int}:
+        return []
+    return [x for x in chain.from_iterable(arrays) if type(x) is not int]
 
 
 def _check_ints(arrays, where: str = "") -> None:
     """Raise ValueError naming the first entry of the arrays that is not an
-    int.  A bool is not one: `int()` would read true as 1, cut 1.9 down to 1
-    and read "0" as 0."""
-    if not set(map(type, chain.from_iterable(arrays))) <= {int}:
-        bad = next(x for x in chain.from_iterable(arrays) if type(x) is not int)
-        raise ValueError(f"{json.dumps(bad)}{where} is not an integer")
+    int."""
+    bad = _non_ints(arrays)
+    if bad:
+        raise ValueError(f"{json.dumps(bad[0])}{where} is not an integer")
 
 
 def _graph_from_obj(obj, what: str) -> Graph:
@@ -94,16 +142,61 @@ def _graph_from_obj(obj, what: str) -> Graph:
         raise ParseError(f"{exc} in {what}")
 
 
+def _by_code(edges, n: int) -> list:
+    """Edges sorted by their codes u*n + v: for in-range edges (u < v < n)
+    the order of the pairs."""
+    return sorted(edges, key=lambda e: e[0] * n + e[1])
+
+
+def _array_text(rows, row: str) -> str:
+    """The JSON array of the tuples `rows`, each written by the format
+    `row`."""
+    return "[[" + "],[".join(map(row.__mod__, rows)) + "]]" if rows else "[]"
+
+
 def serialize_certificate(dec: Decomposition) -> str:
-    # json encodes the sorted tuples as arrays
-    pattern = dec.pattern
-    obj = {
-        "host": _graph_to_obj(dec.host),
-        "pattern": _graph_to_obj(pattern) if pattern else {"n": 0, "edges": []},
-        "target_edges": sorted(dec.target_edges),
-        "copies": sorted([c.image for c in dec.copies]),
-    }
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """The certificate's JSON text: keys sorted, no spaces, every edge array
+    sorted and the copies sorted by image, each array written with one join.
+
+    A target inside the host is written in the host's edge order.  A
+    certificate that `parse_certificate` could not read back raises
+    `InputError`: an id that is not an int, a target edge out of range, or
+    a copy image of the wrong length or with a vertex out of range.
+    """
+    host, pattern, target = dec.host, dec.pattern, dec.target_edges
+    n, k = host.n, pattern.n if pattern else 0
+    hosted = _by_code(host.edges, n)
+    if target is host.edges:
+        targeted = hosted
+    else:
+        bad = _non_ints(target)
+        if bad:
+            raise InputError(f"target vertex {bad[0]!r} is not an int")
+        if target <= host.edges:
+            targeted = list(filter(target.__contains__, hosted))
+        else:
+            out = [e for e in target if not 0 <= e[0] < e[1] < n]
+            if out:
+                raise InputError("target edge ({},{}) out of range"
+                                 .format(*min(out)))
+            targeted = _by_code(target, n)
+    images = [c.image for c in dec.copies]
+    bad = _non_ints(images)
+    if bad:
+        raise InputError(f"copy image vertex {bad[0]!r} is not an int")
+    if not set(map(len, images)) <= {k}:
+        raise InputError("copy image length does not match pattern")
+    if k and images and not (0 <= min(chain.from_iterable(images))
+                             and max(chain.from_iterable(images)) < n):
+        raise InputError("copy image vertex out of range")
+    images.sort()
+    edge = "%d,%d"
+    return ('{"copies":%s,"host":{"edges":%s,"n":%d},'
+            '"pattern":{"edges":%s,"n":%d},"target_edges":%s}\n'
+            % (_array_text(images, ",".join(["%d"] * k)),
+               _array_text(hosted, edge), n,
+               _array_text(_by_code(pattern.edges, k) if pattern else [], edge),
+               k, _array_text(targeted, edge)))
 
 
 def parse_certificate(text: str) -> Decomposition:

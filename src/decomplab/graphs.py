@@ -36,17 +36,22 @@ class Graph:
     """Finite simple undirected graph on vertices 0..n-1.
 
     Vertex identity is a dense integer index.
-    Invariants: no loops, no duplicate edges, endpoints are ints (not bools)
-    below vertex_count.
+    Invariants: the vertex count is an int (not a bool); no loops, no
+    duplicate edges, endpoints are ints (not bools) below vertex_count.  An
+    input edge that is already a (lower, upper) tuple is kept, not copied.
     """
 
     __slots__ = ("n", "edges", "_adj", "_hash", "_memo")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        if type(n) is not int:
+            raise InputError(f"vertex_count {n!r} is not an int")
         if n < 0:
             raise InputError("vertex_count must be nonnegative")
         try:
-            norm = frozenset([(u, v) if u < v else (v, u) for u, v in edges])
+            norm = frozenset([e if u < v and type(e) is tuple
+                              else (u, v) if u < v else (v, u)
+                              for e in edges for u, v in (e,)])
         except TypeError:       # ids that do not even compare
             raise InputError("vertex ids must be ints") from None
         for u, v in norm:
@@ -408,9 +413,12 @@ class Decomposition:
     copies: list = field(default_factory=list)
 
     def __post_init__(self):
-        # a Graph's edge set is normal already; gadget certificates and
-        # whole-host solves pass it as the target
-        if self.target_edges is not self.host.edges:
+        # a Graph's edge set is normal already, and so is any frozenset of
+        # its edges: gadget certificates and whole-host solves pass the host's
+        # edge set as the target, greedy a difference of two edge sets
+        target, edges = self.target_edges, self.host.edges
+        if target is not edges and not (type(target) is frozenset
+                                        and target <= edges):
             self.target_edges = frozenset([(u, v) if u < v else (v, u)
                                            for u, v in self.target_edges])
 

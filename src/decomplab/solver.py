@@ -418,10 +418,9 @@ class GreedyResult:
     leftover: Graph
 
     def as_decomposition(self, host: Graph) -> Decomposition:
-        # Decomposition normalises the image edges
-        covered = [(c.image[u], c.image[v])
-                   for c in self.copies for u, v in c.pattern.edges]
-        return Decomposition(host, covered, list(self.copies))
+        # the copies cover exactly the host edges greedy did not leave over
+        return Decomposition(host, host.edges - self.leftover.edges,
+                             list(self.copies))
 
 
 def greedy_decompose(pattern: Graph, host: Graph,

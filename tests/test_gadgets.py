@@ -1,9 +1,10 @@
 import pytest
 
-from decomplab.errors import DomainError
+from decomplab.errors import DomainError, InputError
 from decomplab.graphs import (Graph, complete_graph, complete_bipartite,
                               cycle_graph, path_graph, disjoint_union)
 from decomplab.gadgets.cliquepower import clique_power_decomposition
+from decomplab.gadgets.compose import GadgetSpace
 from decomplab.gadgets.switchers import (build_c4_switcher,
                                          build_c6_switcher_general,
                                          build_k2r_switcher,
@@ -163,3 +164,23 @@ def test_teleporter_rejections():
         build_teleporter(c6, "external")   # single component, 6 edges
     with pytest.raises(DomainError):
         build_teleporter(K3, "internal")   # not bipartite
+
+
+def test_place_adds_a_piece_as_one_checked_update():
+    space = GadgetSpace(K3)
+    space.fresh(3)
+    space.add_edge(0, 1)
+    vmap = space.place(path_graph(3), {0: 0, 3: 1})
+    assert vmap == [0, 3, 4, 1]
+    assert space.edges == {(0, 1), (0, 3), (3, 4), (1, 4)}
+    assert space.n == 5
+    # a path whose pinned ends share an id: the second edge repeats the first
+    with pytest.raises(InputError, match=r"edge \(2, 5\) glued twice"):
+        space.place(path_graph(2), {0: 2, 2: 2})
+    # an edge already in the space
+    space.add_edge(0, 6)
+    with pytest.raises(InputError, match=r"edge \(0, 6\) glued twice"):
+        space.place(Graph(2, [(0, 1)]), {0: 0})
+    # a pin on the id the next fresh vertex gets
+    with pytest.raises(InputError, match="gluing created a loop"):
+        space.place(Graph(2, [(0, 1)]), {0: space.n})

@@ -1,12 +1,15 @@
 import hashlib
+import json
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from decomplab.errors import ParseError
-from decomplab.graphio import (parse_certificate, parse_edge_list,
-                               serialize_certificate, serialize_edge_list)
+from decomplab import graphio
+from decomplab.errors import InputError, ParseError
+from decomplab.graphio import (_parse_lines, parse_certificate,
+                               parse_edge_list, serialize_certificate,
+                               serialize_edge_list)
 from decomplab.gadgets.absorbers import build_absorber
 from decomplab.graphs import (Decomposition, EmbeddedCopy, Graph,
                               complete_graph, cycle_graph)
@@ -42,6 +45,101 @@ def test_duplicate_edge_reports_its_line(dup):
     with pytest.raises(ParseError) as info:
         parse_edge_list(f"5\n2 4\n0 1\n# note\n{dup}\n1 3\n")
     assert info.value.line == 5
+
+
+# -- the bulk reader against the line reader -----------------------------------
+
+
+def _number(draw, value, plain):
+    """`value` as text: decimal, or when not plain also with a sign, an
+    underscore or leading zeros."""
+    text = str(value)
+    if plain:
+        return text
+    form = draw(st.sampled_from(["", "+", "0", "_"]))
+    if form == "_" and len(text) > 1:
+        return text[0] + "_" + text[1:]
+    return form + text if form in ("+", "0") else text
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list texts, plain (the bulk reader's form) or not: comments,
+    blank lines, CRLF, tabs, leading whitespace, '+3' and '1_0', and at most
+    one bad line: a duplicate, a loop, an end out of range, or one or three
+    tokens."""
+    plain = draw(st.booleans())
+    n = draw(st.integers(min_value=0, max_value=14))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    rows = [list(e) if draw(st.booleans()) else [e[1], e[0]] for e in
+            draw(st.lists(st.sampled_from(pairs), unique=True, max_size=12))
+            ] if pairs else []
+    fault = draw(st.sampled_from(
+        [None, None, None, "duplicate", "loop", "range", "one", "three"]))
+    if fault is not None:
+        u = draw(st.integers(min_value=0, max_value=max(n - 1, 0)))
+        bad = {"duplicate": rows[0][::-1] if rows else [u, u],
+               "loop": [u, u], "range": [u, n + draw(st.integers(0, 2))],
+               "one": [u], "three": [u, u + 1, n]}[fault]
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), bad)
+    gap = st.sampled_from([" ", "\t", "  ", " \t"])
+    lead = st.sampled_from(["", "", " ", "\t"])
+    tail = st.sampled_from(["", "", " ", "\t"])
+    lines = [draw(lead) + _number(draw, n, plain) + draw(tail)]
+    for row in rows:
+        if draw(st.integers(min_value=0, max_value=5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t "])))
+        if not plain and draw(st.integers(min_value=0, max_value=5)) == 0:
+            lines.append("# " + " ".join(map(str, row)))
+        line = draw(gap).join(_number(draw, x, plain) for x in row)
+        line = draw(lead) + line + draw(tail)
+        if not plain and draw(st.integers(min_value=0, max_value=3)) == 0:
+            line += " # note"
+        lines.append(line)
+    breaks = ["\n", "\n", "\r\n", "\r"]
+    text = "".join(line + draw(st.sampled_from(breaks)) for line in lines)
+    return text if draw(st.booleans()) else text.rstrip("\r\n")
+
+
+def _read(reader, text):
+    try:
+        return reader(text)
+    except ParseError as exc:
+        return str(exc), exc.line
+
+
+@settings(max_examples=400, deadline=None)
+@given(edge_list_texts())
+def test_bulk_reader_agrees_with_the_line_reader(text):
+    assert _read(parse_edge_list, text) == _read(_parse_lines, text)
+
+
+def test_a_plain_text_is_read_in_bulk(monkeypatch):
+    def refuse(text):
+        raise AssertionError("read line by line")
+    monkeypatch.setattr(graphio, "_parse_lines", refuse)
+    text = "12\r\n\t0 1\r\n\n 11\t3 \n5  4\n"
+    assert parse_edge_list(text) == Graph(12, [(0, 1), (3, 11), (4, 5)])
+    k = complete_graph(40)
+    assert parse_edge_list(serialize_edge_list(k)) == k
+
+
+@pytest.mark.parametrize("text, message", [
+    ("4\n0 1\n2 2\n", "loop at 2 not allowed (line 3)"),
+    ("4\n0 1\n2 4\n", "edge (2,4) out of range (line 3)"),
+    ("4\n0 1\n2 3\n1 0\n", "duplicate edge (1,0) (line 4)"),
+    ("4\n0 1 2\n", "expected 'u v' (line 2)"),
+])
+def test_a_plain_text_the_bulk_pass_refuses_is_named_by_line(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_edge_list(text)
+    assert str(info.value) == message
+
+
+def test_an_end_too_long_for_int_is_left_to_the_line_reader():
+    text = "4\n0 1\n" + "9" * 5000 + " 1\n"
+    assert isinstance(_read(_parse_lines, text), tuple)
+    assert _read(parse_edge_list, text) == _read(_parse_lines, text)
 
 
 def test_serialize_normal_form_idempotent():
@@ -90,6 +188,100 @@ def test_non_partition_certificate_parses():
             '"target_edges": [[0,1]], "copies": [[0,1],[1,0]]}')
     dec = parse_certificate(text)
     assert len(dec.copies) == 2
+
+
+# -- the writer against json.dumps ---------------------------------------------
+
+
+def _json_text(dec):
+    """The reference text: the old writer, sorted tuples through json.dumps."""
+    pattern = dec.pattern
+    obj = {"host": {"n": dec.host.n, "edges": sorted(dec.host.edges)},
+           "pattern": {"n": pattern.n, "edges": sorted(pattern.edges)}
+           if pattern else {"n": 0, "edges": []},
+           "target_edges": sorted(dec.target_edges),
+           "copies": sorted([c.image for c in dec.copies])}
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _big_ids():
+    # ids of 4 and 5 digits, so code order must agree with pair order
+    a, b, c, d = 999, 1000, 9999, 10000
+    host = Graph(12000, [(c, d), (a, d), (a, c), (b, c), (b, d), (a, b),
+                         (11999, 5)])
+    k3 = complete_graph(3)
+    return Decomposition(host, [(d, a), (c, a), (d, c), (b, c), (d, b)],
+                         [EmbeddedCopy(k3, (d, c, a)),
+                          EmbeddedCopy(k3, (c, b, 11999)),
+                          EmbeddedCopy(k3, (b, a, d))])
+
+
+WRITER_PANEL = {
+    "empty": lambda: Decomposition(Graph(0), frozenset()),
+    "no pattern": lambda: Decomposition(complete_graph(4),
+                                        complete_graph(4).edges),
+    "no pattern, strict target": lambda: Decomposition(
+        complete_graph(4), [(3, 1), (0, 2)]),
+    "4+ digit ids": _big_ids,
+    "strict subset target": lambda: Decomposition(
+        complete_graph(5), complete_graph(5).edges - {(0, 4), (1, 4)},
+        [EmbeddedCopy(complete_graph(3), (2, 0, 1))]),
+    "target outside the host": lambda: Decomposition(
+        Graph(4, [(0, 1)]), [(2, 3), (1, 0)],
+        [EmbeddedCopy(Graph(2, [(0, 1)]), (3, 2))]),
+    "one-vertex pattern": lambda: Decomposition(
+        Graph(3, [(0, 1)]), frozenset(),
+        [EmbeddedCopy(Graph(1), (2,)), EmbeddedCopy(Graph(1), (0,))]),
+    "greedy C4->K12": lambda: greedy_decompose(
+        cycle_graph(4), complete_graph(12), seed=2).as_decomposition(
+            complete_graph(12)),
+}
+
+
+@pytest.mark.parametrize("name", list(WRITER_PANEL))
+def test_writer_text_is_the_json_dumps_text(name):
+    dec = WRITER_PANEL[name]()
+    s = serialize_certificate(dec)
+    assert s == _json_text(dec)
+    assert serialize_certificate(parse_certificate(s)) == s
+
+
+def _unwritable(kind):
+    k3 = complete_graph(3)
+    if kind == "bool image id":
+        return Decomposition(k3, k3.edges, [EmbeddedCopy(k3, (0, True, 2))])
+    if kind == "bool target id":     # equal to the host edge (0,1)
+        return Decomposition(k3, frozenset({(False, 1)}))
+    if kind == "float target id":
+        return Decomposition(k3, [(0, 1.0)])
+    if kind == "target out of range":
+        return Decomposition(k3, [(0, 1), (1, 3)])
+    if kind == "target loop":
+        return Decomposition(k3, [(2, 2)])
+    if kind == "short image":
+        return Decomposition(k3, k3.edges, [EmbeddedCopy(k3, (0, 1))])
+    im = (0, 1, 3) if kind == "image out of range" else (0, -1, 2)
+    return Decomposition(k3, k3.edges, [EmbeddedCopy(k3, im)])
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("bool image id", "copy image vertex True is not an int"),
+    ("bool target id", "target vertex False is not an int"),
+    ("float target id", "target vertex 1.0 is not an int"),
+    ("target out of range", "target edge (1,3) out of range"),
+    ("target loop", "target edge (2,2) out of range"),
+    ("short image", "copy image length does not match pattern"),
+    ("image out of range", "copy image vertex out of range"),
+    ("negative image vertex", "copy image vertex out of range"),
+])
+def test_writer_refuses_what_could_never_parse_back(kind, message):
+    dec = _unwritable(kind)
+    with pytest.raises(InputError) as info:
+        serialize_certificate(dec)
+    assert str(info.value) == message
+    # the text the old writer wrote for it is refused by the reader
+    with pytest.raises(ParseError):
+        parse_certificate(_json_text(dec))
 
 
 @lru_cache(maxsize=None)

@@ -143,3 +143,31 @@ def test_constructor_refuses_non_int_vertex_ids(edges, message):
     with pytest.raises(InputError) as info:
         Graph(3, edges)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, True, "3"],
+                         ids=["float", "integral-float", "bool", "str"])
+def test_constructor_refuses_a_vertex_count_that_is_not_an_int(n):
+    # Graph(2.5, ...) used to construct and fail later in degrees();
+    # Graph(True, []) kept n = True
+    with pytest.raises(InputError) as info:
+        Graph(n, [(0, 1)] if n != "3" else [])
+    assert str(info.value) == f"vertex_count {n!r} is not an int"
+
+
+def test_constructor_keeps_a_normal_tuple_and_still_checks_it():
+    e, reversed_, listed = (0, 1), (2, 1), [0, 2]
+    g = Graph(3, [e, reversed_, listed])
+    assert g.edges == {(0, 1), (1, 2), (0, 2)}
+    assert all(type(x) is tuple for x in g.edges)
+    kept = {id(x) for x in g.edges}
+    assert id(e) in kept and id(reversed_) not in kept
+    # a kept tuple is validated like any other edge
+    with pytest.raises(ValueError):
+        Graph(3, [(0, 1), (0, 1, 2)])
+    with pytest.raises(InputError, match="loop at vertex 1"):
+        Graph(3, [(0, 1), (1, 1)])
+    with pytest.raises(InputError, match=r"edge \(0,3\) out of range"):
+        Graph(3, [(0, 1), (0, 3)])
+    with pytest.raises(InputError, match="vertex id 1.5 is not an int"):
+        Graph(3, [(0, 1.5)])

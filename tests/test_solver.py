@@ -322,6 +322,27 @@ def test_greedy_c4_leftover_is_c4_free():
     assert covered | out.leftover.edges == g.edges
 
 
+def _greedy_hosts():
+    rng = random.Random(5)
+    dense = Graph(20, [(i, j) for i in range(20) for j in range(i + 1, 20)
+                       if rng.random() < .7])
+    return [complete_graph(13), complete_bipartite(6, 7), dense]
+
+
+@pytest.mark.parametrize("pattern", [K3, complete_graph(4), cycle_graph(4)],
+                         ids=["K3", "K4", "C4"])
+def test_greedy_certificate_target_is_the_union_of_its_copies(pattern):
+    # the target is the host minus the leftover, taken as a set difference
+    for host in _greedy_hosts():
+        for seed in range(3):
+            out = greedy_decompose(pattern, host, seed=seed)
+            dec = out.as_decomposition(host)
+            union = frozenset().union(*(c.edge_image() for c in out.copies))
+            assert dec.target_edges == union
+            assert dec.copies == out.copies
+            assert verify_decomposition(dec) == (True, None)
+
+
 def test_greedy_deterministic_per_seed():
     g = complete_graph(9)
     a = greedy_decompose(K3, g, seed=7)
