@@ -27,13 +27,32 @@ refuses with `InputError` what the reader would refuse: an id that is not an
 int, a target edge out of range, or a copy image of the wrong length or
 with a vertex out of range.
 
-Each array of a certificate is validated once on reading: every vertex
-count and id by type (a JSON integer; `1.9`, `"0"` and `true` are refused,
-where `int()` would read them), the host and pattern edge lists by the
-`Graph` constructor, the target edges in one pass after normalisation, the
-copy images by length per copy and by range in bulk.
-Every malformed input raises `ParseError`, never a bare `InputError`,
-naming `host` or `pattern` where the fault lies in one of them.
+Reading a certificate accepts in bulk too.  A text in the writer's form
+(the keys in sorted order, no spaces, unsigned ints with no leading zero,
+at most one final line break) is matched by one regular expression that
+captures the four arrays and the two counts.  Each array's rows are joined
+and read by one `json.loads` into one list of ints, with -1 at each row
+break, so the breaks show whether every row has its width; the rows are then
+zipped into int tuples.  No list is built per row, and a tuple of ints drops
+out of the garbage collector's view at its first collection, so reading a
+large certificate sets off no full collection.  A target whose text is the
+host's is the host's edge set itself; the other ranges are checked by the
+`Graph` constructor, by the target being inside the host, and by the largest
+id of an array.  Any other text, and one that fails a check there, is read
+by `_parse_json`, the reference reader, which names the fault; the bulk pass
+accepts only what it would accept, and returns the same certificate.  Every
+writer text is read in bulk but one whose copies are of a pattern with no
+vertices.
+
+The reference reader validates each array of a certificate once: every
+vertex count and id by type (a JSON integer; `1.9`, `"0"` and `true` are
+refused, where `int()` would read them), the host and pattern edge lists by
+the `Graph` constructor, the target edges in one pass after normalisation,
+the copy images by length per copy and by range in bulk.  An edge repeated
+in the host, the pattern or the target (in either order) is refused.
+Every malformed input raises `ParseError`, never a bare `InputError` or a
+`ValueError` (an int of over 4300 digits), naming `host`, `pattern` or
+`target_edges` where the fault lies in one of them.
 """
 
 from __future__ import annotations
@@ -135,11 +154,15 @@ def _graph_from_obj(obj, what: str) -> Graph:
         n, edges = obj["n"], obj["edges"]
         _check_ints([[n]])
         _check_ints(edges)
-        return Graph(n, edges)
+        g = Graph(n, edges)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"malformed {what} object: {exc}")
     except InputError as exc:
         raise ParseError(f"{exc} in {what}")
+    if g.e != len(edges):
+        raise ParseError("duplicate edge ({},{}) in {}"
+                         .format(*_first_repeat(edges), what))
+    return g
 
 
 def _by_code(edges, n: int) -> list:
@@ -199,11 +222,118 @@ def serialize_certificate(dec: Decomposition) -> str:
                k, _array_text(targeted, edge)))
 
 
+# The writer's certificate text: the keys in sorted order, no spaces, each
+# array of unsigned decimals, commas and brackets, the counts decimals with
+# no leading zero, and at most one final line break.  The arrays' structure
+# is checked by `_ints`.
+_ARRAY = r"(\[[\[\]0-9,]*\])"
+_COUNT = r"(0|[1-9][0-9]*)"
+_CANONICAL = re.compile(
+    r'\{"copies":' + _ARRAY + r',"host":\{"edges":' + _ARRAY + r',"n":'
+    + _COUNT + r'\},"pattern":\{"edges":' + _ARRAY + r',"n":' + _COUNT
+    + r'\},"target_edges":' + _ARRAY + r'\}\n?')
+
+
+def _ints(array: str, width: int) -> tuple[list, int]:
+    """The ints of `array`, a JSON array of rows of `width` ints, in one
+    list with -1 between rows, and the number of rows.
+
+    The rows are joined and read by one `json.loads`, so no list is built
+    per row.  The text has no minus sign, so the -1s are the row breaks,
+    and they sit every `width + 1` places only if every row has `width`
+    ints.  Raise ValueError where the text is not such an array, or where
+    `json.loads` refuses an int (a leading zero, over 4300 digits).
+    """
+    if array == "[]":
+        return [], 0
+    body = array[2:-2].replace("],[", ",-1,")
+    if (width < 1 or array[:2] != "[[" or array[-2:] != "]]"
+            or "[" in body or "]" in body):
+        raise ValueError("not an array of rows")
+    ends = json.loads("[" + body + "]")
+    rows = ends.count(-1) + 1
+    if (len(ends) + 1 != rows * (width + 1)
+            or ends[width::width + 1].count(-1) != rows - 1):
+        raise ValueError(f"a row is not {width} wide")
+    return ends, rows
+
+
+def _rows(ends: list, width: int):
+    """The rows of `_ints`'s list as int tuples."""
+    return zip(*[ends[i::width + 1] for i in range(width)])
+
+
+def _graph_in_bulk(n: int, array: str) -> Graph:
+    ends, rows = _ints(array, 2)
+    g = Graph(n, _rows(ends, 2))
+    if g.e != rows:
+        raise ValueError("an edge is repeated")
+    return g
+
+
+def _target_in_bulk(host: Graph, array: str) -> frozenset:
+    ends, rows = _ints(array, 2)
+    target = frozenset(_rows(ends, 2))
+    if len(target) != rows:
+        raise ValueError("an edge is repeated")
+    if not target <= host.edges and (
+            max(ends) >= host.n or any(u >= v for u, v in target)):
+        raise ValueError("an edge is out of range, a loop or reversed")
+    return target
+
+
 def parse_certificate(text: str) -> Decomposition:
+    """Read a certificate; `ParseError` names what is malformed.
+
+    The writer's text is read in bulk; any other, or one the bulk pass
+    refuses, by `_parse_json` (see the module docstring).
+    """
+    dec = _parse_canonical(text)
+    return _parse_json(text) if dec is None else dec
+
+
+def _parse_canonical(text: str):
+    """The certificate of a text in the writer's form, read in bulk; None
+    where the text is not in that form or fails a check, for `_parse_json`
+    to name the fault."""
+    m = _CANONICAL.fullmatch(text)
+    if m is None:
+        return None
+    copies, hosted, n, patterned, k, targeted = m.groups()
+    try:
+        n, k = int(n), int(k)           # int() refuses over 4300 digits
+        host = _graph_in_bulk(n, hosted)
+        pattern = _graph_in_bulk(k, patterned)
+        target = (host.edges if targeted == hosted
+                  else _target_in_bulk(host, targeted))
+        ends, _ = _ints(copies, k)
+    except (ValueError, InputError):
+        return None
+    if ends and max(ends) >= n:
+        return None
+    dec = Decomposition(host, target)
+    dec.copies = [EmbeddedCopy(pattern, im) for im in _rows(ends, k)]
+    return dec
+
+
+def _first_repeat(edges) -> tuple:
+    """The first of `edges`, as written, whose normal form came before."""
+    seen = set()
+    for u, v in edges:
+        e = (u, v) if u < v else (v, u)
+        if e in seen:
+            return u, v
+        seen.add(e)
+
+
+def _parse_json(text: str) -> Decomposition:
+    """`parse_certificate` through `json.loads`: the reference reader."""
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON: {exc.msg}", line=exc.lineno, offset=exc.colno)
+    except ValueError as exc:           # an int of over 4300 digits
+        raise ParseError(f"bad JSON: {exc}")
     if not isinstance(obj, dict):
         raise ParseError("certificate must be a JSON object")
     host = _graph_from_obj(obj.get("host"), "host")
@@ -220,6 +350,9 @@ def parse_certificate(text: str) -> Decomposition:
     bad = [e for e in dec.target_edges if not 0 <= e[0] < e[1] < n]
     if bad:
         raise ParseError("target edge ({},{}) out of range".format(*min(bad)))
+    if len(dec.target_edges) != len(target):
+        raise ParseError("duplicate edge ({},{}) in target_edges"
+                         .format(*_first_repeat(target)))
     for img in images:
         if len(img) != k:
             raise ParseError("copy image length does not match pattern")

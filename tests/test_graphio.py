@@ -1,5 +1,7 @@
 import hashlib
 import json
+import re
+import sys
 from functools import lru_cache
 
 import pytest
@@ -7,9 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from decomplab import graphio
 from decomplab.errors import InputError, ParseError
-from decomplab.graphio import (_parse_lines, parse_certificate,
-                               parse_edge_list, serialize_certificate,
-                               serialize_edge_list)
+from decomplab.graphio import (_CANONICAL, _parse_json, _parse_lines,
+                               parse_certificate, parse_edge_list,
+                               serialize_certificate, serialize_edge_list)
 from decomplab.gadgets.absorbers import build_absorber
 from decomplab.graphs import (Decomposition, EmbeddedCopy, Graph,
                               complete_graph, cycle_graph)
@@ -406,3 +408,195 @@ def test_each_place_rejects_a_non_integer(old, new, message):
     with pytest.raises(ParseError) as info:
         parse_certificate(_TRIANGLE.replace(old, new))
     assert str(info.value) == message
+
+
+# -- repeated edges and over-long ints are parse errors ---------------------------
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"host": "[[0,1],[1,2],[0,1]]"}, "duplicate edge (0,1) in host"),
+    ({"host": "[[0,1],[2,1],[1,2]]"}, "duplicate edge (1,2) in host"),
+    ({"pattern": "[[0,1],[1,0]]"}, "duplicate edge (1,0) in pattern"),
+    ({"target": "[[0,1],[1,2],[0,1]]"},
+     "duplicate edge (0,1) in target_edges"),
+    ({"target": "[[1,2],[2,1]]"}, "duplicate edge (2,1) in target_edges"),
+])
+def test_a_repeated_edge_is_a_parse_error(fields, message):
+    text = _certificate(**fields)
+    canonical = json.dumps(json.loads(text), sort_keys=True,
+                           separators=(",", ":"))
+    assert _CANONICAL.fullmatch(canonical)
+    for t in (text, canonical):
+        with pytest.raises(ParseError) as info:
+            parse_certificate(t)
+        assert str(info.value) == message
+
+
+def test_a_repeated_edge_no_longer_passes_as_a_valid_certificate():
+    # this parsed to 3 + 3 edges, and the result verified
+    text = ('{"copies":[[0,1,2]],"host":{"edges":[[0,1],[0,1],[0,2],[1,2]],'
+            '"n":3},"pattern":{"edges":[[0,1],[0,2],[1,2]],"n":3},'
+            '"target_edges":[[0,1],[0,2],[1,2],[1,2]]}\n')
+    with pytest.raises(ParseError) as info:
+        parse_certificate(text)
+    assert str(info.value) == "duplicate edge (0,1) in host"
+    fixed = text.replace("[[0,1],[0,1],", "[[0,1],", 1)
+    with pytest.raises(ParseError) as info:
+        parse_certificate(fixed)
+    assert str(info.value) == "duplicate edge (1,2) in target_edges"
+
+
+_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not 0 < _LIMIT < 5000,
+                    reason="int() reads 5000 digits on this Python")
+@pytest.mark.parametrize("old, new", [
+    ('"n":3}', '"n":' + "9" * 5000 + "}"),
+    ("[[0,1],", "[[0," + "1" * 5000 + "],"),
+], ids=["vertex count", "vertex id"])
+def test_an_int_too_long_for_int_is_a_parse_error(old, new):
+    text = ('{"copies":[],"host":{"edges":[[0,1],[1,2]],"n":3},'
+            '"pattern":{"edges":[],"n":0},"target_edges":[]}\n')
+    assert text.count(old) == 1
+    long = text.replace(old, new)
+    for t in (long, long.replace(",", ", ")):       # bulk, then json.loads
+        with pytest.raises(ParseError) as info:
+            parse_certificate(t)
+        assert str(info.value).startswith("bad JSON: ")
+
+
+# -- the bulk reader against the json.loads reader ----------------------------------
+
+
+def _decoded(reader, text):
+    """What `reader` makes of `text`: the certificate's parts, or the
+    `ParseError` text."""
+    try:
+        dec = reader(text)
+    except ParseError as exc:
+        return str(exc)
+    return (dec.host, dec.target_edges, [c.pattern for c in dec.copies],
+            [c.image for c in dec.copies])
+
+
+@st.composite
+def certificates(draw):
+    """Random certificates, valid or not, that the writer writes: a host on
+    up to 8 vertices, a pattern on up to 3 (so K = 0 and K = 1 too), a
+    target that is the host's edge set, a subset of it or any edges, and
+    copies with images anywhere in range."""
+    def graph(n):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        return Graph(n, draw(st.lists(st.sampled_from(pairs), unique=True))
+                     if pairs else [])
+    host, pattern = graph(draw(st.integers(0, 8))), graph(draw(st.integers(0, 3)))
+    n, k = host.n, pattern.n
+    kind = draw(st.sampled_from(["host", "subset", "any"]))
+    if kind == "host":
+        target = host.edges
+    elif kind == "subset":
+        target = frozenset(draw(st.lists(st.sampled_from(sorted(host.edges)),
+                                         unique=True)) if host.e else [])
+    else:
+        target = graph(n).edges
+    images = draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * k),
+                           max_size=5)) if n or not k else []
+    return Decomposition(host, target,
+                         [EmbeddedCopy(pattern, im) for im in images])
+
+
+_ROW = re.compile(r"\[[0-9,]*\]")        # an innermost array
+_NUMBER = re.compile(r"[0-9]+")
+_SHIFT = re.compile(r",([0-9]+)\],\[")  # the last int of a row, a row break
+
+
+def _mutated(draw, text):
+    """`text` with one mutation, or as it is."""
+    kind = draw(st.sampled_from([
+        None, "zero", "minus", "float", "true", "huge", "range", "space",
+        "nest", "swap", "duplicate key", "width", "shift", "shift", "shift",
+        "repeat", "newline", "crlf", "empty", "reverse"]))
+    numbers = list(_NUMBER.finditer(text))
+    num = draw(st.sampled_from(numbers))
+    a, b = num.span()
+    if kind in ("zero", "minus"):
+        return text[:a] + ("0" if kind == "zero" else "-") + text[a:]
+    if kind == "float":
+        return text[:b] + ".0" + text[b:]
+    if kind in ("true", "huge", "range", "nest"):
+        new = {"true": "true", "huge": "1" + "0" * 4999,
+               "range": str(int(num.group()) + draw(st.integers(1, 9))),
+               "nest": "[" + num.group() + "]"}[kind]
+        return text[:a] + new + text[b:]
+    if kind == "space":
+        i = draw(st.integers(0, len(text)))
+        return text[:i] + " " + text[i:]
+    if kind == "swap":
+        obj = json.loads(text)
+        return json.dumps(dict(reversed(obj.items())), separators=(",", ":"))
+    if kind == "duplicate key":
+        key = draw(st.sampled_from(['"copies":[]', '"target_edges":[[0,1]]',
+                                    '"host":{"edges":[],"n":0}']))
+        if draw(st.booleans()):
+            return "{" + key + "," + text[1:]
+        return text.rstrip("\n")[:-1] + "," + key + "}"
+    if kind == "newline":
+        return text.rstrip("\n") if draw(st.booleans()) else text + "\n"
+    if kind == "crlf":
+        return text.rstrip("\n") + "\r\n"
+    m = _CANONICAL.fullmatch(text)
+    arrays = [m.span(i) for i in (1, 2, 4, 6)]    # copies, host, pattern, target
+    if kind == "empty":
+        a, b = draw(st.sampled_from(arrays))
+        return text[:a] + "[]" + text[b:]
+    # a shift (one row shorter, the next longer) gets past Graph in the host
+    # and pattern, so it is made in the copies or the target
+    a, b = draw(st.sampled_from({"reverse": arrays[3:],
+                                 "shift": arrays[::3]}.get(kind, arrays)))
+    breaks = list(_SHIFT.finditer(text, a, b))
+    if kind == "shift" and breaks:
+        brk = draw(st.sampled_from(breaks))
+        return (text[:brk.start()] + "],[" + brk.group(1) + ","
+                + text[brk.end():])
+    rows = list(_ROW.finditer(text, a, b))
+    if kind in ("width", "repeat", "reverse") and rows:
+        row = draw(st.sampled_from(rows))
+        a, b = row.span()
+        ends = row.group()[1:-1].split(",")
+        if kind == "width":
+            ends = ends[:-1] if draw(st.booleans()) else ends + ["0"]
+        elif kind == "reverse":
+            ends.reverse()
+        else:
+            return text[:b] + "," + row.group() + text[b:]
+        return text[:a] + "[" + ",".join(ends) + "]" + text[b:]
+    return text
+
+
+@st.composite
+def certificate_texts(draw):
+    return _mutated(draw, serialize_certificate(draw(certificates())))
+
+
+@settings(max_examples=500, deadline=None)
+@given(certificate_texts())
+def test_bulk_reader_agrees_with_the_json_reader(text):
+    assert _decoded(parse_certificate, text) == _decoded(_parse_json, text)
+
+
+def test_a_writer_text_is_read_in_bulk(monkeypatch):
+    texts = [serialize_certificate(make()) for make in
+             list(WRITER_PANEL.values()) + list(GOLDEN_CERTIFICATES.values())]
+    want = [_decoded(_parse_json, t) for t in texts]
+
+    def refuse(text):
+        raise AssertionError("read by json.loads")
+    monkeypatch.setattr(graphio, "_parse_json", refuse)
+    for t, w in zip(texts, want):
+        assert _decoded(parse_certificate, t) == w
+        assert serialize_certificate(parse_certificate(t)) == t
+    # read once, as the host's own edge set, where it is the whole host
+    dec = parse_certificate(serialize_certificate(
+        WRITER_PANEL["no pattern"]()))
+    assert dec.target_edges is dec.host.edges
