@@ -8,7 +8,7 @@ decomposition on concrete hosts.
 
 from .graphs import (Graph, GraphMap, EmbeddedCopy, Decomposition,
                      complete_graph, complete_bipartite, complete_multipartite,
-                     cycle_graph, path_graph, empty_graph, disjoint_union)
+                     cycle_graph, path_graph, disjoint_union)
 from .embeddings import enumerate_embeddings
 from .hamilton import hamilton_cycle
 from .graphio import parse_edge_list, serialize_edge_list

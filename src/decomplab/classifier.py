@@ -18,7 +18,6 @@ from .invariants import bipartite_invariants, colouring_invariants
 
 DELTA_FULL = "decomposition_threshold"
 DELTA_VX = "vertex_cover_threshold"
-DELTA_EDGE = "edge_cover_threshold"
 FRACTIONAL_SYMBOL = "fractional_threshold"
 
 

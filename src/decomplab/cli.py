@@ -274,7 +274,10 @@ def _cmd_solve(args) -> CommandResult:
     else:
         res = exact_decompose(f, g, timeout=args.timeout)
     if res.status == SAT:
-        ok, why = verify_decomposition(res.decomposition)
+        if args.vertex is None:
+            ok, why = verify_decomposition(res.decomposition)
+        else:
+            ok, why = verify_star_cover(f, g, args.vertex, res.decomposition)
         if not ok:
             return CommandResult("error", {
                 "error": "the decomposition fails its verifier",
@@ -360,10 +363,10 @@ def _cmd_gadget(args) -> CommandResult:
     else:
         pa = build_partite_neighbourhood_absorber(
             f, 1 if args.b is None else args.b)
-        plus = pa.graph.with_edges((pa.x, w) for w in pa.w)
         ok, why = verify_star_cover(f, pa.graph, pa.x, pa.cover_plain)
         if ok:
-            ok, why = verify_star_cover(f, plus, pa.x, pa.cover_with_w)
+            ok, why = verify_star_cover(f, pa.cover_with_w.host, pa.x,
+                                        pa.cover_with_w)
             why = why and f"with the bundle: {why}"
         return _verdict({"kind": kind, "vertices": pa.graph.n,
                          "bundle": len(pa.w), "centre": pa.x}, ok, why)

@@ -305,14 +305,14 @@ class _Rotater:
     f_copy_images: list        # pattern-copy images decomposing the graph
 
 
-def _rotater_pair(f: Graph, guard_colours: int = 20) -> _Rotater:
+def _rotater_pair(f: Graph) -> _Rotater:
     chi = chromatic_number(f)
-    inv = colouring_invariants(f, guard=guard_colours)
+    inv = colouring_invariants(f)
     use_chi = chi >= 3 and inv.theta == 1
 
     if not use_chi:
         s = chi + 1
-        base = next(iter(proper_colourings(f, chi, guard=guard_colours)))
+        base = next(iter(proper_colourings(f, chi)))
         v = 0
         nbr_class = base[min(f.adj[v])]
         remap = {base[v]: s, nbr_class: 1}
@@ -339,7 +339,7 @@ def _rotater_pair(f: Graph, guard_colours: int = 20) -> _Rotater:
         s = chi
         # write 1 as a combination of achievable hub class differences
         diffs = {}
-        for cand in proper_colourings(f, chi, guard=guard_colours):
+        for cand in proper_colourings(f, chi):
             for x in range(f.n):
                 if cand[x] != chi:
                     continue
@@ -393,8 +393,8 @@ class PartiteNeighbourhoodAbsorber:
     colouring: dict
     x: int
     w: tuple
-    cover_plain: list          # pattern copies covering the star at x
-    cover_with_w: list         # pattern copies covering the star in T + xW
+    cover_plain: Decomposition     # a star cover of x in T
+    cover_with_w: Decomposition    # a star cover of x in T + xW
 
 
 def build_partite_neighbourhood_absorber(f: Graph, b: int,
@@ -569,6 +569,12 @@ def build_partite_neighbourhood_absorber(f: Graph, b: int,
     t_graph = space.graph()
     if t_graph.n > guard:
         raise SizeGuardError(f"gadget grew to {t_graph.n} vertices")
+
+    def star_cover(host: Graph, images: list) -> Decomposition:
+        copies = [EmbeddedCopy(f, im) for im in images]
+        return Decomposition(
+            host, frozenset().union(*[c.edge_image() for c in copies]), copies)
+
     return PartiteNeighbourhoodAbsorber(
-        t_graph, col, x, w_set, [EmbeddedCopy(f, im) for im in cover_plain],
-        [EmbeddedCopy(f, im) for im in cover_with_w])
+        t_graph, col, x, w_set, star_cover(t_graph, cover_plain),
+        star_cover(t_graph.with_edges((x, wv) for wv in w_set), cover_with_w))

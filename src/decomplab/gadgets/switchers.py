@@ -31,8 +31,6 @@ def _finalize_switcher(space: GadgetSpace, roots, e1, e2,
                        compression=None) -> CertifiedSwitcher:
     graph = space.graph()
     model = RootedModel(graph, tuple(roots))
-    e1 = frozenset(norm_edge(*e) for e in e1)
-    e2 = frozenset(norm_edge(*e) for e in e2)
     cert1 = space.finalize("cert1", extra_edges=e1)
     cert2 = space.finalize("cert2", extra_edges=e2)
     return CertifiedSwitcher(model, e1, e2, cert1, cert2, compression)

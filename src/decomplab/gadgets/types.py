@@ -1,9 +1,17 @@
 """Certified gadget values and their verifiers.
 
 A switcher is a rooted gadget S with two alternative root edge sets E1, E2
-such that S+E1 and S+E2 both decompose into the pattern; the certificates are
-carried, never re-searched.  Compressions witness how cheaply the rooted
-model maps onto a small reduced graph.
+such that S+E1 and S+E2 both decompose into the pattern; a transformer T
+has two leftovers H, H' with T+H and T+H' decomposable, and an absorber A
+one leftover H with A and A+H decomposable.  The certificates are carried,
+never re-searched, and every gadget verifier checks them through one core:
+on each side the certificate's host and target are the gadget's edges plus
+that side's extra edges, and `verify_decomposition` accepts it.  A star
+cover is a `Decomposition` whose target is the edges it covers;
+`verify_star_cover` checks that the target holds the star and hands the
+rest to `verify_decomposition`.  Compressions witness how cheaply the
+rooted model maps onto a small reduced graph; `verify_switcher` checks a
+switcher's compression too.
 """
 
 from __future__ import annotations
@@ -46,10 +54,6 @@ class Compression:
     psi: tuple              # model vertex -> K vertex
     d: int
 
-    @property
-    def j(self) -> Graph:
-        return self.k.induced(range(self.j_size))
-
 
 @dataclass
 class CertifiedSwitcher:
@@ -63,10 +67,6 @@ class CertifiedSwitcher:
     def __post_init__(self):
         self.e1 = frozenset(norm_edge(*e) for e in self.e1)
         self.e2 = frozenset(norm_edge(*e) for e in self.e2)
-
-    def swapped(self) -> "CertifiedSwitcher":
-        return CertifiedSwitcher(self.model, self.e2, self.e1,
-                                 self.cert2, self.cert1, self.compression)
 
 
 @dataclass
@@ -86,23 +86,14 @@ class CertifiedAbsorber:
     cert_ah: Decomposition    # decomposition of A + H
 
 
-def verify_switcher(sw: CertifiedSwitcher) -> tuple[bool, Optional[str]]:
-    """Root independence, disjoint root-supported switch sets, both
-    certificates."""
-    m = sw.model
-    if not m.roots_independent():
-        return False, "roots not independent"
-    rs = set(m.roots)
-    for name, es in (("E1", sw.e1), ("E2", sw.e2)):
-        for u, v in es:
-            if u not in rs or v not in rs:
-                return False, f"{name} edge ({u},{v}) not on roots"
-            if (u, v) in m.graph.edges:
-                return False, f"{name} edge ({u},{v}) already in the gadget"
-    if sw.e1 & sw.e2:
-        return False, "E1 and E2 intersect"
-    for name, es, cert in (("cert1", sw.e1, sw.cert1), ("cert2", sw.e2, sw.cert2)):
-        want = m.graph.edges | es
+def _verify_sides(gadget_edges: frozenset,
+                  sides) -> tuple[bool, Optional[str]]:
+    """The check every gadget certificate passes: on each side
+    (name, extra edges, certificate), the certificate's host and target are
+    both the gadget's edges plus that side's extra edges, and
+    `verify_decomposition` accepts it."""
+    for name, extra, cert in sides:
+        want = gadget_edges | extra
         if cert.target_edges != want:
             return False, f"{name} targets the wrong edge set"
         if cert.host.edges != want:
@@ -111,6 +102,39 @@ def verify_switcher(sw: CertifiedSwitcher) -> tuple[bool, Optional[str]]:
         if not ok:
             return False, f"{name}: {why}"
     return True, None
+
+
+def _verify_leftover(gadget_edges: frozenset,
+                     leftover: frozenset) -> tuple[bool, Optional[str]]:
+    """The leftover edges miss the gadget, and their vertices are
+    independent in it."""
+    if leftover & gadget_edges:
+        return False, "leftover edges overlap the gadget"
+    vs = {v for e in leftover for v in e}
+    if any(u in vs and v in vs for u, v in gadget_edges):
+        return False, "leftover vertices not independent in the gadget"
+    return True, None
+
+
+def verify_switcher(sw: CertifiedSwitcher) -> tuple[bool, Optional[str]]:
+    """Root independence, disjoint root-supported switch sets, both
+    certificates, and the compression when there is one."""
+    m = sw.model
+    if not m.roots_independent():
+        return False, "roots not independent"
+    rs = set(m.roots)
+    for name, es in (("E1", sw.e1), ("E2", sw.e2)):
+        for u, v in es:
+            if u not in rs or v not in rs:
+                return False, f"{name} edge ({u},{v}) not on roots"
+    if sw.e1 & sw.e2:
+        return False, "E1 and E2 intersect"
+    ok, why = _verify_sides(m.graph.edges, (("cert1", sw.e1, sw.cert1),
+                                            ("cert2", sw.e2, sw.cert2)))
+    if ok and sw.compression is not None:
+        ok, why = verify_compression(m, sw.compression)
+        why = why and f"compression: {why}"
+    return ok, why
 
 
 def verify_compression(m: RootedModel, comp: Compression) -> tuple[bool, Optional[str]]:
@@ -140,64 +164,31 @@ def verify_compression(m: RootedModel, comp: Compression) -> tuple[bool, Optiona
 
 
 def verify_transformer(tr: CertifiedTransformer) -> tuple[bool, Optional[str]]:
-    hv = {v for e in tr.h_edges for v in e}
-    hpv = {v for e in tr.hp_edges for v in e}
-    t_edges = tr.t.edges
-    for u, v in t_edges:
-        if u in hv | hpv and v in hv | hpv:
-            return False, "leftover vertices not independent in the gadget"
-    if (tr.h_edges | tr.hp_edges) & t_edges:
-        return False, "leftover edges overlap the gadget"
-    for name, extra, other, cert in (("cert_h", tr.h_edges, tr.hp_edges, tr.cert_h),
-                                     ("cert_hp", tr.hp_edges, tr.h_edges, tr.cert_hp)):
-        want = t_edges | extra
-        if cert.target_edges != want or cert.host.edges != want:
-            return False, f"{name} covers the wrong edge set"
-        if cert.covered_edges() & (other - extra):
-            return False, f"{name} uses edges of the other leftover"
-        ok, why = verify_decomposition(cert)
-        if not ok:
-            return False, f"{name}: {why}"
-    return True, None
+    ok, why = _verify_leftover(tr.t.edges, tr.h_edges | tr.hp_edges)
+    if not ok:
+        return ok, why
+    return _verify_sides(tr.t.edges, (("cert_h", tr.h_edges, tr.cert_h),
+                                      ("cert_hp", tr.hp_edges, tr.cert_hp)))
 
 
 def verify_absorber(ab: CertifiedAbsorber) -> tuple[bool, Optional[str]]:
-    hv = {v for e in ab.h_edges for v in e}
-    for u, v in ab.a.edges:
-        if u in hv and v in hv:
-            return False, "leftover vertices not independent in the absorber"
-    if ab.h_edges & ab.a.edges:
-        return False, "leftover edges overlap the absorber"
-    if ab.cert_a.target_edges != ab.a.edges:
-        return False, "cert_a covers the wrong edge set"
-    ok, why = verify_decomposition(ab.cert_a)
+    ok, why = _verify_leftover(ab.a.edges, ab.h_edges)
     if not ok:
-        return False, f"cert_a: {why}"
-    want = ab.a.edges | ab.h_edges
-    if ab.cert_ah.target_edges != want:
-        return False, "cert_ah covers the wrong edge set"
-    ok, why = verify_decomposition(ab.cert_ah)
-    if not ok:
-        return False, f"cert_ah: {why}"
-    return True, None
+        return ok, why
+    return _verify_sides(ab.a.edges, (("cert_a", frozenset(), ab.cert_a),
+                                      ("cert_ah", ab.h_edges, ab.cert_ah)))
 
 
 def verify_star_cover(pattern: Graph, host: Graph, x: int,
-                      copies: list) -> tuple[bool, Optional[str]]:
-    """Edge-disjoint pattern copies inside `host` covering the star at x
-    exactly; non-star edges may be used at most once in total."""
-    star = {norm_edge(x, y) for y in host.adj[x]}
-    used = set()
-    for k, c in enumerate(copies):
-        if c.pattern != pattern:
-            return False, f"copy {k} has a different pattern"
-        if not c.is_valid(host):
-            return False, f"copy {k} is not a valid embedding"
-        es = c.edge_image()
-        if es & used:
-            return False, f"copy {k} reuses a covered edge"
-        used |= es
-    if not star <= used:
-        missing = min(star - used)
-        return False, f"star edge {missing} uncovered"
-    return True, None
+                      cover: Decomposition) -> tuple[bool, Optional[str]]:
+    """`cover` is a star cover of x in `host`: a decomposition on `host`
+    into copies of `pattern` whose target, the edges it covers, holds
+    every edge at x."""
+    if cover.host != host:
+        return False, "cover has a different host"
+    if cover.copies and cover.pattern != pattern:
+        return False, "copy 0 has a different pattern"
+    missing = {norm_edge(x, y) for y in host.adj[x]} - cover.target_edges
+    if missing:
+        return False, f"star edge {min(missing)} uncovered"
+    return verify_decomposition(cover)

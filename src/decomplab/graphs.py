@@ -286,10 +286,6 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
-def empty_graph(n: int) -> Graph:
-    return Graph(n, [])
-
-
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise InputError("cycles need at least 3 vertices")
@@ -425,9 +421,3 @@ class Decomposition:
     @property
     def pattern(self) -> Optional[Graph]:
         return self.copies[0].pattern if self.copies else None
-
-    def covered_edges(self) -> set:
-        out = set()
-        for c in self.copies:
-            out |= c.edge_image()
-        return out

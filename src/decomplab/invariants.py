@@ -8,7 +8,7 @@ for equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd
@@ -51,10 +51,11 @@ def colourable_with(g: Graph, k: int) -> bool:
     n = g.n
     adj = g.adj
     colour = [0] * n
-
-    def rec(coloured: int, used: int) -> bool:
-        if coloured == n:
-            return True
+    # one entry per coloured vertex: (v, its untried colours, the highest
+    # colour used before it)
+    stack = []
+    used = 0
+    while len(stack) < n:
         best_v, best_key = -1, None
         for v in range(n):
             if colour[v]:
@@ -63,18 +64,19 @@ def colourable_with(g: Graph, k: int) -> bool:
             key = (-sat, -len(adj[v]), v)
             if best_key is None or key < best_key:
                 best_v, best_key = v, key
-        v = best_v
-        taken = {colour[u] for u in adj[v] if colour[u]}
-        for c in range(1, min(used + 1, k) + 1):
-            if c in taken:
-                continue
-            colour[v] = c
-            if rec(coloured + 1, max(used, c)):
-                return True
-            colour[v] = 0
-        return False
-
-    return rec(0, 0)
+        taken = {colour[u] for u in adj[best_v] if colour[u]}
+        stack.append((best_v, iter([c for c in range(1, min(used + 1, k) + 1)
+                                    if c not in taken]), used))
+        while True:             # the next untried colour, backtracking
+            v, untried, used = stack[-1]
+            colour[v] = next(untried, 0)
+            if colour[v]:
+                used = max(used, colour[v])
+                break
+            stack.pop()
+            if not stack:
+                return False
+    return True
 
 
 def chromatic_number(g: Graph) -> int:
@@ -236,10 +238,8 @@ class ColouringInvariants:
     chi: int
     chi_cr: Fraction
     sigma: int                       # min size of colour class 1 over Col(F)
-    sigma_per_vertex: dict           # v -> sigma(F, v), over Col(F, v)
     chi_vx: Fraction
     theta: Optional[int]             # None marks "undefined" (chi == 2)
-    witness_colourings: dict = field(default_factory=dict)
 
 
 def colouring_invariants(f: Graph,
@@ -249,10 +249,9 @@ def colouring_invariants(f: Graph,
     if f.e < 1:
         raise InputError("need at least one edge")
     chi = chromatic_number(f)
-    witnesses: dict = {}
 
     sigma = None
-    sigma_v = {}
+    sigma_v = {}          # v -> sigma(F, v), over Col(F, v)
     theta_g = 0
     theta_witnessed_zero = False
     adj = f.adj
@@ -260,23 +259,19 @@ def colouring_invariants(f: Graph,
         class1 = sum(1 for x in c if x == 1)
         if sigma is None or class1 < sigma:
             sigma = class1
-            witnesses["sigma"] = c
         for v in range(f.n):
             if c[v] != chi:
                 continue
             n1 = sum(1 for u in adj[v] if c[u] == 1)
             if v not in sigma_v or n1 < sigma_v[v]:
                 sigma_v[v] = n1
-                witnesses[("sigma_v", v)] = c
             if chi >= 3:
                 n2 = sum(1 for u in adj[v] if c[u] == 2)
                 d = n1 - n2
                 if d != 0:
                     theta_g = gcd(theta_g, abs(d))
-                    witnesses.setdefault("theta", c)
                 else:
                     theta_witnessed_zero = True
-                    witnesses.setdefault("theta", c)
 
     if sigma is None:
         raise DomainError("no proper colouring found (internal defect)")
@@ -294,8 +289,7 @@ def colouring_invariants(f: Graph,
         theta = THETA_UNDEFINED
 
     return ColouringInvariants(
-        chi=chi, chi_cr=chi_cr, sigma=sigma, sigma_per_vertex=sigma_v,
-        chi_vx=chi_vx, theta=theta, witness_colourings=witnesses)
+        chi=chi, chi_cr=chi_cr, sigma=sigma, chi_vx=chi_vx, theta=theta)
 
 
 # -- colour-neighbourhood tuples ---------------------------------------------

@@ -113,7 +113,7 @@ def test_gadget_build_rejects_flags_its_kind_does_not_read(tmp_path, kind,
     ("absorber", "build_absorber", ["--leftover", "c4.txt"],
      lambda g: g.cert_ah.copies.pop()),
     ("partite-abs", "build_partite_neighbourhood_absorber", [],
-     lambda g: g.cover_with_w.pop()),
+     lambda g: g.cover_with_w.copies.pop()),
 ])
 def test_gadget_build_rejected_by_its_verifier_is_an_error(
         tmp_path, monkeypatch, kind, builder, options, damage):
@@ -132,6 +132,37 @@ def test_gadget_build_rejected_by_its_verifier_is_an_error(
     assert res.payload["verified"] is False
     assert res.payload["violation"] and res.diagnostics == [
         res.payload["violation"]]
+
+
+def test_solve_vertex_refuses_a_cover_that_misses_a_star_edge(tmp_path,
+                                                              monkeypatch):
+    f = _write(tmp_path, "k3.txt", complete_graph(3))
+    g = _write(tmp_path, "k7.txt", complete_graph(7))
+    cover_vertex = cli.cover_vertex
+
+    def short(*args, **kwargs):
+        # one copy dropped with its edges: still a valid decomposition of
+        # its target, but two star edges at 0 are left uncovered
+        res = cover_vertex(*args, **kwargs)
+        dec = res.decomposition
+        gone = dec.copies.pop()
+        dec.target_edges = dec.target_edges - gone.edge_image()
+        return res
+
+    monkeypatch.setattr(cli, "cover_vertex", short)
+    res = run(["solve", "--pattern", f, "--host", g, "--vertex", "0"])
+    assert res.status == "error" and res.exit_code == EXIT_ERROR
+    assert res.payload["violation"].startswith("star edge (0, ")
+    assert "copies" not in res.payload
+
+
+@pytest.mark.parametrize("argv", [["invariants", "--colouring"],
+                                  ["classify", "--vertex-cover"],
+                                  ["classify", "--candidates"]])
+def test_colouring_commands_on_a_long_cycle_hit_the_guard(tmp_path, argv):
+    res = run([*argv, _write(tmp_path, "c2001.txt", cycle_graph(2001))])
+    assert res.exit_code == EXIT_ERROR
+    assert res.payload["type"] == "SizeGuardError"
 
 
 def test_fractional_solve(tmp_path, monkeypatch):

@@ -22,7 +22,8 @@ def assert_good_switcher(sw, expect_d=None):
     ok, why = verify_switcher(sw)
     assert ok, why
     # definition is symmetric in the two switch sets
-    ok, why = verify_switcher(sw.swapped())
+    ok, why = verify_switcher(CertifiedSwitcher(
+        sw.model, sw.e2, sw.e1, sw.cert2, sw.cert1, sw.compression))
     assert ok, why
     if sw.compression is not None:
         ok, why = verify_compression(sw.model, sw.compression)

@@ -97,6 +97,12 @@ def test_chromatic_basics():
     assert chromatic_number(wheel) == 4
 
 
+def test_chromatic_number_of_a_long_cycle():
+    # the colouring search keeps its own stack, one entry per coloured
+    # vertex, so a long cycle does not exhaust the interpreter's recursion
+    assert chromatic_number(cycle_graph(2001)) == 3
+
+
 def test_chromatic_matches_oracle_random():
     rng = random.Random(11)
     for _ in range(20):
