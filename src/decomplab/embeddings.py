@@ -30,10 +30,10 @@ Entry points: `enumerate_embeddings` (all of them, as image tuples in host
 vertex ids; its `host_order` must be a permutation of the host vertices,
 else InputError, and without one the ranks are the ids; `dedup_by_edges`
 keeps one per image edge set, as the solvers need), `find_embedding` (the
-first, over rank masks and rank pins) and `find_through_edge` (the first
+first, over rank masks and rank pins), `find_through_edge` (the first
 through the host edge between two ranks, one `find_embedding` per arc
-tried).  No entry point builds an `EmbeddedCopy`: callers wrap only the
-images they hand out.
+tried) and `Packing` (live edges as rank masks, read in host ids).  No
+entry point builds an `EmbeddedCopy`: callers wrap the images they hand out.
 
 Orbit rule: pinning a pattern vertex or arc succeeds exactly when pinning
 any other member of its Aut(F)-orbit does, so pinned callers try only the
@@ -71,6 +71,44 @@ def rank_masks(adj, order) -> list[int]:
     for the neighbour of rank s."""
     bit = [1 << r for r in host_ranks(order)]
     return [sum(map(bit.__getitem__, adj[h])) for h in order]
+
+
+class Packing:
+    """Live edges as rank masks under a host order, behind host ids.
+    `flip` takes edges out or puts them back; `neighbours` come in host
+    order and `edges` in normal form."""
+
+    __slots__ = ("order", "rank", "masks")
+
+    def __init__(self, adj, order):
+        self.order, self.rank = list(order), host_ranks(order)
+        self.masks = rank_masks(adj, order)
+
+    def live(self, u: int, v: int) -> bool:
+        return self.masks[self.rank[u]] >> self.rank[v] & 1 == 1
+
+    def neighbours(self, x: int) -> list[int]:
+        order, m, out = self.order, self.masks[self.rank[x]], []
+        while m:
+            low = m & -m
+            m ^= low
+            out.append(order[low.bit_length() - 1])
+        return out
+
+    def first_through(self, pattern: Graph, u: int, v: int) -> Optional[tuple]:
+        rank = self.rank
+        img = find_through_edge(pattern, self.masks, rank[u], rank[v])
+        return None if img is None else tuple([self.order[r] for r in img])
+
+    def flip(self, edges) -> None:
+        rank, masks = self.rank, self.masks
+        for u, v in edges:
+            masks[rank[u]] ^= 1 << rank[v]
+            masks[rank[v]] ^= 1 << rank[u]
+
+    def edges(self) -> list[tuple[int, int]]:
+        return [(u, v) for u in self.order for v in self.neighbours(u)
+                if u < v]
 
 
 def _memo(pattern: Graph) -> dict:

@@ -186,6 +186,8 @@ def verify_star_cover(pattern: Graph, host: Graph, x: int,
     every edge at x."""
     if cover.host != host:
         return False, "cover has a different host"
+    if not (0 <= x < host.n):
+        return False, "vertex x out of range"
     if cover.copies and cover.pattern != pattern:
         return False, "copy 0 has a different pattern"
     missing = {norm_edge(x, y) for y in host.adj[x]} - cover.target_edges

@@ -95,13 +95,17 @@ def chromatic_number(g: Graph) -> int:
     return k
 
 
+def _colouring_guard(g: Graph, guard: int) -> None:
+    if g.n > guard:
+        raise SizeGuardError(
+            f"colouring enumeration guard: {g.n} vertices > {guard}")
+
+
 def proper_colourings(g: Graph, s: int, fix: Optional[dict] = None,
                       guard: int = DEFAULT_COLOURING_GUARD) -> Iterator[tuple[int, ...]]:
     """All proper colourings with colour set 1..s (labelled, no symmetry
     reduction), optionally with some vertices pre-coloured."""
-    if g.n > guard:
-        raise SizeGuardError(
-            f"colouring enumeration guard: {g.n} vertices > {guard}")
+    _colouring_guard(g, guard)
     fix = fix or {}
     colour = [0] * g.n
     for v, c in fix.items():
@@ -248,6 +252,7 @@ def colouring_invariants(f: Graph,
     vertex-cover chromatic value and the class-difference gcd."""
     if f.e < 1:
         raise InputError("need at least one edge")
+    _colouring_guard(f, guard)
     chi = chromatic_number(f)
 
     sigma = None
@@ -306,6 +311,7 @@ class CNTuple:
 def cn_tuples(f: Graph, s: int, guard: int = DEFAULT_COLOURING_GUARD) -> set:
     """All (s-1)-tuples of per-class neighbour counts at a vertex coloured s,
     over proper s-colourings; one witness each."""
+    _colouring_guard(f, guard)
     chi = chromatic_number(f)
     if s < chi:
         raise DomainError(f"s={s} below chromatic number {chi}")

@@ -3,19 +3,20 @@ everything outside the innermost set level by level, and confine the
 leftover there.
 
 The probabilistic machinery behind the asymptotic guarantee is replaced by
-greedy removal plus pinned first-hit search with retry; per-level statistics
-are reported so the confinement behaviour can be studied empirically.
+greedy removal plus pinned first-hit search with retry on one live graph, an
+`embeddings.Packing`; per-level statistics show the confinement behaviour.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .divisibility import check_divisibility
-from .embeddings import find_through_edge, host_ranks, rank_masks
+from .embeddings import Packing
 from .errors import DomainError, InputError
 from .graphs import EmbeddedCopy, Graph, norm_edge
 from .solver import greedy_decompose
@@ -130,7 +131,8 @@ def cover_down(f: Graph, g: Graph, vortex: Vortex,
     inward partners for outside edges.  A stuck edge may release one of the
     sweep's earlier copies and retry, `RELEASE_BUDGET` times.  Edges
     touching the next level's interior from inside are never consumed
-    early.  Stalls set the failure flag, never silently.
+    early.  Stalls set the failure flag, never silently.  The live edges
+    are one `Packing`, the searches two more; a copy flips all three.
     """
     rep = check_divisibility(f, g)
     if not rep.degree_divisible:
@@ -139,97 +141,73 @@ def cover_down(f: Graph, g: Graph, vortex: Vortex,
     ok, why = verify_vortex(g, vortex)
     if not ok:
         raise InputError(f"vortex invalid: {why}")
-    from collections import deque
-
     rng = random.Random(seed)
     n = g.n
-    adj = [set(s) for s in g.adj]
+    live = Packing(g.adj, range(n))
     copies = []
     stats = []
     success = True
-
-    def remove(img_edges):
-        for u, v in img_edges:
-            adj[u].discard(v)
-            adj[v].discard(u)
-
-    def restore(img_edges):
-        for u, v in img_edges:
-            adj[u].add(v)
-            adj[v].add(u)
-
-    def live_edges():
-        return [(u, v) for u in range(n) for v in adj[u] if u < v]
 
     for depth in range(1, len(vortex.sets)):
         inner_set = set(vortex.sets[depth])
         next_inner = (set(vortex.sets[depth + 1])
                       if depth + 1 < len(vortex.sets) else set())
-        outside = [x for x in range(n) if x not in inner_set and adj[x]]
         level = {"level": depth, "inner": len(inner_set)}
 
         # partner reserve: each outside vertex keeps about as many outside
         # edges as it has cross edges, so cross edges can pair up later
+        sweep_order = []    # the outside vertices with a live edge
         reserved = set()
-        for x in outside:
-            cross_deg = sum(1 for y in adj[x] if y in inner_set)
-            partners = [norm_edge(x, y) for y in adj[x]
-                        if y not in inner_set]
-            rng.shuffle(partners)
-            reserved.update(partners[:cross_deg + 2 * f.n])
+        for x in range(n):
+            ys = () if x in inner_set else live.neighbours(x)
+            if ys:
+                sweep_order.append(x)
+                partners = [norm_edge(x, y) for y in ys if y not in inner_set]
+                cross_deg = len(ys) - len(partners)
+                rng.shuffle(partners)
+                reserved.update(partners[:cross_deg + 2 * f.n])
 
         # (a) bulk greedy on the unreserved outside-induced part
-        universe = [(u, v) for u, v in live_edges()
+        universe = [(u, v) for u, v in live.edges()
                     if u not in inner_set and v not in inner_set
                     and (u, v) not in reserved]
         got = greedy_decompose(f, Graph(n, universe),
                                seed=rng.randrange(1 << 30))
         copies.extend(got.copies)
         for c in got.copies:
-            remove(c.edge_image())
+            live.flip(c.edge_image())
         level["greedy_copies"] = len(got.copies)
 
         # (b) per-vertex sweep, one pinned copy at a time with release-retry
-        sweep_order = list(outside)
         rng.shuffle(sweep_order)
         out_order = [x for x in range(n) if x not in inner_set]
         rng.shuffle(out_order)
         in_order = sorted(inner_set - next_inner) + sorted(next_inner)
-        prefer_outside = out_order + in_order
-        prefer_inside = in_order + out_order
         # edges that the next level will need: anything inside the current
         # inner set touching the next interior is left out of the searches
-        usable = [adj[u] - (inner_set if u in next_inner else next_inner)
-                  if u in inner_set else adj[u] for u in range(n)]
-        searches = []       # (host order, rank of each vertex, rank masks)
-        for order in (prefer_outside, prefer_inside):
-            searches.append((order, host_ranks(order),
-                             rank_masks(usable, order)))
-
-        def toggle(img_edges):
-            # kept alongside remove and restore: the searched edges are
-            # never protected, so each flip adds or drops a live edge
-            for _, rank, masks in searches:
-                for u, v in img_edges:
-                    ru, rv = rank[u], rank[v]
-                    masks[ru] ^= 1 << rv
-                    masks[rv] ^= 1 << ru
+        held = [(inner_set if u in next_inner else next_inner)
+                if u in inner_set else () for u in range(n)]
+        usable = [[y for y in live.neighbours(u) if y not in held[u]]
+                  for u in range(n)]
+        prefer_outside = Packing(usable, out_order + in_order)
+        prefer_inside = Packing(usable, in_order + out_order)
+        packings = (live, prefer_outside, prefer_inside)
 
         stalls = 0
         for x in sweep_order:
             committed = []      # edge sets of the copies made this sweep
             attempts = {}
-            pending = deque()
-            for w in sorted(y for y in adj[x] if y in inner_set):
-                pending.append((x, w, True))
-            for y in sorted(y for y in adj[x] if y not in inner_set):
-                pending.append((x, y, False))
+            # x's cross edges first; only they prefer outside partners
+            ys = live.neighbours(x)
+            pending = deque([(x, y) for y in ys if y in inner_set]
+                            + [(x, y) for y in ys if y not in inner_set])
             while pending:
-                a, b, is_cross = pending.popleft()
-                if b not in adj[a]:
+                a, b = pending.popleft()
+                if not live.live(a, b):
                     continue
-                order, rank, masks = searches[0 if is_cross else 1]
-                img = find_through_edge(f, masks, rank[a], rank[b])
+                cross = a == x and b in inner_set
+                search = prefer_outside if cross else prefer_inside
+                img = search.first_through(f, a, b)
                 if img is None:
                     key = norm_edge(a, b)
                     tries = attempts.get(key, 0)
@@ -238,36 +216,28 @@ def cover_down(f: Graph, g: Graph, vortex: Vortex,
                         # the last of `copies`; retry, requeue its edges
                         es = committed.pop()
                         copies.pop()
-                        restore(es)
-                        toggle(es)
+                        for p in packings:
+                            p.flip(es)
                         attempts[key] = tries + 1
-                        pending.appendleft((a, b, is_cross))
-                        for (u, v) in sorted(es):
-                            if u == x or v == x:
-                                o = v if u == x else u
-                                pending.append((x, o, o in inner_set))
-                            else:
-                                pending.append((u, v, False))
+                        pending.appendleft((a, b))
+                        pending.extend((v, u) if v == x else (u, v)
+                                       for u, v in sorted(es))
                         continue
                     stalls += 1
                     continue
-                copy = EmbeddedCopy(f, tuple([order[r] for r in img]))
-                es = copy.edge_image()
-                copies.append(copy)
+                copies.append(EmbeddedCopy(f, img))
+                es = copies[-1].edge_image()
                 committed.append(es)
-                remove(es)
-                toggle(es)
+                for p in packings:
+                    p.flip(es)
         level["sweep_stalls"] = stalls
 
-        residue = sum(1 for u, v in live_edges()
+        residue = sum(1 for u, v in live.edges()
                       if u not in inner_set or v not in inner_set)
         level["outside_residue"] = residue
         if residue:
             success = False
         stats.append(level)
 
-    current = Graph(n, live_edges())
-    final_set = set(vortex.sets[-1])
-    confined = all(u in final_set and v in final_set
-                   for u, v in current.edges)
-    return CoverDownResult(copies, current, success and confined, stats)
+    # the last level's residue is the leftover outside the final level
+    return CoverDownResult(copies, Graph(n, live.edges()), success, stats)

@@ -39,9 +39,7 @@ from itertools import chain
 from typing import Optional
 
 from .divisibility import check_divisibility
-from .embeddings import (enumerate_embeddings, find_through_edge,
-                         host_ranks, orbit_representatives,
-                         rank_masks)
+from .embeddings import Packing, enumerate_embeddings, orbit_representatives
 from .errors import InputError
 from .graphs import (Decomposition, EmbeddedCopy, Graph, degree_gcd_of,
                      norm_edge)
@@ -435,31 +433,16 @@ def greedy_decompose(pattern: Graph, host: Graph,
     rng = random.Random(seed)
     order = list(range(host.n))
     rng.shuffle(order)
-    rank = host_ranks(order)
-    masks = rank_masks(host.adj, order)
+    packing = Packing(host.adj, order)
     queue = sorted(host.edges)
     rng.shuffle(queue)
     copies = []
     for u, v in queue:
-        ru, rv = rank[u], rank[v]
-        if not masks[ru] >> rv & 1:
-            continue
-        img = find_through_edge(pattern, masks, ru, rv)
-        if img is not None:
-            copies.append(EmbeddedCopy(pattern,
-                                       tuple([order[r] for r in img])))
-            for a, b in pattern.edges:
-                ra, rb = img[a], img[b]
-                masks[ra] ^= 1 << rb
-                masks[rb] ^= 1 << ra
-    left_edges = []
-    for ra, m in enumerate(masks):
-        m >>= ra    # each leftover edge once, from its lower rank
-        while m:
-            low = m & -m
-            m ^= low
-            left_edges.append((order[ra], order[ra + low.bit_length() - 1]))
-    return GreedyResult(copies, Graph(host.n, left_edges))
+        img = packing.live(u, v) and packing.first_through(pattern, u, v)
+        if img:
+            copies.append(EmbeddedCopy(pattern, img))
+            packing.flip([(img[a], img[b]) for a, b in pattern.edges])
+    return GreedyResult(copies, Graph(host.n, packing.edges()))
 
 
 def cover_vertex(pattern: Graph, host: Graph, x: int,

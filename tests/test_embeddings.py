@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from decomplab.errors import DegreeError, InputError
-from decomplab.embeddings import (_orbit_bounds, _plan, _search,
+from decomplab.embeddings import (Packing, _orbit_bounds, _plan, _search,
                                    enumerate_embeddings, find_embedding,
                                    find_through_edge, orbit_representatives,
                                    rank_masks)
@@ -520,3 +520,49 @@ def test_the_kernel_neither_hashes_nor_compares_the_pattern(monkeypatch):
                                         dedup_by_edges=True) == expect
             assert find_through_edge(fresh, masks, 2, 5) == hit
             assert find_through_edge(fresh, masks, 2, 5) == hit
+
+
+# -- packing ------------------------------------------------------------------
+
+
+def test_packing_agrees_with_an_edge_set_model_under_random_flips():
+    """Random flips against a set of live edges: `live`, `neighbours` and
+    `edges` read the model, a double flip restores the masks, and
+    `first_through` is `find_through_edge` on the same masks, in ids."""
+    import random
+    rng = random.Random(23)
+    for _ in range(40):
+        n = rng.randint(2, 11)
+        host = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                         if rng.random() < rng.choice((0.3, 0.7, 1.0))])
+        order = list(range(n))
+        rng.shuffle(order)
+        packing = Packing(host.adj, order)
+        model = set(host.edges)
+        for _ in range(12):
+            # flip host edges in either orientation: live ones go out,
+            # taken ones come back
+            es = [e if rng.random() < 0.5 else e[::-1]
+                  for e in rng.sample(sorted(host.edges),
+                                      min(host.e, rng.randint(0, 4)))]
+            before = list(packing.masks)
+            packing.flip(es)
+            packing.flip(es)
+            assert packing.masks == before
+            packing.flip(es)
+            model ^= {norm_edge(u, v) for u, v in es}
+
+            for u in range(n):
+                assert packing.neighbours(u) == [
+                    y for y in order if norm_edge(u, y) in model]
+                for v in range(n):
+                    assert packing.live(u, v) is (norm_edge(u, v) in model)
+            got = packing.edges()
+            assert all(u < v for u, v in got)
+            assert sorted(got) == sorted(model)
+            for u, v in host.edges:
+                for pattern in KERNEL_PATTERNS[:5]:
+                    img = find_through_edge(pattern, packing.masks,
+                                            packing.rank[u], packing.rank[v])
+                    assert packing.first_through(pattern, u, v) == (
+                        None if img is None else tuple(order[r] for r in img))

@@ -105,3 +105,11 @@ def test_a_star_cover_of_another_host_is_refused():
     pa = build_partite_neighbourhood_absorber(K3, 1)
     ok, why = verify_star_cover(K3, pa.graph, pa.x, pa.cover_with_w)
     assert (ok, why) == (False, "cover has a different host")
+
+
+@pytest.mark.parametrize("x", [7, -7])
+def test_a_star_cover_of_an_out_of_range_vertex_is_refused(x):
+    host = complete_graph(7)
+    cover = cover_vertex(K3, host, 0).decomposition
+    assert verify_star_cover(K3, host, x, cover) == (
+        False, "vertex x out of range")

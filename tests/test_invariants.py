@@ -256,6 +256,17 @@ def test_colouring_guard():
                              guard=20)
 
 
+def test_colouring_guard_comes_before_the_chromatic_number(monkeypatch):
+    def no_search(g):
+        raise AssertionError("chromatic_number ran before the guard")
+
+    monkeypatch.setattr("decomplab.invariants.chromatic_number", no_search)
+    with pytest.raises(SizeGuardError):
+        colouring_invariants(cycle_graph(21))
+    with pytest.raises(SizeGuardError):
+        cn_tuples(cycle_graph(21), 3)
+
+
 # -- CN tuples ----------------------------------------------------------------
 
 
