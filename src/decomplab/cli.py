@@ -145,7 +145,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=_parse_fraction, required=True)
     p.add_argument("--final-size", type=int, required=True)
     p.add_argument("--delta", type=_parse_fraction, default=None)
-    p.add_argument("--report", default=None)
     return top
 
 
@@ -417,9 +416,6 @@ def _cmd_pipeline(args) -> CommandResult:
                "copies": len(res.copies),
                "leftover_edges": res.leftover.e,
                "stats": res.stats}
-    if args.report:
-        with open(args.report, "w") as fh:
-            json.dump(payload, fh, indent=2)
     if not res.success:
         # a failed cover-down is no answer, not a proof of anything
         return CommandResult("error", payload, [], EXIT_INDETERMINATE)

@@ -125,8 +125,7 @@ def make_degree_divisible(host: Graph, r: int, xi: dict,
         img = find_embedding(gadget, masks,
                              {p: masks.rank[h] for p, h in pins.items()})
         if img is None:
-            raise ResourceError(f"no room left for gadget at step {tag}",
-                                stuck_index=tag)
+            raise ResourceError(f"no room left for gadget at step {tag}")
         img = [order[r] for r in img]
         for a, b in gadget.edges:
             e = norm_edge(img[a], img[b])

@@ -28,10 +28,6 @@ class SizeGuardError(DecompLabError):
 class ResourceError(DecompLabError):
     """A bounded search ran out of its retry/embedding budget."""
 
-    def __init__(self, message, stuck_index=None):
-        super().__init__(message)
-        self.stuck_index = stuck_index
-
 
 class ParseError(InputError):
     """Syntax error in an external format, with position information."""

@@ -304,8 +304,8 @@ def obstruction_check(f: Graph, g: Graph,
     if cert.residue % cert.modulus == 0:
         return False
     region = set(cert.region)
-    if not region <= set(range(g.n)):
-        return False
+    if not region or not region <= set(range(g.n)):
+        return False            # an empty region certifies nothing
 
     if cert.kind == TAU_COUNT:
         count = len(g.induced_edges(region))

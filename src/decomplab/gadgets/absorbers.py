@@ -516,21 +516,19 @@ def build_partite_neighbourhood_absorber(f: Graph, b: int,
 
     def glue_rot(colouring: dict, nbr_targets: dict = None):
         """Glue one hub-graph copy at x; nbr_targets optionally pins the
-        hub's class-i neighbours onto existing vertices (edges merge)."""
+        hub's class-i neighbours onto existing vertices, and the edges
+        between pinned vertices merge with those already there."""
         g = rot.graph
-        vmap = {rot.hub: x}
+        pins = {rot.hub: x}
         by_class: dict = {}
         for y in sorted(g.adj[rot.hub]):
             by_class.setdefault(colouring[y], []).append(y)
-        if nbr_targets:
-            for cc, targets in nbr_targets.items():
-                for y, tgt in zip(by_class[cc], targets):
-                    vmap[y] = tgt
-        for t in range(g.n):
-            if t not in vmap:
-                vmap[t] = space.fresh_one()
+        for cc, targets in (nbr_targets or {}).items():
+            pins.update(zip(by_class[cc], targets))
+        vmap = space.place(g, pins)
         for a_, b_ in g.edges:
-            space.add_edge(vmap[a_], vmap[b_], merge=nbr_targets is not None)
+            if a_ in pins and b_ in pins:
+                space.add_edge(vmap[a_], vmap[b_], merge=True)
         for t in range(g.n):
             if t == rot.hub:
                 continue

@@ -16,9 +16,9 @@ from __future__ import annotations
 from math import gcd
 
 from ..errors import DomainError, SizeGuardError
-from ..graphs import Graph, degree_gcd_of, norm_edge
+from ..graphs import Graph, degree_gcd_of
 from ..invariants import _connected_mask, _support_masks, is_c4_supporting
-from .compose import GadgetSpace, attach_compressions, glue_switcher
+from .compose import GadgetSpace, attach_compressions
 from .switchers import (_component_multiset_split, _finalize_switcher,
                         build_internal_teleporter, build_k2r_switcher)
 from .types import CertifiedSwitcher, Compression
@@ -85,35 +85,23 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
 
     star_occ = next(i for i, (_, sign) in enumerate(occ) if sign > 0)
     placements = []
-    u1 = u2 = None
-    e0 = None
+    e_heavy, e_light = [], []      # oriented (c1-end, c2-end) surplus edges
     for i, (ei, sign) in enumerate(occ):
         xs, _ = family[ei]
-        vmap = {}
-        for x in xs:
-            vmap[x] = fresh_with(C1 if col0[x] == 0 else C2)
-        skipped = None
+        es = [(a, b) if col0[a] == 0 else (b, a)
+              for a, b in sorted(f.induced_edges(xs))]
         if i == star_occ:
-            a, b = min(f.induced_edges(xs))
-            v0, w0 = (a, b) if col0[a] == 0 else (b, a)
-            u1, u2 = vmap[v0], vmap[w0]
-            skipped = norm_edge(a, b)
-        for a, b in f.induced_edges(xs):
-            if norm_edge(a, b) == skipped:
-                e0 = norm_edge(vmap[a], vmap[b])
-                continue
-            space.add_edge(vmap[a], vmap[b])
-        placements.append((ei, sign, vmap, skipped))
-
-    # oriented (c1-end, c2-end) surplus edges on either side
-    e_heavy, e_light = [], []
-    for ei, sign, vmap, skipped in placements:
-        xs, _ = family[ei]
-        for a, b in sorted(f.induced_edges(xs)):
-            if norm_edge(a, b) == skipped:
-                continue
-            aa, bb = (a, b) if col0[a] == 0 else (b, a)
-            (e_heavy if sign > 0 else e_light).append((vmap[aa], vmap[bb]))
+            e0, es = es[0], es[1:]     # the distinguished edge stays out
+        local = {x: j for j, x in enumerate(xs)}
+        vmap = dict(zip(xs, space.place(
+            Graph(len(xs), [(local[a], local[b]) for a, b in es]), {})))
+        for x in xs:
+            rho[vmap[x]] = C1 if col0[x] == 0 else C2
+        if i == star_occ:
+            u1, u2 = vmap[e0[0]], vmap[e0[1]]
+        (e_heavy if sign > 0 else e_light).extend(
+            (vmap[a], vmap[b]) for a, b in es)
+        placements.append((ei, sign, vmap))
     assert len(e_heavy) == len(e_light)
 
     # teleporters for the stacked family pattern pair up the two sides
@@ -134,32 +122,41 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
                               for u, v in part.edges])
         tel = build_internal_teleporter(tilde)
 
-        def split_tilde_copy(img) -> list[tuple[int, dict]]:
-            out = []
-            for b, xs in enumerate(blocks):
-                sub = {x: img[offs[b] + i] for i, x in enumerate(sorted(xs))}
-                out.append((b, sub))
-            return out
+        def split_tilde_copies(cert, vmap) -> list[tuple[int, dict]]:
+            """The certificate's copies mapped into the space, each split
+            into its family pieces."""
+            return [(b, {x: vmap[c.image[offs[b] + i]]
+                         for i, x in enumerate(sorted(xs))})
+                    for c in cert.copies for b, xs in enumerate(blocks)]
 
+        # the teleporters' copies become family pieces, never recorded whole
+        m = tel.model
         for (lx, ly), (hx, hy) in zip(e_light, e_heavy):
-            g = glue_switcher(space, tel, (lx, ly, hx, hy))
-            for v_local, v_space in enumerate(g.vmap):
+            vmap = space.place(m.graph, dict(zip(m.roots, (lx, ly, hx, hy))))
+            for v_local, v_space in enumerate(vmap):
                 if v_space not in rho:
                     # interior labels follow the teleporter's own fold
                     rho[v_space] = C1 if tel.compression.psi[v_local] == 0 else C2
-            for img in g.cert1_copies:        # covers the light edge
-                delta_plus_raw.extend(split_tilde_copy(img))
-            for img in g.cert2_copies:        # covers the heavy edge
-                delta_minus_raw.extend(split_tilde_copy(img))
+            # cert1 covers the light edge, cert2 the heavy one
+            delta_plus_raw.extend(split_tilde_copies(tel.cert1, vmap))
+            delta_minus_raw.extend(split_tilde_copies(tel.cert2, vmap))
 
-    for ei, sign, vmap, skipped in placements:
-        piece = (ei, dict(vmap))
-        (delta_plus_raw if sign > 0 else delta_minus_raw).append(piece)
+    for ei, sign, vmap in placements:
+        (delta_plus_raw if sign > 0 else delta_minus_raw).append((ei, vmap))
 
     # -- extension of every family piece to a full pattern copy ---------------
 
     h1_plus, h2_plus = [], []      # surplus (c1,c6) / (c2,c3) edges
     h1_tilde, h2_tilde = [], []    # star-switcher material
+
+    def surplus(img, lab, edges, h1, h2):
+        """Append each placed edge labelled (c1,c6) to h1 and each labelled
+        (c2,c3) to h2, as space ids from the c1 or c2 end."""
+        for a, b in edges:
+            if lab[b] in (C1, C2):
+                a, b = b, a
+            if (lab[a], lab[b]) in ((C1, C6_), (C2, C3)):
+                (h1 if lab[a] == C1 else h2).append((img[a], img[b]))
 
     def extend(ei_or_block: int, vmap: dict, plus_side: bool):
         xs = blocks[ei_or_block]
@@ -172,10 +169,6 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
         for x in xs:
             lab[x] = C1 if side(x) == 0 else C2
             assert rho[vmap[x]] == lab[x]
-        img = [None] * f.n
-        for x in xs:
-            img[x] = vmap[x]
-        new_edges = []
         for x in range(f.n):
             if x in xset:
                 continue
@@ -185,21 +178,19 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
             else:
                 touches = any(y in xset and side(y) == 0 for y in f.adj[x])
                 lab[x] = C6_ if touches else A2
-            img[x] = fresh_with(lab[x])
-        for a, b in f.edges:
-            if a in xset and b in xset:
-                continue
+        img = space.place(f, vmap)
+        for x in range(f.n):
+            if x not in xset:
+                rho[img[x]] = lab[x]
+        new_edges = [(a, b) for a, b in f.edges
+                     if a not in xset or b not in xset]
+        for a, b in new_edges:
             pair = frozenset((lab[a], lab[b]))
             assert pair in _EXT_OK, f"extension edge hit labels {pair}"
-            space.add_edge(img[a], img[b])
-            new_edges.append((img[a], img[b], lab[a], lab[b]))
-        for ia, ib, la, lb in new_edges:
-            if {la, lb} == {C1, C6_}:
-                e = (ia, ib) if la == C1 else (ib, ia)
-                (h1_plus if plus_side else h1_tilde).append(e)
-            elif {la, lb} == {C2, C3}:
-                e = (ia, ib) if la == C2 else (ib, ia)
-                (h2_plus if plus_side else h2_tilde).append(e)
+        if plus_side:
+            surplus(img, lab, new_edges, h1_plus, h2_plus)
+        else:
+            surplus(img, lab, new_edges, h1_tilde, h2_tilde)
         return tuple(img)
 
     plus_copies = [extend(ei, vmap, True) for ei, vmap in delta_plus_raw]
@@ -212,46 +203,23 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
 
     def pattern_copy_on(cv, cw, lab_v, lab_w):
         """Copy of the pattern with (v*, w*) at (cv, cw), everything else
-        fresh in the same label pair; the (v*,w*) edge itself is NOT added."""
+        fresh in the same label pair; the (v*,w*) edge joins two pins, so it
+        is NOT added.  Its surplus edges are star-switcher material."""
         flip = col0[v_star]
-        lab = lambda x: lab_v if col0[x] ^ flip == 0 else lab_w
-        img = [None] * f.n
-        img[v_star], img[w_star] = cv, cw
+        lab = [lab_v if col0[x] ^ flip == 0 else lab_w for x in range(f.n)]
+        img = space.place(f, {v_star: cv, w_star: cw})
         for x in range(f.n):
-            if img[x] is None:
-                img[x] = fresh_with(lab(x))
-        edges_added = []
-        for a, b in f.edges:
-            if norm_edge(a, b) == norm_edge(v_star, w_star):
-                continue
-            space.add_edge(img[a], img[b])
-            edges_added.append((img[a], img[b], lab(a), lab(b)))
-        return tuple(img), edges_added
+            if x not in vw:
+                rho[img[x]] = lab[x]
+        surplus(img, lab, [e for e in f.edges if e != vw], h1_tilde, h2_tilde)
+        return tuple(img)
 
     u6 = fresh_with(C6_)
-    f1_img, f1_edges = pattern_copy_on(u1, u6, C1, C6_)
+    f1_img = pattern_copy_on(u1, u6, C1, C6_)
     u3 = fresh_with(C3)
-    f2_img, f2_edges = pattern_copy_on(u2, u3, C2, C3)
-    for ia, ib, la, lb in f1_edges:
-        if {la, lb} == {C1, C6_}:
-            h1_tilde.append((ia, ib) if la == C1 else (ib, ia))
-    for ia, ib, la, lb in f2_edges:
-        if {la, lb} == {C2, C3}:
-            h2_tilde.append((ia, ib) if la == C2 else (ib, ia))
-
-    fe_copies = []
-    for (cx, cy) in h1_plus:
-        img, es = pattern_copy_on(cx, cy, C1, C6_)
-        fe_copies.append(img)
-        for ia, ib, la, lb in es:
-            if {la, lb} == {C1, C6_}:
-                h1_tilde.append((ia, ib) if la == C1 else (ib, ia))
-    for (cx, cy) in h2_plus:
-        img, es = pattern_copy_on(cx, cy, C2, C3)
-        fe_copies.append(img)
-        for ia, ib, la, lb in es:
-            if {la, lb} == {C2, C3}:
-                h2_tilde.append((ia, ib) if la == C2 else (ib, ia))
+    f2_img = pattern_copy_on(u2, u3, C2, C3)
+    fe_copies = [pattern_copy_on(cx, cy, C1, C6_) for cx, cy in h1_plus]
+    fe_copies += [pattern_copy_on(cx, cy, C2, C3) for cx, cy in h2_plus]
 
     # -- mirror the (c1,c2) half ----------------------------------------------
 
@@ -272,7 +240,7 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
 
     # -- star switchers bridge the asymmetric halves ---------------------------
 
-    star_glued = []
+    attachments = []
     star_cache: dict = {}
     for star_edges in (h1_tilde, h2_tilde):
         by_centre: dict = {}
@@ -285,8 +253,9 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
             if d not in star_cache:
                 star_cache[d] = build_k2r_switcher(f, d)
             sw = star_cache[d]
-            g = glue_switcher(space, sw, tuple(leaves) + (c, prime[c]))
-            star_glued.append((rho[c], sw, g))
+            vmap = space.glue(sw, tuple(leaves) + (c, prime[c]))
+            beta = {0: 0, 1: 5, 2: 4} if rho[c] == C1 else {0: 1, 1: 2, 2: 3}
+            attachments.append((sw.compression, beta, vmap))
 
     # -- record both certificates ------------------------------------------------
 
@@ -302,8 +271,6 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
     for img in fe_copies:
         space.record("cert1", mirrored(img))
         space.record("cert2", img)
-    for _, _, g in star_glued:
-        space.take(g)
 
     roots = (u1, u2, u3, u4, u5, u6)
     e1 = [(u1, u2), (u3, u4), (u5, u6)]
@@ -314,12 +281,5 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
         psi[x] = FOLD[label]
     base = Compression(6, {rt: i for i, rt in enumerate(roots)},
                        C6_GRAPH, tuple(psi), 0)
-    attachments = []
-    for centre_label, sw, g in star_glued:
-        if centre_label == C1:
-            beta = {0: 0, 1: 5, 2: 4}
-        else:
-            beta = {0: 1, 1: 2, 2: 3}
-        attachments.append((sw.compression, beta, g.vmap))
     comp = attach_compressions(space.n, base, attachments)
     return _finalize_switcher(space, roots, e1, e2, comp)

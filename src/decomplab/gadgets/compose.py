@@ -4,14 +4,13 @@ A gadget space holds copies of one pattern, given once when the space is
 opened; each copy it records on a certificate side is a bare image tuple,
 and `finalize` hands them out with that pattern and the space's graph as
 their host.  `place` wires every piece into the space: pinned vertices keep
-their given ids and every other vertex is allocated fresh.  Edge
+their given ids and every other vertex is allocated fresh.  `glue` places a
+certified switcher the same way and records its certificates' copies.  Edge
 multi-occurrence across glued pieces is forbidden and checked at insertion
 time.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from ..errors import InputError
 from ..graphs import Decomposition, EmbeddedCopy, Graph, norm_edge
@@ -73,12 +72,24 @@ class GadgetSpace:
     def record(self, side, image) -> None:
         self.copies.setdefault(side, []).append(tuple(image))
 
-    def take(self, glued: "GluedSwitcher", swap: bool = False) -> None:
-        """Record a glued switcher's certificate copies on the two sides,
-        `cert1` and `cert2`; with `swap`, crosswise."""
-        one, two = ("cert2", "cert1") if swap else ("cert1", "cert2")
-        self.copies.setdefault(one, []).extend(glued.cert1_copies)
-        self.copies.setdefault(two, []).extend(glued.cert2_copies)
+    def glue(self, sw, root_images, swap: bool = False) -> list[int]:
+        """Place a certified switcher with its roots at `root_images`
+        (ordered as the switcher's roots) and every other vertex fresh, and
+        record its certificates' copies on the sides `cert1` and `cert2`;
+        with `swap`, crosswise.  The switcher's own edges join the space;
+        its switched edge sets do not, since the side a copy is recorded on
+        decides which of them materialises.  Returns the vertex map."""
+        m = sw.model
+        if len(root_images) != len(m.roots):
+            raise InputError("root image count mismatch")
+        if len(set(root_images)) != len(root_images):
+            raise InputError("root images must be distinct")
+        vmap = self.place(m.graph, dict(zip(m.roots, root_images)))
+        sides = ("cert2", "cert1") if swap else ("cert1", "cert2")
+        for side, cert in zip(sides, (sw.cert1, sw.cert2)):
+            self.copies.setdefault(side, []).extend(
+                tuple([vmap[x] for x in c.image]) for c in cert.copies)
+        return vmap
 
     def finalize(self, side, extra_edges=()) -> Decomposition:
         """The copies recorded on `side` as a decomposition of the current
@@ -88,34 +99,6 @@ class GadgetSpace:
         return Decomposition(host, host.edges,
                              [EmbeddedCopy(self.pattern, img)
                               for img in self.copies.get(side, [])])
-
-
-@dataclass
-class GluedSwitcher:
-    """A switcher instance placed in a space: vmap sends local ids to the
-    space."""
-
-    vmap: tuple
-    cert1_copies: list            # image tuples in the space
-    cert2_copies: list
-
-
-def glue_switcher(space: GadgetSpace, sw, root_images) -> GluedSwitcher:
-    """Place a CertifiedSwitcher into the space with its roots identified
-    with `root_images` (ordered as the switcher's roots); all internal
-    vertices fresh.  The switcher's own edges join the space; the switched
-    edge sets do not (the caller decides which side materialises)."""
-    m = sw.model
-    if len(root_images) != len(m.roots):
-        raise InputError("root image count mismatch")
-    if len(set(root_images)) != len(root_images):
-        raise InputError("root images must be distinct")
-    vmap = space.place(m.graph, dict(zip(m.roots, root_images)))
-    return GluedSwitcher(
-        tuple(vmap),
-        [tuple([vmap[x] for x in c.image]) for c in sw.cert1.copies],
-        [tuple([vmap[x] for x in c.image]) for c in sw.cert2.copies],
-    )
 
 
 # -- compression attachment ---------------------------------------------------

@@ -14,7 +14,7 @@ from math import gcd
 from ..errors import DomainError, InputError, ResourceError
 from ..graphs import Graph, degree_gcd_of, norm_edge, path_graph
 from ..invariants import chromatic_number, proper_colourings
-from .compose import GadgetSpace, attach_compressions, glue_switcher
+from .compose import GadgetSpace, attach_compressions
 from .types import Compression, CertifiedSwitcher, RootedModel
 
 P2 = path_graph(2)  # three-vertex path used as the star root-compression
@@ -215,26 +215,13 @@ def build_clique_degree_star_switcher(f: Graph, v: int) -> CertifiedSwitcher:
         space.add_edge(plus, wi)          # D+
         space.add_edge(minus, wi)         # D-
 
-    c4 = build_c4_switcher(f)
-    glued = []
-    for i in range(r):
-        glued.append(glue_switcher(space, c4, (plus, w[i], minus, leaves[i])))
-
-    # pattern copy completing pattern-minus-v with either centre
-    f_img_plus = [0] * f.n
-    f_img_minus = [0] * f.n
-    for x in range(f.n):
-        if x == v:
-            f_img_plus[x] = plus
-            f_img_minus[x] = minus
-        else:
-            f_img_plus[x] = fm_ids[down(x)]
-            f_img_minus[x] = fm_ids[down(x)]
     # gadget+E+ = (pattern at plus) + each bridge switched to {w_i-, leaf_i+}
-    space.record("cert1", f_img_plus)
-    space.record("cert2", f_img_minus)
-    for g in glued:
-        space.take(g, swap=True)
+    for side, centre in (("cert1", plus), ("cert2", minus)):
+        space.record(side, [centre if x == v else fm_ids[down(x)]
+                            for x in range(f.n)])
+    c4 = build_c4_switcher(f)
+    vmaps = [space.glue(c4, (plus, w[i], minus, leaves[i]), swap=True)
+             for i in range(r)]
 
     e1 = [(plus, leaves[i]) for i in range(r)]
     e2 = [(minus, leaves[i]) for i in range(r)]
@@ -273,9 +260,9 @@ def build_clique_degree_star_switcher(f: Graph, v: int) -> CertifiedSwitcher:
     # attach the bridge compressions: their 4-cycle roots land on
     # (plus, w_i, minus, leaf_i) = K nodes (0, colour(w_i), 2, 1)
     attachments = []
-    for i, g in enumerate(glued):
+    for i, vmap in enumerate(vmaps):
         beta = {0: 0, 1: colour_node[col[nbrs[i]]], 2: 2, 3: 1}
-        attachments.append((c4.compression, beta, g.vmap))
+        attachments.append((c4.compression, beta, vmap))
     comp = attach_compressions(space.n, base, attachments)
     comp.d = max(chi + 1, comp.d)
     return _finalize_switcher(space, roots, e1, e2, comp)
@@ -376,12 +363,9 @@ def build_k2r_switcher(f: Graph, r: int) -> CertifiedSwitcher:
 
     for side, d, grp in subs:
         sub = degree_switcher(d)
-        glued = glue_switcher(space, sub,
-                              tuple(grp) + (plus, minus))
         # gadget+E+ uses: V2 stars switched to plus, V1 stars to minus
-        space.take(glued, swap=side == "v1")
-        beta = {0: 0, 1: 1, 2: 2}
-        attachments.append((sub.compression, beta, glued.vmap))
+        vmap = space.glue(sub, tuple(grp) + (plus, minus), swap=side == "v1")
+        attachments.append((sub.compression, {0: 0, 1: 1, 2: 2}, vmap))
 
     comp = attach_compressions(space.n, base, attachments)
     e1 = [(plus, x) for x in leaves]
@@ -405,15 +389,12 @@ def build_c6_switcher_general(f: Graph) -> CertifiedSwitcher:
     for e in frame:
         space.add_edge(*e)
 
-    c4 = build_c4_switcher(f)
-    s1 = glue_switcher(space, c4, (u[0], w1, u[4], u[5]))
-    s2 = glue_switcher(space, c4, (w2, u[1], u[2], u[3]))
-    s3 = glue_switcher(space, c4, (u[0], u[1], w2, w1))
-    s4 = glue_switcher(space, c4, (w2, u[3], u[4], w1))
-
     # gadget + {u1u2, u3u4, u5u6} splits along each bridge's first switch
-    for g in (s1, s2, s3, s4):
-        space.take(g)
+    c4 = build_c4_switcher(f)
+    s1 = space.glue(c4, (u[0], w1, u[4], u[5]))
+    s2 = space.glue(c4, (w2, u[1], u[2], u[3]))
+    s3 = space.glue(c4, (u[0], u[1], w2, w1))
+    s4 = space.glue(c4, (w2, u[3], u[4], w1))
 
     e1 = [(u[0], u[1]), (u[2], u[3]), (u[4], u[5])]
     e2 = [(u[1], u[2]), (u[3], u[4]), (u[5], u[0])]
@@ -431,10 +412,10 @@ def build_c6_switcher_general(f: Graph) -> CertifiedSwitcher:
     beta3 = {0: 0, 1: 1, 2: 7, 3: 6}
     beta4 = {0: 7, 1: 3, 2: 4, 3: 6}
     comp = attach_compressions(space.n, base, [
-        (c4.compression, beta1, s1.vmap),
-        (c4.compression, beta2, s2.vmap),
-        (c4.compression, beta3, s3.vmap),
-        (c4.compression, beta4, s4.vmap),
+        (c4.compression, beta1, s1),
+        (c4.compression, beta2, s2),
+        (c4.compression, beta3, s3),
+        (c4.compression, beta4, s4),
     ])
     return _finalize_switcher(space, tuple(u), e1, e2, comp)
 
@@ -461,14 +442,11 @@ def build_internal_teleporter(f: Graph) -> CertifiedSwitcher:
     space.add_edge(w, u[3])
 
     k21 = build_k2r_switcher(f, 1)
-    # star roots of a 1-leaf switcher: (leaf, centre+, centre-)
-    s1 = glue_switcher(space, k21, (u[1], u[0], w))
-    s2 = glue_switcher(space, k21, (w, u[1], u[3]))
-    s3 = glue_switcher(space, k21, (u[3], w, u[2]))
-
-    # cert1 covers u1u2, u2w and wu4; cert2 covers wu2, u4w and u3u4
-    for g in (s1, s2, s3):
-        space.take(g)
+    # star roots of a 1-leaf switcher: (leaf, centre+, centre-); cert1
+    # covers u1u2, u2w and wu4, cert2 covers wu2, u4w and u3u4
+    s1 = space.glue(k21, (u[1], u[0], w))
+    s2 = space.glue(k21, (w, u[1], u[3]))
+    s3 = space.glue(k21, (u[3], w, u[2]))
 
     psi = [-1] * space.n
     psi[u[0]] = psi[u[2]] = 0
@@ -479,9 +457,9 @@ def build_internal_teleporter(f: Graph) -> CertifiedSwitcher:
     # each beta sends the star path (plus, leaf, minus) onto the edge
     betas = [{0: 0, 1: 1, 2: 0}, {0: 1, 1: 0, 2: 1}, {0: 0, 1: 1, 2: 0}]
     comp = attach_compressions(space.n, base, [
-        (k21.compression, betas[0], s1.vmap),
-        (k21.compression, betas[1], s2.vmap),
-        (k21.compression, betas[2], s3.vmap),
+        (k21.compression, betas[0], s1),
+        (k21.compression, betas[1], s2),
+        (k21.compression, betas[2], s3),
     ])
     return _finalize_switcher(space, tuple(u), [(u[0], u[1])],
                               [(u[2], u[3])], comp)
@@ -559,17 +537,15 @@ def build_external_teleporter(f: Graph) -> CertifiedSwitcher:
     assert len(e_plus[1]) == len(e_plus[2])
     assert len(e_minus[1]) == len(e_minus[2])
 
+    # a teleporter's cert1 covers its light edge, its cert2 the heavy one
     tel = build_internal_teleporter(f)
     attachments = []
-    plus_tels, minus_tels = [], []
     for (x, y), (x2, y2) in zip(e_plus[1], e_plus[2]):
-        g = glue_switcher(space, tel, (x, y, x2, y2))
-        plus_tels.append(g)
-        attachments.append((tel.compression, {0: 0, 1: 1}, g.vmap))
+        vmap = space.glue(tel, (x, y, x2, y2))
+        attachments.append((tel.compression, {0: 0, 1: 1}, vmap))
     for (x, y), (x2, y2) in zip(e_minus[1], e_minus[2]):
-        g = glue_switcher(space, tel, (x, y, x2, y2))
-        minus_tels.append(g)
-        attachments.append((tel.compression, {0: 2, 1: 3}, g.vmap))
+        vmap = space.glue(tel, (x, y, x2, y2), swap=True)
+        attachments.append((tel.compression, {0: 2, 1: 3}, vmap))
 
     def record_copy(tag, vmap_pairs):
         """One pattern copy assembled from per-vertex maps."""
@@ -580,8 +556,8 @@ def build_external_teleporter(f: Graph) -> CertifiedSwitcher:
         space.record(tag, img)
 
     # gadget + {u1u2}: the anchor closes on the plus side, light occurrences
-    # close on minus, heavy ones on plus; teleporters absorb the light plus
-    # edges and the heavy minus edges
+    # close on minus, heavy ones on plus; the teleporters above absorb the
+    # light plus edges and the heavy minus edges
     for i, (ci, side, pmap, mmap, zmap) in enumerate(pieces):
         if i == star_occ:
             record_copy("cert1", (pmap, zmap))
@@ -592,11 +568,6 @@ def build_external_teleporter(f: Graph) -> CertifiedSwitcher:
         else:
             record_copy("cert1", (pmap, zmap))
             record_copy("cert2", (mmap, zmap))
-    # a teleporter's cert1 covers its light edge, its cert2 the heavy one
-    for g in plus_tels:
-        space.take(g)
-    for g in minus_tels:
-        space.take(g, swap=True)
 
     psi = [-1] * space.n
     for (ci, side, pmap, mmap, zmap) in pieces:

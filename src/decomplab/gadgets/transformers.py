@@ -11,7 +11,7 @@ from __future__ import annotations
 from ..errors import DecompLabError, DomainError, InputError
 from ..graphs import Graph, GraphMap, degree_gcd_of, norm_edge
 from ..invariants import tau_of
-from .compose import GadgetSpace, glue_switcher
+from .compose import GadgetSpace
 from .switchers import build_c6_switcher_general, build_k2r_switcher
 from .types import CertifiedTransformer
 
@@ -56,9 +56,7 @@ def _place_transformer(space: GadgetSpace, h: Graph, phi: GraphMap,
 
     for x in range(h.n):
         leaves = tuple(z[x][y] for y in sorted(h.adj[x]))
-        space.take(glue_switcher(space, star,
-                                 leaves + (h_ids[x], hp_ids[phi.image[x]])),
-                   swap)
+        space.glue(star, leaves + (h_ids[x], hp_ids[phi.image[x]]), swap)
         for lv in leaves:
             space.add_edge(h_ids[x], lv)                 # towards h
             space.add_edge(hp_ids[phi.image[x]], lv)     # towards h'
@@ -68,7 +66,7 @@ def _place_transformer(space: GadgetSpace, h: Graph, phi: GraphMap,
                  hp_ids[phi.image[b]], hp_ids[phi.image[a]], z[a][b])
         # the first switching covers {xy, x'z_xy, y'z_yx}, the second
         # {x'y', xz_xy, yz_yx}
-        space.take(glue_switcher(space, c6, roots), swap)
+        space.glue(c6, roots, swap)
 
 
 def build_transformer(f: Graph, h: Graph, phi: GraphMap) -> CertifiedTransformer:

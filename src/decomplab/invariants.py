@@ -101,17 +101,13 @@ def _colouring_guard(g: Graph, guard: int) -> None:
             f"colouring enumeration guard: {g.n} vertices > {guard}")
 
 
-def proper_colourings(g: Graph, s: int, fix: Optional[dict] = None,
+def proper_colourings(g: Graph, s: int,
                       guard: int = DEFAULT_COLOURING_GUARD) -> Iterator[tuple[int, ...]]:
     """All proper colourings with colour set 1..s (labelled, no symmetry
-    reduction), optionally with some vertices pre-coloured."""
+    reduction)."""
     _colouring_guard(g, guard)
-    fix = fix or {}
     colour = [0] * g.n
-    for v, c in fix.items():
-        colour[v] = c
-    order = sorted((v for v in range(g.n) if v not in fix),
-                   key=lambda v: -g.degree(v))
+    order = sorted(range(g.n), key=lambda v: -g.degree(v))
     adj = g.adj
 
     def rec(i: int) -> Iterator[tuple[int, ...]]:
@@ -127,9 +123,6 @@ def proper_colourings(g: Graph, s: int, fix: Optional[dict] = None,
             yield from rec(i + 1)
             colour[v] = 0
 
-    for u, v in g.edges:
-        if u in fix and v in fix and fix[u] == fix[v]:
-            return
     yield from rec(0)
 
 

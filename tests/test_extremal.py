@@ -1,10 +1,13 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
-from decomplab.extremal import generate_extremal
+from decomplab.extremal import (BRIDGE_CUT, DEGREE_PARITY, TAU_COUNT,
+                                THETA_COUNT, ObstructionCertificate,
+                                generate_extremal, obstruction_check)
 from decomplab.graphs import (complete_bipartite, complete_graph, cycle_graph,
-                              path_graph)
+                              disjoint_union, path_graph)
 from decomplab.lattice import verify_lattice_certificate
 from decomplab.solver import UNSAT_LATTICE, exact_decompose
 
@@ -45,3 +48,40 @@ def test_c4_tau_23_at_a_biting_scale_has_a_checked_lattice_refutation():
     assert res.status == UNSAT_LATTICE
     ok, why = verify_lattice_certificate(c4, g, g.edges, res.lattice)
     assert ok, why
+
+
+def _certified():
+    """(pattern, graph, certificate) for each kind of obstruction that
+    `obstruction_check` revalidates."""
+    for pattern, family, m, kind, closed in [
+            # a copy meets the region in a non-supporting set
+            (cycle_graph(4), "tau_23", 2, TAU_COUNT, False),
+            # the region is a whole component: a copy meets it in components
+            (path_graph(2), "halves", 1, TAU_COUNT, True),
+            (disjoint_union(cycle_graph(4), complete_bipartite(3, 3)),
+             "halves", 1, BRIDGE_CUT, False),
+            (complete_graph(4), "theta", 1, THETA_COUNT, False)]:
+        inst = generate_extremal(pattern, family, m)
+        g, cert = inst.graph, inst.certificate
+        assert cert.kind == kind
+        assert closed == (not any((u in cert.region) != (v in cert.region)
+                                  for u, v in g.edges))
+        yield pattern, g, cert
+    # the centre of K1,3 has odd degree, and every K3 degree is even
+    yield (complete_graph(3), complete_bipartite(1, 3),
+           ObstructionCertificate(DEGREE_PARITY, {0}, 2, 1))
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(lambda c, n: replace(c, region=c.region - {min(c.region)}),
+                 id="region-minus-a-vertex"),
+    pytest.param(lambda c, n: replace(c, residue=c.residue + 1),
+                 id="residue-plus-one"),
+    pytest.param(lambda c, n: replace(c, modulus=1), id="modulus-one"),
+    pytest.param(lambda c, n: replace(c, region=c.region | {n}),
+                 id="region-vertex-out-of-range"),
+])
+def test_obstruction_check_accepts_each_kind_and_refuses_a_mutation(mutate):
+    for pattern, g, cert in _certified():
+        assert obstruction_check(pattern, g, cert), cert.kind
+        assert not obstruction_check(pattern, g, mutate(cert, g.n)), cert.kind

@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from decomplab.errors import DomainError
@@ -194,3 +196,27 @@ def test_partite_absorber(f, b):
     from math import gcd
     r = reduce(gcd, [d for d in f.degrees() if d], 0)
     assert len(pa.w) == b * r
+
+
+K4_MINUS_E = complete_graph(4).without_edges([(2, 3)])
+
+
+@pytest.mark.parametrize("f, b, vertices, digest", [
+    (K3, 1, 21, "eefd3bdce2660850"),
+    (K3, 2, 29, "107d9a6f6eafaf6e"),
+    # chi = 3 and theta = 1: the hub graph joins copies at several vertices
+    (K4_MINUS_E, 1, 10, "ad1120c5bf82a8f3"),
+])
+def test_partite_absorber_is_golden(f, b, vertices, digest):
+    """Pinned by its vertex count and a digest of its edges, colouring,
+    centre, bundle and both covers' images, all sorted; both covers pass
+    the star-cover verifier."""
+    pa = build_partite_neighbourhood_absorber(f, b)
+    assert verify_star_cover(f, pa.graph, pa.x, pa.cover_plain) == (True, None)
+    assert verify_star_cover(f, pa.cover_with_w.host, pa.x,
+                             pa.cover_with_w) == (True, None)
+    key = (sorted(pa.graph.edges), sorted(pa.colouring.items()), pa.x, pa.w,
+           sorted(c.image for c in pa.cover_plain.copies),
+           sorted(c.image for c in pa.cover_with_w.copies))
+    assert pa.graph.n == vertices
+    assert hashlib.sha256(repr(key).encode()).hexdigest()[:16] == digest
