@@ -243,9 +243,12 @@ def _cmd_solve(args) -> CommandResult:
         mode = "rational" if args.rational else "float"
         res = fractional_decompose(f, g, mode=mode)
         if res.status == "feasible":
+            # one image per weight, in the same order, so the payload alone
+            # shows each host edge's load
             sol = res.solution
             payload = {"status": "feasible",
                        "copies": len(sol.copies),
+                       "images": [list(c.image) for c in sol.copies],
                        "weights": [(_frac(w) if mode == "rational" else w)
                                    for w in sol.weights]}
             return CommandResult("ok", payload)

@@ -30,10 +30,10 @@ Entry points: `enumerate_embeddings` (all of them, as image tuples in host
 vertex ids; its `host_order` must be a permutation of the host vertices,
 else InputError, and without one the ranks are the ids; `dedup_by_edges`
 keeps one per image edge set, as the solvers need), `find_embedding` (the
-first, over rank masks and rank pins), `find_through_edge` (the first
-through the host edge between two ranks, one `find_embedding` per arc
-tried) and `Packing` (live edges as rank masks, read in host ids).  No
-entry point builds an `EmbeddedCopy`: callers wrap the images they hand out.
+first, over rank masks and rank pins) and `Packing` (live edges as rank
+masks, read in host ids; `first_through` finds the first copy through a
+host edge, one `find_embedding` per arc tried).  No entry point builds an
+`EmbeddedCopy`: callers wrap the images they hand out.
 
 Orbit rule: pinning a pattern vertex or arc succeeds exactly when pinning
 any other member of its Aut(F)-orbit does, so pinned callers try only the
@@ -96,9 +96,15 @@ class Packing:
         return out
 
     def first_through(self, pattern: Graph, u: int, v: int) -> Optional[tuple]:
-        rank = self.rank
-        img = find_through_edge(pattern, self.masks, rank[u], rank[v])
-        return None if img is None else tuple([self.order[r] for r in img])
+        """First image (host ids) of `pattern` through the edge {u, v}, or
+        None: one `find_embedding` per `_arc_representatives` arc (p, q),
+        pinned {p: u, q: v}, until a hit, which is the hit of every arc."""
+        ru, rv = self.rank[u], self.rank[v]
+        for p, q in _arc_representatives(pattern):
+            img = find_embedding(pattern, self.masks, {p: ru, q: rv})
+            if img is not None:
+                return tuple([self.order[r] for r in img])
+        return None
 
     def flip(self, edges) -> None:
         rank, masks = self.rank, self.masks
@@ -369,18 +375,3 @@ def _arc_representatives(pattern: Graph) -> tuple:
         reps = memo["arcs"] = orbit_representatives(pattern, arcs)
     return reps
 
-
-def find_through_edge(pattern: Graph, masks, u: int, v: int
-                      ) -> Optional[tuple[int, ...]]:
-    """First image (ranks) of `pattern` using the host edge between ranks
-    u and v, or None.
-
-    Pins {p: u, q: v} for each `_arc_representatives` arc (p, q) in turn,
-    one `find_embedding` call each; the hit is the same as when every arc is
-    tried.
-    """
-    for p, q in _arc_representatives(pattern):
-        img = find_embedding(pattern, masks, {p: u, q: v})
-        if img is not None:
-            return img
-    return None

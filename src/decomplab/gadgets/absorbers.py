@@ -262,26 +262,6 @@ def _glue_rotated_copies(f: Graph, vs, cs, s, rotate=False):
     return Graph(nxt, edges), hub, col, vmaps
 
 
-def rotate_colouring(f: Graph, v: int, c) -> tuple[Graph, int, dict]:
-    """Glue s-1 copies of the pattern at `v` and rotate the first s-1 colour
-    classes cyclically between copies, so the hub sees every class equally.
-
-    `c` maps vertices to colours 1..s with c[v] = s.  Returns the glued
-    graph, the hub vertex, and the rotated colouring; the hub's count into
-    every class equals the original degree of v.
-    """
-    c = dict(enumerate(c)) if not isinstance(c, dict) else dict(c)
-    s = max(c.values())
-    if c[v] != s:
-        raise InputError("the rotated vertex must carry the last colour")
-    for a, b in f.edges:
-        if c[a] == c[b]:
-            raise InputError("colouring is not proper")
-    glued, hub, col, _ = _glue_rotated_copies(f, [v] * (s - 1),
-                                              [c] * (s - 1), s, rotate=True)
-    return glued, hub, col
-
-
 def _swap12(c):
     return tuple(2 if x == 1 else 1 if x == 2 else x for x in c)
 

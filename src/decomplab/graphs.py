@@ -73,10 +73,6 @@ class Graph:
         return len(self.edges)
 
     @property
-    def vertices(self) -> range:
-        return range(self.n)
-
-    @property
     def adj(self) -> tuple[frozenset, ...]:
         if self._adj is None:
             nbr = [set() for _ in range(self.n)]

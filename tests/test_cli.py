@@ -196,6 +196,30 @@ def test_fractional_solve(tmp_path, monkeypatch):
     json.dumps(res.payload)
 
 
+@pytest.mark.parametrize("n, rational", [(7, True), (9, False)])
+def test_fractional_payload_shows_every_edge_load(tmp_path, n, rational):
+    # from the payload alone: one image per weight, and every host edge
+    # carries a load of 1, exactly in rational mode
+    k3 = complete_graph(3)
+    f = _write(tmp_path, "k3.txt", k3)
+    g = _write(tmp_path, "kn.txt", complete_graph(n))
+    res = run(["solve", "--fractional", "--pattern", f, "--host", g]
+              + ["--rational"] * rational)
+    assert res.exit_code == EXIT_OK and res.payload["status"] == "feasible"
+    payload = json.loads(json.dumps(res.payload))
+    images, weights = payload["images"], payload["weights"]
+    assert len(images) == len(weights) == payload["copies"]
+    load = dict.fromkeys(complete_graph(n).edges, 0)
+    for img, w in zip(images, weights):
+        w = Fraction(w["num"], w["den"]) if rational else w
+        for a, b in k3.edges:
+            load[tuple(sorted((img[a], img[b])))] += w
+    if rational:
+        assert set(load.values()) == {1}
+    else:
+        assert max(abs(x - 1) for x in load.values()) <= 1e-9
+
+
 def test_fractional_infeasible_exit_codes(tmp_path):
     k3 = complete_graph(3)
     host = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])

@@ -6,8 +6,7 @@ import pytest
 from decomplab.errors import DegreeError, InputError
 from decomplab.embeddings import (Packing, _orbit_bounds, _plan, _search,
                                    enumerate_embeddings, find_embedding,
-                                   find_through_edge, orbit_representatives,
-                                   rank_masks)
+                                   orbit_representatives, rank_masks)
 from decomplab.graphs import (EmbeddedCopy, Graph, GraphMap, complete_graph,
                               complete_bipartite, cycle_graph, norm_edge,
                               path_graph)
@@ -374,20 +373,22 @@ def test_first_hit_stops_mid_batch_with_the_same_image():
                          if rng.random() < 0.8])
         order = list(range(n))
         rng.shuffle(order)
-        rank = {h: r for r, h in enumerate(order)}
-        masks = rank_masks(host.adj, order)
+        packing = Packing(host.adj, order)
+        masks, rank = packing.masks, packing.rank
         for pattern in KERNEL_PATTERNS[:5]:
             if pattern.n > n:
                 continue
             for u, v in sorted(host.edges):
                 ru, rv = rank[u], rank[v]
-                # every arc in turn, as find_through_edge promises
+                # every arc in turn, as first_through promises
                 per_arc = [ranked_brute_force(pattern, masks,
                                               {p: ru, q: rv}, False)
                            for a, b in sorted(pattern.edges)
                            for p, q in ((a, b), (b, a))]
                 first = next((hits for hits in per_arc if hits), [None])
-                assert find_through_edge(pattern, masks, ru, rv) == first[0]
+                assert packing.first_through(pattern, u, v) == (
+                    None if first[0] is None
+                    else tuple(order[r] for r in first[0]))
                 # one step left: the hit is the first bit of a longer batch
                 mid_batch += pattern.n == 3 and len(first) > 1
             whole = ranked_brute_force(pattern, masks, {}, False)
@@ -498,8 +499,9 @@ def test_a_pin_through_a_non_edge_gives_no_image():
     host = Graph(5, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)])
     masks = rank_masks(host.adj, range(5))
     assert find_embedding(complete_graph(3), masks, {0: 0, 1: 3}) is None
-    assert find_through_edge(complete_graph(3), masks, 0, 3) is None
-    assert find_through_edge(complete_graph(3), masks, 0, 1) == (0, 1, 2)
+    packing = Packing(host.adj, range(5))
+    assert packing.first_through(complete_graph(3), 0, 3) is None
+    assert packing.first_through(complete_graph(3), 0, 1) == (0, 1, 2)
 
 
 def test_the_kernel_neither_hashes_nor_compares_the_pattern(monkeypatch):
@@ -508,18 +510,18 @@ def test_the_kernel_neither_hashes_nor_compares_the_pattern(monkeypatch):
         raise AssertionError("pattern hashed or compared by value")
 
     host = complete_graph(9)
-    masks = rank_masks(host.adj, range(9))
+    packing = Packing(host.adj, range(9))
     for pattern in KERNEL_PATTERNS:
         fresh = Graph(pattern.n, pattern.edges)
         expect = enumerate_embeddings(pattern, host, dedup_by_edges=True)
-        hit = find_through_edge(pattern, masks, 2, 5)
+        hit = packing.first_through(pattern, 2, 5)
         with monkeypatch.context() as m:
             m.setattr(Graph, "__hash__", refuse)
             m.setattr(Graph, "__eq__", refuse)
             assert enumerate_embeddings(fresh, host,
                                         dedup_by_edges=True) == expect
-            assert find_through_edge(fresh, masks, 2, 5) == hit
-            assert find_through_edge(fresh, masks, 2, 5) == hit
+            assert packing.first_through(fresh, 2, 5) == hit
+            assert packing.first_through(fresh, 2, 5) == hit
 
 
 # -- packing ------------------------------------------------------------------
@@ -528,7 +530,8 @@ def test_the_kernel_neither_hashes_nor_compares_the_pattern(monkeypatch):
 def test_packing_agrees_with_an_edge_set_model_under_random_flips():
     """Random flips against a set of live edges: `live`, `neighbours` and
     `edges` read the model, a double flip restores the masks, and
-    `first_through` is `find_through_edge` on the same masks, in ids."""
+    `first_through` is the first hit of the pinned search over every arc in
+    turn on the same masks, in ids."""
     import random
     rng = random.Random(23)
     for _ in range(40):
@@ -561,8 +564,11 @@ def test_packing_agrees_with_an_edge_set_model_under_random_flips():
             assert all(u < v for u, v in got)
             assert sorted(got) == sorted(model)
             for u, v in host.edges:
+                ru, rv = packing.rank[u], packing.rank[v]
                 for pattern in KERNEL_PATTERNS[:5]:
-                    img = find_through_edge(pattern, packing.masks,
-                                            packing.rank[u], packing.rank[v])
+                    img = next(filter(None, (
+                        find_embedding(pattern, packing.masks, {p: ru, q: rv})
+                        for a, b in sorted(pattern.edges)
+                        for p, q in ((a, b), (b, a)))), None)
                     assert packing.first_through(pattern, u, v) == (
                         None if img is None else tuple(order[r] for r in img))

@@ -3,7 +3,6 @@ import pytest
 from decomplab.errors import DomainError, InputError
 from decomplab.graphs import (Graph, complete_graph, complete_bipartite,
                               cycle_graph, path_graph, disjoint_union)
-from decomplab.gadgets.cliquepower import clique_power_decomposition
 from decomplab.gadgets.compose import GadgetSpace
 from decomplab.gadgets.switchers import (build_c4_switcher,
                                          build_c6_switcher_general,
@@ -12,7 +11,6 @@ from decomplab.gadgets.switchers import (build_c4_switcher,
 from decomplab.gadgets.types import (verify_compression, verify_switcher,
                                      CertifiedSwitcher)
 from decomplab.invariants import chromatic_number, rooted_degeneracy
-from decomplab.solver import verify_decomposition
 
 K3 = complete_graph(3)
 C4 = cycle_graph(4)
@@ -30,23 +28,6 @@ def assert_good_switcher(sw, expect_d=None):
         assert ok, why
         if expect_d is not None:
             assert sw.compression.d == expect_d
-
-
-# -- clique powers -------------------------------------------------------------
-
-
-@pytest.mark.parametrize("p,k,count", [(3, 1, 1), (2, 3, 28), (3, 2, 12),
-                                       (5, 1, 1), (3, 3, 117)])
-def test_clique_power_counts_and_validity(p, k, count):
-    dec = clique_power_decomposition(p, k)
-    assert len(dec.copies) == count
-    ok, why = verify_decomposition(dec)
-    assert ok, why
-
-
-def test_clique_power_composite_rejected():
-    with pytest.raises(DomainError):
-        clique_power_decomposition(4, 1)
 
 
 # -- 4-cycle switchers -----------------------------------------------------------

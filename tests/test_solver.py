@@ -168,6 +168,79 @@ def test_core_branches_on_the_fewest_live_columns_then_the_lowest_item():
     assert chosen == [2, 0]
 
 
+def reference_exact_cover(columns, primary, refute=None):
+    """Plain recursive Algorithm X: branch on the uncovered primary item
+    with the fewest live columns, the lowest item among ties, and try its
+    live columns in index order.  Nodes count 1 + the columns tried;
+    `refute()` is called once, when that count reaches len(primary), and a
+    true answer ends the search.  Returns (chosen columns or None, nodes)."""
+    primary = set(primary)
+    live = set(range(len(columns)))
+    chosen, nodes = [], 0
+
+    def search(covered):
+        # True: a cover is found; False: none below here; None: refuted
+        nonlocal nodes
+        nodes += 1
+        uncovered = primary - covered
+        if not uncovered:
+            return True
+        if refute is not None and nodes == len(primary) and refute():
+            return None
+
+        def through(e):
+            return [j for j in sorted(live) if e in columns[j]]
+
+        item = min(uncovered, key=lambda e: (len(through(e)), e))
+        for j in through(item):
+            killed = {k for k in live if set(columns[k]) & set(columns[j])}
+            live.difference_update(killed)
+            chosen.append(j)
+            found = search(covered | set(columns[j]))
+            if found is not False:
+                return found
+            chosen.pop()
+            live.update(killed)
+        return False
+
+    return (chosen if search(set()) else None), nodes
+
+
+def test_core_matches_a_recursive_algorithm_x():
+    """Random instances with secondary items, empty primaries and refute
+    hooks that answer True or False: the same chosen columns, node counts
+    and refute calls as the recursive reference."""
+    rng = random.Random(0)
+    backtracked = refuted = kept_on = 0
+    for _ in range(4000):
+        n_items = rng.randint(1, 12)
+        primary = rng.sample(range(n_items), rng.randint(0, n_items))
+        columns = [tuple(rng.sample(range(n_items),
+                                    rng.randint(1, min(4, n_items))))
+                   for _ in range(rng.randint(0, 24))]
+        answer = rng.choice((None, False, True))
+        calls = [0, 0]
+
+        def hook(side):
+            if answer is None:
+                return None
+
+            def refute():
+                calls[side] += 1
+                return answer
+            return refute
+
+        chosen, nodes = reference_exact_cover(columns, primary, hook(0))
+        assert solver._exact_cover(columns, n_items, primary,
+                                   refute=hook(1)) == (chosen, nodes, False)
+        assert calls[0] == calls[1] <= 1
+        backtracked += nodes > 1 + len(chosen or ())
+        refuted += calls[0] == 1 and answer
+        kept_on += calls[0] == 1 and not answer
+    # the panel reaches every branch the comparison is meant to cover
+    assert backtracked >= 500 and refuted >= 100 and kept_on >= 100
+
+
 # The benchmark's exact rungs, on unrelabelled hosts: the search order is
 # fixed by the copy order and the tie-break, so these counts move only when
 # the core's order does.

@@ -5,7 +5,7 @@ import pytest
 from decomplab.errors import DomainError
 from decomplab.gadgets.absorbers import (build_absorber,
                                          build_partite_neighbourhood_absorber,
-                                         rotate_colouring, _expand)
+                                         _expand, _glue_rotated_copies)
 from decomplab.gadgets.bipartite_c6 import build_c6_switcher_bipartite
 from decomplab.gadgets.transformers import build_transformer
 from decomplab.gadgets.types import (verify_absorber, verify_compression,
@@ -143,15 +143,24 @@ def test_bouquet_counts():
 # -- colour rotation -------------------------------------------------------------
 
 
+def rotated(f, v, c):
+    """s - 1 copies of f glued at v, the first s - 1 colour classes rotated
+    between them, where c colours v with the last colour s."""
+    s = max(c.values())
+    g, hub, col, _ = _glue_rotated_copies(f, [v] * (s - 1), [c] * (s - 1), s,
+                                          rotate=True)
+    return g, hub, col
+
+
 def test_rotate_triangle():
-    g, hub, col = rotate_colouring(K3, 0, {0: 4, 1: 1, 2: 3})
+    g, hub, col = rotated(K3, 0, {0: 4, 1: 1, 2: 3})
     assert g.n == 7
     counts = [sum(1 for y in g.adj[hub] if col[y] == i) for i in (1, 2, 3)]
     assert counts == [2, 2, 2]
 
 
 def test_rotate_single_edge():
-    g, hub, col = rotate_colouring(path_graph(1), 0, {0: 2, 1: 1})
+    g, hub, col = rotated(path_graph(1), 0, {0: 2, 1: 1})
     assert g.n == 2
     assert sum(1 for y in g.adj[hub] if col[y] == 1) == 1
 
@@ -163,14 +172,8 @@ def test_rotate_properness_random_bipartite():
         s, t = rng.randint(1, 3), rng.randint(1, 3)
         f = complete_bipartite(s, t)
         c = {v: (3 if v == 0 else (1 if v < s else 2)) for v in range(f.n)}
-        g, hub, col = rotate_colouring(f, 0, c)
+        g, hub, col = rotated(f, 0, c)
         assert all(col[a] != col[b] for a, b in g.edges)
-
-
-def test_rotate_requires_last_colour():
-    from decomplab.errors import InputError
-    with pytest.raises(InputError):
-        rotate_colouring(K3, 0, {0: 1, 1: 2, 2: 3})
 
 
 # -- partite neighbourhood absorber ---------------------------------------------
