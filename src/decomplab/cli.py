@@ -69,10 +69,6 @@ def _report_payload(rep) -> dict:
     return out
 
 
-def _parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="decomplab",
@@ -89,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="threshold values")
     p.add_argument("graph")
-    p.add_argument("--delta-e", type=_parse_fraction, default=None,
+    p.add_argument("--delta-e", type=Fraction, default=None,
                    help="vertex-cover mode: the edge threshold to use")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--vertex-cover", action="store_true",
@@ -142,9 +138,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="vortex cover-down")
     p.add_argument("--pattern", required=True)
     p.add_argument("--host", required=True)
-    p.add_argument("--mu", type=_parse_fraction, required=True)
+    p.add_argument("--mu", type=Fraction, required=True)
     p.add_argument("--final-size", type=int, required=True)
-    p.add_argument("--delta", type=_parse_fraction, default=None)
+    p.add_argument("--delta", type=Fraction, default=None)
     return top
 
 

@@ -201,22 +201,8 @@ def fix_edge_count(host: Graph, clique_part: list, pattern: Graph,
     # beta solves beta * |V'| = t  (mod e(F)); exists since gcd(|V'|, e(F)) = 1
     beta = (t * pow(np_, -1, ef)) % ef
 
-    cycles_needed = beta * a
-    if cycles_needed == 0:
-        return Graph(host.n, [])
-
-    pos = {v: i for i, v in enumerate(vprime)}
-    local = Graph(np_, [(pos[u], pos[v]) for u, v in host.edges
-                        if u in pos and v in pos])
-    need = np_ / 2 + 2 * (cycles_needed - 1)
-    if local.min_degree() < need:
-        raise DegreeError(
-            f"clique part min degree {local.min_degree()} below "
-            f"{need:.1f} needed for {cycles_needed} Hamilton cycles")
-    cycles, _ = edge_disjoint_hamilton_cycles(local, cycles_needed,
-                                             seed=seed)
-    h = Graph(host.n, [(vprime[c[j - 1]], vprime[c[j]])
-                       for c in cycles for j in range(np_)])
+    h = Graph(host.n, edge_disjoint_hamilton_cycles(host, vprime, beta * a,
+                                                     seed=seed))
     assert h.e % ef == e_target % ef
     assert all(d % r == 0 for d in h.degrees())
     assert h.max_degree() <= 2 * ef * r

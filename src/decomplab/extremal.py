@@ -75,13 +75,8 @@ def generate_tau_drop_family(f: Graph, m: int) -> ExtremalInstance:
 
     gp = g
     if ham_cycles:
-        local = gp.induced(v3)
-        cycles, _ = edge_disjoint_hamilton_cycles(local, ham_cycles, seed=m)
-        drop = []
-        for cyc in cycles:
-            drop.extend((v3[cyc[i]], v3[cyc[(i + 1) % len(cyc)]])
-                        for i in range(len(cyc)))
-        gp = gp.without_edges(drop)
+        gp = g.without_edges(
+            edge_disjoint_hamilton_cycles(g, v3, ham_cycles, seed=m))
 
     try:
         h = fix_edge_count(gp, v3, f, gp.e, seed=m)
@@ -120,6 +115,13 @@ def _degree_one_gadget(r: int) -> tuple[Graph, int]:
     return Graph(q + 1, edges), q
 
 
+def _two_cliques(half: int) -> Graph:
+    """Two disjoint cliques on `half` vertices each, the second shifted by
+    `half`."""
+    return Graph(2 * half, [(b + x, b + y) for b in (0, half)
+                            for x in range(half) for y in range(x + 1, half)])
+
+
 def generate_halves_family(f: Graph, m: int) -> ExtremalInstance:
     """Two-clique families certifying that half degree is necessary when the
     component counts share a factor, or when every edge closes a cycle."""
@@ -134,11 +136,7 @@ def generate_halves_family(f: Graph, m: int) -> ExtremalInstance:
         half = m * ef
         if half < 3:
             raise StructureError("scale too small")
-        edges = ([(a, b) for a in range(half) for b in range(a + 1, half)]
-                 + [(half + a, half + b) for a in range(half)
-                    for b in range(a + 1, half)])
-        g = Graph(2 * half, edges)
-        g = g.without_edges([(0, 1)]).with_edges([(0, half)])
+        g = _two_cliques(half).without_edges([(0, 1)]).with_edges([(0, half)])
         rep = check_divisibility(f, g)
         assert rep.divisible
         cert = ObstructionCertificate(BRIDGE_CUT, {0, half}, 2, 1)
@@ -150,23 +148,12 @@ def generate_halves_family(f: Graph, m: int) -> ExtremalInstance:
         half = 2 * m * ef * tt + 1
         if half < 2 * (a * ef + 2):
             raise StructureError("scale too small for the cycle removals")
-        g = Graph(2 * half,
-                  [(x, y) for x in range(half) for y in range(x + 1, half)]
-                  + [(half + x, half + y) for x in range(half)
-                     for y in range(x + 1, half)])
-        side1 = list(range(half))
-        side2 = list(range(half, 2 * half))
-        drop = []
-        cycles, _ = edge_disjoint_hamilton_cycles(g.induced(side1), a, seed=m)
-        for cyc in cycles:
-            drop.extend((side1[cyc[i]], side1[cyc[(i + 1) % half]])
-                        for i in range(half))
-        cycles, _ = edge_disjoint_hamilton_cycles(g.induced(side2),
-                                                  (ef - 1) * a, seed=m + 1)
-        for cyc in cycles:
-            drop.extend((side2[cyc[i]], side2[cyc[(i + 1) % half]])
-                        for i in range(half))
-        gp = g.without_edges(drop)
+        g = _two_cliques(half)
+        side1 = range(half)
+        gp = g.without_edges(
+            edge_disjoint_hamilton_cycles(g, side1, a, seed=m)
+            + edge_disjoint_hamilton_cycles(g, range(half, 2 * half),
+                                            (ef - 1) * a, seed=m + 1))
         rep = check_divisibility(f, gp)
         assert rep.divisible
         region = frozenset(side1)
@@ -182,11 +169,7 @@ def generate_halves_family(f: Graph, m: int) -> ExtremalInstance:
     q_graph, q_vertex = _degree_one_gadget(r)
     if half < q_graph.n + 2 * ef * (r + 1) + r + 6:
         raise StructureError("scale too small for the gadget removals")
-    g = Graph(2 * half,
-              [(x, y) for x in range(half) for y in range(x + 1, half)]
-              + [(half + x, half + y) for x in range(half)
-                 for y in range(x + 1, half)])
-    g = g.with_edges([(0, half)])
+    g = _two_cliques(half).with_edges([(0, half)])
     # remove one degree-1 gadget in each clique, anchored at the bridge ends
     drop = []
     for base, anchor in ((0, 0), (half, half)):

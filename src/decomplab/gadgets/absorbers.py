@@ -18,8 +18,8 @@ from ..divisibility import check_divisibility
 from ..errors import DomainError, InputError, ResourceError, SizeGuardError
 from ..graphs import (Decomposition, EmbeddedCopy, Graph, GraphMap,
                       degree_gcd_of, disjoint_union, norm_edge)
-from ..invariants import (chromatic_number, colouring_invariants,
-                          proper_colourings)
+from ..invariants import (chi_colouring, colouring_invariants,
+                          proper_colourings, renumber)
 from .compose import GadgetSpace
 from .transformers import _pick_c6_switcher, _place_transformer
 from .switchers import build_k2r_switcher
@@ -45,52 +45,28 @@ class _Expanded:
     uv: tuple                   # the pattern edge that gets cut
     pattern: Graph
 
+    def _image(self, n: int, img: list) -> tuple[Graph, GraphMap]:
+        """The graph on n vertices that the vertex map `img` makes of the
+        expansion, with that map."""
+        g = Graph(n, {norm_edge(img[a], img[b]) for a, b in self.graph.edges})
+        return g, GraphMap(self.graph, g, tuple(img))
+
     def to_attached(self) -> tuple[Graph, GraphMap]:
         """Identify each copy's v-end with the edge's tail: the attached
-        shape (leftover plus pendant copies)."""
-        v = self.uv[1]
-        f_n = self.pattern.n
-        # attached graph vertex ids: leftover keeps 0..h_n-1; copy i keeps
-        # its block but drops v (merged into x)
-        remap = {}
-        nxt = self.h_n
-        for x, y, off in self.blocks:
-            for t in range(f_n):
-                if t == v:
-                    remap[off + t] = x
-                else:
-                    remap[off + t] = nxt
-                    nxt += 1
-        img = [0] * self.graph.n
-        for t in range(self.h_n):
-            img[t] = t
-        for old, new in remap.items():
-            img[old] = new
-        edges = set()
-        for a, b in self.graph.edges:
-            edges.add(norm_edge(img[a], img[b]))
-        # plus the leftover's own edges (x-y materialises from y's v-wire)
-        att = Graph(nxt, edges)
-        return att, GraphMap(self.graph, att, tuple(img))
+        shape (leftover plus pendant copies, the edge x-y materialising from
+        y's v-wire).  The leftover keeps its ids; copy i keeps its block in
+        order, less v."""
+        v, k = self.uv[1], self.pattern.n - 1
+        img = list(range(self.h_n)) + [
+            x if t == v else self.h_n + k * i + t - (t > v)
+            for i, (x, _, _) in enumerate(self.blocks) for t in range(k + 1)]
+        return self._image(self.h_n + k * len(self.blocks), img)
 
     def to_loop(self) -> tuple[Graph, GraphMap]:
         """Identify all leftover vertices into one hub: the subdivided
         bouquet of pattern copies."""
-        f_n = self.pattern.n
-        remap = {}
-        nxt = 1
-        for x, y, off in self.blocks:
-            for t in range(f_n):
-                remap[off + t] = nxt
-                nxt += 1
-        img = [0] * self.graph.n
-        for t in range(self.h_n):
-            img[t] = 0
-        for old, new in remap.items():
-            img[old] = new
-        edges = {norm_edge(img[a], img[b]) for a, b in self.graph.edges}
-        loop = Graph(nxt, edges)
-        return loop, GraphMap(self.graph, loop, tuple(img))
+        rest = self.graph.n - self.h_n
+        return self._image(1 + rest, [0] * self.h_n + list(range(1, 1 + rest)))
 
 
 def _expand(f: Graph, h: Graph, uv: tuple) -> _Expanded:
@@ -286,21 +262,16 @@ class _Rotater:
 
 
 def _rotater_pair(f: Graph) -> _Rotater:
-    chi = chromatic_number(f)
     inv = colouring_invariants(f)
+    chi = inv.chi
     use_chi = chi >= 3 and inv.theta == 1
 
     if not use_chi:
         s = chi + 1
-        base = next(iter(proper_colourings(f, chi)))
+        _, base = chi_colouring(f)
         v = 0
         nbr_class = base[min(f.adj[v])]
-        remap = {base[v]: s, nbr_class: 1}
-        nxt = 3
-        for cc in sorted(set(base)):
-            if cc not in remap:
-                remap[cc] = nxt
-                nxt += 1
+        remap = renumber(base, {base[v]: s, nbr_class: 1}, 3)
         c = {x: remap[base[x]] for x in range(f.n)}
         m = f.degree(v)
         fp, hub, col, vmaps = _glue_rotated_copies(
@@ -396,11 +367,10 @@ def build_partite_neighbourhood_absorber(f: Graph, b: int,
     br = b * r
 
     # per-degree best class-1 capacity when a copy is glued at a vertex
-    chi = chromatic_number(f)
+    _, base = chi_colouring(f)
     best_w: dict = {}
     pick_for: dict = {}
     for v in range(f.n):
-        base = next(iter(proper_colourings(f, chi)))
         classes = {}
         for y in f.adj[v]:
             classes.setdefault(base[y], []).append(y)
@@ -409,22 +379,25 @@ def build_partite_neighbourhood_absorber(f: Graph, b: int,
         d = f.degree(v)
         if d not in best_w or w_v > best_w[d]:
             best_w[d] = w_v
-            pick_for[d] = (v, base, heavy)
+            pick_for[d] = (v, heavy)
     degs = sorted(best_w)
 
-    # smallest j with br + j*M a degree sum carrying enough class-1 slots
+    # smallest j with br + j*M a degree sum carrying enough class-1 slots;
+    # dp[t] depends only on smaller t, so one table serves every j
     chosen_degrees = None
-    for j in range(0, 400):
+    dp = {0: 0}
+    back = {}
+    done = 0
+    for j in range(400):
         target = br + j * M
-        dp = {0: 0}
-        back = {}
-        for t in range(1, target + 1):
+        for t in range(done + 1, target + 1):
             for d in degs:
                 if t - d in dp:
                     cand = dp[t - d] + best_w[d]
                     if t not in dp or cand > dp[t]:
                         dp[t] = cand
                         back[t] = d
+        done = target
         if target in dp and dp[target] >= br:
             seq = []
             t = target
@@ -445,14 +418,8 @@ def build_partite_neighbourhood_absorber(f: Graph, b: int,
     class1_nbrs = []
     star_class: dict = {}
     for d in chosen_degrees:
-        v, base, heavy = pick_for[d]
-        remap = {base[v]: s, heavy: 1}
-        nxt_col = 2
-        for cc in sorted(set(base) | set(range(1, chi + 1))):
-            if cc not in remap:
-                while nxt_col in remap.values():
-                    nxt_col += 1
-                remap[cc] = nxt_col
+        v, heavy = pick_for[d]
+        remap = renumber(base, {base[v]: s, heavy: 1}, 2)
         vmap = space.place(f, {v: x})
         for t in range(f.n):
             if t == v:

@@ -13,10 +13,11 @@ with a homomorphism onto the 6-cycle (a width-0 compression).
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import gcd
 
 from ..errors import DomainError, SizeGuardError
-from ..graphs import Graph, degree_gcd_of
+from ..graphs import Graph, degree_gcd_of, disjoint_union
 from ..invariants import _connected_mask, _support_masks, is_c4_supporting
 from .compose import GadgetSpace, attach_compressions
 from .switchers import (_component_multiset_split, _finalize_switcher,
@@ -109,18 +110,9 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
     delta_minus_raw = []      # pieces decomposing G0 - e0
     blocks = [family[ei][0] for ei in range(len(family))]
     if e_light:
-        tilde = None
-        offs = []
-        n_off = 0
-        tilde_parts = []
-        for xs in blocks:
-            offs.append(n_off)
-            tilde_parts.append(f.induced(xs))
-            n_off += len(xs)
-        tilde = Graph(n_off, [(offs[b] + u, offs[b] + v)
-                              for b, part in enumerate(tilde_parts)
-                              for u, v in part.edges])
-        tel = build_internal_teleporter(tilde)
+        offs = list(accumulate(map(len, blocks), initial=0))
+        tel = build_internal_teleporter(
+            disjoint_union(*[f.induced(xs) for xs in blocks]))
 
         def split_tilde_copies(cert, vmap) -> list[tuple[int, dict]]:
             """The certificate's copies mapped into the space, each split

@@ -13,18 +13,11 @@ from math import gcd
 
 from ..errors import DomainError, InputError, ResourceError
 from ..graphs import Graph, degree_gcd_of, norm_edge, path_graph
-from ..invariants import chromatic_number, proper_colourings
+from ..invariants import chi_colouring, renumber
 from .compose import GadgetSpace, attach_compressions
 from .types import Compression, CertifiedSwitcher, RootedModel
 
 P2 = path_graph(2)  # three-vertex path used as the star root-compression
-
-
-def _chi_colouring(f: Graph) -> tuple[int, tuple]:
-    chi = chromatic_number(f)
-    for c in proper_colourings(f, chi):
-        return chi, c
-    raise DomainError("no proper colouring (defect)")
 
 
 def _finalize_switcher(space: GadgetSpace, roots, e1, e2,
@@ -52,14 +45,8 @@ def build_c4_switcher(f: Graph) -> CertifiedSwitcher:
     ell = f.n - 1
     base_edge = min(f.edges)
     # relabel so the chosen edge runs between role 0 and role ell
-    perm = [-1] * f.n
-    perm[base_edge[0]] = 0
-    perm[base_edge[1]] = ell
-    nxt = 1
-    for v in range(f.n):
-        if perm[v] == -1:
-            perm[v] = nxt
-            nxt += 1
+    role = renumber(range(f.n), {base_edge[0]: 0, base_edge[1]: ell}, 1)
+    perm = [role[v] for v in range(f.n)]
     fr = f.relabel(perm)          # role graph: edge (0, ell) exists
     f_rows = fr.without_vertices([ell])   # pattern minus the last role
     nbr_last = fr.adj[ell]                # roles adjacent to the last role
@@ -125,8 +112,7 @@ def build_c4_switcher(f: Graph) -> CertifiedSwitcher:
 
     # compression: the 4-cycle of roots joined onto a clique of the other
     # colour classes; width chi+1
-    chi, col = _chi_colouring(fr)
-    # rename colours: colour of role ell -> node 0 (c1), of role 0 -> node 1
+    chi, col = chi_colouring(fr)
     k_c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     extra = chi - 2
     kn = 4 + extra
@@ -137,14 +123,8 @@ def build_c4_switcher(f: Graph) -> CertifiedSwitcher:
         for rroot in range(4):
             k_edges.add((rroot, a))
     kg = Graph(kn, k_edges)
-    colour_node = {}
-    colour_node[col[ell]] = 0
-    colour_node[col[0]] = 1
-    nxt = 4
-    for cc in sorted(set(col)):
-        if cc not in colour_node:
-            colour_node[cc] = nxt
-            nxt += 1
+    # role ell's colour goes to node 0 (c1), role 0's to node 1
+    colour_node = renumber(col, {col[ell]: 0, col[0]: 1}, 4)
     psi = [0] * space.n
     psi[u1], psi[u2], psi[u3], psi[u4] = 0, 1, 2, 3
     for (i, j), v in grid.items():
@@ -227,7 +207,7 @@ def build_clique_degree_star_switcher(f: Graph, v: int) -> CertifiedSwitcher:
     e2 = [(minus, leaves[i]) for i in range(r)]
     roots = leaves + [plus, minus]
 
-    chi, col = _chi_colouring(f)
+    chi, col = chi_colouring(f)
     # base compression: the path plus a clique on the colour nodes, the path
     # ends joined to every colour node except v's colour
     extra = chi
@@ -240,12 +220,7 @@ def build_clique_degree_star_switcher(f: Graph, v: int) -> CertifiedSwitcher:
         k_edges.add((0, a))
         k_edges.add((2, a))
     kg = Graph(kn, k_edges)
-    colour_node = {col[v]: 3}
-    nxt = 4
-    for cc in sorted(set(col)):
-        if cc not in colour_node:
-            colour_node[cc] = nxt
-            nxt += 1
+    colour_node = renumber(col, {col[v]: 3}, 4)
     # -1 slots belong to glued bridge interiors; the attachment step fills them
     psi = [-1] * space.n
     for x in range(f.n):

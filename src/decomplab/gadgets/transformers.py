@@ -10,18 +10,18 @@ from __future__ import annotations
 
 from ..errors import DecompLabError, DomainError, InputError
 from ..graphs import Graph, GraphMap, degree_gcd_of, norm_edge
-from ..invariants import tau_of
 from .compose import GadgetSpace
 from .switchers import build_c6_switcher_general, build_k2r_switcher
 from .types import CertifiedTransformer
 
 
 def _pick_c6_switcher(f: Graph):
+    """The width-0 bipartite six-cycle switcher where tau = 1 (its family
+    scan refuses every other pattern), else the general one."""
     if f.is_bipartite():
+        from .bipartite_c6 import build_c6_switcher_bipartite
         try:
-            if tau_of(f) == 1:
-                from .bipartite_c6 import build_c6_switcher_bipartite
-                return build_c6_switcher_bipartite(f)
+            return build_c6_switcher_bipartite(f)
         except DecompLabError:
             pass
     return build_c6_switcher_general(f)

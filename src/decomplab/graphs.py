@@ -7,6 +7,7 @@ new values, so sharing across threads is safe.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from math import gcd
@@ -175,56 +176,57 @@ class Graph:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
-    def bipartition(self) -> Optional[tuple[set, set]]:
-        """Return (A, B) with every edge between A and B, or None if an odd
-        cycle exists.  Per-component sides are chosen by lowest vertex id."""
+    def _two_colouring(self):
+        """Breadth-first 2-colouring, each component's lowest vertex
+        coloured 0: (colour, BFS parent, None), or (colour, BFS parent,
+        (x, y)) at the first edge xy found with both ends coloured alike."""
         colour = [-1] * self.n
+        parent = [-1] * self.n
+        adj = self.adj
         for s in range(self.n):
             if colour[s] != -1:
                 continue
             colour[s] = 0
-            stack = [s]
-            while stack:
-                x = stack.pop()
-                for y in self.adj[x]:
-                    if colour[y] == -1:
-                        colour[y] = 1 - colour[x]
-                        stack.append(y)
-                    elif colour[y] == colour[x]:
-                        return None
+            queue = deque([s])
+            while queue:
+                x = queue.popleft()
+                cx = colour[x]
+                for y in adj[x]:
+                    cy = colour[y]
+                    if cy == -1:
+                        colour[y] = 1 - cx
+                        parent[y] = x
+                        queue.append(y)
+                    elif cy == cx:
+                        return colour, parent, (x, y)
+        return colour, parent, None
+
+    def bipartition(self) -> Optional[tuple[set, set]]:
+        """Return (A, B) with every edge between A and B, or None if an odd
+        cycle exists.  Per-component sides are chosen by lowest vertex id."""
+        colour, _, clash = self._two_colouring()
+        if clash:
+            return None
         return ({v for v in range(self.n) if colour[v] == 0},
                 {v for v in range(self.n) if colour[v] == 1})
 
     def odd_cycle(self) -> Optional[list[int]]:
         """Return one odd cycle as a vertex list, or None if bipartite."""
-        colour = [-1] * self.n
-        parent = [-1] * self.n
-        for s in range(self.n):
-            if colour[s] != -1:
-                continue
-            colour[s] = 0
-            queue = [s]
-            while queue:
-                x = queue.pop(0)
-                for y in self.adj[x]:
-                    if colour[y] == -1:
-                        colour[y] = 1 - colour[x]
-                        parent[y] = x
-                        queue.append(y)
-                    elif colour[y] == colour[x]:
-                        px = [x]
-                        while px[-1] != -1:
-                            px.append(parent[px[-1]])
-                        px.pop()
-                        py = [y]
-                        while py[-1] != -1:
-                            py.append(parent[py[-1]])
-                        py.pop()
-                        common = (set(px) & set(py))
-                        meet = next(v for v in px if v in common)
-                        cyc = px[:px.index(meet) + 1] + py[:py.index(meet)][::-1]
-                        return cyc
-        return None
+        _, parent, clash = self._two_colouring()
+        if not clash:
+            return None
+        x, y = clash
+        px = [x]
+        while px[-1] != -1:
+            px.append(parent[px[-1]])
+        px.pop()
+        py = [y]
+        while py[-1] != -1:
+            py.append(parent[py[-1]])
+        py.pop()
+        common = (set(px) & set(py))
+        meet = next(v for v in px if v in common)
+        return px[:px.index(meet) + 1] + py[:py.index(meet)][::-1]
 
     def is_bipartite(self) -> bool:
         return self.bipartition() is not None

@@ -67,17 +67,28 @@ def hamilton_cycle(host: Graph, seed: int = 0) -> list[int]:
         "rotation-extension failed under the Dirac condition; this is a defect")
 
 
-def edge_disjoint_hamilton_cycles(host: Graph, count: int, seed: int = 0):
-    """`count` pairwise edge-disjoint Hamilton cycles, greedily removed.
+def edge_disjoint_hamilton_cycles(host: Graph, vs, count: int,
+                                  seed: int = 0) -> list[tuple[int, int]]:
+    """The edges, in host ids, of `count` pairwise edge-disjoint Hamilton
+    cycles of host[vs], greedily removed.
 
-    Each removal drops degrees by 2; the caller is responsible for enough
-    degree slack (Dirac must hold at every step).
+    Each removal drops every degree by 2, so Dirac holds at every step
+    exactly when the min degree is at least |vs|/2 + 2(count-1); below
+    that, DegreeError is raised before any search.
     """
-    g = host
+    if count == 0:
+        return []
+    order = sorted(set(vs))
+    g = host.induced(order)
+    need = len(order) / 2 + 2 * (count - 1)
+    if g.min_degree() < need:
+        raise DegreeError(
+            f"clique part min degree {g.min_degree()} below "
+            f"{need:.1f} needed for {count} Hamilton cycles")
     cycles = []
     for i in range(count):
+        if cycles:
+            g = g.without_edges(cycles[-1])
         cyc = hamilton_cycle(g, seed=seed + i)
-        cyc_edges = [(cyc[j], cyc[(j + 1) % len(cyc)]) for j in range(len(cyc))]
-        cycles.append(cyc)
-        g = g.without_edges(cyc_edges)
-    return cycles, g
+        cycles.append([(cyc[j - 1], cyc[j]) for j in range(len(cyc))])
+    return [(order[a], order[b]) for es in cycles for a, b in es]

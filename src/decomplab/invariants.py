@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from itertools import count
 from math import gcd
 from typing import Iterator, Optional
 
@@ -124,6 +125,20 @@ def proper_colourings(g: Graph, s: int,
             colour[v] = 0
 
     yield from rec(0)
+
+
+def chi_colouring(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """chi(g) and the first proper chi-colouring in `proper_colourings`
+    order."""
+    chi = chromatic_number(g)
+    return chi, next(proper_colourings(g, chi))
+
+
+def renumber(colours, fixed: dict, start: int) -> dict:
+    """Number the distinct colours: those in `fixed` as it says, the rest
+    in ascending order from `start`."""
+    rest = sorted(set(colours) - fixed.keys())
+    return {**fixed, **dict(zip(rest, count(start)))}
 
 
 # -- bipartite invariants ---------------------------------------------------

@@ -331,10 +331,9 @@ def _verify_by_walk(dec: Decomposition) -> tuple[bool, Optional[str]]:
 
     Linear in the total certificate size: a copy's pattern is compared by
     identity first, and each distinct pattern object by value only once.
-    Each copy is checked in one pass: its image (length, distinct int
-    vertices in range), then its image edges as one list against the host,
-    the edges covered so far and the target.  A copy that
-    fails is walked again edge by edge to name the first violation.
+    Each copy's image is checked (length, distinct int vertices in range),
+    then its image edges as one list against the host, and then edge by
+    edge against the edges covered so far and the target.
     """
     target = dec.target_edges
     if not dec.copies:
@@ -360,9 +359,6 @@ def _verify_by_walk(dec: Decomposition) -> tuple[bool, Optional[str]]:
               for u, v in pe]
         if not host_edges.issuperset(es):
             return False, f"copy {k} is not a valid embedding"
-        if covered.isdisjoint(es) and target.issuperset(es):
-            covered.update(es)
-            continue
         for e in c.edge_image():
             if e in covered:
                 return False, f"edge {e} covered twice"

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -303,3 +304,23 @@ def test_greedy_fix_and_pipeline_outputs(tmp_path):
              "outside_residue": 12},
             {"level": 2, "inner": 5, "greedy_copies": 0, "sweep_stalls": 18,
              "outside_residue": 13}]}
+
+
+@pytest.mark.parametrize("target, removed_edges, max_degree, digest", [
+    (0, 0, 0, "a1fb50e6c86fae16"),
+    (1, 22, 4, "9c815cf90d1cc6bc"),
+    (2, 11, 2, "0bc28a8b527b5602"),
+])
+def test_fix_edges_outputs(tmp_path, target, removed_edges, max_degree,
+                           digest):
+    # K12 has 66 edges; removing Hamilton cycles of K11 (11 edges each)
+    # moves the count to the target residue mod 3
+    f = _write(tmp_path, "k3.txt", complete_graph(3))
+    k12 = _write(tmp_path, "k12.txt", complete_graph(12))
+    res = run(["fix", "--mode", "edges", "--target", str(target),
+               "--pattern", f, "--host", k12])
+    assert res.exit_code == EXIT_OK
+    assert (res.payload["removed_edges"], res.payload["max_degree"]) == (
+        removed_edges, max_degree)
+    assert hashlib.sha256(
+        res.payload["removed"].encode()).hexdigest()[:16] == digest

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from decomplab import hamilton
 from decomplab.divisibility import (check_divisibility, fix_edge_count,
                                     make_degree_divisible)
 from decomplab.errors import DegreeError, DomainError
@@ -112,6 +113,24 @@ def test_fix_edge_count_parity_precondition():
     with pytest.raises(DomainError):
         fix_edge_count(complete_graph(12), list(range(12)),
                        complete_graph(4), 1)  # 3 does not divide 2
+
+
+def test_fix_edge_count_refuses_a_sparse_clique_part_before_searching(
+        monkeypatch):
+    # C4 on K16 minus the edges with u + v = 0 mod 3: the cycles run on the
+    # first 15 vertices (15 is coprime to e(C4) = 4), whose min degree 9
+    # passes Dirac (7.5) for the first of the 3 cycles needed but not for
+    # the third (7.5 + 2*2), so the degree check must refuse before any search
+    def no_search(*args, **kwargs):
+        raise AssertionError("Hamilton search started")
+    monkeypatch.setattr(hamilton, "hamilton_cycle", no_search)
+    n = 16
+    sparse = complete_graph(n).without_edges(
+        [(a, b) for a in range(n) for b in range(a + 1, n) if (a + b) % 3 == 0])
+    assert sparse.induced(range(15)).min_degree() == 9
+    with pytest.raises(DegreeError, match=r"^clique part min degree 9 below "
+                       r"11\.5 needed for 3 Hamilton cycles$"):
+        fix_edge_count(sparse, list(range(n)), cycle_graph(4), 1)
 
 
 def test_composition_yields_divisible():

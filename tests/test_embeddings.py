@@ -291,16 +291,18 @@ def test_hamilton_removal_drops_degrees_by_two():
 
 
 def test_edge_disjoint_hamilton_cycles():
-    # K_11 keeps the Dirac margin through all three removals
-    g = complete_graph(11)
-    cycles, rest = edge_disjoint_hamilton_cycles(g, 3, seed=2)
-    seen = set()
-    for cyc in cycles:
-        for i in range(11):
-            e = tuple(sorted((cyc[i], cyc[(i + 1) % 11])))
-            assert e not in seen
-            seen.add(e)
-    assert rest.degrees() == [4] * 11
+    # K_11 on host vertices 2..12 keeps the Dirac margin through all three
+    # removals; the cycles come back as host edges, 11 per cycle in order
+    g = complete_graph(13)
+    vs = range(2, 13)
+    edges = edge_disjoint_hamilton_cycles(g, vs, 3, seed=2)
+    assert len(edges) == len({tuple(sorted(e)) for e in edges}) == 33
+    for i in range(3):
+        cyc = Graph(13, edges[11 * i:11 * (i + 1)])
+        assert cyc.induced(vs).is_connected()
+        assert [cyc.degree(v) for v in vs] == [2] * 11
+    assert g.without_edges(edges).induced(vs).degrees() == [4] * 11
+    assert edge_disjoint_hamilton_cycles(g, vs, 0) == []
 
 
 # -- the kernel's last placement step, drawn in one loop ---------------------

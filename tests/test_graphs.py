@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from decomplab.errors import InputError
@@ -43,6 +45,34 @@ def test_components_and_bipartition():
     assert cycle_graph(5).bipartition() is None
     cyc = cycle_graph(5).odd_cycle()
     assert cyc is not None and len(cyc) % 2 == 1
+
+
+def _random_graphs():
+    rng = random.Random(1603)
+    for _ in range(300):
+        n = rng.randrange(1, 40)
+        p = rng.random() * 0.25
+        yield Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n)
+                        if rng.random() < p])
+    # a star with one edge between its last two leaves: one triangle, far
+    # into the breadth-first order
+    for n in (20000, 80000):
+        yield Graph(n, [(0, v) for v in range(1, n)] + [(n - 2, n - 1)])
+
+
+def test_odd_cycle_and_bipartition_agree():
+    for g in _random_graphs():
+        cyc, sides = g.odd_cycle(), g.bipartition()
+        assert (cyc is None) == (sides is not None)
+        if sides is not None:
+            a, b = sides
+            assert a | b == set(range(g.n)) and not a & b
+            assert all((u in a) != (v in a) for u, v in g.edges)
+            # each component's lowest vertex is on side A
+            assert all(min(c) in a for c in g.components())
+            continue
+        assert len(cyc) % 2 == 1 and len(set(cyc)) == len(cyc) >= 3
+        assert all(g.has_edge(cyc[i - 1], cyc[i]) for i in range(len(cyc)))
 
 
 def test_bridges():
