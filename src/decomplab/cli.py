@@ -380,9 +380,8 @@ def _cmd_gadget(args) -> CommandResult:
         "e2": sorted(list(e) for e in sw.e2),
         "cert1": json.loads(serialize_certificate(sw.cert1)),
         "cert2": json.loads(serialize_certificate(sw.cert2)),
+        "compression_width": sw.compression.d,
     }
-    if sw.compression is not None:
-        payload["compression_width"] = sw.compression.d
     return _verdict(payload, ok, why)
 
 

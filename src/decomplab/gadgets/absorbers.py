@@ -475,7 +475,7 @@ def build_partite_neighbourhood_absorber(f: Graph, b: int,
         vmap = space.place(g, pins)
         for a_, b_ in g.edges:
             if a_ in pins and b_ in pins:
-                space.add_edge(vmap[a_], vmap[b_], merge=True)
+                space.edges.add(norm_edge(vmap[a_], vmap[b_]))
         for t in range(g.n):
             if t == rot.hub:
                 continue

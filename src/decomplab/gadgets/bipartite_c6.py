@@ -16,10 +16,11 @@ from __future__ import annotations
 from itertools import accumulate
 from math import gcd
 
-from ..errors import DomainError, SizeGuardError
+from ..errors import DomainError
 from ..graphs import Graph, degree_gcd_of, disjoint_union
-from ..invariants import _connected_mask, _support_masks, is_c4_supporting
-from .compose import GadgetSpace, attach_compressions
+from ..invariants import (_connected_mask, _support_masks,
+                          nonsupporting_subsets)
+from .compose import GadgetSpace
 from .switchers import (_component_multiset_split, _finalize_switcher,
                         build_internal_teleporter, build_k2r_switcher)
 from .types import CertifiedSwitcher, Compression
@@ -37,21 +38,10 @@ _EXT_OK = {frozenset(p) for p in
 def _nonsupporting_family(f: Graph, guard: int = 24) -> list[tuple]:
     """Greedy subfamily of connected non-supporting induced subgraphs whose
     edge counts reach gcd 1; entries are (vertices, count)."""
-    if f.n > guard:
-        raise SizeGuardError(f"subset scan guard: {f.n} > {guard}")
-    nbr, edge_list = _support_masks(f)
-    options = []
-    for mask in range(1, 1 << f.n):
-        cnt = sum(1 for u, v in edge_list
-                  if (mask >> u) & 1 and (mask >> v) & 1)
-        if cnt == 0:
-            continue
-        if not _connected_mask(nbr, mask):
-            continue
-        if is_c4_supporting(f, mask, nbr, edge_list):
-            continue
-        options.append((cnt, bin(mask).count("1"), mask))
-    options.sort()
+    nbr, _ = _support_masks(f)
+    options = sorted((cnt, bin(mask).count("1"), mask)
+                     for mask, cnt in nonsupporting_subsets(f, guard)
+                     if _connected_mask(nbr, mask))
     chosen, g = [], 0
     for cnt, _, mask in options:
         if g > 0 and gcd(g, cnt) == g:
@@ -232,7 +222,6 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
 
     # -- star switchers bridge the asymmetric halves ---------------------------
 
-    attachments = []
     star_cache: dict = {}
     for star_edges in (h1_tilde, h2_tilde):
         by_centre: dict = {}
@@ -245,9 +234,9 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
             if d not in star_cache:
                 star_cache[d] = build_k2r_switcher(f, d)
             sw = star_cache[d]
-            vmap = space.glue(sw, tuple(leaves) + (c, prime[c]))
-            beta = {0: 0, 1: 5, 2: 4} if rho[c] == C1 else {0: 1, 1: 2, 2: 3}
-            attachments.append((sw.compression, beta, vmap))
+            space.glue(sw, tuple(leaves) + (c, prime[c]),
+                       beta={0: 0, 1: 5, 2: 4} if rho[c] == C1
+                       else {0: 1, 1: 2, 2: 3})
 
     # -- record both certificates ------------------------------------------------
 
@@ -273,5 +262,4 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
         psi[x] = FOLD[label]
     base = Compression(6, {rt: i for i, rt in enumerate(roots)},
                        C6_GRAPH, tuple(psi), 0)
-    comp = attach_compressions(space.n, base, attachments)
-    return _finalize_switcher(space, roots, e1, e2, comp)
+    return _finalize_switcher(space, roots, e1, e2, base)

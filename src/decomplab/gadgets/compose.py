@@ -5,9 +5,11 @@ opened; each copy it records on a certificate side is a bare image tuple,
 and `finalize` hands them out with that pattern and the space's graph as
 their host.  `place` wires every piece into the space: pinned vertices keep
 their given ids and every other vertex is allocated fresh.  `glue` places a
-certified switcher the same way and records its certificates' copies.  Edge
-multi-occurrence across glued pieces is forbidden and checked at insertion
-time.
+certified switcher the same way and records its certificates' copies; given
+`beta`, the map from the switcher's J nodes into the K being built, it also
+records the switcher's compression, and `compression(base)` attaches every
+recorded one to the builder's base compression.  Edge multi-occurrence
+across glued pieces is forbidden and checked at insertion time.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ class GadgetSpace:
         self.n = 0
         self.edges: set = set()
         self.copies: dict = {}        # side -> list of image tuples
+        self.attached: list = []      # (compression, beta, vmap) per glue
 
     def fresh(self, k: int) -> list[int]:
         out = list(range(self.n, self.n + k))
@@ -36,11 +39,11 @@ class GadgetSpace:
         self.n += 1
         return self.n - 1
 
-    def add_edge(self, u: int, v: int, merge: bool = False):
+    def add_edge(self, u: int, v: int):
         if u == v:
             raise InputError("gluing created a loop")
         e = (u, v) if u < v else (v, u)
-        if e in self.edges and not merge:
+        if e in self.edges:
             raise InputError(f"edge {e} glued twice")
         self.edges.add(e)
 
@@ -72,13 +75,15 @@ class GadgetSpace:
     def record(self, side, image) -> None:
         self.copies.setdefault(side, []).append(tuple(image))
 
-    def glue(self, sw, root_images, swap: bool = False) -> list[int]:
+    def glue(self, sw, root_images, swap: bool = False, beta=None) -> None:
         """Place a certified switcher with its roots at `root_images`
         (ordered as the switcher's roots) and every other vertex fresh, and
         record its certificates' copies on the sides `cert1` and `cert2`;
         with `swap`, crosswise.  The switcher's own edges join the space;
         its switched edge sets do not, since the side a copy is recorded on
-        decides which of them materialises.  Returns the vertex map."""
+        decides which of them materialises.  With `beta`, the map from the
+        switcher's J nodes into the K being built, the switcher's
+        compression is recorded too, for `compression` to attach."""
         m = sw.model
         if len(root_images) != len(m.roots):
             raise InputError("root image count mismatch")
@@ -89,7 +94,8 @@ class GadgetSpace:
         for side, cert in zip(sides, (sw.cert1, sw.cert2)):
             self.copies.setdefault(side, []).extend(
                 tuple([vmap[x] for x in c.image]) for c in cert.copies)
-        return vmap
+        if beta is not None:
+            self.attached.append((sw.compression, beta, vmap))
 
     def finalize(self, side, extra_edges=()) -> Decomposition:
         """The copies recorded on `side` as a decomposition of the current
@@ -100,58 +106,49 @@ class GadgetSpace:
                              [EmbeddedCopy(self.pattern, img)
                               for img in self.copies.get(side, [])])
 
+    def compression(self, base: Compression) -> Compression:
+        """The space's compression: `base`, on the space's vertices, with
+        the compression of every switcher glued with a `beta` attached in
+        glue order.
 
-# -- compression attachment ---------------------------------------------------
+        Each beta maps its switcher's J nodes into `base.k` as a
+        homomorphism agreeing with the base psi on shared roots.  K grows by
+        fresh copies of each attached K minus its J part, and psi extends
+        accordingly; the claimed width is the maximum over all parts.
+        """
+        k_edges = set(base.k.edges)
+        k_n = base.k.n
+        # -1 marks a vertex that only an attached compression maps
+        psi = list(base.psi) + [-1] * (self.n - len(base.psi))
+        d = base.d
 
+        for sub, beta, sub_vmap in self.attached:
+            sub_k = sub.k
+            jn = sub.j_size
+            fresh = {}
+            for v in range(jn, sub_k.n):
+                fresh[v] = k_n
+                k_n += 1
+            for u, v in sub_k.edges:
+                if u < jn and v < jn:
+                    continue  # J's edges are in base.k through beta
+                uu = beta[u] if u < jn else fresh[u]
+                vv = beta[v] if v < jn else fresh[v]
+                if uu == vv:
+                    raise InputError("beta merged adjacent K vertices")
+                k_edges.add(norm_edge(uu, vv))
+            for local_v, pk in enumerate(sub.psi):
+                gv = sub_vmap[local_v]
+                img = beta[pk] if pk < jn else fresh[pk]
+                if psi[gv] == -1:
+                    psi[gv] = img
+                elif psi[gv] != img:
+                    raise InputError(
+                        f"psi conflict at shared vertex {gv}: "
+                        f"{psi[gv]} vs {img}")
+            d = max(d, sub.d)
 
-def attach_compressions(base_model_n: int, base: Compression,
-                        attachments: list) -> Compression:
-    """Combine a base compression with glued sub-model compressions.
-
-    Each attachment is (sub_comp, beta, sub_vmap) where beta maps the
-    attachment's J-vertices into base.k as a homomorphism agreeing with the
-    base psi on shared roots, and sub_vmap maps the attachment's model
-    vertices into the combined model's universe (of size >= base_model_n).
-
-    Returns the compression of the combined model (on `base_model_n` plus the
-    attachments' fresh vertices): K grows by fresh copies of each
-    attachment's K minus its J part; psi extends accordingly.  The claimed
-    width is the maximum over all parts.
-    """
-    k_edges = set(base.k.edges)
-    k_n = base.k.n
-    psi = list(base.psi)
-    d = base.d
-
-    for sub, beta, sub_vmap in attachments:
-        sub_k = sub.k
-        jn = sub.j_size
-        fresh = {}
-        for v in range(jn, sub_k.n):
-            fresh[v] = k_n
-            k_n += 1
-        for u, v in sub_k.edges:
-            if u < jn and v < jn:
-                continue  # J-internal edges exist in base.k via beta's image
-            uu = beta[u] if u < jn else fresh[u]
-            vv = beta[v] if v < jn else fresh[v]
-            if uu == vv:
-                raise InputError("beta merged adjacent K vertices")
-            k_edges.add(norm_edge(uu, vv))
-        for local_v, pk in enumerate(sub.psi):
-            gv = sub_vmap[local_v]
-            img = beta[pk] if pk < jn else fresh[pk]
-            while len(psi) <= gv:
-                psi.append(-1)
-            if psi[gv] == -1:
-                psi[gv] = img
-            elif psi[gv] != img:
-                raise InputError(
-                    f"psi conflict at shared vertex {gv}: "
-                    f"{psi[gv]} vs {img}")
-        d = max(d, sub.d)
-
-    if len(psi) < base_model_n or any(p == -1 for p in psi):
-        raise InputError("psi left a model vertex unmapped")
-    return Compression(base.j_size, dict(base.f), Graph(k_n, k_edges),
-                       tuple(psi), d)
+        if -1 in psi:
+            raise InputError("psi left a model vertex unmapped")
+        return Compression(base.j_size, dict(base.f), Graph(k_n, k_edges),
+                           tuple(psi), d)

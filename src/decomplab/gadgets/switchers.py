@@ -14,19 +14,22 @@ from math import gcd
 from ..errors import DomainError, InputError, ResourceError
 from ..graphs import Graph, degree_gcd_of, norm_edge, path_graph
 from ..invariants import chi_colouring, renumber
-from .compose import GadgetSpace, attach_compressions
+from .compose import GadgetSpace
 from .types import Compression, CertifiedSwitcher, RootedModel
 
 P2 = path_graph(2)  # three-vertex path used as the star root-compression
 
 
 def _finalize_switcher(space: GadgetSpace, roots, e1, e2,
-                       compression=None) -> CertifiedSwitcher:
+                       base: Compression) -> CertifiedSwitcher:
+    """The switcher built in `space`; its compression is `base` with the
+    compression of every switcher glued with a beta attached."""
     graph = space.graph()
     model = RootedModel(graph, tuple(roots))
     cert1 = space.finalize("cert1", extra_edges=e1)
     cert2 = space.finalize("cert2", extra_edges=e2)
-    return CertifiedSwitcher(model, e1, e2, cert1, cert2, compression)
+    return CertifiedSwitcher(model, e1, e2, cert1, cert2,
+                             space.compression(base))
 
 
 # -- the grid switcher for a single 4-cycle ----------------------------------
@@ -129,11 +132,11 @@ def build_c4_switcher(f: Graph) -> CertifiedSwitcher:
     psi[u1], psi[u2], psi[u3], psi[u4] = 0, 1, 2, 3
     for (i, j), v in grid.items():
         psi[v] = colour_node[col[(i + j) % ell]]
-    comp = Compression(4, {u1: 0, u2: 1, u3: 2, u4: 3}, kg, tuple(psi),
+    base = Compression(4, {u1: 0, u2: 1, u3: 2, u4: 3}, kg, tuple(psi),
                        chi + 1)
     return _finalize_switcher(space, (u1, u2, u3, u4),
                               [(u1, u2), (u3, u4)], [(u2, u3), (u4, u1)],
-                              comp)
+                              base)
 
 
 # -- star switchers ------------------------------------------------------------
@@ -171,9 +174,9 @@ def build_bipartite_degree_star_switcher(f: Graph, v: int) -> CertifiedSwitcher:
         psi[x] = 0 if x in a_side else 1
     psi[v] = 0
     psi[vprime] = 2
-    comp = Compression(3, _p2_compression_f(leaves, v, vprime),
+    base = Compression(3, _p2_compression_f(leaves, v, vprime),
                        P2, tuple(psi), 0)
-    return _finalize_switcher(space, roots, e1, e2, comp)
+    return _finalize_switcher(space, roots, e1, e2, base)
 
 
 def build_clique_degree_star_switcher(f: Graph, v: int) -> CertifiedSwitcher:
@@ -199,15 +202,19 @@ def build_clique_degree_star_switcher(f: Graph, v: int) -> CertifiedSwitcher:
     for side, centre in (("cert1", plus), ("cert2", minus)):
         space.record(side, [centre if x == v else fm_ids[down(x)]
                             for x in range(f.n)])
+    chi, col = chi_colouring(f)
+    colour_node = renumber(col, {col[v]: 3}, 4)
     c4 = build_c4_switcher(f)
-    vmaps = [space.glue(c4, (plus, w[i], minus, leaves[i]), swap=True)
-             for i in range(r)]
+    # each bridge's 4-cycle roots (plus, w_i, minus, leaf_i) land on the K
+    # nodes (0, colour(w_i), 2, 1)
+    for i in range(r):
+        space.glue(c4, (plus, w[i], minus, leaves[i]), swap=True,
+                   beta={0: 0, 1: colour_node[col[nbrs[i]]], 2: 2, 3: 1})
 
     e1 = [(plus, leaves[i]) for i in range(r)]
     e2 = [(minus, leaves[i]) for i in range(r)]
     roots = leaves + [plus, minus]
 
-    chi, col = chi_colouring(f)
     # base compression: the path plus a clique on the colour nodes, the path
     # ends joined to every colour node except v's colour
     extra = chi
@@ -220,8 +227,7 @@ def build_clique_degree_star_switcher(f: Graph, v: int) -> CertifiedSwitcher:
         k_edges.add((0, a))
         k_edges.add((2, a))
     kg = Graph(kn, k_edges)
-    colour_node = renumber(col, {col[v]: 3}, 4)
-    # -1 slots belong to glued bridge interiors; the attachment step fills them
+    # -1 slots belong to glued bridge interiors; their compressions fill them
     psi = [-1] * space.n
     for x in range(f.n):
         if x != v:
@@ -231,16 +237,8 @@ def build_clique_degree_star_switcher(f: Graph, v: int) -> CertifiedSwitcher:
     for i in range(r):
         psi[leaves[i]] = 1
     base = Compression(3, _p2_compression_f(leaves, plus, minus), kg,
-                       tuple(psi), 0)
-    # attach the bridge compressions: their 4-cycle roots land on
-    # (plus, w_i, minus, leaf_i) = K nodes (0, colour(w_i), 2, 1)
-    attachments = []
-    for i, vmap in enumerate(vmaps):
-        beta = {0: 0, 1: colour_node[col[nbrs[i]]], 2: 2, 3: 1}
-        attachments.append((c4.compression, beta, vmap))
-    comp = attach_compressions(space.n, base, attachments)
-    comp.d = max(chi + 1, comp.d)
-    return _finalize_switcher(space, roots, e1, e2, comp)
+                       tuple(psi), chi + 1)
+    return _finalize_switcher(space, roots, e1, e2, base)
 
 
 def _degree_multiset_split(degrees: list[int], target: int,
@@ -325,7 +323,6 @@ def build_k2r_switcher(f: Graph, r: int) -> CertifiedSwitcher:
         subs.append(("v1", d, grp))
     assert i2 == len(pool2) and i1 == len(pool1)
 
-    attachments = []
     base_psi = [-1] * space.n
     for x in leaves:
         base_psi[x] = 1
@@ -339,13 +336,12 @@ def build_k2r_switcher(f: Graph, r: int) -> CertifiedSwitcher:
     for side, d, grp in subs:
         sub = degree_switcher(d)
         # gadget+E+ uses: V2 stars switched to plus, V1 stars to minus
-        vmap = space.glue(sub, tuple(grp) + (plus, minus), swap=side == "v1")
-        attachments.append((sub.compression, {0: 0, 1: 1, 2: 2}, vmap))
+        space.glue(sub, tuple(grp) + (plus, minus), swap=side == "v1",
+                   beta={0: 0, 1: 1, 2: 2})
 
-    comp = attach_compressions(space.n, base, attachments)
     e1 = [(plus, x) for x in leaves]
     e2 = [(minus, x) for x in leaves]
-    return _finalize_switcher(space, leaves + [plus, minus], e1, e2, comp)
+    return _finalize_switcher(space, leaves + [plus, minus], e1, e2, base)
 
 
 # -- six-cycle switcher (clique-glued route) -----------------------------------
@@ -364,12 +360,14 @@ def build_c6_switcher_general(f: Graph) -> CertifiedSwitcher:
     for e in frame:
         space.add_edge(*e)
 
-    # gadget + {u1u2, u3u4, u5u6} splits along each bridge's first switch
+    # gadget + {u1u2, u3u4, u5u6} splits along each bridge's first switch;
+    # each beta sends the bridge's roots to their K nodes, u_i to i-1 and
+    # w1, w2 to 6, 7
     c4 = build_c4_switcher(f)
-    s1 = space.glue(c4, (u[0], w1, u[4], u[5]))
-    s2 = space.glue(c4, (w2, u[1], u[2], u[3]))
-    s3 = space.glue(c4, (u[0], u[1], w2, w1))
-    s4 = space.glue(c4, (w2, u[3], u[4], w1))
+    space.glue(c4, (u[0], w1, u[4], u[5]), beta={0: 0, 1: 6, 2: 4, 3: 5})
+    space.glue(c4, (w2, u[1], u[2], u[3]), beta={0: 7, 1: 1, 2: 2, 3: 3})
+    space.glue(c4, (u[0], u[1], w2, w1), beta={0: 0, 1: 1, 2: 7, 3: 6})
+    space.glue(c4, (w2, u[3], u[4], w1), beta={0: 7, 1: 3, 2: 4, 3: 6})
 
     e1 = [(u[0], u[1]), (u[2], u[3]), (u[4], u[5])]
     e2 = [(u[1], u[2]), (u[3], u[4]), (u[5], u[0])]
@@ -382,17 +380,7 @@ def build_c6_switcher_general(f: Graph) -> CertifiedSwitcher:
         psi[u[i]] = i
     psi[w1], psi[w2] = 6, 7
     base = Compression(6, {u[i]: i for i in range(6)}, c6, tuple(psi), 3)
-    beta1 = {0: 0, 1: 6, 2: 4, 3: 5}
-    beta2 = {0: 7, 1: 1, 2: 2, 3: 3}
-    beta3 = {0: 0, 1: 1, 2: 7, 3: 6}
-    beta4 = {0: 7, 1: 3, 2: 4, 3: 6}
-    comp = attach_compressions(space.n, base, [
-        (c4.compression, beta1, s1),
-        (c4.compression, beta2, s2),
-        (c4.compression, beta3, s3),
-        (c4.compression, beta4, s4),
-    ])
-    return _finalize_switcher(space, tuple(u), e1, e2, comp)
+    return _finalize_switcher(space, tuple(u), e1, e2, base)
 
 
 # -- teleporters ----------------------------------------------------------------
@@ -418,10 +406,11 @@ def build_internal_teleporter(f: Graph) -> CertifiedSwitcher:
 
     k21 = build_k2r_switcher(f, 1)
     # star roots of a 1-leaf switcher: (leaf, centre+, centre-); cert1
-    # covers u1u2, u2w and wu4, cert2 covers wu2, u4w and u3u4
-    s1 = space.glue(k21, (u[1], u[0], w))
-    s2 = space.glue(k21, (w, u[1], u[3]))
-    s3 = space.glue(k21, (u[3], w, u[2]))
+    # covers u1u2, u2w and wu4, cert2 covers wu2, u4w and u3u4; each beta
+    # sends the star path (plus, leaf, minus) onto the edge
+    space.glue(k21, (u[1], u[0], w), beta={0: 0, 1: 1, 2: 0})
+    space.glue(k21, (w, u[1], u[3]), beta={0: 1, 1: 0, 2: 1})
+    space.glue(k21, (u[3], w, u[2]), beta={0: 0, 1: 1, 2: 0})
 
     psi = [-1] * space.n
     psi[u[0]] = psi[u[2]] = 0
@@ -429,15 +418,8 @@ def build_internal_teleporter(f: Graph) -> CertifiedSwitcher:
     psi[w] = 0
     base = Compression(2, {u[0]: 0, u[1]: 1, u[2]: 0, u[3]: 1},
                        P1, tuple(psi), 0)
-    # each beta sends the star path (plus, leaf, minus) onto the edge
-    betas = [{0: 0, 1: 1, 2: 0}, {0: 1, 1: 0, 2: 1}, {0: 0, 1: 1, 2: 0}]
-    comp = attach_compressions(space.n, base, [
-        (k21.compression, betas[0], s1),
-        (k21.compression, betas[1], s2),
-        (k21.compression, betas[2], s3),
-    ])
     return _finalize_switcher(space, tuple(u), [(u[0], u[1])],
-                              [(u[2], u[3])], comp)
+                              [(u[2], u[3])], base)
 
 
 def _component_multiset_split(counts: list[int], guard: int = 4000):
@@ -514,13 +496,10 @@ def build_external_teleporter(f: Graph) -> CertifiedSwitcher:
 
     # a teleporter's cert1 covers its light edge, its cert2 the heavy one
     tel = build_internal_teleporter(f)
-    attachments = []
     for (x, y), (x2, y2) in zip(e_plus[1], e_plus[2]):
-        vmap = space.glue(tel, (x, y, x2, y2))
-        attachments.append((tel.compression, {0: 0, 1: 1}, vmap))
+        space.glue(tel, (x, y, x2, y2), beta={0: 0, 1: 1})
     for (x, y), (x2, y2) in zip(e_minus[1], e_minus[2]):
-        vmap = space.glue(tel, (x, y, x2, y2), swap=True)
-        attachments.append((tel.compression, {0: 2, 1: 3}, vmap))
+        space.glue(tel, (x, y, x2, y2), swap=True, beta={0: 2, 1: 3})
 
     def record_copy(tag, vmap_pairs):
         """One pattern copy assembled from per-vertex maps."""
@@ -554,9 +533,8 @@ def build_external_teleporter(f: Graph) -> CertifiedSwitcher:
             psi[gx] = 2 + colour(x)
     base = Compression(4, {u[0]: 0, u[1]: 1, u[2]: 2, u[3]: 3},
                        TWO_P1, tuple(psi), 0)
-    comp = attach_compressions(space.n, base, attachments)
     return _finalize_switcher(space, tuple(u), [(u[0], u[1])],
-                              [(u[2], u[3])], comp)
+                              [(u[2], u[3])], base)
 
 
 def build_teleporter(f: Graph, mode: str) -> CertifiedSwitcher:

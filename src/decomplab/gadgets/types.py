@@ -62,7 +62,7 @@ class CertifiedSwitcher:
     e2: frozenset
     cert1: Decomposition
     cert2: Decomposition
-    compression: Optional[Compression] = None
+    compression: Compression
 
     def __post_init__(self):
         self.e1 = frozenset(norm_edge(*e) for e in self.e1)
@@ -118,7 +118,7 @@ def _verify_leftover(gadget_edges: frozenset,
 
 def verify_switcher(sw: CertifiedSwitcher) -> tuple[bool, Optional[str]]:
     """Root independence, disjoint root-supported switch sets, both
-    certificates, and the compression when there is one."""
+    certificates, and the compression."""
     m = sw.model
     if not m.roots_independent():
         return False, "roots not independent"
@@ -131,10 +131,10 @@ def verify_switcher(sw: CertifiedSwitcher) -> tuple[bool, Optional[str]]:
         return False, "E1 and E2 intersect"
     ok, why = _verify_sides(m.graph.edges, (("cert1", sw.e1, sw.cert1),
                                             ("cert2", sw.e2, sw.cert2)))
-    if ok and sw.compression is not None:
-        ok, why = verify_compression(m, sw.compression)
-        why = why and f"compression: {why}"
-    return ok, why
+    if not ok:
+        return ok, why
+    ok, why = verify_compression(m, sw.compression)
+    return ok, why and f"compression: {why}"
 
 
 def verify_compression(m: RootedModel, comp: Compression) -> tuple[bool, Optional[str]]:

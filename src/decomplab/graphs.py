@@ -340,11 +340,6 @@ class GraphMap:
             if not (0 <= v < self.target.n):
                 raise InputError(f"image vertex {v} out of range")
 
-    def edge_image(self) -> frozenset:
-        return frozenset(norm_edge(self.image[u], self.image[v])
-                         for u, v in self.source.edges
-                         if self.image[u] != self.image[v])
-
     def is_homomorphism(self) -> bool:
         im = self.image
         return all(im[u] != im[v] and norm_edge(im[u], im[v]) in self.target.edges

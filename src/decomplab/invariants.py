@@ -180,11 +180,6 @@ def is_c4_supporting(f: Graph, subset_mask: int, nbr=None, edge_list=None) -> bo
     return False
 
 
-def _edges_inside_count(edge_list, mask: int) -> int:
-    return sum(1 for u, v in edge_list
-               if (mask >> u) & 1 and (mask >> v) & 1)
-
-
 def _connected_mask(nbr, mask: int) -> bool:
     if mask == 0:
         return True
@@ -202,20 +197,26 @@ def _connected_mask(nbr, mask: int) -> bool:
     return seen == mask
 
 
+def nonsupporting_subsets(f: Graph, guard: int) -> Iterator[tuple[int, int]]:
+    """(mask, e(F[X])) for each vertex subset X, as a bitmask in increasing
+    order, that spans an edge and is not C4-supporting.  Refuses a pattern
+    on more than `guard` vertices, since the scan visits 2^n subsets."""
+    if f.n > guard:
+        raise SizeGuardError(f"subset scan guard: {f.n} > {guard}")
+    nbr, edge_list = _support_masks(f)
+    for mask in range(1, 1 << f.n):
+        cnt = sum(1 for u, v in edge_list
+                  if (mask >> u) & 1 and (mask >> v) & 1)
+        if cnt and not is_c4_supporting(f, mask, nbr, edge_list):
+            yield mask, cnt
+
+
 def tau_of(f: Graph, guard: int = DEFAULT_SUBSET_GUARD) -> int:
     """gcd of e(F[X]) over X that are not C4-supporting.  Plain subset scan
     with an early gcd==1 cutoff; the cutoff is exact since gcd can only
     shrink towards 1."""
-    if f.n > guard:
-        raise SizeGuardError(f"subset enumeration guard: {f.n} > {guard}")
-    nbr, edge_list = _support_masks(f)
     g = 0
-    for mask in range(1, 1 << f.n):
-        cnt = _edges_inside_count(edge_list, mask)
-        if cnt == 0:
-            continue
-        if is_c4_supporting(f, mask, nbr, edge_list):
-            continue
+    for _, cnt in nonsupporting_subsets(f, guard):
         g = gcd(g, cnt)
         if g == 1:
             return 1
@@ -260,6 +261,8 @@ def colouring_invariants(f: Graph,
     vertex-cover chromatic value and the class-difference gcd."""
     if f.e < 1:
         raise InputError("need at least one edge")
+    if 0 in f.degrees():
+        raise InputError("pattern has an isolated vertex")
     _colouring_guard(f, guard)
     chi = chromatic_number(f)
 

@@ -166,6 +166,17 @@ def test_colouring_commands_on_a_long_cycle_hit_the_guard(tmp_path, argv):
     assert res.payload["type"] == "SizeGuardError"
 
 
+@pytest.mark.parametrize("argv", [["classify", "--vertex-cover"],
+                                  ["classify", "--candidates"],
+                                  ["gadget", "build", "--kind", "partite-abs",
+                                   "--pattern"]])
+def test_colouring_commands_refuse_an_isolated_vertex(tmp_path, argv):
+    k3_plus_vertex = Graph(4, [(0, 1), (1, 2), (0, 2)])
+    res = run([*argv, _write(tmp_path, "k3i.txt", k3_plus_vertex)])
+    assert res.exit_code == EXIT_ERROR
+    assert res.payload["error"] == "pattern has an isolated vertex"
+
+
 def test_fractional_solve(tmp_path, monkeypatch):
     f = _write(tmp_path, "k3.txt", complete_graph(3))
     g = _write(tmp_path, "k7.txt", complete_graph(7))

@@ -23,11 +23,10 @@ def assert_good_switcher(sw, expect_d=None):
     ok, why = verify_switcher(CertifiedSwitcher(
         sw.model, sw.e2, sw.e1, sw.cert2, sw.cert1, sw.compression))
     assert ok, why
-    if sw.compression is not None:
-        ok, why = verify_compression(sw.model, sw.compression)
-        assert ok, why
-        if expect_d is not None:
-            assert sw.compression.d == expect_d
+    ok, why = verify_compression(sw.model, sw.compression)
+    assert ok, why
+    if expect_d is not None:
+        assert sw.compression.d == expect_d
 
 
 # -- 4-cycle switchers -----------------------------------------------------------
@@ -64,7 +63,7 @@ def test_c4_switcher_compression_underclaim_fails():
 def test_switcher_tamper_detection():
     sw = build_c4_switcher(K3)
     swapped_certs = CertifiedSwitcher(sw.model, sw.e1, sw.e2,
-                                      sw.cert2, sw.cert1)
+                                      sw.cert2, sw.cert1, sw.compression)
     ok, why = verify_switcher(swapped_certs)
     assert not ok
 
