@@ -3,11 +3,15 @@
 A is a list of equal-length rows, each a list or a 1-D array.  Both modes
 hand its nonzeros to scipy's HiGHS as a sparse matrix and return (status,
 vector), and both try HiGHS's interior point without crossover first: on a
-symmetric host it lands on the uniform weighting, whose few distinct values
-round exactly, where a simplex vertex can carry huge denominators.  When
-the interior point does not pass the check below, the dual-simplex vertex is
-the fallback.  Float mode's `feasible` x meets every row within a
-tolerance; its `infeasible` is HiGHS's claim, not a proof.  Rational mode
+symmetric system it lands on a point with few distinct values, which round
+exactly, where a simplex vertex can carry huge denominators.
+`solver.fractional_decompose` hands these functions the LP's quotient by the
+coarsest equitable partition of its matrix, which is 1 x 1 on an
+edge-transitive host, and checks the lifted answer on the full system with
+`_solves` and `_proves_infeasible`.  When the interior point does not pass
+the check below, the dual-simplex vertex is the fallback.  Float mode's
+`feasible` x meets every row within a tolerance; its `infeasible` is
+HiGHS's claim, not a proof.  Rational mode
 certifies over `Fraction` (Applegate, Cook, Dash and Espinoza, "Exact
 solutions to linear programming problems", Oper. Res. Lett. 2007): its x is
 the rationalised interior point, else the rationalised vertex, else the
@@ -84,7 +88,7 @@ def _rationalise(v) -> list[Fraction]:
 def _solves(entries, b, x) -> bool:
     """A x = b and x >= 0, exactly: over integers, with x scaled by the
     least common denominator d of its entries and b by d."""
-    if min(x) < 0:
+    if min(x, default=0) < 0:
         return False
     d = lcm(*{t.denominator for t in x})
     scaled = [t.numerator * (d // t.denominator) for t in x]
@@ -98,7 +102,8 @@ def _proves_infeasible(entries, n, b, y) -> bool:
     for row, yi in zip(entries, y):
         for j, a in row:
             load[j] += a * yi
-    return max(load) <= 0 and sum(bi * yi for bi, yi in zip(b, y)) > 0
+    return (max(load, default=0) <= 0
+            and sum(bi * yi for bi, yi in zip(b, y)) > 0)
 
 
 def _solve_support(entries, n, b, support) -> Optional[list[Fraction]]:

@@ -4,10 +4,12 @@ Each solve builds one copy table (`_copy_table`) over the deduplicated
 candidate copies: the edges in sorted order, an edge index per vertex, and
 one column per copy, the tuple of its image edges' indices.  Every consumer
 reads the columns: the exact-cover core, the lattice test and the fractional
-incidence.  Candidates are image tuples straight from the embedding kernel;
-an `EmbeddedCopy` is built only for a copy that a result hands out (the
-chosen columns of an exact or star cover, and every column of a fractional
-solution, whose weights are aligned with them).
+LP.  The LP is solved on its quotient by the coarsest equitable partition of
+the edge/copy incidence, found by colour refinement, and the lifted answer is
+checked on the full system.  Candidates are image tuples straight from the
+embedding kernel; an `EmbeddedCopy` is built only for a copy that a result
+hands out (the chosen columns of an exact or star cover, and every column of
+a fractional solution, whose weights are aligned with them).
 
 Both exact questions run on one iterative exact-cover core, `_exact_cover`,
 over integer items (edge indices): primary items are covered exactly once,
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional
@@ -44,9 +47,8 @@ from .errors import InputError
 from .graphs import (Decomposition, EmbeddedCopy, Graph, degree_gcd_of,
                      norm_edge)
 from .lattice import LatticeCertificate, lattice_refutation
-from .lp import (FEASIBLE, INDETERMINATE, solve_equalities_box_float,
-                 solve_equalities_nonneg)
-from .lp import INFEASIBLE  # noqa: F401  (re-exported with the other statuses)
+from .lp import (FEASIBLE, INDETERMINATE, INFEASIBLE, _proves_infeasible,
+                 _solves, solve_equalities_box_float, solve_equalities_nonneg)
 
 SAT = "sat"
 UNSAT_DIVISIBILITY = "unsat_divisibility"
@@ -120,6 +122,16 @@ def _copy_table(pattern: Graph, images: list, n: int,
                           for a, b in pattern.edges]))
 
 
+def _by_item(columns: list, n_items: int) -> list[list[int]]:
+    """The indices of the `columns` through each item `0..n_items-1`, in
+    column order."""
+    by_item: list[list[int]] = [[] for _ in range(n_items)]
+    for i, col in enumerate(columns):
+        for e in col:
+            by_item[e].append(i)
+    return by_item
+
+
 def _exact_cover(columns: list, n_items: int, primary,
                  deadline: Optional[float] = None,
                  refute=None) -> tuple[Optional[list[int]], int, bool]:
@@ -139,10 +151,7 @@ def _exact_cover(columns: list, n_items: int, primary,
     The clock (`deadline`, a `time.monotonic()` value) is read every 256
     nodes.  Returns (chosen column indices or None, nodes, deadline hit).
     """
-    by_item: list[list[int]] = [[] for _ in range(n_items)]
-    for i, col in enumerate(columns):
-        for e in col:
-            by_item[e].append(i)
+    by_item = _by_item(columns, n_items)
     # live-column count * n_items + item: `min` ranks by count, then item
     key = [len(js) * n_items + e for e, js in enumerate(by_item)]
     live = [True] * len(columns)
@@ -370,40 +379,119 @@ def _verify_by_walk(dec: Decomposition) -> tuple[bool, Optional[str]]:
     return True, None
 
 
+def _refine(classes: list[int], members: list,
+            member_classes: list[int]) -> tuple[list[int], int]:
+    """One colour-refinement step: each item's class from its old class and
+    the sorted classes of its `members`, numbered by first occurrence; and
+    the number of classes."""
+    ids: dict = {}
+    new = [ids.setdefault((c, tuple(sorted([member_classes[j] for j in js]))),
+                          len(ids))
+           for c, js in zip(classes, members)]
+    return new, len(ids)
+
+
+def _equitable_partition(columns: list, by_edge: list
+                         ) -> tuple[list[int], list[int]]:
+    """The coarsest equitable partition of the edge/copy incidence, by
+    colour refinement from one edge class and one copy class: (the class of
+    each edge, the class of each copy), numbered by first occurrence.
+
+    Equitable: the edges of a class each lie in the same number of copies of
+    each class, and the copies of a class each have the same number of edges
+    in each class.  A step that splits no class leaves the partition stable.
+    Once the edges are discrete so are the copies, whose edge sets differ.
+    """
+    n_edges, n_copies = len(by_edge), len(columns)
+    edge_class, copy_class = [0] * n_edges, [0] * n_copies
+    edge_count, copy_count = min(n_edges, 1), min(n_copies, 1)
+    while True:
+        edge_class, count = _refine(edge_class, by_edge, copy_class)
+        if count == n_edges:
+            return edge_class, list(range(n_copies))
+        if count == edge_count:
+            return edge_class, copy_class
+        edge_count = count
+        copy_class, count = _refine(copy_class, columns, edge_class)
+        if count == copy_count:
+            return edge_class, copy_class
+        copy_count = count
+
+
+def _quotient(edge_class: list[int], copy_class: list[int], by_edge: list):
+    """Q[R][C], the number of class-C copies through one edge of class R, as
+    an unsigned-int array with one row per edge class."""
+    import numpy as np
+    n_cols = max(copy_class, default=-1) + 1
+    first = {}
+    for e, r in enumerate(edge_class):
+        first.setdefault(r, e)
+    cells, counts = np.unique(np.array(
+        [r * n_cols + copy_class[c] for r, e in first.items()
+         for c in by_edge[e]], dtype=np.int64), return_counts=True)
+    q = np.zeros((len(first), n_cols),
+                 dtype=np.min_scalar_type(counts.max(initial=0)))
+    q.flat[cells] = counts
+    return q
+
+
 def fractional_decompose(pattern: Graph, host: Graph, mode: str = "rational",
                          tolerance: float = 1e-9) -> FractionalResult:
     """Solve the one-variable-per-copy, one-equation-per-edge feasibility LP.
 
-    Both modes try HiGHS's interior point first, which on an
-    edge-transitive host is the uniform weighting, and fall back to the
+    The LP is solved on its quotient by the coarsest equitable partition of
+    the edge/copy incidence (Grohe, Kersting, Mladenov and Selman,
+    "Dimension reduction via colour refinement", ESA 2014): one row per edge
+    class and one column per copy class, which on an edge-transitive host is
+    1 x 1, and on a host with no symmetry is the full LP.  It has a solution
+    iff the full LP has: a solution z lifts to x_c = z_C, and averaging a
+    solution over each class gives one of the quotient's.  A Farkas vector
+    lifts to y_e = y_R / |R|.  The lifted answer is checked on the full
+    system before it is returned, and one that fails gives `indeterminate`.
+
+    Both modes try HiGHS's interior point first and fall back to the
     dual-simplex vertex (see `lp`).  Rational mode answers with an exactly
-    checked certificate, the only judge of either point: weights, or a
-    Farkas vector in `farkas` (one `Fraction` per edge of `sorted(host.edges)`)
-    with `infeasible`; else `indeterminate`.  Float mode's weights meet every
-    edge within `tolerance`; its `infeasible` is HiGHS's claim, not a proof.
+    checked certificate: weights, or a Farkas vector in `farkas` (one
+    `Fraction` per edge of `sorted(host.edges)`) with `infeasible`; else
+    `indeterminate`.  Float mode's weights meet every edge within
+    `tolerance`; its `infeasible` is HiGHS's claim, not a proof.
     """
     if pattern.e < 1:
         raise InputError("pattern needs at least one edge")
     if mode not in ("rational", "float"):
         raise InputError(f"unknown mode {mode!r}")
-    import numpy as np
     cands = candidate_copies(pattern, host)
     edges = sorted(host.edges)
     _, columns = _copy_table(pattern, cands, host.n, edges)
-    incidence = np.zeros((len(edges), len(cands)), dtype=np.int8)
-    copy_rows = [i for col in columns for i in col]
-    incidence[copy_rows, np.repeat(np.arange(len(cands)), pattern.e)] = 1
-    rows = list(incidence)
-    if mode == "rational":
-        status, v = solve_equalities_nonneg(rows, [1] * len(edges))
-    else:
-        status, v = solve_equalities_box_float(rows, [1.0] * len(edges),
+    by_edge = _by_item(columns, len(edges))
+    edge_class, copy_class = _equitable_partition(columns, by_edge)
+    rows = list(_quotient(edge_class, copy_class, by_edge))
+    if mode == "float":
+        status, z = solve_equalities_box_float(rows, [1.0] * len(rows),
                                                tolerance)
-    if status == FEASIBLE:
-        copies = [EmbeddedCopy(pattern, img) for img in cands]
-        return FractionalResult(FEASIBLE,
-                                FractionalDecomposition(copies, v, mode))
-    return FractionalResult(status, farkas=v)
+        if status != FEASIBLE:
+            return FractionalResult(status)
+        x = [z[k] for k in copy_class]
+        if not all(abs(sum(x[c] for c in cs) - 1) <= tolerance
+                   for cs in by_edge):
+            return FractionalResult(INDETERMINATE)
+    else:
+        status, v = solve_equalities_nonneg(rows, [1] * len(rows))
+        if status == INDETERMINATE:
+            return FractionalResult(status)
+        entries = [[(c, 1) for c in cs] for cs in by_edge]
+        ones = [1] * len(edges)
+        if status == INFEASIBLE:
+            size = Counter(edge_class)
+            y = [v[r] / size[r] for r in edge_class]
+            if _proves_infeasible(entries, len(cands), ones, y):
+                return FractionalResult(INFEASIBLE, farkas=y)
+            return FractionalResult(INDETERMINATE)
+        x = [v[k] for k in copy_class]
+        if not _solves(entries, ones, x):
+            return FractionalResult(INDETERMINATE)
+    copies = [EmbeddedCopy(pattern, img) for img in cands]
+    return FractionalResult(FEASIBLE, FractionalDecomposition(copies, x, mode))
 
 
 @dataclass

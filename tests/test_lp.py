@@ -1,15 +1,16 @@
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import scipy.optimize
 
-from decomplab import lp
-from decomplab.graphs import Graph, complete_graph, cycle_graph
+from decomplab import lp, solver
+from decomplab.graphs import Graph, complete_graph, cycle_graph, path_graph
 from decomplab.lp import (FEASIBLE, INDETERMINATE, INFEASIBLE,
                           solve_equalities_box_float, solve_equalities_nonneg)
-from decomplab.solver import fractional_decompose
+from decomplab.solver import candidate_copies, fractional_decompose
 
 K3 = complete_graph(3)
 PATTERNS = [K3, cycle_graph(4), cycle_graph(5)]
@@ -110,6 +111,93 @@ def test_rational_and_float_agree_on_random_hosts():
     assert min(seen.values()) >= 20
 
 
+def _classes_agree(item_class, members, member_class) -> bool:
+    """Whether the items of a class each have the same number of members
+    in each class."""
+    counts = {(item_class[i],
+               tuple(sorted(Counter(member_class[j] for j in js).items())))
+              for i, js in enumerate(members)}
+    return len(counts) == len(set(item_class))
+
+
+def test_quotient_matches_the_full_lp_on_random_hosts():
+    # the oracle is lp on the full incidence, one 0/1 column per copy
+    rng = random.Random(26)
+    seen = {FEASIBLE: 0, INFEASIBLE: 0}
+    reduced = 0
+    for _ in range(120):
+        pattern = rng.choice(PATTERNS)
+        n = rng.randint(4, 8)
+        dens = rng.uniform(0.4, 0.95)
+        host = Graph(n, [e for e in combinations(range(n), 2)
+                         if rng.random() < dens])
+        edges = sorted(host.edges)
+        copies = sorted(_all_copies(pattern, host), key=sorted)
+        rows = [[int(e in es) for es in copies] for e in edges]
+        exact = fractional_decompose(pattern, host, mode="rational")
+        approx = fractional_decompose(pattern, host, mode="float")
+        assert exact.status == solve_equalities_nonneg(rows, [1] * host.e)[0]
+        assert approx.status == solve_equalities_box_float(
+            rows, [1.0] * host.e)[0]
+        seen[exact.status] += 1
+        if exact.status == FEASIBLE:
+            load = _exact_loads(pattern, exact.solution)
+            assert load == {e: 1 for e in host.edges}
+        else:
+            assert _farkas_holds(pattern, host, exact.farkas)
+        # the partition is equitable both ways
+        _, columns = solver._copy_table(
+            pattern, candidate_copies(pattern, host), n, edges)
+        edge_class, copy_class = solver._equitable_partition(
+            columns, solver._by_item(columns, len(edges)))
+        through = [[c for c, col in enumerate(columns) if e in col]
+                   for e in range(len(edges))]
+        assert _classes_agree(edge_class, through, copy_class)
+        assert _classes_agree(copy_class, columns, edge_class)
+        reduced += len(set(copy_class)) < len(columns)
+    assert min(seen.values()) >= 20 and reduced >= 20
+
+
+def test_hosts_without_edges_or_copies():
+    single_edge = Graph(2, [(0, 1)])
+    for mode in ("rational", "float"):
+        for host in (Graph(0, []), Graph(5, [])):
+            res = fractional_decompose(K3, host, mode=mode)
+            assert res.status == FEASIBLE
+            assert res.solution.copies == [] and res.solution.weights == []
+        # no candidate copies: K4 on K3, and P3 on a single edge
+        for pattern, host in ((complete_graph(4), K3),
+                              (path_graph(2), single_edge)):
+            res = fractional_decompose(pattern, host, mode=mode)
+            assert res.status == INFEASIBLE and res.solution is None
+            if mode == "rational":
+                assert _farkas_holds(pattern, host, res.farkas)
+
+
+def _two_halves(n, d):
+    """Two halves of n/2 vertices, every cross edge, and a d-regular
+    circulant with offsets 1..d/2 inside each half."""
+    h = n // 2
+    return Graph(n, [(u, h + v) for u in range(h) for v in range(h)]
+                 + [(s + i, s + (i + k) % h) for s in (0, h)
+                    for i in range(h) for k in range(1, d // 2 + 1)])
+
+
+def test_two_halves_statuses():
+    for n, d, want in ((24, 4, INFEASIBLE), (48, 10, INFEASIBLE),
+                       (48, 12, FEASIBLE)):
+        host = _two_halves(n, d)
+        assert host.e == n * n // 4 + n * d // 2
+        approx = fractional_decompose(K3, host, mode="float")
+        exact = fractional_decompose(K3, host, mode="rational")
+        assert exact.status == approx.status == want
+        if want == FEASIBLE:
+            load = _exact_loads(K3, exact.solution)
+            assert load == {e: 1 for e in host.edges}
+        else:
+            assert _farkas_holds(K3, host, exact.farkas)
+
+
 def _methods(monkeypatch):
     """The HiGHS methods of every linprog call from here on, in order."""
     called, linprog = [], scipy.optimize.linprog
@@ -144,9 +232,18 @@ def test_failed_interior_point_leaves_the_vertex_path(monkeypatch):
 
     monkeypatch.setattr(lp, "_solve_support", spy)
     called = _methods(monkeypatch)
+    # K16's quotient is 1 x 1, so its full incidence goes to lp directly
+    k16 = complete_graph(16)
+    triangles = sorted(_all_copies(K3, k16), key=sorted)
+    rows = [[int(e in t) for t in triangles] for e in sorted(k16.edges)]
+    exact = solve_equalities_nonneg(rows, [1] * len(rows))
+    approx = solve_equalities_box_float(rows, [1.0] * len(rows))
+    assert exact[0] == approx[0] == FEASIBLE
+    x = exact[1]
+    assert min(x) >= 0
+    assert all(sum(a * t for a, t in zip(row, x)) == 1 for row in rows)
     k4e = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    for pattern, host in ((K3, complete_graph(16)), (cycle_graph(4), k4e),
-                          (K3, k4e)):
+    for pattern, host in ((cycle_graph(4), k4e), (K3, k4e)):
         exact = fractional_decompose(pattern, host, mode="rational")
         approx = fractional_decompose(pattern, host, mode="float")
         assert exact.status == approx.status
