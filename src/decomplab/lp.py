@@ -8,19 +8,23 @@ exactly, where a simplex vertex can carry huge denominators.
 `solver.fractional_decompose` hands these functions the LP's quotient by the
 coarsest equitable partition of its matrix, which is 1 x 1 on an
 edge-transitive host, and checks the lifted answer on the full system with
-`_solves` and `_proves_infeasible`.  When the interior point does not pass
-the check below, the dual-simplex vertex is the fallback.  Float mode's
-`feasible` x meets every row within a tolerance; its `infeasible` is
-HiGHS's claim, not a proof.  Rational mode
+`_solves` and `_proves_infeasible`.  A system with one column has one
+candidate, x = b_i / a_i at the first row with a nonzero, and it is returned
+with no HiGHS call once it passes its mode's check below; on an
+edge-transitive host that answers the whole LP.  Otherwise HiGHS decides,
+and when the interior point does not pass the check the dual-simplex vertex
+is the fallback.  Float mode's `feasible` x meets every row within a
+tolerance; its `infeasible` is HiGHS's claim, not a proof.  Rational mode
 certifies over `Fraction` (Applegate, Cook, Dash and Espinoza, "Exact
 solutions to linear programming problems", Oper. Res. Lett. 2007): its x is
-the rationalised interior point, else the rationalised vertex, else the
-exact solution on the vertex's support columns, which are independent, and
-is returned only once A x = b and x >= 0 hold exactly; its `infeasible`
-comes with a rationalised Farkas vector y that satisfies yᵀA <= 0 and
-yᵀb > 0 exactly, a proof that no x exists.  There the exact checks are the
-only judge, and HiGHS's statuses only choose which candidate to check next;
-when no check passes the status is `indeterminate`.
+the one-column division, else the rationalised interior point, else the
+rationalised vertex, else the exact solution on the vertex's support
+columns, which are independent, and is returned only once A x = b and
+x >= 0 hold exactly; its `infeasible` comes with a rationalised Farkas
+vector y that satisfies yᵀA <= 0 and yᵀb > 0 exactly, a proof that no x
+exists.  There the exact checks are the only judge, and HiGHS's statuses
+only choose which candidate to check next; when no check passes the status
+is `indeterminate`.
 """
 
 from __future__ import annotations
@@ -97,13 +101,18 @@ def _solves(entries, b, x) -> bool:
 
 
 def _proves_infeasible(entries, n, b, y) -> bool:
-    """yᵀA <= 0 and yᵀb > 0, exactly (Farkas' lemma)."""
+    """yᵀA <= 0 and yᵀb > 0, exactly (Farkas' lemma): over integers, with y
+    scaled by the least common denominator of its entries, which keeps
+    every sign; rows where y is zero are skipped."""
+    d = lcm(*{t.denominator for t in y})
+    scaled = [(i, t.numerator * (d // t.denominator))
+              for i, t in enumerate(y) if t]
     load = [0] * n
-    for row, yi in zip(entries, y):
-        for j, a in row:
+    for i, yi in scaled:
+        for j, a in entries[i]:
             load[j] += a * yi
     return (max(load, default=0) <= 0
-            and sum(bi * yi for bi, yi in zip(b, y)) > 0)
+            and sum(b[i] * yi for i, yi in scaled) > 0)
 
 
 def _solve_support(entries, n, b, support) -> Optional[list[Fraction]]:
@@ -147,6 +156,12 @@ def solve_equalities_nonneg(rows, rhs) -> tuple[str, Optional[list[Fraction]]]:
         y = [Fraction((t > 0) - (t < 0)) for t in b]
         return (INFEASIBLE, y) if any(y) else (FEASIBLE, [])
     A, entries = _sparse(rows, n, exact=True)
+    if n == 1:
+        # one unknown: the first row with a nonzero fixes it
+        x = next(([bi / row[0][1]] for row, bi in zip(entries, b) if row),
+                 None)
+        if x is not None and _solves(entries, b, x):
+            return FEASIBLE, x
     bf = np.array(b, dtype=float)
     status, x = _interior(A, bf, None)
     if status == 0:
@@ -209,6 +224,12 @@ def solve_equalities_box_float(rows, rhs, tolerance: float = 1e-9
         x = np.clip(x, 0.0, 1.0)
         return x if np.abs(A @ x - b).max() <= tolerance else None
 
+    if n == 1 and A.nnz:
+        # one unknown: the first row with a nonzero fixes it
+        i = np.flatnonzero(np.diff(A.indptr))[0]
+        x = within(np.array([b[i] / A.data[0]]))
+        if x is not None:
+            return FEASIBLE, x.tolist()
     status, x = _interior(A, b, 1)
     x = within(x) if status == 0 else None
     # an interior-point `infeasible` is HiGHS's word, as the vertex's is

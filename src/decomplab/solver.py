@@ -449,12 +449,14 @@ def fractional_decompose(pattern: Graph, host: Graph, mode: str = "rational",
     lifts to y_e = y_R / |R|.  The lifted answer is checked on the full
     system before it is returned, and one that fails gives `indeterminate`.
 
-    Both modes try HiGHS's interior point first and fall back to the
-    dual-simplex vertex (see `lp`).  Rational mode answers with an exactly
-    checked certificate: weights, or a Farkas vector in `farkas` (one
-    `Fraction` per edge of `sorted(host.edges)`) with `infeasible`; else
-    `indeterminate`.  Float mode's weights meet every edge within
-    `tolerance`; its `infeasible` is HiGHS's claim, not a proof.
+    A feasible one-column quotient, as on an edge-transitive host, is
+    answered by one division with no HiGHS call; otherwise both modes try
+    HiGHS's interior point first and fall back to the dual-simplex vertex
+    (see `lp`).  Rational mode answers with an exactly checked certificate:
+    weights, or a Farkas vector in `farkas` (one `Fraction` per edge of
+    `sorted(host.edges)`) with `infeasible`; else `indeterminate`.  Float
+    mode's weights meet every edge within `tolerance`; its `infeasible` is
+    HiGHS's claim, not a proof.
     """
     if pattern.e < 1:
         raise InputError("pattern needs at least one edge")

@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations
 
+import numpy as np
 import scipy.optimize
 
 from decomplab import lp, solver
@@ -38,6 +39,22 @@ def _exact_loads(pattern, sol):
             e = _norm(c.image[u], c.image[v])
             load[e] = load.get(e, 0) + w
     return load
+
+
+def _incidence(pattern, host):
+    """The full LP's rows: one 0/1 row per edge of sorted(host.edges), one
+    column per copy, for calling lp without the quotient."""
+    at = {e: i for i, e in enumerate(sorted(host.edges))}
+    copies = sorted(_all_copies(pattern, host), key=sorted)
+    a = np.zeros((host.e, len(copies)), dtype=np.int8)
+    for c, es in enumerate(copies):
+        a[[at[e] for e in es], c] = 1
+    return list(a)
+
+
+def _exact_row_loads(rows, x):
+    """A x over Fraction, for 0/1 rows."""
+    return [sum(x[j] for j in np.flatnonzero(row).tolist()) for row in rows]
 
 
 def _farkas_holds(pattern, host, y):
@@ -78,16 +95,32 @@ def test_float_k25_feasible():
     assert max(abs(t - 1.0) for t in load.values()) <= 1e-9
 
 
+def _supports(monkeypatch):
+    """The support of every `_solve_support` call from here on."""
+    solve_support, supports = lp._solve_support, []
+
+    def spy(entries, n, b, support):
+        supports.append(support)
+        return solve_support(entries, n, b, support)
+
+    monkeypatch.setattr(lp, "_solve_support", spy)
+    return supports
+
+
 def test_support_elimination_when_rounding_fails(monkeypatch):
     # with denominators capped at 1 the rounded vertex fails the exact check,
-    # so the weights must come from elimination on the vertex's support
+    # so the weights must come from elimination on the vertex's support.
+    # Both quotients are 1 x 1, which a division answers, so the full
+    # incidence goes to lp directly
     monkeypatch.setattr(lp, "_DENOMINATOR", 1)
+    supports = _supports(monkeypatch)
     for n, pattern in ((9, K3), (7, cycle_graph(4))):
-        host = complete_graph(n)
-        res = fractional_decompose(pattern, host, mode="rational")
-        assert res.status == FEASIBLE
-        assert any(w.denominator > 1 for w in res.solution.weights)
-        assert _exact_loads(pattern, res.solution) == {e: 1 for e in host.edges}
+        rows = _incidence(pattern, complete_graph(n))
+        status, x = solve_equalities_nonneg(rows, [1] * len(rows))
+        assert status == FEASIBLE
+        assert any(w.denominator > 1 for w in x)
+        assert min(x) >= 0 and _exact_row_loads(rows, x) == [1] * len(rows)
+    assert len(supports) == 2
 
 
 def test_rational_and_float_agree_on_random_hosts():
@@ -132,8 +165,7 @@ def test_quotient_matches_the_full_lp_on_random_hosts():
         host = Graph(n, [e for e in combinations(range(n), 2)
                          if rng.random() < dens])
         edges = sorted(host.edges)
-        copies = sorted(_all_copies(pattern, host), key=sorted)
-        rows = [[int(e in es) for es in copies] for e in edges]
+        rows = _incidence(pattern, host)
         exact = fractional_decompose(pattern, host, mode="rational")
         approx = fractional_decompose(pattern, host, mode="float")
         assert exact.status == solve_equalities_nonneg(rows, [1] * host.e)[0]
@@ -212,36 +244,30 @@ def _methods(monkeypatch):
 
 def test_rational_k34_interior_point_is_uniform(monkeypatch):
     # the vertex's denominators reach 10**41 here; the interior point
-    # without crossover is the uniform weighting, which rounds exactly
+    # without crossover is the uniform weighting, which rounds exactly.
+    # K34's quotient is 1 x 1, which a division answers, so its full
+    # incidence goes to lp directly
+    rows = _incidence(K3, complete_graph(34))
     called = _methods(monkeypatch)
-    host = complete_graph(34)
-    res = fractional_decompose(K3, host, mode="rational")
-    assert res.status == FEASIBLE and called == ["highs-ipm"]
-    assert len(res.solution.copies) == 5984
-    assert set(res.solution.weights) == {Fraction(1, 32)}
+    status, x = solve_equalities_nonneg(rows, [1] * len(rows))
+    assert status == FEASIBLE and called == ["highs-ipm"]
+    assert len(x) == 5984
+    assert set(x) == {Fraction(1, 32)}
 
 
 def test_failed_interior_point_leaves_the_vertex_path(monkeypatch):
     # status 4: HiGHS reports numerical difficulties
     monkeypatch.setattr(lp, "_interior", lambda A, b, upper: (4, None))
-    solve_support, supports = lp._solve_support, []
-
-    def spy(entries, n, b, support):
-        supports.append(support)
-        return solve_support(entries, n, b, support)
-
-    monkeypatch.setattr(lp, "_solve_support", spy)
+    supports = _supports(monkeypatch)
     called = _methods(monkeypatch)
     # K16's quotient is 1 x 1, so its full incidence goes to lp directly
-    k16 = complete_graph(16)
-    triangles = sorted(_all_copies(K3, k16), key=sorted)
-    rows = [[int(e in t) for t in triangles] for e in sorted(k16.edges)]
+    rows = _incidence(K3, complete_graph(16))
     exact = solve_equalities_nonneg(rows, [1] * len(rows))
     approx = solve_equalities_box_float(rows, [1.0] * len(rows))
     assert exact[0] == approx[0] == FEASIBLE
     x = exact[1]
     assert min(x) >= 0
-    assert all(sum(a * t for a, t in zip(row, x)) == 1 for row in rows)
+    assert _exact_row_loads(rows, x) == [1] * len(rows)
     k4e = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
     for pattern, host in ((cycle_graph(4), k4e), (K3, k4e)):
         exact = fractional_decompose(pattern, host, mode="rational")
@@ -266,14 +292,13 @@ def test_float_interior_point_outside_tolerance_falls_back(monkeypatch):
 
     monkeypatch.setattr(lp, "_interior", off_by_1e6)
     called = _methods(monkeypatch)
-    host = complete_graph(19)
-    res = fractional_decompose(K3, host, mode="float")
-    assert res.status == FEASIBLE and called == ["highs-ipm", "highs-ds"]
-    load = {e: 0.0 for e in host.edges}
-    for c, w in zip(res.solution.copies, res.solution.weights):
-        for e in c.edge_image():
-            load[e] += w
-    assert max(abs(t - 1.0) for t in load.values()) <= 1e-9
+    # K19's quotient is 1 x 1, which a division answers, so its full
+    # incidence goes to lp directly
+    rows = _incidence(K3, complete_graph(19))
+    status, x = solve_equalities_box_float(rows, [1.0] * len(rows))
+    assert status == FEASIBLE and called == ["highs-ipm", "highs-ds"]
+    load = np.array(rows) @ np.array(x)
+    assert max(abs(t - 1.0) for t in load) <= 1e-9
 
 
 def test_fractional_decompose_warns_nothing():
@@ -300,3 +325,82 @@ def test_general_rows_and_rhs():
         INFEASIBLE, [Fraction(0), Fraction(-1)])
     assert solve_equalities_box_float([[1.0]], [1.0]) == (FEASIBLE, [1.0])
     assert solve_equalities_box_float([[1.0]], [2.0]) == (INFEASIBLE, None)
+
+
+def test_one_column_quotients_make_no_linprog_call(monkeypatch):
+    # each host is edge-transitive, so its quotient has one unknown, which
+    # a division decides: no HiGHS call in either mode
+    k55 = Graph(10, [(u, 5 + v) for u in range(5) for v in range(5)])
+    called = _methods(monkeypatch)
+    for pattern, host, q in ((K3, complete_graph(7), 5),
+                             (K3, complete_graph(25), 23),
+                             (cycle_graph(4), k55, 16)):
+        exact = fractional_decompose(pattern, host, mode="rational")
+        approx = fractional_decompose(pattern, host, mode="float")
+        assert exact.status == approx.status == FEASIBLE
+        assert set(exact.solution.weights) == {Fraction(1, q)}
+        assert set(approx.solution.weights) == {1 / q}
+        assert _exact_loads(pattern, exact.solution) == {
+            e: 1 for e in host.edges}
+    assert called == []
+
+
+def _farkas_checks(rows, b, y):
+    """yᵀA <= 0 and yᵀb > 0, by hand over Fraction."""
+    return (all(sum(yi * row[j] for yi, row in zip(y, rows)) <= 0
+                for j in range(len(rows[0])))
+            and sum(yi * bi for yi, bi in zip(y, b)) > 0)
+
+
+def test_one_column_systems(monkeypatch):
+    called = _methods(monkeypatch)
+    # consistent rows with x = 1/2, and with x = 0: answered by division
+    for rows, b, want in (
+            ([[2], [0], [Fraction(1, 2)], [3]],
+             [1, 0, Fraction(1, 4), Fraction(3, 2)], Fraction(1, 2)),
+            ([[1], [2]], [0, 0], Fraction(0))):
+        assert solve_equalities_nonneg(rows, b) == (FEASIBLE, [want])
+        assert solve_equalities_box_float(
+            [[float(a) for a in row] for row in rows],
+            [float(t) for t in b]) == (FEASIBLE, [float(want)])
+    assert called == []
+    # x < 0, rows that disagree, and a zero column with b != 0 go to HiGHS,
+    # and rational mode proves each infeasible
+    for rows, b in (([[1], [2]], [-1, -2]),
+                    ([[1], [1]], [1, 2]),
+                    ([[0], [0]], [0, 1])):
+        status, y = solve_equalities_nonneg(rows, b)
+        assert status == INFEASIBLE and _farkas_checks(rows, b, y)
+        assert solve_equalities_box_float(rows, [float(t) for t in b]) == (
+            INFEASIBLE, None)
+    assert called
+    # x = 2 solves the rows, but float mode's box is [0, 1]
+    assert solve_equalities_nonneg([[1], [2]], [2, 4]) == (
+        FEASIBLE, [Fraction(2)])
+    assert solve_equalities_box_float([[1.0], [2.0]], [2.0, 4.0]) == (
+        INFEASIBLE, None)
+
+
+def test_proves_infeasible_over_fraction_coefficients():
+    # -x0/2 - 3x1/2 = 0 forces x = 0, and then x0/3 + x1 = 1 fails
+    rows = [[Fraction(1, 3), 1], [Fraction(-1, 2), Fraction(-3, 2)]]
+    b = [Fraction(1), Fraction(0)]
+    entries = [list(enumerate(row)) for row in rows]
+    y = [Fraction(3), Fraction(2)]   # yᵀA = 0 and yᵀb = 3
+    assert lp._proves_infeasible(entries, 2, b, y)
+    assert _farkas_checks(rows, b, y)
+    # the smallest failures: yᵀA[0] = 1/(2 * 10**6) > 0, and yᵀb = 0
+    for y in ([Fraction(3), 2 - Fraction(1, 10 ** 6)],
+              [Fraction(0), Fraction(1)]):
+        assert not lp._proves_infeasible(entries, 2, b, y)
+        assert not _farkas_checks(rows, b, y)
+    # it agrees with the check by hand on random signs and denominators
+    rng = random.Random(27)
+    for _ in range(200):
+        rows = [[Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                 for _ in range(3)] for _ in range(3)]
+        b = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in rows]
+        y = [Fraction(rng.randint(-2, 2), rng.randint(1, 5)) for _ in rows]
+        entries = [[(j, a) for j, a in enumerate(row) if a] for row in rows]
+        assert lp._proves_infeasible(entries, 3, b, y) == _farkas_checks(
+            rows, b, y)
