@@ -2,29 +2,29 @@
 
 A is a list of equal-length rows, each a list or a 1-D array.  Both modes
 hand its nonzeros to scipy's HiGHS as a sparse matrix and return (status,
-vector), and both try HiGHS's interior point without crossover first: on a
-symmetric system it lands on a point with few distinct values, which round
-exactly, where a simplex vertex can carry huge denominators.
-`solver.fractional_decompose` hands these functions the LP's quotient by the
-coarsest equitable partition of its matrix, which is 1 x 1 on an
-edge-transitive host, and checks the lifted answer on the full system with
-`_solves` and `_proves_infeasible`.  A system with one column has one
+vector).  `solver.fractional_decompose` hands these functions the LP's
+quotient by the coarsest equitable partition of its matrix, which is 1 x 1
+on an edge-transitive host, and checks the lifted answer on the full system
+with `_solves` and `_proves_infeasible`.  A system with one column has one
 candidate, x = b_i / a_i at the first row with a nonzero, and it is returned
 with no HiGHS call once it passes its mode's check below; on an
-edge-transitive host that answers the whole LP.  Otherwise HiGHS decides,
-and when the interior point does not pass the check the dual-simplex vertex
-is the fallback.  Float mode's `feasible` x meets every row within a
-tolerance; its `infeasible` is HiGHS's claim, not a proof.  Rational mode
-certifies over `Fraction` (Applegate, Cook, Dash and Espinoza, "Exact
-solutions to linear programming problems", Oper. Res. Lett. 2007): its x is
-the one-column division, else the rationalised interior point, else the
-rationalised vertex, else the exact solution on the vertex's support
+edge-transitive host that answers the whole LP.
+
+Float mode tries HiGHS's interior point without crossover first, which on a
+symmetric system lands on a point with few distinct values, and falls back
+to the dual-simplex vertex; its `feasible` x meets every row within a
+tolerance, and its `infeasible` is HiGHS's claim, not a proof.
+
+Rational mode certifies over `Fraction` (Applegate, Cook, Dash and
+Espinoza, "Exact solutions to linear programming problems", Oper. Res.
+Lett. 2007): its x is the one-column division, else HiGHS's dual-simplex
+vertex rationalised, else the exact solution on the vertex's support
 columns, which are independent, and is returned only once A x = b and
-x >= 0 hold exactly; its `infeasible` comes with a rationalised Farkas
-vector y that satisfies yᵀA <= 0 and yᵀb > 0 exactly, a proof that no x
-exists.  There the exact checks are the only judge, and HiGHS's statuses
-only choose which candidate to check next; when no check passes the status
-is `indeterminate`.
+x >= 0 hold exactly.  With no vertex, its `infeasible` comes with a
+rationalised Farkas vector y that satisfies yᵀA <= 0 and yᵀb > 0 exactly, a
+proof that no x exists.  The exact checks are the only judge, and HiGHS's
+statuses only choose which candidate to check next; when no check passes
+the status is `indeterminate`.
 """
 
 from __future__ import annotations
@@ -61,9 +61,9 @@ def _sparse(rows, n, exact: bool):
     return A, [pairs[s:t] for s, t in zip(cuts, cuts[1:])]
 
 
-def _interior(A, b, upper):
-    """HiGHS's interior point without crossover on A x = b, 0 <= x <= upper
-    (None: no upper bound): linprog's (status, x)."""
+def _interior(A, b):
+    """HiGHS's interior point without crossover on A x = b, 0 <= x <= 1:
+    linprog's (status, x)."""
     import re
     import warnings
     import numpy as np
@@ -74,7 +74,7 @@ def _interior(A, b, upper):
             "Unrecognized options detected: {'run_crossover': 'off'}"),
             OptimizeWarning)
         res = linprog(np.zeros(A.shape[1]), A_eq=A, b_eq=b,
-                      bounds=(0, upper), method="highs-ipm",
+                      bounds=(0, 1), method="highs-ipm",
                       options={"run_crossover": "off"})
     return res.status, res.x
 
@@ -148,7 +148,6 @@ def solve_equalities_nonneg(rows, rhs) -> tuple[str, Optional[list[Fraction]]]:
     """Decide x >= 0 with A x = b exactly: (`feasible`, x), (`infeasible`,
     y) with a checked Farkas vector, one entry per row, or
     (`indeterminate`, None)."""
-    import numpy as np
     b = [Fraction(t) for t in rhs]
     n = len(rows[0]) if rows else 0
     if n == 0:
@@ -162,49 +161,27 @@ def solve_equalities_nonneg(rows, rhs) -> tuple[str, Optional[list[Fraction]]]:
                  None)
         if x is not None and _solves(entries, b, x):
             return FEASIBLE, x
-    bf = np.array(b, dtype=float)
-    status, x = _interior(A, bf, None)
-    if status == 0:
-        x = _rationalise(x)
-        if _solves(entries, b, x):
-            return FEASIBLE, x
-    # HiGHS's claim that no x exists sends the search to a proof first
-    y = _farkas(A, entries, n, b, bf) if status == 2 else None
-    if y is not None:
-        return INFEASIBLE, y
-    return _by_vertex(A, entries, n, b, bf)
-
-
-def _by_vertex(A, entries, n, b, bf) -> tuple[str, Optional[list[Fraction]]]:
-    """`solve_equalities_nonneg` from HiGHS's dual-simplex vertex: rounded,
-    else solved exactly on its support; with no vertex, the Farkas LP."""
     import numpy as np
     from scipy.optimize import linprog
+    bf = np.array(b, dtype=float)
     res = linprog(np.zeros(n), A_eq=A, b_eq=bf, bounds=(0, None),
                   method="highs-ds")
-    if res.status != 0:
-        y = _farkas(A, entries, n, b, bf)
-        return (INFEASIBLE, y) if y is not None else (INDETERMINATE, None)
-    x = _rationalise(res.x)
-    if not _solves(entries, b, x):
-        support = set(np.flatnonzero(res.x > _ZERO).tolist())
-        x = _solve_support(entries, n, b, support)
-        if x is None or not _solves(entries, b, x):
-            return INDETERMINATE, None
-    return FEASIBLE, x
-
-
-def _farkas(A, entries, n, b, bf) -> Optional[list[Fraction]]:
-    """A rationalised y that `_proves_infeasible`, or None.  The LP
-    maximises bᵀy subject to Aᵀy <= 0 in the box -1 <= y <= 1."""
-    import numpy as np
-    from scipy.optimize import linprog
+    if res.status == 0:
+        x = _rationalise(res.x)
+        if not _solves(entries, b, x):
+            support = set(np.flatnonzero(res.x > _ZERO).tolist())
+            x = _solve_support(entries, n, b, support)
+            if x is None or not _solves(entries, b, x):
+                return INDETERMINATE, None
+        return FEASIBLE, x
+    # no vertex: maximise bᵀy subject to Aᵀy <= 0 in the box -1 <= y <= 1
     res = linprog(-bf, A_ub=A.T, b_ub=np.zeros(n), bounds=(-1, 1),
                   method="highs-ds")
-    if res.status != 0:
-        return None
-    y = _rationalise(res.x)
-    return y if _proves_infeasible(entries, n, b, y) else None
+    if res.status == 0:
+        y = _rationalise(res.x)
+        if _proves_infeasible(entries, n, b, y):
+            return INFEASIBLE, y
+    return INDETERMINATE, None
 
 
 def solve_equalities_box_float(rows, rhs, tolerance: float = 1e-9
@@ -230,7 +207,7 @@ def solve_equalities_box_float(rows, rhs, tolerance: float = 1e-9
         x = within(np.array([b[i] / A.data[0]]))
         if x is not None:
             return FEASIBLE, x.tolist()
-    status, x = _interior(A, b, 1)
+    status, x = _interior(A, b)
     x = within(x) if status == 0 else None
     # an interior-point `infeasible` is HiGHS's word, as the vertex's is
     if x is None and status != 2:

@@ -74,7 +74,6 @@ class SolveResult:
 class FractionalDecomposition:
     copies: list
     weights: list
-    mode: str
 
 
 @dataclass
@@ -450,10 +449,12 @@ def fractional_decompose(pattern: Graph, host: Graph, mode: str = "rational",
     system before it is returned, and one that fails gives `indeterminate`.
 
     A feasible one-column quotient, as on an edge-transitive host, is
-    answered by one division with no HiGHS call; otherwise both modes try
-    HiGHS's interior point first and fall back to the dual-simplex vertex
-    (see `lp`).  Rational mode answers with an exactly checked certificate:
-    weights, or a Farkas vector in `farkas` (one `Fraction` per edge of
+    answered by one division with no HiGHS call.  Otherwise rational mode
+    checks HiGHS's dual-simplex vertex, and float mode tries HiGHS's
+    interior point first and falls back to that vertex (see `lp`).
+
+    Rational mode answers with an exactly checked certificate: weights, or
+    a Farkas vector in `farkas` (one `Fraction` per edge of
     `sorted(host.edges)`) with `infeasible`; else `indeterminate`.  Float
     mode's weights meet every edge within `tolerance`; its `infeasible` is
     HiGHS's claim, not a proof.
@@ -493,7 +494,7 @@ def fractional_decompose(pattern: Graph, host: Graph, mode: str = "rational",
         if not _solves(entries, ones, x):
             return FractionalResult(INDETERMINATE)
     copies = [EmbeddedCopy(pattern, img) for img in cands]
-    return FractionalResult(FEASIBLE, FractionalDecomposition(copies, x, mode))
+    return FractionalResult(FEASIBLE, FractionalDecomposition(copies, x))
 
 
 @dataclass

@@ -242,22 +242,33 @@ def _methods(monkeypatch):
     return called
 
 
-def test_rational_k34_interior_point_is_uniform(monkeypatch):
-    # the vertex's denominators reach 10**41 here; the interior point
-    # without crossover is the uniform weighting, which rounds exactly.
-    # K34's quotient is 1 x 1, which a division answers, so its full
-    # incidence goes to lp directly
-    rows = _incidence(K3, complete_graph(34))
+def test_rational_mode_calls_only_the_dual_simplex(monkeypatch):
+    # two-halves (48, 12) and (24, 4) have multi-column quotients; K25 less
+    # the first 30% of a greedy triangle packing has little symmetry, and
+    # its vertex does not round, so its weights come from the support solve
+    supports = _supports(monkeypatch)
     called = _methods(monkeypatch)
-    status, x = solve_equalities_nonneg(rows, [1] * len(rows))
-    assert status == FEASIBLE and called == ["highs-ipm"]
-    assert len(x) == 5984
-    assert set(x) == {Fraction(1, 32)}
+    copies = solver.greedy_decompose(K3, complete_graph(25), seed=1).copies
+    drop = set().union(*(c.edge_image()
+                         for c in copies[:len(copies) * 3 // 10]))
+    k25 = Graph(25, [e for e in combinations(range(25), 2) if e not in drop])
+    assert (k25.e, len(candidate_copies(K3, k25))) == (219, 1029)
+    for host, want in ((_two_halves(48, 12), FEASIBLE),
+                       (_two_halves(24, 4), INFEASIBLE), (k25, FEASIBLE)):
+        res = fractional_decompose(K3, host, mode="rational")
+        assert res.status == want
+        if want == FEASIBLE:
+            assert _exact_loads(K3, res.solution) == {
+                e: 1 for e in host.edges}
+        else:
+            assert _farkas_holds(K3, host, res.farkas)
+    assert called and set(called) == {"highs-ds"}
+    assert supports
 
 
 def test_failed_interior_point_leaves_the_vertex_path(monkeypatch):
     # status 4: HiGHS reports numerical difficulties
-    monkeypatch.setattr(lp, "_interior", lambda A, b, upper: (4, None))
+    monkeypatch.setattr(lp, "_interior", lambda A, b: (4, None))
     supports = _supports(monkeypatch)
     called = _methods(monkeypatch)
     # K16's quotient is 1 x 1, so its full incidence goes to lp directly
@@ -286,8 +297,8 @@ def test_failed_interior_point_leaves_the_vertex_path(monkeypatch):
 def test_float_interior_point_outside_tolerance_falls_back(monkeypatch):
     interior = lp._interior
 
-    def off_by_1e6(A, b, upper):
-        status, x = interior(A, b, upper)
+    def off_by_1e6(A, b):
+        status, x = interior(A, b)
         return status, x + 1e-6
 
     monkeypatch.setattr(lp, "_interior", off_by_1e6)
@@ -334,6 +345,7 @@ def test_one_column_quotients_make_no_linprog_call(monkeypatch):
     called = _methods(monkeypatch)
     for pattern, host, q in ((K3, complete_graph(7), 5),
                              (K3, complete_graph(25), 23),
+                             (K3, complete_graph(34), 32),
                              (cycle_graph(4), k55, 16)):
         exact = fractional_decompose(pattern, host, mode="rational")
         approx = fractional_decompose(pattern, host, mode="float")
