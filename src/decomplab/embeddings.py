@@ -16,7 +16,9 @@ images minus the mask of used ranks, drawn lowest bit first; so images come
 in host order, lexicographically in their ranks along the placement order.
 The steps before the last keep their masks on a stack; the last step's mask
 is drawn in one tight loop that appends an image per bit, so a leaf costs a
-bit extraction and a tuple, not a round of the stack loop.
+bit extraction and a tuple, not a round of the stack loop.  With no `limit`
+that loop has no count to keep, so it runs without one; with a `limit` it
+counts down the images left and stops at zero.
 
 Plans.  What the kernel needs of the pattern for one set of pinned vertices
 (the placement order, each step's neighbours placed before it, the pattern
@@ -238,6 +240,7 @@ def _search(pattern: Graph, masks, pins: dict,
     # step is placed, the last step's mask is drawn in one loop; its image
     # stays set after the loop, as no step's candidates read it.
     images = []
+    append = images.append
     last = len(seq) - 1
     p_last = seq[last]
     stack: list[int] = []
@@ -249,17 +252,23 @@ def _search(pattern: Graph, masks, pins: dict,
         if after and after[d]:
             lo = max(map(image.__getitem__, after[d])) + 1
             m = m >> lo << lo
-        if d == last:
+        if d != last:
+            stack.append(m)
+        elif limit is None:
             while m:
                 low = m & -m
                 m ^= low
                 image[p_last] = low.bit_length() - 1
-                images.append(tuple(image))
+                append(tuple(image))
+        else:
+            while m:
+                low = m & -m
+                m ^= low
+                image[p_last] = low.bit_length() - 1
+                append(tuple(image))
                 room -= 1
                 if not room:
                     return images
-        else:
-            stack.append(m)
         # advance the deepest step that has a candidate left
         while stack:
             d = len(stack) - 1

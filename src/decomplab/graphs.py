@@ -364,17 +364,27 @@ class GraphMap:
                         tuple(then.image[x] for x in self.image))
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class EmbeddedCopy:
     """An injective homomorphic image of a pattern: `image[v]` is the host
     vertex of pattern vertex v.
 
     A copy does not name its host: that is the host of the `Decomposition`
     or result that holds it, and `is_valid` takes it as its argument.
+
+    `__init__` is written by hand: it sets both fields through their slot
+    descriptors, where the generated frozen `__init__` makes an
+    `object.__setattr__` call per field, and the solvers build a copy per
+    candidate they hand out.  Equality, hashing, repr, `replace`, pickling
+    and the frozen assignment error are the dataclass's own.
     """
 
     pattern: Graph
     image: tuple[int, ...]
+
+    def __init__(self, pattern: Graph, image: tuple[int, ...]):
+        _set_pattern(self, pattern)
+        _set_image(self, image)
 
     def edge_image(self) -> frozenset:
         im = self.image
@@ -391,6 +401,10 @@ class EmbeddedCopy:
         im = self.image
         return all(norm_edge(im[u], im[v]) in host.edges
                    for u, v in self.pattern.edges)
+
+
+_set_pattern = EmbeddedCopy.pattern.__set__
+_set_image = EmbeddedCopy.image.__set__
 
 
 @dataclass

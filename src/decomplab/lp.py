@@ -1,14 +1,15 @@
 """Feasibility LPs for fractional decomposition: x >= 0 with A x = b.
 
-A is a list of equal-length rows, each a list or a 1-D array.  Both modes
-hand its nonzeros to scipy's HiGHS as a sparse matrix and return (status,
-vector).  `solver.fractional_decompose` hands these functions the LP's
-quotient by the coarsest equitable partition of its matrix, which is 1 x 1
-on an edge-transitive host, and checks the lifted answer on the full system
-with `_solves` and `_proves_infeasible`.  A system with one column has one
-candidate, x = b_i / a_i at the first row with a nonzero, and it is returned
-with no HiGHS call once it passes its mode's check below; on an
-edge-transitive host that answers the whole LP.
+A is a list of equal-length rows, each a list or a 1-D array, and both
+modes return (status, vector).  `solver.fractional_decompose` hands these
+functions the LP's quotient by the coarsest equitable partition of its
+matrix, which is 1 x 1 on an edge-transitive host, and checks the lifted
+answer on the full system with `_solves` and `_proves_infeasible`.  A system
+with one column has one candidate, x = b_i / a_i at the first row with a
+nonzero, read from the rows as they are; it is returned with no sparse
+matrix and no HiGHS call once it passes its mode's check below, and on an
+edge-transitive host that answers the whole LP.  Every other system has its
+nonzeros handed to scipy's HiGHS as a sparse matrix.
 
 Float mode tries HiGHS's interior point without crossover first, which on a
 symmetric system lands on a point with few distinct values, and falls back
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import index
 from typing import Optional
 
 FEASIBLE = "feasible"
@@ -59,6 +61,14 @@ def _sparse(rows, n, exact: bool):
                      else map(Fraction, values.tolist())))
     cuts = indptr.tolist()
     return A, [pairs[s:t] for s, t in zip(cuts, cuts[1:])]
+
+
+def _exact(a):
+    """An entry of A as an int, or else as a Fraction of its value."""
+    try:
+        return index(a)
+    except TypeError:
+        return Fraction(a)
 
 
 def _interior(A, b):
@@ -92,10 +102,11 @@ def _rationalise(v) -> list[Fraction]:
 def _solves(entries, b, x) -> bool:
     """A x = b and x >= 0, exactly: over integers, with x scaled by the
     least common denominator d of its entries and b by d."""
-    if min(x, default=0) < 0:
-        return False
     d = lcm(*{t.denominator for t in x})
     scaled = [t.numerator * (d // t.denominator) for t in x]
+    # a denominator is positive, so each scaled entry has its x's sign
+    if min(scaled, default=0) < 0:
+        return False
     return all(sum(a * scaled[j] for j, a in row) == bi * d
                for row, bi in zip(entries, b))
 
@@ -154,13 +165,14 @@ def solve_equalities_nonneg(rows, rhs) -> tuple[str, Optional[list[Fraction]]]:
         # with no columns, the signs of b are a Farkas vector unless b = 0
         y = [Fraction((t > 0) - (t < 0)) for t in b]
         return (INFEASIBLE, y) if any(y) else (FEASIBLE, [])
-    A, entries = _sparse(rows, n, exact=True)
     if n == 1:
         # one unknown: the first row with a nonzero fixes it
-        x = next(([bi / row[0][1]] for row, bi in zip(entries, b) if row),
-                 None)
-        if x is not None and _solves(entries, b, x):
+        col = [_exact(row[0]) for row in rows]
+        x = next(([bi / a] for a, bi in zip(col, b) if a), None)
+        if x is not None and _solves([[(0, a)] if a else [] for a in col],
+                                     b, x):
             return FEASIBLE, x
+    A, entries = _sparse(rows, n, exact=True)
     import numpy as np
     from scipy.optimize import linprog
     bf = np.array(b, dtype=float)
@@ -191,8 +203,18 @@ def solve_equalities_box_float(rows, rhs, tolerance: float = 1e-9
     (`indeterminate`, None)."""
     import numpy as np
     from scipy.optimize import linprog
-    b = np.array(rhs, dtype=float)
     n = len(rows[0]) if rows else 0
+    if n == 1:
+        # one unknown: the first row with a nonzero fixes it; clipped and
+        # checked with the float operations of the sparse product below
+        col = [float(row[0]) for row in rows]
+        bf = [float(t) for t in rhs]
+        x = next((bi / a for a, bi in zip(col, bf) if a), None)
+        if x is not None:
+            x = min(max(x, 0.0), 1.0)
+            if all(abs(a * x - bi) <= tolerance for a, bi in zip(col, bf)):
+                return FEASIBLE, [x]
+    b = np.array(rhs, dtype=float)
     if n == 0:
         return (INFEASIBLE, None) if b.any() else (FEASIBLE, [])
     A, _ = _sparse(rows, n, exact=False)
@@ -201,12 +223,6 @@ def solve_equalities_box_float(rows, rhs, tolerance: float = 1e-9
         x = np.clip(x, 0.0, 1.0)
         return x if np.abs(A @ x - b).max() <= tolerance else None
 
-    if n == 1 and A.nnz:
-        # one unknown: the first row with a nonzero fixes it
-        i = np.flatnonzero(np.diff(A.indptr))[0]
-        x = within(np.array([b[i] / A.data[0]]))
-        if x is not None:
-            return FEASIBLE, x.tolist()
     status, x = _interior(A, b)
     x = within(x) if status == 0 else None
     # an interior-point `infeasible` is HiGHS's word, as the vertex's is

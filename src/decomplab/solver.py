@@ -384,8 +384,8 @@ def _refine(classes: list[int], members: list,
     the sorted classes of its `members`, numbered by first occurrence; and
     the number of classes."""
     ids: dict = {}
-    new = [ids.setdefault((c, tuple(sorted([member_classes[j] for j in js]))),
-                          len(ids))
+    new = [ids.setdefault((c, tuple(sorted(map(member_classes.__getitem__,
+                                                js)))), len(ids))
            for c, js in zip(classes, members)]
     return new, len(ids)
 
@@ -475,7 +475,7 @@ def fractional_decompose(pattern: Graph, host: Graph, mode: str = "rational",
         if status != FEASIBLE:
             return FractionalResult(status)
         x = [z[k] for k in copy_class]
-        if not all(abs(sum(x[c] for c in cs) - 1) <= tolerance
+        if not all(abs(sum(map(x.__getitem__, cs)) - 1) <= tolerance
                    for cs in by_edge):
             return FractionalResult(INDETERMINATE)
     else:

@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -201,3 +204,24 @@ def test_constructor_keeps_a_normal_tuple_and_still_checks_it():
         Graph(3, [(0, 1), (0, 3)])
     with pytest.raises(InputError, match="vertex id 1.5 is not an int"):
         Graph(3, [(0, 1.5)])
+
+
+def test_embedded_copy_is_a_frozen_value():
+    k3 = complete_graph(3)
+    c = EmbeddedCopy(k3, (2, 0, 1))
+    assert (c.pattern, c.image) == (k3, (2, 0, 1))
+    assert c == EmbeddedCopy(pattern=complete_graph(3), image=(2, 0, 1))
+    assert hash(c) == hash(EmbeddedCopy(complete_graph(3), (2, 0, 1)))
+    assert c != EmbeddedCopy(k3, (0, 1, 2))
+    assert repr(c) == "EmbeddedCopy(pattern=Graph(n=3, e=3), image=(2, 0, 1))"
+    moved = dataclasses.replace(c, image=(0, 1, 2))
+    assert moved is not c and moved == EmbeddedCopy(k3, (0, 1, 2))
+    assert c.image == (2, 0, 1)
+    for twin in (pickle.loads(pickle.dumps(c)), copy.deepcopy(c)):
+        assert twin is not c and twin == c and hash(twin) == hash(c)
+        assert twin.image == (2, 0, 1) and twin.pattern.edges == k3.edges
+    for name in ("pattern", "image"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, name, None)
+    assert c.image == (2, 0, 1)
+    assert not hasattr(c, "__dict__")

@@ -242,6 +242,18 @@ def _methods(monkeypatch):
     return called
 
 
+def _sparses(monkeypatch):
+    """(columns, exact) of every `_sparse` call from here on."""
+    sparse, calls = lp._sparse, []
+
+    def spy(rows, n, exact):
+        calls.append((n, exact))
+        return sparse(rows, n, exact)
+
+    monkeypatch.setattr(lp, "_sparse", spy)
+    return calls
+
+
 def test_rational_mode_calls_only_the_dual_simplex(monkeypatch):
     # two-halves (48, 12) and (24, 4) have multi-column quotients; K25 less
     # the first 30% of a greedy triangle packing has little symmetry, and
@@ -267,31 +279,44 @@ def test_rational_mode_calls_only_the_dual_simplex(monkeypatch):
 
 
 def test_failed_interior_point_leaves_the_vertex_path(monkeypatch):
-    # status 4: HiGHS reports numerical difficulties
-    monkeypatch.setattr(lp, "_interior", lambda A, b: (4, None))
-    supports = _supports(monkeypatch)
-    called = _methods(monkeypatch)
     # K16's quotient is 1 x 1, so its full incidence goes to lp directly
     rows = _incidence(K3, complete_graph(16))
-    exact = solve_equalities_nonneg(rows, [1] * len(rows))
-    approx = solve_equalities_box_float(rows, [1.0] * len(rows))
-    assert exact[0] == approx[0] == FEASIBLE
-    x = exact[1]
-    assert min(x) >= 0
-    assert _exact_row_loads(rows, x) == [1] * len(rows)
     k4e = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
-    for pattern, host in ((cycle_graph(4), k4e), (K3, k4e)):
-        exact = fractional_decompose(pattern, host, mode="rational")
-        approx = fractional_decompose(pattern, host, mode="float")
-        assert exact.status == approx.status
-        if exact.status == FEASIBLE:
-            load = _exact_loads(pattern, exact.solution)
-            assert load == {e: 1 for e in host.edges}
-        else:
-            assert _farkas_holds(pattern, host, exact.farkas)
-    assert called and set(called) == {"highs-ds"}
+    hosts = ((cycle_graph(4), k4e), (K3, k4e))
+    # rational mode never calls the interior point, so a spy, not a fake,
+    # is what it can be tested with
+    interior, interiors = lp._interior, []
+
+    def spy(A, b):
+        interiors.append(A.shape)
+        return interior(A, b)
+
+    monkeypatch.setattr(lp, "_interior", spy)
+    supports = _supports(monkeypatch)
+    called = _methods(monkeypatch)
+    status, x = solve_equalities_nonneg(rows, [1] * len(rows))
+    assert status == FEASIBLE and min(x) >= 0
+    assert _exact_row_loads(rows, x) == [1] * len(rows)
+    exact = [fractional_decompose(pattern, host, mode="rational")
+             for pattern, host in hosts]
+    assert interiors == [] and called and set(called) == {"highs-ds"}
     # K16's vertex does not round: its weights come from the support solve
     assert len(supports) == 1
+    # status 4: HiGHS reports numerical difficulties; float mode falls
+    # back to the vertex
+    monkeypatch.setattr(lp, "_interior", lambda A, b: (4, None))
+    called.clear()
+    status, _ = solve_equalities_box_float(rows, [1.0] * len(rows))
+    assert status == FEASIBLE
+    for (pattern, host), res in zip(hosts, exact):
+        approx = fractional_decompose(pattern, host, mode="float")
+        assert res.status == approx.status
+        if res.status == FEASIBLE:
+            load = _exact_loads(pattern, res.solution)
+            assert load == {e: 1 for e in host.edges}
+        else:
+            assert _farkas_holds(pattern, host, res.farkas)
+    assert called and set(called) == {"highs-ds"}
 
 
 def test_float_interior_point_outside_tolerance_falls_back(monkeypatch):
@@ -340,9 +365,10 @@ def test_general_rows_and_rhs():
 
 def test_one_column_quotients_make_no_linprog_call(monkeypatch):
     # each host is edge-transitive, so its quotient has one unknown, which
-    # a division decides: no HiGHS call in either mode
+    # a division decides: no sparse matrix and no HiGHS call in either mode
     k55 = Graph(10, [(u, 5 + v) for u in range(5) for v in range(5)])
     called = _methods(monkeypatch)
+    sparses = _sparses(monkeypatch)
     for pattern, host, q in ((K3, complete_graph(7), 5),
                              (K3, complete_graph(25), 23),
                              (K3, complete_graph(34), 32),
@@ -354,7 +380,7 @@ def test_one_column_quotients_make_no_linprog_call(monkeypatch):
         assert set(approx.solution.weights) == {1 / q}
         assert _exact_loads(pattern, exact.solution) == {
             e: 1 for e in host.edges}
-    assert called == []
+    assert called == [] and sparses == []
 
 
 def _farkas_checks(rows, b, y):
@@ -366,6 +392,7 @@ def _farkas_checks(rows, b, y):
 
 def test_one_column_systems(monkeypatch):
     called = _methods(monkeypatch)
+    sparses = _sparses(monkeypatch)
     # consistent rows with x = 1/2, and with x = 0: answered by division
     for rows, b, want in (
             ([[2], [0], [Fraction(1, 2)], [3]],
@@ -375,7 +402,7 @@ def test_one_column_systems(monkeypatch):
         assert solve_equalities_box_float(
             [[float(a) for a in row] for row in rows],
             [float(t) for t in b]) == (FEASIBLE, [float(want)])
-    assert called == []
+    assert called == [] and sparses == []
     # x < 0, rows that disagree, and a zero column with b != 0 go to HiGHS,
     # and rational mode proves each infeasible
     for rows, b in (([[1], [2]], [-1, -2]),
@@ -386,6 +413,17 @@ def test_one_column_systems(monkeypatch):
         assert solve_equalities_box_float(rows, [float(t) for t in b]) == (
             INFEASIBLE, None)
     assert called
+    # a zero column, and a system with two columns, go to HiGHS by way of
+    # the sparse matrix in both modes
+    for rows, b, want in (([[0], [0]], [0, 1], INFEASIBLE),
+                          ([[1, 1], [2, 0]], [1, 1], FEASIBLE)):
+        called.clear()
+        sparses.clear()
+        assert solve_equalities_nonneg(rows, b)[0] == want
+        assert solve_equalities_box_float(rows, [float(t) for t in b])[0] == (
+            want)
+        n = len(rows[0])
+        assert sparses == [(n, True), (n, False)] and called
     # x = 2 solves the rows, but float mode's box is [0, 1]
     assert solve_equalities_nonneg([[1], [2]], [2, 4]) == (
         FEASIBLE, [Fraction(2)])
