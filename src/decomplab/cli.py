@@ -122,8 +122,6 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--pattern", required=True)
     # None marks a flag not given: a kind that does not read it refuses it
     b.add_argument("--r", type=int, default=None)
-    b.add_argument("--strategy", choices=("general", "bipartite"),
-                   default=None)
     b.add_argument("--mode", choices=("internal", "external"), default=None)
     b.add_argument("--leftover", default=None,
                    help="transformer/absorber: edge-list file")
@@ -315,7 +313,7 @@ def _cmd_fix(args) -> CommandResult:
 
 
 # the kinds that read each gadget build flag
-_GADGET_FLAGS = {"r": ("k2r",), "strategy": ("c6",), "mode": ("teleporter",),
+_GADGET_FLAGS = {"r": ("k2r",), "mode": ("teleporter",),
                  "leftover": ("transformer", "absorber"),
                  "b": ("partite-abs",)}
 
@@ -342,7 +340,7 @@ def _cmd_gadget(args) -> CommandResult:
     if kind == "c4":
         sw = build_c4_switcher(f)
     elif kind == "c6":
-        sw = build_c6_switcher(f, args.strategy or "general")
+        sw = build_c6_switcher(f)
     elif kind == "k2r":
         r = degree_gcd(f) if args.r is None else args.r
         sw = build_k2r_switcher(f, r)

@@ -21,7 +21,6 @@ from .invariants import (THETA_UNDEFINED, bipartite_invariants,
 
 TAU_COUNT = "tau_count"
 THETA_COUNT = "theta_count"
-DEGREE_PARITY = "degree_parity"
 BRIDGE_CUT = "bridge_cut"
 
 
@@ -336,8 +335,6 @@ def obstruction_check(f: Graph, g: Graph,
             diff = (len(region) - len(other)) % cert.modulus
             if diff != cert.residue % cert.modulus:
                 continue
-            if diff % cert.modulus == 0:
-                continue
             # need a vertex outside both classes with divisible degree
             for third in others:
                 if third is other:
@@ -356,12 +353,5 @@ def obstruction_check(f: Graph, g: Graph,
         if norm_edge(u, v) not in g.bridges():
             return False
         return not f.has_bridge()   # every pattern edge closes a cycle
-
-    if cert.kind == DEGREE_PARITY:
-        r = degree_gcd_of(f)
-        if cert.modulus != r:
-            return False
-        return all(g.degree(v) % r == cert.residue % r for v in region) \
-            and cert.residue % r != 0
 
     return False

@@ -7,17 +7,6 @@ from .types import (RootedModel, Compression, CertifiedSwitcher,
                     verify_absorber, verify_star_cover)
 from .switchers import (build_c4_switcher, build_k2r_switcher,
                         build_c6_switcher_general, build_teleporter)
-from .bipartite_c6 import build_c6_switcher_bipartite
+from .bipartite_c6 import build_c6_switcher, build_c6_switcher_bipartite
 from .transformers import build_transformer
 from .absorbers import build_absorber, build_partite_neighbourhood_absorber
-
-
-def build_c6_switcher(f, strategy: str = "general"):
-    """Six-cycle switcher; `strategy` picks the clique-glued route (any
-    pattern) or the width-0 bipartite route (needs tau = 1)."""
-    from ..errors import InputError
-    if strategy == "general":
-        return build_c6_switcher_general(f)
-    if strategy == "bipartite":
-        return build_c6_switcher_bipartite(f)
-    raise InputError(f"unknown strategy {strategy!r}")

@@ -20,9 +20,10 @@ from ..graphs import (Decomposition, EmbeddedCopy, Graph, GraphMap,
                       degree_gcd_of, disjoint_union, norm_edge)
 from ..invariants import (chi_colouring, colouring_invariants,
                           proper_colourings, renumber)
+from .bipartite_c6 import build_c6_switcher
 from .compose import GadgetSpace
-from .transformers import _pick_c6_switcher, _place_transformer
-from .switchers import build_k2r_switcher
+from .switchers import _degree_multiset_split, build_k2r_switcher
+from .transformers import _place_transformer
 from .types import CertifiedAbsorber
 
 
@@ -73,20 +74,14 @@ def _expand(f: Graph, h: Graph, uv: tuple) -> _Expanded:
     """One pattern copy per oriented leftover edge, with the chosen pattern
     edge removed and replaced by wires to the edge's two endpoints."""
     u, v = uv
-    edges = set()
-    blocks = []
-    nxt = h.n
-    for x, y in _orient(h):
-        off = nxt
-        nxt += f.n
-        for a, b in f.edges:
-            if norm_edge(a, b) == norm_edge(u, v):
-                continue
-            edges.add(norm_edge(off + a, off + b))
-        edges.add(norm_edge(x, off + u))
-        edges.add(norm_edge(y, off + v))
-        blocks.append((x, y, off))
-    return _Expanded(Graph(nxt, edges), h.n, blocks, uv, f)
+    # the cut copy; vertices f.n and f.n + 1 stand for the edge's endpoints
+    cut = Graph(f.n + 2, [*f.without_edges([uv]).edges,
+                          (u, f.n), (v, f.n + 1)])
+    space = GadgetSpace(f)
+    space.fresh(h.n)
+    blocks = [(x, y, space.place(cut, {f.n: x, f.n + 1: y})[0])
+              for x, y in _orient(h)]
+    return _Expanded(space.graph(), h.n, blocks, uv, f)
 
 
 def _split_to_regular(g: Graph, r: int) -> tuple[Graph, GraphMap]:
@@ -174,7 +169,7 @@ def build_absorber(f: Graph, h: Graph,
     pf_att_map = space.place(pf_att, {})
 
     star = build_k2r_switcher(f, r)
-    c6 = _pick_c6_switcher(f)
+    c6 = build_c6_switcher(f)
     # T1: preimage + T1 in A, h + attached(h) + T1 in A + H;
     # T2: bouquet + T2 in A, preimage + T2 in A + H;
     # T3: attached(pf) + T3 in A, pf preimage + T3 in A + H;
@@ -209,33 +204,19 @@ def _glue_rotated_copies(f: Graph, vs, cs, s, rotate=False):
     """Glue copies of f at the listed vertices into one hub; with rotate,
     copy i has its 1..s-1 classes shifted cyclically by i+1 (the last copy
     keeps the original colours).  Returns (graph, hub, colouring, vmaps)."""
-    n_copies = len(vs)
-    hub = 0
-    nxt = 1
-    vmaps = []
-    edges = []
+    space = GadgetSpace(f)
+    hub = space.fresh_one()
     col = {hub: s}
-    for i in range(n_copies):
-        vmap = {}
-        for x in range(f.n):
-            if x == vs[i]:
-                vmap[x] = hub
-            else:
-                vmap[x] = nxt
-                nxt += 1
-        for a, b in f.edges:
-            edges.append((vmap[a], vmap[b]))
+    vmaps = []
+    for i, (v, c) in enumerate(zip(vs, cs)):
+        vmap = space.place(f, {v: hub})
         shift = (i + 1) if rotate else 0
         for x in range(f.n):
-            if x == vs[i]:
-                continue
-            base = cs[i][x]
-            if base == s:
-                col[vmap[x]] = s
-            else:
-                col[vmap[x]] = ((base - 1 + shift) % (s - 1)) + 1
+            if x != v:
+                col[vmap[x]] = s if c[x] == s else (
+                    (c[x] - 1 + shift) % (s - 1) + 1)
         vmaps.append(vmap)
-    return Graph(nxt, edges), hub, col, vmaps
+    return space.graph(), hub, col, vmaps
 
 
 def _swap12(c):
@@ -276,9 +257,7 @@ def _rotater_pair(f: Graph) -> _Rotater:
         m = f.degree(v)
         fp, hub, col, vmaps = _glue_rotated_copies(
             f, [v] * (s - 1), [c] * (s - 1), s, rotate=True)
-        f_imgs = []
-        for vmap in vmaps:
-            f_imgs.append(tuple(vmap[x] for x in range(f.n)))
+        f_imgs = [tuple(vmap) for vmap in vmaps]
         # skew: in the unshifted copy, recolour one hub neighbour from 1 to
         # 2 (that copy has no colour 2 at all, so properness is free)
         ident = vmaps[-1]
@@ -298,7 +277,6 @@ def _rotater_pair(f: Graph) -> _Rotater:
                 d2 = sum(1 for y in f.adj[x] if cand[y] == 2)
                 if d1 != d2 and abs(d1 - d2) not in diffs:
                     diffs[abs(d1 - d2)] = (x, cand, d1 - d2)
-        from .switchers import _degree_multiset_split
         neg, pos = _degree_multiset_split(sorted(diffs), 1)
         picks = []
         for val in pos:
@@ -313,10 +291,8 @@ def _rotater_pair(f: Graph) -> _Rotater:
         m = sum(f.degree(x) for x, _ in picks)
         fp, hub, col, vmaps = _glue_rotated_copies(
             joined, [hub0] * (s - 1), [col0] * (s - 1), s, rotate=True)
-        f_imgs = []
-        for vmap in vmaps:
-            for sub in sub_vmaps:
-                f_imgs.append(tuple(vmap[sub[x]] for x in range(f.n)))
+        f_imgs = [tuple([vmap[x] for x in sub])
+                  for vmap in vmaps for sub in sub_vmaps]
         # skew: swap classes 1 and 2 throughout the unshifted copy, whose
         # hub surplus of class 1 over class 2 is one by construction
         ident = vmaps[-1]

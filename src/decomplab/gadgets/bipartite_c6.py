@@ -16,13 +16,14 @@ from __future__ import annotations
 from itertools import accumulate
 from math import gcd
 
-from ..errors import DomainError
+from ..errors import DecompLabError, DomainError
 from ..graphs import Graph, degree_gcd_of, disjoint_union
 from ..invariants import (_connected_mask, _support_masks,
                           nonsupporting_subsets)
 from .compose import GadgetSpace
 from .switchers import (_component_multiset_split, _finalize_switcher,
-                        build_internal_teleporter, build_k2r_switcher)
+                        build_c6_switcher_general, build_internal_teleporter,
+                        build_k2r_switcher)
 from .types import CertifiedSwitcher, Compression
 
 # label codes: 0..5 are the 6-cycle positions; 6 and 7 are the off-frame
@@ -260,6 +261,16 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
     psi = [-1] * space.n
     for x, label in rho.items():
         psi[x] = FOLD[label]
-    base = Compression(6, {rt: i for i, rt in enumerate(roots)},
-                       C6_GRAPH, tuple(psi), 0)
+    base = Compression(6, C6_GRAPH, tuple(psi), 0)
     return _finalize_switcher(space, roots, e1, e2, base)
+
+
+def build_c6_switcher(f: Graph) -> CertifiedSwitcher:
+    """The six-cycle switcher: the width-0 bipartite one where tau = 1 (its
+    family scan refuses every other pattern), else the general one."""
+    if f.is_bipartite():
+        try:
+            return build_c6_switcher_bipartite(f)
+        except DecompLabError:
+            pass
+    return build_c6_switcher_general(f)

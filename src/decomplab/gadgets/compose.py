@@ -4,12 +4,16 @@ A gadget space holds copies of one pattern, given once when the space is
 opened; each copy it records on a certificate side is a bare image tuple,
 and `finalize` hands them out with that pattern and the space's graph as
 their host.  `place` wires every piece into the space: pinned vertices keep
-their given ids and every other vertex is allocated fresh.  `glue` places a
-certified switcher the same way and records its certificates' copies; given
-`beta`, the map from the switcher's J nodes into the K being built, it also
-records the switcher's compression, and `compression(base)` attaches every
-recorded one to the builder's base compression.  Edge multi-occurrence
-across glued pieces is forbidden and checked at insertion time.
+their given ids and every other vertex is allocated fresh, in vertex order.
+Every gadget graph is numbered this way: the switchers, the transformers,
+both absorbers, and the chain absorber's expansion of a leftover and its
+rotater's hub graphs.  `glue` places a certified switcher the same way and
+records its certificates' copies; given `beta`, the map from the switcher's
+J nodes into the K being built, it also records the switcher's compression,
+and `compression(base)` attaches every recorded one to the builder's base
+compression.  A compression carries no separate root map: it is psi on the
+roots.  Edge multi-occurrence across glued pieces is forbidden and checked
+at insertion time.
 """
 
 from __future__ import annotations
@@ -150,5 +154,4 @@ class GadgetSpace:
 
         if -1 in psi:
             raise InputError("psi left a model vertex unmapped")
-        return Compression(base.j_size, dict(base.f), Graph(k_n, k_edges),
-                           tuple(psi), d)
+        return Compression(base.j_size, Graph(k_n, k_edges), tuple(psi), d)

@@ -132,21 +132,13 @@ def build_c4_switcher(f: Graph) -> CertifiedSwitcher:
     psi[u1], psi[u2], psi[u3], psi[u4] = 0, 1, 2, 3
     for (i, j), v in grid.items():
         psi[v] = colour_node[col[(i + j) % ell]]
-    base = Compression(4, {u1: 0, u2: 1, u3: 2, u4: 3}, kg, tuple(psi),
-                       chi + 1)
+    base = Compression(4, kg, tuple(psi), chi + 1)
     return _finalize_switcher(space, (u1, u2, u3, u4),
                               [(u1, u2), (u3, u4)], [(u2, u3), (u4, u1)],
                               base)
 
 
 # -- star switchers ------------------------------------------------------------
-
-
-def _p2_compression_f(leaves, plus, minus) -> dict:
-    f = {u: 1 for u in leaves}
-    f[plus] = 0
-    f[minus] = 2
-    return f
 
 
 def build_bipartite_degree_star_switcher(f: Graph, v: int) -> CertifiedSwitcher:
@@ -174,8 +166,7 @@ def build_bipartite_degree_star_switcher(f: Graph, v: int) -> CertifiedSwitcher:
         psi[x] = 0 if x in a_side else 1
     psi[v] = 0
     psi[vprime] = 2
-    base = Compression(3, _p2_compression_f(leaves, v, vprime),
-                       P2, tuple(psi), 0)
+    base = Compression(3, P2, tuple(psi), 0)
     return _finalize_switcher(space, roots, e1, e2, base)
 
 
@@ -236,8 +227,7 @@ def build_clique_degree_star_switcher(f: Graph, v: int) -> CertifiedSwitcher:
     psi[minus] = 2
     for i in range(r):
         psi[leaves[i]] = 1
-    base = Compression(3, _p2_compression_f(leaves, plus, minus), kg,
-                       tuple(psi), chi + 1)
+    base = Compression(3, kg, tuple(psi), chi + 1)
     return _finalize_switcher(space, roots, e1, e2, base)
 
 
@@ -330,8 +320,7 @@ def build_k2r_switcher(f: Graph, r: int) -> CertifiedSwitcher:
         base_psi[x] = 1
     base_psi[plus] = 0
     base_psi[minus] = 2
-    base = Compression(3, _p2_compression_f(leaves, plus, minus), P2,
-                       tuple(base_psi), 0)
+    base = Compression(3, P2, tuple(base_psi), 0)
 
     for side, d, grp in subs:
         sub = degree_switcher(d)
@@ -379,7 +368,7 @@ def build_c6_switcher_general(f: Graph) -> CertifiedSwitcher:
     for i in range(6):
         psi[u[i]] = i
     psi[w1], psi[w2] = 6, 7
-    base = Compression(6, {u[i]: i for i in range(6)}, c6, tuple(psi), 3)
+    base = Compression(6, c6, tuple(psi), 3)
     return _finalize_switcher(space, tuple(u), e1, e2, base)
 
 
@@ -416,8 +405,7 @@ def build_internal_teleporter(f: Graph) -> CertifiedSwitcher:
     psi[u[0]] = psi[u[2]] = 0
     psi[u[1]] = psi[u[3]] = 1
     psi[w] = 0
-    base = Compression(2, {u[0]: 0, u[1]: 1, u[2]: 0, u[3]: 1},
-                       P1, tuple(psi), 0)
+    base = Compression(2, P1, tuple(psi), 0)
     return _finalize_switcher(space, tuple(u), [(u[0], u[1])],
                               [(u[2], u[3])], base)
 
@@ -531,8 +519,7 @@ def build_external_teleporter(f: Graph) -> CertifiedSwitcher:
             psi[gx] = colour(x)
         for x, gx in mmap.items():
             psi[gx] = 2 + colour(x)
-    base = Compression(4, {u[0]: 0, u[1]: 1, u[2]: 2, u[3]: 3},
-                       TWO_P1, tuple(psi), 0)
+    base = Compression(4, TWO_P1, tuple(psi), 0)
     return _finalize_switcher(space, tuple(u), [(u[0], u[1])],
                               [(u[2], u[3])], base)
 

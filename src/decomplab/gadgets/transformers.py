@@ -8,23 +8,12 @@ edge across.  Both certificates fall out of the two ways of switching.
 
 from __future__ import annotations
 
-from ..errors import DecompLabError, DomainError, InputError
+from ..errors import DomainError, InputError
 from ..graphs import Graph, GraphMap, degree_gcd_of, norm_edge
+from .bipartite_c6 import build_c6_switcher
 from .compose import GadgetSpace
-from .switchers import build_c6_switcher_general, build_k2r_switcher
+from .switchers import build_k2r_switcher
 from .types import CertifiedTransformer
-
-
-def _pick_c6_switcher(f: Graph):
-    """The width-0 bipartite six-cycle switcher where tau = 1 (its family
-    scan refuses every other pattern), else the general one."""
-    if f.is_bipartite():
-        from .bipartite_c6 import build_c6_switcher_bipartite
-        try:
-            return build_c6_switcher_bipartite(f)
-        except DecompLabError:
-            pass
-    return build_c6_switcher_general(f)
 
 
 def _place_transformer(space: GadgetSpace, h: Graph, phi: GraphMap,
@@ -80,7 +69,7 @@ def build_transformer(f: Graph, h: Graph, phi: GraphMap) -> CertifiedTransformer
     hp_ids = space.fresh(phi.target.n)
     _place_transformer(space, h, phi, h_ids, hp_ids,
                        build_k2r_switcher(f, degree_gcd_of(f)),
-                       _pick_c6_switcher(f), swap=False)
+                       build_c6_switcher(f), swap=False)
     h_edges = frozenset(norm_edge(h_ids[a], h_ids[b]) for a, b in h.edges)
     hp_edges = frozenset(norm_edge(hp_ids[a], hp_ids[b])
                          for a, b in phi.target.edges)

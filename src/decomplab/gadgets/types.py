@@ -45,11 +45,12 @@ class RootedModel:
 
 @dataclass
 class Compression:
-    """(J, f, K, psi) with J the induced subgraph of K on its first |J|
-    vertices; f maps roots onto V(J); psi extends f homomorphically."""
+    """(J, K, psi, d) with J the induced subgraph of K on its first |J|
+    vertices and psi a homomorphism from the model into K.  The paper's root
+    map f is psi on the roots: it must hit every node of J.  d claims the
+    rooted degeneracy of K relative to J."""
 
     j_size: int
-    f: dict                 # model root vertex -> K vertex in range(j_size)
     k: Graph
     psi: tuple              # model vertex -> K vertex
     d: int
@@ -142,17 +143,14 @@ def verify_compression(m: RootedModel, comp: Compression) -> tuple[bool, Optiona
     if comp.j_size > k.n:
         return False, "J larger than K"
     jset = set(range(comp.j_size))
-    # (C2) f maps the roots onto V(J)
-    if set(comp.f.keys()) != set(m.roots):
-        return False, "f not defined exactly on the roots"
-    if set(comp.f.values()) != jset:
-        return False, "f not surjective onto V(J)"
-    # (C3) psi is a homomorphism restricting to f on the roots
     if len(comp.psi) != m.graph.n:
         return False, "psi not defined on every model vertex"
-    for r in m.roots:
-        if comp.psi[r] != comp.f[r]:
-            return False, f"psi disagrees with f at root {r}"
+    for x, px in enumerate(comp.psi):
+        if type(px) is not int or not 0 <= px < k.n:
+            return False, f"psi sends model vertex {x} outside V(K)"
+    # the root map is psi on the roots, and it covers V(J) exactly
+    if {comp.psi[r] for r in m.roots} != jset:
+        return False, "psi does not map the roots onto V(J)"
     for u, v in m.graph.edges:
         pu, pv = comp.psi[u], comp.psi[v]
         if pu == pv or norm_edge(pu, pv) not in k.edges:

@@ -45,7 +45,9 @@ def test_ignored_flags_are_gone(tmp_path):
                  ["solve", "--greedy", "--vertex", "0", "--pattern", f,
                   "--host", f],
                  ["classify", "--vertex-cover", "--candidates", f],
-                 ["classify", "--delta-e", "1/2", f]):
+                 ["classify", "--delta-e", "1/2", f],
+                 ["gadget", "build", "--kind", "c6", "--strategy", "general",
+                  "--pattern", f]):
         res = run(argv)
         assert res.exit_code == EXIT_USAGE, argv
         assert res.payload == {"error": "usage"}, argv
@@ -67,8 +69,8 @@ def test_zero_reaches_the_builders(tmp_path):
 
 @pytest.mark.parametrize("kind, pattern, options", [
     ("c4", complete_graph(3), []),
-    ("c6", complete_graph(3), ["--strategy", "general"]),
-    ("c6", path_graph(2), ["--strategy", "bipartite"]),
+    ("c6", complete_graph(3), []),
+    ("c6", path_graph(2), []),
     ("k2r", complete_graph(3), []),
     ("teleporter", path_graph(2), ["--mode", "internal"]),
     ("teleporter", disjoint_union(complete_graph(2), path_graph(2)),
@@ -92,7 +94,7 @@ def test_gadget_build_every_kind(tmp_path, kind, pattern, options):
 
 @pytest.mark.parametrize("kind, options", [
     ("c4", ["--r", "2"]),
-    ("k2r", ["--strategy", "general"]),
+    ("k2r", ["--mode", "internal"]),
     ("c6", ["--mode", "internal"]),
     ("teleporter", ["--b", "1"]),
     ("partite-abs", ["--leftover", "c4.txt"]),

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from decomplab.extremal import (BRIDGE_CUT, DEGREE_PARITY, TAU_COUNT,
-                                THETA_COUNT, ObstructionCertificate,
+from decomplab.extremal import (BRIDGE_CUT, TAU_COUNT, THETA_COUNT,
                                 generate_extremal, obstruction_check)
 from decomplab.divisibility import check_divisibility
 from decomplab.errors import StructureError
@@ -120,9 +119,6 @@ def _certified():
         assert closed == (not any((u in cert.region) != (v in cert.region)
                                   for u, v in g.edges))
         yield pattern, g, cert
-    # the centre of K1,3 has odd degree, and every K3 degree is even
-    yield (complete_graph(3), complete_bipartite(1, 3),
-           ObstructionCertificate(DEGREE_PARITY, {0}, 2, 1))
 
 
 @pytest.mark.parametrize("mutate", [

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from decomplab.errors import DomainError, InputError
@@ -9,7 +11,7 @@ from decomplab.gadgets.switchers import (build_c4_switcher,
                                          build_k2r_switcher,
                                          build_teleporter)
 from decomplab.gadgets.types import (verify_compression, verify_switcher,
-                                     CertifiedSwitcher)
+                                     CertifiedSwitcher, RootedModel)
 from decomplab.invariants import chromatic_number, rooted_degeneracy
 
 K3 = complete_graph(3)
@@ -58,6 +60,33 @@ def test_c4_switcher_compression_underclaim_fails():
     comp.d = d - 1
     ok, why = verify_compression(sw.model, comp)
     assert not ok and "degeneracy" in why
+
+
+@pytest.mark.parametrize("value", [10, -1, 2.5])
+def test_compression_refuses_psi_outside_k(value):
+    # an isolated model vertex meets no edge, so only the range check sees it
+    sw = build_c4_switcher(K3)
+    comp = sw.compression
+    assert comp.k.n == 5
+    m = RootedModel(Graph(sw.model.graph.n + 1, sw.model.graph.edges),
+                    sw.model.roots)
+    ok, why = verify_compression(m, replace(comp, psi=comp.psi + (0,)))
+    assert ok, why
+    ok, why = verify_compression(m, replace(comp, psi=comp.psi + (value,)))
+    assert not ok and "outside V(K)" in why
+
+
+@pytest.mark.parametrize("image", [4, 2], ids=["outside-J", "J-node-missed"])
+def test_compression_refuses_roots_not_onto_j(image):
+    # the K3 switcher's roots map onto J = {0, 1, 2, 3}; K's node 4 is a
+    # colour node, and sending the first root to 2 leaves node 0 unhit
+    sw = build_c4_switcher(K3)
+    comp = sw.compression
+    assert comp.j_size == 4
+    psi = list(comp.psi)
+    psi[sw.model.roots[0]] = image
+    ok, why = verify_compression(sw.model, replace(comp, psi=tuple(psi)))
+    assert not ok and "roots" in why
 
 
 def test_switcher_tamper_detection():

@@ -6,7 +6,9 @@ from decomplab.errors import DomainError
 from decomplab.gadgets.absorbers import (build_absorber,
                                          build_partite_neighbourhood_absorber,
                                          _expand, _glue_rotated_copies)
-from decomplab.gadgets.bipartite_c6 import build_c6_switcher_bipartite
+from decomplab.gadgets.bipartite_c6 import (build_c6_switcher,
+                                            build_c6_switcher_bipartite)
+from decomplab.gadgets.switchers import build_c6_switcher_general
 from decomplab.gadgets.transformers import build_transformer
 from decomplab.gadgets.types import (verify_absorber, verify_compression,
                                      verify_star_cover, verify_switcher,
@@ -43,6 +45,20 @@ def test_bipartite_c6_rejects_tau_two():
 def test_bipartite_c6_rejects_nonbipartite():
     with pytest.raises(DomainError):
         build_c6_switcher_bipartite(K3)
+
+
+@pytest.mark.parametrize("f, route, vertices, width", [
+    (path_graph(2), build_c6_switcher_bipartite, 16, 0),
+    (C4, build_c6_switcher_general, 40, 3),          # tau = 2
+    (K3, build_c6_switcher_general, 20, 4),          # not bipartite
+], ids=["P2", "C4", "K3"])
+def test_c6_switcher_takes_the_bipartite_route_where_tau_is_one(
+        f, route, vertices, width):
+    sw = build_c6_switcher(f)
+    ok, why = verify_switcher(sw)
+    assert ok, why
+    assert (sw.model.graph.n, sw.compression.d) == (vertices, width)
+    assert sw.model.graph == route(f).model.graph
 
 
 # -- transformers ------------------------------------------------------------------
