@@ -18,8 +18,8 @@ from ..divisibility import check_divisibility
 from ..errors import DomainError, InputError, ResourceError, SizeGuardError
 from ..graphs import (Decomposition, EmbeddedCopy, Graph, GraphMap,
                       degree_gcd_of, disjoint_union, norm_edge)
-from ..invariants import (chi_colouring, colouring_invariants,
-                          proper_colourings, renumber)
+from ..invariants import (chi_colouring, colouring_invariants, renumber,
+                          star_counts)
 from .bipartite_c6 import build_c6_switcher
 from .compose import GadgetSpace
 from .switchers import _degree_multiset_split, build_k2r_switcher
@@ -269,14 +269,10 @@ def _rotater_pair(f: Graph) -> _Rotater:
         s = chi
         # write 1 as a combination of achievable hub class differences
         diffs = {}
-        for cand in proper_colourings(f, chi):
-            for x in range(f.n):
-                if cand[x] != chi:
-                    continue
-                d1 = sum(1 for y in f.adj[x] if cand[y] == 1)
-                d2 = sum(1 for y in f.adj[x] if cand[y] == 2)
-                if d1 != d2 and abs(d1 - d2) not in diffs:
-                    diffs[abs(d1 - d2)] = (x, cand, d1 - d2)
+        for cand, x, counts in star_counts(f, chi):
+            d = counts[0] - counts[1]
+            if d and abs(d) not in diffs:
+                diffs[abs(d)] = (x, cand, d)
         neg, pos = _degree_multiset_split(sorted(diffs), 1)
         picks = []
         for val in pos:

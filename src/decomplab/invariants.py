@@ -102,34 +102,48 @@ def _colouring_guard(g: Graph, guard: int) -> None:
             f"colouring enumeration guard: {g.n} vertices > {guard}")
 
 
-def proper_colourings(g: Graph, s: int,
-                      guard: int = DEFAULT_COLOURING_GUARD) -> Iterator[tuple[int, ...]]:
+def proper_colourings(g: Graph, s: int) -> Iterator[tuple[int, ...]]:
     """All proper colourings with colour set 1..s (labelled, no symmetry
-    reduction)."""
-    _colouring_guard(g, guard)
-    colour = [0] * g.n
+    reduction), walking the vertices by descending degree.  No size guard:
+    a caller that lists every colouring checks `_colouring_guard` first."""
     order = sorted(range(g.n), key=lambda v: -g.degree(v))
     adj = g.adj
-
-    def rec(i: int) -> Iterator[tuple[int, ...]]:
-        if i == len(order):
+    colour = [0] * g.n
+    untried = []            # per entered vertex of `order`, colours yet to try
+    while True:
+        if len(untried) == g.n:
             yield tuple(colour)
+        else:
+            taken = {colour[u] for u in adj[order[len(untried)]]}
+            untried.append(iter([c for c in range(1, s + 1) if c not in taken]))
+        while untried:      # the next untried colour, backtracking
+            v = order[len(untried) - 1]
+            colour[v] = next(untried[-1], 0)
+            if colour[v]:
+                break
+            untried.pop()
+        else:
             return
-        v = order[i]
-        taken = {colour[u] for u in adj[v] if colour[u] != 0}
-        for c in range(1, s + 1):
-            if c in taken:
-                continue
-            colour[v] = c
-            yield from rec(i + 1)
-            colour[v] = 0
 
-    yield from rec(0)
+
+def star_counts(g: Graph, s: int) -> Iterator[tuple[tuple[int, ...], int,
+                                                     tuple[int, ...]]]:
+    """(c, v, counts) for each proper s-colouring c, in `proper_colourings`
+    order, and each vertex v coloured s, ascending: counts[i-1] is the
+    number of v's neighbours coloured i, for i < s."""
+    adj = g.adj
+    for c in proper_colourings(g, s):
+        for v in range(g.n):
+            if c[v] == s:
+                counts = [0] * s
+                for u in adj[v]:
+                    counts[c[u] - 1] += 1
+                yield c, v, tuple(counts[:-1])
 
 
 def chi_colouring(g: Graph) -> tuple[int, tuple[int, ...]]:
     """chi(g) and the first proper chi-colouring in `proper_colourings`
-    order."""
+    order.  Only one colouring is read, so no enumeration guard applies."""
     chi = chromatic_number(g)
     return chi, next(proper_colourings(g, chi))
 
@@ -266,30 +280,16 @@ def colouring_invariants(f: Graph,
     _colouring_guard(f, guard)
     chi = chromatic_number(f)
 
-    sigma = None
+    # every chi-colouring colours some vertex chi, so each one is met here
+    sigma = f.n
     sigma_v = {}          # v -> sigma(F, v), over Col(F, v)
     theta_g = 0
-    theta_witnessed_zero = False
-    adj = f.adj
-    for c in proper_colourings(f, chi, guard=guard):
-        class1 = sum(1 for x in c if x == 1)
-        if sigma is None or class1 < sigma:
-            sigma = class1
-        for v in range(f.n):
-            if c[v] != chi:
-                continue
-            n1 = sum(1 for u in adj[v] if c[u] == 1)
-            if v not in sigma_v or n1 < sigma_v[v]:
-                sigma_v[v] = n1
-            if chi >= 3:
-                n2 = sum(1 for u in adj[v] if c[u] == 2)
-                d = n1 - n2
-                if d != 0:
-                    theta_g = gcd(theta_g, abs(d))
-                else:
-                    theta_witnessed_zero = True
-
-    if sigma is None:
+    for c, v, counts in star_counts(f, chi):
+        sigma = min(sigma, c.count(1))
+        sigma_v[v] = min(sigma_v.get(v, counts[0]), counts[0])
+        if chi >= 3:
+            theta_g = gcd(theta_g, counts[0] - counts[1])
+    if not sigma_v:
         raise DomainError("no proper colouring found (internal defect)")
     chi_cr = (Fraction(0) if chi <= 1
               else Fraction((chi - 1) * f.n, f.n - sigma))
@@ -298,8 +298,7 @@ def colouring_invariants(f: Graph,
         # every vertex appears in the last class of some colouring
         chi_vx = (chi - 2) * min(
             Fraction(f.degree(v), f.degree(v) - sigma_v[v]) for v in sigma_v)
-        theta = theta_g if theta_g != 0 else 2  # gcd of the all-zero set is 2
-        assert theta_g != 0 or theta_witnessed_zero
+        theta = theta_g or 2  # gcd of the all-zero set is 2
     else:
         chi_vx = Fraction(0)
         theta = THETA_UNDEFINED
@@ -327,15 +326,9 @@ def cn_tuples(f: Graph, s: int, guard: int = DEFAULT_COLOURING_GUARD) -> set:
     if s < chi:
         raise DomainError(f"s={s} below chromatic number {chi}")
     found: dict = {}
-    adj = f.adj
-    for c in proper_colourings(f, s, guard=guard):
-        for v in range(f.n):
-            if c[v] != s:
-                continue
-            t = tuple(sum(1 for u in adj[v] if c[u] == i)
-                      for i in range(1, s))
-            if t not in found:
-                found[t] = CNTuple(s, t, c, v)
+    for c, v, t in star_counts(f, s):
+        if t not in found:
+            found[t] = CNTuple(s, t, c, v)
     return set(found.values())
 
 

@@ -144,6 +144,17 @@ def test_c6_general_c4_pattern():
     assert_good_switcher(sw, expect_d=3)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: build_c4_switcher(path_graph(20)),
+    lambda: build_c6_switcher_general(path_graph(20)),
+    lambda: build_k2r_switcher(cycle_graph(21), 2),
+], ids=["c4-P20", "c6-general-P20", "k2r-C21"])
+def test_switchers_past_the_colouring_enumeration_guard(build):
+    # 21 vertices: each builder reads one chi-colouring, so the 20-vertex
+    # guard of the invariants that list every colouring does not apply
+    assert_good_switcher(build())
+
+
 # -- teleporters ---------------------------------------------------------------------
 
 

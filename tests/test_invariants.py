@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import gcd
 
 import pytest
@@ -12,7 +12,7 @@ from decomplab.invariants import (THETA_UNDEFINED, bipartite_invariants,
                                   chromatic_number, cn_tuples,
                                   colouring_invariants, degree_gcd,
                                   is_c4_supporting, proper_colourings,
-                                  rooted_degeneracy, tau_of)
+                                  rooted_degeneracy, star_counts, tau_of)
 
 
 # -- independent oracles ------------------------------------------------------
@@ -350,3 +350,30 @@ def test_proper_colourings_complete_graph_count():
     # s colours on K_n: s!/(s-n)! labelled colourings
     got = sum(1 for _ in proper_colourings(complete_graph(3), 4))
     assert got == 4 * 3 * 2
+
+
+def test_proper_colourings_walk_is_iterative():
+    # a 2001-vertex walk is deeper than the recursion limit
+    g = cycle_graph(2001)
+    c = next(proper_colourings(g, 3))
+    assert all(c[u] != c[v] for u, v in g.edges)
+
+
+def test_star_counts_match_brute_force():
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randint(2, 7)
+        g = Graph(n, [e for e in combinations(range(n), 2)
+                      if rng.random() < 0.5])
+        chi = chromatic_number(g)
+        for s in (chi, chi + 1):
+            got = list(star_counts(g, s))
+            want = [(c, v, tuple(sum(1 for u in g.adj[v] if c[u] == i)
+                                 for i in range(1, s)))
+                    for c in oracle_colourings(g, s)
+                    for v in range(n) if c[v] == s]
+            assert sorted(got) == sorted(want)
+            # colourings in walk order, each one's star vertices ascending
+            assert [(c, v) for c, v, _ in got] == [
+                (c, v) for c in proper_colourings(g, s)
+                for v in range(n) if c[v] == s]

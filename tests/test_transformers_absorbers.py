@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from decomplab.errors import DomainError
+from decomplab.errors import DomainError, SizeGuardError
 from decomplab.gadgets.absorbers import (build_absorber,
                                          build_partite_neighbourhood_absorber,
                                          _expand, _glue_rotated_copies)
@@ -59,6 +59,13 @@ def test_c6_switcher_takes_the_bipartite_route_where_tau_is_one(
     assert ok, why
     assert (sw.model.graph.n, sw.compression.d) == (vertices, width)
     assert sw.model.graph == route(f).model.graph
+
+
+def test_c6_switcher_reports_the_bipartite_routes_size_guard():
+    # P24 (25 vertices) is bipartite and its family scan refuses it; a size
+    # guard is no domain refusal, so the general route does not take over
+    with pytest.raises(SizeGuardError, match=r"^subset scan guard: 25 > 24$"):
+        build_c6_switcher(path_graph(24))
 
 
 # -- transformers ------------------------------------------------------------------
