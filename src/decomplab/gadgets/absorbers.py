@@ -12,6 +12,7 @@ gadget able to swallow a prescribed bundle of extra edges at one vertex.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from ..divisibility import check_divisibility
@@ -272,15 +273,11 @@ def _rotater_pair(f: Graph) -> _Rotater:
         for cand, x, counts in star_counts(f, chi):
             d = counts[0] - counts[1]
             if d and abs(d) not in diffs:
-                diffs[abs(d)] = (x, cand, d)
+                # oriented so that x sees |d| more of class 1 than of class 2
+                diffs[abs(d)] = (x, cand if d > 0 else _swap12(cand))
         neg, pos = _degree_multiset_split(sorted(diffs), 1)
-        picks = []
-        for val in pos:
-            x, cand, sign = diffs[val]
-            picks.append((x, cand if sign > 0 else _swap12(cand)))
-        for val in neg:
-            x, cand, sign = diffs[val]
-            picks.append((x, _swap12(cand) if sign > 0 else cand))
+        picks = ([diffs[val] for val in pos]
+                 + [(x, _swap12(cand)) for x, cand in map(diffs.get, neg)])
         joined, hub0, col0, sub_vmaps = _glue_rotated_copies(
             f, [x for x, _ in picks],
             [dict(enumerate(cc)) for _, cc in picks], s)
@@ -294,19 +291,14 @@ def _rotater_pair(f: Graph) -> _Rotater:
         ident = vmaps[-1]
         col_skew = dict(col)
         for x in range(joined.n):
-            if x == hub0:
-                continue
-            if col[ident[x]] == 1:
-                col_skew[ident[x]] = 2
-            elif col[ident[x]] == 2:
-                col_skew[ident[x]] = 1
+            if x != hub0 and col[ident[x]] in (1, 2):
+                col_skew[ident[x]] = 3 - col[ident[x]]
 
     counts = _hub_counts(fp, hub, col, s)
     assert counts == [m] * (s - 1), counts
     skew_counts = _hub_counts(fp, hub, col_skew, s)
     assert skew_counts == [m - 1, m + 1] + [m] * (s - 3), skew_counts
-    for a, b in fp.edges:
-        assert col_skew[a] != col_skew[b]
+    assert all(col_skew[a] != col_skew[b] for a, b in fp.edges)
     return _Rotater(fp, hub, m, s, col, col_skew, f_imgs)
 
 
@@ -343,11 +335,7 @@ def build_partite_neighbourhood_absorber(f: Graph, b: int,
     best_w: dict = {}
     pick_for: dict = {}
     for v in range(f.n):
-        classes = {}
-        for y in f.adj[v]:
-            classes.setdefault(base[y], []).append(y)
-        heavy = max(classes, key=lambda cc: len(classes[cc]))
-        w_v = len(classes[heavy])
+        heavy, w_v = Counter(base[y] for y in f.adj[v]).most_common(1)[0]
         d = f.degree(v)
         if d not in best_w or w_v > best_w[d]:
             best_w[d] = w_v

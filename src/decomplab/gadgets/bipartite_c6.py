@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import accumulate
 from math import gcd
 
-from ..errors import DomainError
+from ..errors import DecompLabError, DomainError
 from ..graphs import Graph, degree_gcd_of, disjoint_union
 from ..invariants import (_connected_mask, _support_masks,
                           nonsupporting_subsets)
@@ -266,13 +266,11 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
 
 
 def build_c6_switcher(f: Graph) -> CertifiedSwitcher:
-    """The six-cycle switcher: the width-0 bipartite one where tau = 1, else
-    the general one.  Only a `DomainError` of the bipartite route (its family
-    scan's "tau must be 1" among them) hands over to the general route; a
-    size guard or budget refusal reaches the caller as it is."""
+    """The six-cycle switcher: the width-0 bipartite one where its family
+    scan, within its size guard, finds tau = 1; else the general one."""
     if f.is_bipartite():
         try:
             return build_c6_switcher_bipartite(f)
-        except DomainError:
+        except DecompLabError:
             pass
     return build_c6_switcher_general(f)

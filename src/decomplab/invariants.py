@@ -12,14 +12,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import count
-from math import gcd
+from math import gcd, inf
 from typing import Iterator, Optional
 
-from .errors import DomainError, InputError, SizeGuardError
+from .errors import DomainError, InputError, ResourceError, SizeGuardError
 from .graphs import Graph, degree_gcd_of
 
 DEFAULT_COLOURING_GUARD = 20
 DEFAULT_SUBSET_GUARD = 26
+_FIRST_COLOURING_STEPS = 10 ** 6
 
 THETA_UNDEFINED = None  # marker: theta is only defined for chi >= 3
 
@@ -36,10 +37,14 @@ def degree_gcd(f: Graph) -> int:
 # -- chromatic number (DSATUR branch and bound) ----------------------------
 
 
+def _degree_order(g: Graph) -> list[int]:
+    """Vertices by descending degree, ties by index."""
+    return sorted(range(g.n), key=lambda v: -g.degree(v))
+
+
 def _greedy_clique(g: Graph) -> list[int]:
-    order = sorted(range(g.n), key=lambda v: -g.degree(v))
     clique = []
-    for v in order:
+    for v in _degree_order(g):
         if all(v in g.adj[u] for u in clique):
             clique.append(v)
     return clique
@@ -102,21 +107,22 @@ def _colouring_guard(g: Graph, guard: int) -> None:
             f"colouring enumeration guard: {g.n} vertices > {guard}")
 
 
-def proper_colourings(g: Graph, s: int) -> Iterator[tuple[int, ...]]:
-    """All proper colourings with colour set 1..s (labelled, no symmetry
-    reduction), walking the vertices by descending degree.  No size guard:
-    a caller that lists every colouring checks `_colouring_guard` first."""
-    order = sorted(range(g.n), key=lambda v: -g.degree(v))
-    adj = g.adj
+def _walk(g: Graph, s: int, steps=inf) -> Iterator[tuple[int, ...]]:
+    """The proper s-colourings in lexicographic order along `_degree_order`,
+    by backtracking; raises ResourceError after `steps` colour tries."""
+    order = _degree_order(g)
     colour = [0] * g.n
     untried = []            # per entered vertex of `order`, colours yet to try
     while True:
         if len(untried) == g.n:
             yield tuple(colour)
         else:
-            taken = {colour[u] for u in adj[order[len(untried)]]}
+            taken = {colour[u] for u in g.adj[order[len(untried)]]}
             untried.append(iter([c for c in range(1, s + 1) if c not in taken]))
         while untried:      # the next untried colour, backtracking
+            steps -= 1
+            if steps < 0:
+                raise ResourceError(f"{s}-colouring walk: step budget spent")
             v = order[len(untried) - 1]
             colour[v] = next(untried[-1], 0)
             if colour[v]:
@@ -126,26 +132,42 @@ def proper_colourings(g: Graph, s: int) -> Iterator[tuple[int, ...]]:
             return
 
 
-def star_counts(g: Graph, s: int) -> Iterator[tuple[tuple[int, ...], int,
-                                                     tuple[int, ...]]]:
+def proper_colourings(g: Graph, s: int) -> Iterator[tuple[int, ...]]:
+    """All proper colourings with colour set 1..s (labelled, no symmetry
+    reduction).  Unguarded: callers that list them all check the guard."""
+    return _walk(g, s)
+
+
+def star_counts(g: Graph, s: int) -> Iterator[tuple[tuple, int, tuple]]:
     """(c, v, counts) for each proper s-colouring c, in `proper_colourings`
     order, and each vertex v coloured s, ascending: counts[i-1] is the
     number of v's neighbours coloured i, for i < s."""
-    adj = g.adj
     for c in proper_colourings(g, s):
         for v in range(g.n):
             if c[v] == s:
                 counts = [0] * s
-                for u in adj[v]:
+                for u in g.adj[v]:
                     counts[c[u] - 1] += 1
                 yield c, v, tuple(counts[:-1])
 
 
 def chi_colouring(g: Graph) -> tuple[int, tuple[int, ...]]:
     """chi(g) and the first proper chi-colouring in `proper_colourings`
-    order.  Only one colouring is read, so no enumeration guard applies."""
+    order.  With two colours or fewer that colouring gives each component's
+    first vertex in `_degree_order` colour 1 and is read off in linear time;
+    with more, the walk gives up after _FIRST_COLOURING_STEPS colour tries."""
     chi = chromatic_number(g)
-    return chi, next(proper_colourings(g, chi))
+    if chi > 2:
+        return chi, next(_walk(g, chi, _FIRST_COLOURING_STEPS))
+    colour = [0] * g.n
+    for r in _degree_order(g):
+        stack = [(r, 1)]
+        while stack:
+            v, c = stack.pop()
+            if not colour[v]:
+                colour[v] = c
+                stack += [(u, 3 - c) for u in g.adj[v]]
+    return chi, tuple(colour)
 
 
 def renumber(colours, fixed: dict, start: int) -> dict:

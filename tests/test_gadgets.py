@@ -16,6 +16,11 @@ from decomplab.invariants import chromatic_number, rooted_degeneracy
 
 K3 = complete_graph(3)
 C4 = cycle_graph(4)
+# the path 0..91 with a leaf on each of 3, 6, ..., 90 (122 vertices): its 30
+# hubs come first in degree order, so a backtracking 2-colouring walk would
+# find their clashes only at the path vertices
+HUB_PATH = Graph(122, path_graph(91).edges
+                 | {(h, 91 + h // 3) for h in range(3, 91, 3)})
 
 
 def assert_good_switcher(sw, expect_d=None):
@@ -148,10 +153,12 @@ def test_c6_general_c4_pattern():
     lambda: build_c4_switcher(path_graph(20)),
     lambda: build_c6_switcher_general(path_graph(20)),
     lambda: build_k2r_switcher(cycle_graph(21), 2),
-], ids=["c4-P20", "c6-general-P20", "k2r-C21"])
+    lambda: build_c4_switcher(HUB_PATH),
+], ids=["c4-P20", "c6-general-P20", "k2r-C21", "c4-hub-path"])
 def test_switchers_past_the_colouring_enumeration_guard(build):
-    # 21 vertices: each builder reads one chi-colouring, so the 20-vertex
-    # guard of the invariants that list every colouring does not apply
+    # 21 vertices or more: each builder reads one chi-colouring, so the
+    # 20-vertex guard of the invariants that list every colouring does not
+    # apply
     assert_good_switcher(build())
 
 

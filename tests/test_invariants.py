@@ -5,11 +5,12 @@ from math import gcd
 
 import pytest
 
-from decomplab.errors import DomainError, InputError, SizeGuardError
+from decomplab.errors import (DomainError, InputError, ResourceError,
+                              SizeGuardError)
 from decomplab.graphs import (Graph, complete_graph, complete_bipartite,
                               cycle_graph, path_graph, disjoint_union)
 from decomplab.invariants import (THETA_UNDEFINED, bipartite_invariants,
-                                  chromatic_number, cn_tuples,
+                                  chi_colouring, chromatic_number, cn_tuples,
                                   colouring_invariants, degree_gcd,
                                   is_c4_supporting, proper_colourings,
                                   rooted_degeneracy, star_counts, tau_of)
@@ -377,3 +378,44 @@ def test_star_counts_match_brute_force():
             assert [(c, v) for c, v, _ in got] == [
                 (c, v) for c in proper_colourings(g, s)
                 for v in range(n) if c[v] == s]
+
+
+def test_chi_colouring_is_the_walks_first_colouring():
+    # half the graphs bipartite, where the colouring is read off by search
+    # from each component's first vertex instead of by the walk
+    rng = random.Random(11)
+    for i in range(80):
+        n = rng.randint(1, 10)
+        side = [rng.randint(0, 1) if i % 2 else v for v in range(n)]
+        g = Graph(n, [(u, v) for u, v in combinations(range(n), 2)
+                      if side[u] != side[v] and rng.random() < 0.4])
+        chi = chromatic_number(g)
+        assert chi_colouring(g) == (chi, next(proper_colourings(g, chi)))
+
+
+def test_chi_colouring_of_a_bipartite_hub_path_takes_no_walk():
+    # the path 0..91 with a leaf on each of 3, 6, ..., 90: the 30 hubs lead
+    # the degree order, and a walk colouring them all 1 first would meet
+    # their clashes only at the path vertices, about 2^28 tries later
+    g = Graph(122, path_graph(91).edges
+              | {(h, 91 + h // 3) for h in range(3, 91, 3)})
+    chi, c = chi_colouring(g)
+    assert chi == 2 and c[3] == 1
+    assert all(c[u] != c[v] for u, v in g.edges)
+
+
+def test_first_colouring_walk_has_a_step_budget():
+    # 30 hubs with three leaves each lead the degree order; a diamond and
+    # one more edge force h_i != h_(i+1), so the first 3-colouring walk
+    # colours every hub 1 and would backtrack through ~3^28 hub colourings
+    hubs = 30
+    edges = [(h, hubs + 3 * h + j) for h in range(hubs) for j in range(3)]
+    n = 4 * hubs
+    for h in range(hubs - 1):
+        a, b, z = n, n + 1, n + 2
+        n += 3
+        edges += [(h, a), (h, b), (a, b), (a, z), (b, z), (z, h + 1)]
+    g = Graph(n, edges)
+    assert chromatic_number(g) == 3
+    with pytest.raises(ResourceError, match="step budget"):
+        chi_colouring(g)

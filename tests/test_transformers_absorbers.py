@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from decomplab.errors import DomainError, SizeGuardError
+from decomplab.errors import DomainError
 from decomplab.gadgets.absorbers import (build_absorber,
                                          build_partite_neighbourhood_absorber,
                                          _expand, _glue_rotated_copies)
@@ -51,7 +51,9 @@ def test_bipartite_c6_rejects_nonbipartite():
     (path_graph(2), build_c6_switcher_bipartite, 16, 0),
     (C4, build_c6_switcher_general, 40, 3),          # tau = 2
     (K3, build_c6_switcher_general, 20, 4),          # not bipartite
-], ids=["P2", "C4", "K3"])
+    # 25 vertices: past the bipartite route's subset scan guard
+    (path_graph(24), build_c6_switcher_general, 2308, 3),
+], ids=["P2", "C4", "K3", "P24"])
 def test_c6_switcher_takes_the_bipartite_route_where_tau_is_one(
         f, route, vertices, width):
     sw = build_c6_switcher(f)
@@ -59,13 +61,6 @@ def test_c6_switcher_takes_the_bipartite_route_where_tau_is_one(
     assert ok, why
     assert (sw.model.graph.n, sw.compression.d) == (vertices, width)
     assert sw.model.graph == route(f).model.graph
-
-
-def test_c6_switcher_reports_the_bipartite_routes_size_guard():
-    # P24 (25 vertices) is bipartite and its family scan refuses it; a size
-    # guard is no domain refusal, so the general route does not take over
-    with pytest.raises(SizeGuardError, match=r"^subset scan guard: 25 > 24$"):
-        build_c6_switcher(path_graph(24))
 
 
 # -- transformers ------------------------------------------------------------------
@@ -232,6 +227,7 @@ K4_MINUS_E = complete_graph(4).without_edges([(2, 3)])
     (K3, 2, 29, "107d9a6f6eafaf6e"),
     # chi = 3 and theta = 1: the hub graph joins copies at several vertices
     (K4_MINUS_E, 1, 10, "ad1120c5bf82a8f3"),
+    (Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]), 3, 10, "0f498a4df24d7092"),
 ])
 def test_partite_absorber_is_golden(f, b, vertices, digest):
     """Pinned by its vertex count and a digest of its edges, colouring,
