@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -33,6 +34,7 @@ EXIT_INDETERMINATE = 2
 EXIT_USAGE = 64
 EXIT_FILE = 66
 EXIT_ERROR = 70
+EXIT_IO = 74
 
 
 @dataclass
@@ -241,8 +243,8 @@ def _cmd_solve(args) -> CommandResult:
             # shows each host edge's load
             sol = res.solution
             payload = {"status": "feasible",
-                       "copies": len(sol.copies),
-                       "images": [list(c.image) for c in sol.copies],
+                       "copies": len(sol.images),
+                       "images": [list(im) for im in sol.images],
                        "weights": [(_frac(w) if mode == "rational" else w)
                                    for w in sol.weights]}
             return CommandResult("ok", payload)
@@ -421,7 +423,17 @@ def _cmd_pipeline(args) -> CommandResult:
 def main(argv=None) -> int:
     result = run(argv if argv is not None else sys.argv[1:])
     out = {"status": result.status, **result.payload}
-    print(json.dumps(out, indent=None, default=str))
+    try:
+        print(json.dumps(out, indent=None, default=str))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull so that the
+        # flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("stdout closed before the output was written", file=sys.stderr)
+        return EXIT_IO
     for line in result.diagnostics:
         print(line, file=sys.stderr)
     return result.exit_code

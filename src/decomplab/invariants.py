@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heappop, heappush
 from itertools import count
 from math import gcd, inf
 from typing import Iterator, Optional
@@ -53,33 +54,59 @@ def _greedy_clique(g: Graph) -> list[int]:
 def colourable_with(g: Graph, k: int) -> bool:
     """Decide k-colourability by DSATUR-ordered backtracking.  Colours above
     the current maximum are interchangeable, so only one fresh colour is
-    branched on at each vertex."""
+    branched on at each vertex.
+
+    The next vertex is the uncoloured one with the most distinct neighbour
+    colours, then the highest degree, then the lowest index.  It comes off
+    a heap of (-saturation, -degree, v) entries; an entry whose vertex is
+    coloured or whose saturation has changed since is stale and skipped.
+    """
     n = g.n
     adj = g.adj
     colour = [0] * n
+    # seen[v]: colour -> the number of v's neighbours with that colour, so
+    # len(seen[v]) is v's saturation
+    seen: list[dict] = [{} for _ in range(n)]
+    heap = [(0, -len(adj[v]), v) for v in range(n)]
+    heapify(heap)
+
+    def recolour(v: int, old: int, new: int) -> None:
+        colour[v] = new
+        for u in adj[v]:
+            counts = seen[u]
+            before = len(counts)
+            if old:
+                counts[old] -= 1
+                if not counts[old]:
+                    del counts[old]
+            if new:
+                counts[new] = counts.get(new, 0) + 1
+            if len(counts) != before and not colour[u]:
+                heappush(heap, (-len(counts), -len(adj[u]), u))
+
     # one entry per coloured vertex: (v, its untried colours, the highest
     # colour used before it)
     stack = []
     used = 0
     while len(stack) < n:
-        best_v, best_key = -1, None
-        for v in range(n):
-            if colour[v]:
-                continue
-            sat = len({colour[u] for u in adj[v] if colour[u]})
-            key = (-sat, -len(adj[v]), v)
-            if best_key is None or key < best_key:
-                best_v, best_key = v, key
-        taken = {colour[u] for u in adj[best_v] if colour[u]}
-        stack.append((best_v, iter([c for c in range(1, min(used + 1, k) + 1)
-                                    if c not in taken]), used))
+        if len(heap) > 4 * n:           # drop the stale entries
+            heap[:] = [(-len(seen[v]), -len(adj[v]), v)
+                       for v in range(n) if not colour[v]]
+            heapify(heap)
+        while True:
+            sat, _, v = heappop(heap)
+            if not colour[v] and -sat == len(seen[v]):
+                break
+        stack.append((v, iter([c for c in range(1, min(used + 1, k) + 1)
+                               if c not in seen[v]]), used))
         while True:             # the next untried colour, backtracking
             v, untried, used = stack[-1]
-            colour[v] = next(untried, 0)
+            recolour(v, colour[v], next(untried, 0))
             if colour[v]:
                 used = max(used, colour[v])
                 break
             stack.pop()
+            heappush(heap, (-len(seen[v]), -len(adj[v]), v))
             if not stack:
                 return False
     return True

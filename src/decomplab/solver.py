@@ -8,8 +8,8 @@ LP.  The LP is solved on its quotient by the coarsest equitable partition of
 the edge/copy incidence, found by colour refinement, and the lifted answer is
 checked on the full system.  Candidates are image tuples straight from the
 embedding kernel; an `EmbeddedCopy` is built only for a copy that a result
-hands out (the chosen columns of an exact or star cover, and every column of
-a fractional solution, whose weights are aligned with them).
+hands out (the chosen columns of an exact or star cover).  A fractional
+solution keeps the candidate images themselves, aligned with its weights.
 
 Both exact questions run on one iterative exact-cover core, `_exact_cover`,
 over integer items (edge indices): primary items are covered exactly once,
@@ -72,8 +72,19 @@ class SolveResult:
 
 @dataclass
 class FractionalDecomposition:
-    copies: list
+    """A weight for every candidate copy: `images[k]` is the image tuple of
+    copy k, in `candidate_copies` order, and `weights[k]` its weight.
+
+    `copies` builds a fresh list of `EmbeddedCopy`s on every access, for
+    callers that want copy objects; nothing in the package reads it.
+    """
+    pattern: Graph
+    images: list
     weights: list
+
+    @property
+    def copies(self) -> list[EmbeddedCopy]:
+        return [EmbeddedCopy(self.pattern, im) for im in self.images]
 
 
 @dataclass
@@ -493,8 +504,8 @@ def fractional_decompose(pattern: Graph, host: Graph, mode: str = "rational",
         x = [v[k] for k in copy_class]
         if not _solves(entries, ones, x):
             return FractionalResult(INDETERMINATE)
-    copies = [EmbeddedCopy(pattern, img) for img in cands]
-    return FractionalResult(FEASIBLE, FractionalDecomposition(copies, x))
+    return FractionalResult(FEASIBLE,
+                            FractionalDecomposition(pattern, cands, x))
 
 
 @dataclass

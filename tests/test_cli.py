@@ -1,11 +1,15 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import decomplab
 from decomplab import cli, lp
-from decomplab.cli import (EXIT_ERROR, EXIT_INDETERMINATE, EXIT_OK,
+from decomplab.cli import (EXIT_ERROR, EXIT_INDETERMINATE, EXIT_IO, EXIT_OK,
                            EXIT_UNSAT, EXIT_USAGE, run)
 from decomplab.graphio import parse_edge_list, serialize_edge_list
 from decomplab.graphs import (Graph, complete_graph, cycle_graph,
@@ -232,6 +236,43 @@ def test_fractional_payload_shows_every_edge_load(tmp_path, n, rational):
         assert set(load.values()) == {1}
     else:
         assert max(abs(x - 1) for x in load.values()) <= 1e-9
+
+
+@pytest.mark.parametrize("n, flags, digest", [
+    (9, ["--rational"],
+     "ccdfdab2325686c397944984e6b151066cc9f9fb6cc3e6e24d86be263c3da2db"),
+    (25, [],
+     "b4803569275555d5384d51e06f41b1c341106e7619ff7c643341c3d558a3dd77"),
+])
+def test_fractional_stdout_is_golden(tmp_path, capsys, n, flags, digest):
+    # the whole printed line, trailing newline included
+    f = _write(tmp_path, "k3.txt", complete_graph(3))
+    g = _write(tmp_path, "kn.txt", complete_graph(n))
+    assert cli.main(["solve", "--fractional", *flags, "--pattern", f,
+                     "--host", g]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_a_closed_stdout_exits_without_a_traceback(tmp_path):
+    f = _write(tmp_path, "k3.txt", complete_graph(3))
+    g = _write(tmp_path, "k9.txt", complete_graph(9))
+    # a pipe whose reader is gone before the command starts
+    r, w = os.pipe()
+    os.close(r)
+    src = os.path.dirname(os.path.dirname(decomplab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "decomplab.cli", "solve", "--fractional",
+             "--rational", "--pattern", f, "--host", g],
+            stdout=w, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(w)
+    assert proc.returncode == EXIT_IO
+    assert proc.stderr.decode() == (
+        "stdout closed before the output was written\n")
 
 
 def test_fractional_infeasible_exit_codes(tmp_path):

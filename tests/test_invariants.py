@@ -11,7 +11,8 @@ from decomplab.graphs import (Graph, complete_graph, complete_bipartite,
                               cycle_graph, path_graph, disjoint_union)
 from decomplab.invariants import (THETA_UNDEFINED, bipartite_invariants,
                                   chi_colouring, chromatic_number, cn_tuples,
-                                  colouring_invariants, degree_gcd,
+                                  colourable_with, colouring_invariants,
+                                  degree_gcd,
                                   is_c4_supporting, proper_colourings,
                                   rooted_degeneracy, star_counts, tau_of)
 
@@ -102,6 +103,45 @@ def test_chromatic_number_of_a_long_cycle():
     # the colouring search keeps its own stack, one entry per coloured
     # vertex, so a long cycle does not exhaust the interpreter's recursion
     assert chromatic_number(cycle_graph(2001)) == 3
+
+
+def _scan_colourable_with(g, k):
+    """The DSATUR rule with a full scan per step: each next vertex is the
+    minimum of (-saturation, -degree, v) over all uncoloured vertices."""
+    colour = [0] * g.n
+    stack, used = [], 0
+    while len(stack) < g.n:
+        v = min((v for v in range(g.n) if not colour[v]),
+                key=lambda v: (-len({colour[u] for u in g.adj[v]} - {0}),
+                               -len(g.adj[v]), v))
+        taken = {colour[u] for u in g.adj[v]}
+        stack.append((v, iter([c for c in range(1, min(used + 1, k) + 1)
+                               if c not in taken]), used))
+        while True:
+            v, untried, used = stack[-1]
+            colour[v] = next(untried, 0)
+            if colour[v]:
+                used = max(used, colour[v])
+                break
+            stack.pop()
+            if not stack:
+                return False
+    return True
+
+
+def test_colourable_with_matches_the_scan_rule():
+    # the small graphs rarely make DSATUR backtrack; the larger sparse ones
+    # do, and they catch colour counts that are not undone
+    rng = random.Random(5)
+    for trial in range(420):
+        small = trial < 300
+        n = rng.randint(1, 9) if small else rng.randint(15, 30)
+        p = rng.uniform(.15, .85) if small else rng.uniform(.2, .5)
+        g = Graph(n, [(u, v) for u, v in combinations(range(n), 2)
+                      if rng.random() < p])
+        for k in range(1, 7):
+            assert colourable_with(g, k) == _scan_colourable_with(g, k), \
+                (sorted(g.edges), k)
 
 
 def test_chromatic_matches_oracle_random():

@@ -310,15 +310,16 @@ def test_fractional_k4_forced_half():
     res = fractional_decompose(K3, complete_graph(4), mode="rational")
     assert res.status == FEASIBLE
     sol = res.solution
-    assert len(sol.copies) == 4
+    assert len(sol.images) == 4
     assert all(w == Fraction(1, 2) for w in sol.weights)
 
 
 def edge_loads(sol):
-    """The weight on each edge, summed in one pass over the copies."""
+    """The weight on each edge, summed in one pass over the images."""
     load = {}
-    for c, w in zip(sol.copies, sol.weights):
-        for e in c.edge_image():
+    for im, w in zip(sol.images, sol.weights):
+        for a, b in sol.pattern.edges:
+            e = norm_edge(im[a], im[b])
             load[e] = load.get(e, 0) + w
     return load
 
@@ -657,6 +658,7 @@ def test_returned_copies_live_in_the_callers_host():
     assert frac.status == FEASIBLE
     sol = frac.solution
     assert len(sol.copies) == len(sol.weights) == 35
+    assert [c.image for c in sol.copies] == sol.images
     assert res.decomposition.host is host and star.decomposition.host is host
     for c in [*res.decomposition.copies, *star.decomposition.copies,
               *sol.copies]:
@@ -664,6 +666,28 @@ def test_returned_copies_live_in_the_callers_host():
     # the weights stay aligned with their copies: each edge carries 1
     load = edge_loads(sol)
     assert all(load.get(e) == 1 for e in host.edges)
+
+
+def test_fractional_answer_is_the_candidate_images(monkeypatch):
+    # the solution hands over candidate_copies' list as is; an EmbeddedCopy
+    # is built only when a caller asks for `copies`
+    built = []
+    init = EmbeddedCopy.__init__
+
+    def counting_init(self, pattern, image):
+        built.append(image)
+        init(self, pattern, image)
+
+    monkeypatch.setattr(EmbeddedCopy, "__init__", counting_init)
+    for pattern, host, mode in ((K3, complete_graph(9), "rational"),
+                                (K3, complete_graph(25), "float"),
+                                (C4, complete_bipartite(5, 5), "rational")):
+        sol = fractional_decompose(pattern, host, mode=mode).solution
+        assert built == []
+        assert sol.pattern is pattern
+        assert sol.images == candidate_copies(pattern, host)
+        assert len(sol.weights) == len(sol.images)
+    assert [c.image for c in sol.copies] == built == sol.images
 
 
 def test_a_proper_subset_target_is_built_once(monkeypatch):
