@@ -15,9 +15,10 @@ from .divisibility import fix_edge_count, make_degree_divisible
 from .errors import DecompLabError, ParseError
 from .extremal import generate_extremal, obstruction_check
 from .gadgets import (build_absorber, build_c4_switcher, build_c6_switcher,
+                      build_external_teleporter, build_internal_teleporter,
                       build_k2r_switcher, build_partite_neighbourhood_absorber,
-                      build_teleporter, build_transformer, verify_absorber,
-                      verify_star_cover, verify_switcher, verify_transformer)
+                      build_transformer, verify_absorber, verify_star_cover,
+                      verify_switcher, verify_transformer)
 from .graphio import (parse_edge_list, serialize_certificate,
                       serialize_edge_list)
 from .graphs import GraphMap
@@ -75,8 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="decomplab",
         description="graph edge-decomposition laboratory")
-    top.add_argument("--seed", type=int, default=0)
-    top.add_argument("--timeout", type=float, default=60.0)
     sub = top.add_subparsers(dest="command")
 
     p = sub.add_parser("invariants", help="pattern-side parameters")
@@ -87,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="threshold values")
     p.add_argument("graph")
-    p.add_argument("--delta-e", type=Fraction, default=None,
+    p.add_argument("--delta-e", type=Fraction,
                    help="vertex-cover mode: the edge threshold to use")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--vertex-cover", action="store_true",
@@ -98,8 +97,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="exact/fractional decomposition")
     p.add_argument("--pattern", required=True)
     p.add_argument("--host", required=True)
-    p.add_argument("--rational", action="store_true",
+    p.add_argument("--rational", action="store_true", default=None,
                    help="exact arithmetic for the fractional mode")
+    p.add_argument("--seed", type=int, help="greedy mode; default 0")
+    p.add_argument("--timeout", type=float, help="seconds; default 60")
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--fractional", action="store_true")
     mode.add_argument("--vertex", type=int, default=None,
@@ -110,10 +111,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--host", required=True)
     p.add_argument("--mode", choices=("degree", "edges"), required=True)
-    p.add_argument("--modulus", type=int, default=None,
+    p.add_argument("--modulus", type=int,
                    help="degree mode: residue modulus (default: pattern gcd)")
-    p.add_argument("--target", type=int, default=0,
-                   help="edges mode: target edge count residue")
+    p.add_argument("--target", type=int,
+                   help="edges mode: target edge count residue (default 0)")
+    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("gadget", help="certified gadget construction")
     gsub = p.add_subparsers(dest="gadget_command")
@@ -122,12 +124,10 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("c4", "c6", "k2r", "teleporter", "transformer",
                             "absorber", "partite-abs"))
     b.add_argument("--pattern", required=True)
-    # None marks a flag not given: a kind that does not read it refuses it
-    b.add_argument("--r", type=int, default=None)
-    b.add_argument("--mode", choices=("internal", "external"), default=None)
-    b.add_argument("--leftover", default=None,
-                   help="transformer/absorber: edge-list file")
-    b.add_argument("--b", type=int, default=None)
+    b.add_argument("--r", type=int)
+    b.add_argument("--mode", choices=("internal", "external"))
+    b.add_argument("--leftover", help="transformer/absorber: edge-list file")
+    b.add_argument("--b", type=int)
 
     p = sub.add_parser("extremal", help="lower-bound families")
     p.add_argument("--pattern", required=True)
@@ -141,11 +141,40 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=Fraction, required=True)
     p.add_argument("--final-size", type=int, required=True)
     p.add_argument("--delta", type=Fraction, default=None)
+    p.add_argument("--seed", type=int, default=0)
     return top
 
 
 def _usage(why: str) -> CommandResult:
     return CommandResult("error", {"error": "usage"}, [why], EXIT_USAGE)
+
+
+# per command, each option that only some of its modes read, and those
+# modes.  Such an option defaults to None, so that a mode that does not read
+# it can refuse it, and its reader applies the default.
+_READ_BY = {
+    "classify": {"delta_e": ("vertex-cover",)},
+    "solve": {"rational": ("fractional",), "seed": ("greedy",),
+              "timeout": ("exact", "vertex")},
+    "fix": {"modulus": ("degree",), "target": ("edges",)},
+    "gadget": {"r": ("k2r",), "mode": ("teleporter",),
+               "leftover": ("transformer", "absorber"),
+               "b": ("partite-abs",)},
+}
+
+
+def _mode(args):
+    """The mode that the flags of a command with modes chose."""
+    if args.command == "classify":
+        return ("vertex-cover" if args.vertex_cover else
+                "candidates" if args.candidates else "threshold")
+    if args.command == "solve":
+        return ("fractional" if args.fractional else
+                "vertex" if args.vertex is not None else
+                "greedy" if args.greedy else "exact")
+    if args.command == "fix":
+        return args.mode
+    return getattr(args, "kind", None)     # gadget build
 
 
 def run(argv) -> CommandResult:
@@ -156,6 +185,11 @@ def run(argv) -> CommandResult:
         return _usage("unrecognised arguments")
     if not args.command:
         return _usage("missing subcommand")
+    mode = _mode(args)
+    for dest, modes in _READ_BY.get(args.command, {}).items():
+        if getattr(args, dest, None) is not None and mode not in modes:
+            return _usage(f"{args.command} {mode} does not read "
+                          f"--{dest.replace('_', '-')}")
     try:
         return _dispatch(args)
     except FileNotFoundError as exc:
@@ -189,7 +223,7 @@ def _dispatch(args) -> CommandResult:
 def _cmd_invariants(args) -> CommandResult:
     g = _load_graph(args.graph)
     payload = {"vertices": g.n, "edges": g.e, "degree_gcd": degree_gcd(g)}
-    if args.bipartite or not (args.colouring or args.cn):
+    if args.bipartite or not (args.colouring or args.cn is not None):
         if g.is_bipartite() and g.e >= 2:
             inv = bipartite_invariants(g)
             payload["bipartite"] = {
@@ -208,15 +242,13 @@ def _cmd_invariants(args) -> CommandResult:
             "chi_vertex": _frac(inv.chi_vx),
             "theta": None if inv.theta is THETA_UNDEFINED else inv.theta,
         }
-    if args.cn:
+    if args.cn is not None:
         tuples = cn_tuples(g, args.cn)
         payload["cn_tuples"] = sorted(t.degrees for t in tuples)
     return CommandResult("ok", payload)
 
 
 def _cmd_classify(args) -> CommandResult:
-    if args.delta_e is not None and not args.vertex_cover:
-        return _usage("--delta-e needs --vertex-cover")
     g = _load_graph(args.graph)
     if args.vertex_cover:
         rep = classify_vx(g, args.delta_e)
@@ -231,8 +263,6 @@ def _cmd_classify(args) -> CommandResult:
 
 
 def _cmd_solve(args) -> CommandResult:
-    if args.rational and not args.fractional:
-        return _usage("--rational needs --fractional")
     f = _load_graph(args.pattern)
     g = _load_graph(args.host)
     if args.fractional:
@@ -264,13 +294,14 @@ def _cmd_solve(args) -> CommandResult:
                             in zip(sorted(g.edges), res.farkas) if t]},
             [], EXIT_UNSAT)
     if args.greedy:
-        out = greedy_decompose(f, g, seed=args.seed)
+        out = greedy_decompose(f, g, seed=args.seed or 0)
         return CommandResult("ok", {"copies": len(out.copies),
                                     "leftover_edges": out.leftover.e})
+    timeout = 60.0 if args.timeout is None else args.timeout
     if args.vertex is not None:
-        res = cover_vertex(f, g, args.vertex, timeout=args.timeout)
+        res = cover_vertex(f, g, args.vertex, timeout=timeout)
     else:
-        res = exact_decompose(f, g, timeout=args.timeout)
+        res = exact_decompose(f, g, timeout=timeout)
     if res.status == SAT:
         if args.vertex is None:
             ok, why = verify_decomposition(res.decomposition)
@@ -307,17 +338,11 @@ def _cmd_fix(args) -> CommandResult:
         r = degree_gcd(f) if args.modulus is None else args.modulus
         h = make_degree_divisible(g, r, {}, seed=args.seed)
     else:
-        h = fix_edge_count(g, list(range(g.n)), f, args.target,
+        h = fix_edge_count(g, list(range(g.n)), f, args.target or 0,
                            seed=args.seed)
     return CommandResult("ok", {"removed": serialize_edge_list(h),
                                 "removed_edges": h.e,
                                 "max_degree": h.max_degree()})
-
-
-# the kinds that read each gadget build flag
-_GADGET_FLAGS = {"r": ("k2r",), "mode": ("teleporter",),
-                 "leftover": ("transformer", "absorber"),
-                 "b": ("partite-abs",)}
 
 
 def _verdict(payload: dict, ok: bool, why) -> CommandResult:
@@ -333,9 +358,6 @@ def _cmd_gadget(args) -> CommandResult:
     if args.gadget_command != "build":
         return _usage("missing gadget subcommand")
     kind = args.kind
-    for flag, kinds in _GADGET_FLAGS.items():
-        if getattr(args, flag) is not None and kind not in kinds:
-            return _usage(f"--{flag} is not read by --kind {kind}")
     if kind in ("transformer", "absorber") and args.leftover is None:
         return _usage(f"--kind {kind} needs --leftover")
     f = _load_graph(args.pattern)
@@ -347,7 +369,8 @@ def _cmd_gadget(args) -> CommandResult:
         r = degree_gcd(f) if args.r is None else args.r
         sw = build_k2r_switcher(f, r)
     elif kind == "teleporter":
-        sw = build_teleporter(f, args.mode or "internal")
+        sw = (build_external_teleporter(f) if args.mode == "external"
+              else build_internal_teleporter(f))
     elif kind == "transformer":
         h = _load_graph(args.leftover)
         tr = build_transformer(f, h, GraphMap(h, h, tuple(range(h.n))))

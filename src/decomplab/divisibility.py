@@ -20,7 +20,6 @@ from .hamilton import edge_disjoint_hamilton_cycles
 class DivisibilityReport:
     edge_divisible: bool
     degree_divisible: bool
-    offending_vertices: list
     edge_residue: int
     degree_residues: dict
 
@@ -33,14 +32,12 @@ def check_divisibility(pattern: Graph, host: Graph) -> DivisibilityReport:
     if pattern.e < 1:
         raise InputError("pattern needs at least one edge")
     r = degree_gcd_of(pattern)
-    res = {v: host.degree(v) % r for v in range(host.n)}
-    offending = sorted(v for v, rv in res.items() if rv)
+    res = {v: d % r for v, d in enumerate(host.degrees()) if d % r}
     return DivisibilityReport(
         edge_divisible=(host.e % pattern.e == 0),
-        degree_divisible=not offending,
-        offending_vertices=offending,
+        degree_divisible=not res,
         edge_residue=host.e % pattern.e,
-        degree_residues={v: rv for v, rv in res.items() if rv},
+        degree_residues=res,
     )
 
 

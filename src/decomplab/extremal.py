@@ -232,9 +232,7 @@ def generate_space_family(f: Graph, m: int) -> ExtremalInstance:
                 continue
             sizes = [mm] * (chi - 1) + [s]
             g = complete_multipartite(sizes)
-            if g.e % f.e:
-                continue
-            if any(g.degree(v) % r for v in range(g.n)):
+            if not check_divisibility(f, g).divisible:
                 continue
             best = (mm, s, sizes, g)
             break

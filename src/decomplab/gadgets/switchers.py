@@ -464,7 +464,8 @@ def build_external_teleporter(f: Graph) -> CertifiedSwitcher:
     e_minus = {1: [], 2: []}
     for i, (ci, side) in enumerate(occ):
         cvs = comps[ci]
-        rest = [x for x in range(f.n) if x not in set(cvs)]
+        comp_set = set(cvs)
+        rest = [x for x in range(f.n) if x not in comp_set]
         if i == star_occ:
             pmap = place(cvs, {v0: u[0], w0: u[1]})
             mmap = place(cvs, {v0: u[2], w0: u[3]})
@@ -500,16 +501,11 @@ def build_external_teleporter(f: Graph) -> CertifiedSwitcher:
     # gadget + {u1u2}: the anchor closes on the plus side, light occurrences
     # close on minus, heavy ones on plus; the teleporters above absorb the
     # light plus edges and the heavy minus edges
-    for i, (ci, side, pmap, mmap, zmap) in enumerate(pieces):
-        if i == star_occ:
-            record_copy("cert1", (pmap, zmap))
-            record_copy("cert2", (mmap, zmap))
-        elif side == 1:
-            record_copy("cert1", (mmap, zmap))
-            record_copy("cert2", (pmap, zmap))
-        else:
-            record_copy("cert1", (pmap, zmap))
-            record_copy("cert2", (mmap, zmap))
+    for ci, side, pmap, mmap, zmap in pieces:
+        if side == 1:
+            pmap, mmap = mmap, pmap
+        record_copy("cert1", (pmap, zmap))
+        record_copy("cert2", (mmap, zmap))
 
     psi = [-1] * space.n
     for (ci, side, pmap, mmap, zmap) in pieces:
@@ -522,11 +518,3 @@ def build_external_teleporter(f: Graph) -> CertifiedSwitcher:
     base = Compression(4, TWO_P1, tuple(psi), 0)
     return _finalize_switcher(space, tuple(u), [(u[0], u[1])],
                               [(u[2], u[3])], base)
-
-
-def build_teleporter(f: Graph, mode: str) -> CertifiedSwitcher:
-    if mode == "internal":
-        return build_internal_teleporter(f)
-    if mode == "external":
-        return build_external_teleporter(f)
-    raise InputError(f"unknown teleporter mode {mode!r}")

@@ -138,7 +138,8 @@ class Graph:
 
     def without_vertices(self, vs: Iterable[int]) -> "Graph":
         """G - X, relabelled to a dense range."""
-        keep = [v for v in range(self.n) if v not in set(vs)]
+        gone = set(vs)
+        keep = [v for v in range(self.n) if v not in gone]
         return self.induced(keep)
 
     def relabel(self, perm: Sequence[int]) -> "Graph":

@@ -15,12 +15,12 @@ Both exact questions run on one iterative exact-cover core, `_exact_cover`,
 over integer items (edge indices): primary items are covered exactly once,
 secondary items at most once, and the search branches on the primary item
 with the fewest live columns, the lowest index among ties.
-`exact_decompose` makes every target edge primary; `cover_vertex` makes the
+`exact_decompose` makes every host edge primary; `cover_vertex` makes the
 star edges at the vertex primary and every other host edge secondary, and
 keeps only the copies whose column meets the star.
 
-Divisibility is checked once, before any search: for the whole target, and
-for a connected pattern also for each component of the target, since such
+Divisibility is checked once, before any search: for the whole host, and
+for a connected pattern also for each component of the host, since such
 a pattern decomposes each component on its own.
 
 Statuses keep the answers apart: `sat` comes with a decomposition that
@@ -29,7 +29,7 @@ residues, `unsat_lattice` with a mod-p certificate that
 `lattice.verify_lattice_certificate` checks, `unsat_exhausted` after a
 complete search, and `indeterminate` when the time budget ran out first.
 `exact_decompose` looks for the lattice certificate once, when its search
-has visited |target| nodes without finishing (see `lattice`).
+has visited e(host) nodes without finishing (see `lattice`).
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ from typing import Optional
 from .divisibility import check_divisibility
 from .embeddings import Packing, enumerate_embeddings, orbit_representatives
 from .errors import InputError
-from .graphs import (Decomposition, EmbeddedCopy, Graph, degree_gcd_of,
-                     norm_edge)
+from .graphs import Decomposition, EmbeddedCopy, Graph, degree_gcd_of
 from .lattice import LatticeCertificate, lattice_refutation
 from .lp import (FEASIBLE, INDETERMINATE, INFEASIBLE, _proves_infeasible,
                  _solves, solve_equalities_box_float, solve_equalities_nonneg)
@@ -64,10 +63,6 @@ class SolveResult:
     nodes: int = 0
     lattice: Optional[LatticeCertificate] = None    # on `unsat_lattice`
     primes_tried: tuple[int, ...] = ()    # moduli the lattice test finished
-
-    @property
-    def sat(self) -> bool:
-        return self.status == SAT
 
 
 @dataclass
@@ -221,38 +216,31 @@ def _deadline(timeout: Optional[float]) -> Optional[float]:
     return None if timeout is None else time.monotonic() + timeout
 
 
-def exact_decompose(pattern: Graph, host: Graph,
-                    target_edges: Optional[frozenset] = None,
+def exact_decompose(pattern: Graph, host: Graph, *,
                     timeout: Optional[float] = None) -> SolveResult:
-    """Partition `target_edges` (default all of E(host)) into copies of
-    `pattern`, or prove impossibility.
+    """Partition E(host) into copies of `pattern`, or prove impossibility.
 
-    Divisibility obstructions, of the whole target or (connected pattern)
+    Divisibility obstructions, of the whole host or (connected pattern)
     of one of its components, are reported before any search; a search
-    still running after |target| nodes asks `lattice_refutation` for a
+    still running after e(host) nodes asks `lattice_refutation` for a
     mod-p certificate once (`unsat_lattice`), unless the deadline passed.
     """
     if pattern.e < 2:
         raise InputError("pattern needs at least two edges")
-    target = (frozenset(norm_edge(*e) for e in target_edges)
-              if target_edges is not None else host.edges)
-    if not target <= host.edges:
-        raise InputError("target edges must be edges of the host")
-    sub = host if target == host.edges else Graph(host.n, target)
-    report = check_divisibility(pattern, sub)
-    if not (report.edge_divisible and report.degree_divisible):
+    report = check_divisibility(pattern, host)
+    if not report.divisible:
         return SolveResult(UNSAT_DIVISIBILITY, report=report)
     if pattern.is_connected():
-        # each component of the target is decomposed on its own
-        for comp in sub.components():
-            if (sum(map(sub.degree, comp)) // 2) % pattern.e:
-                piece = Graph(host.n, sub.induced_edges(comp))
+        # each component of the host is decomposed on its own
+        for comp in host.components():
+            if (sum(map(host.degree, comp)) // 2) % pattern.e:
+                piece = Graph(host.n, host.induced_edges(comp))
                 return SolveResult(UNSAT_DIVISIBILITY,
                                    report=check_divisibility(pattern, piece))
 
     deadline = _deadline(timeout)
-    cands = candidate_copies(pattern, sub)
-    edges = sorted(target)
+    cands = candidate_copies(pattern, host)
+    edges = sorted(host.edges)
     _, columns = _copy_table(pattern, cands, host.n, edges)
     cert, tried = None, ()
 
@@ -268,7 +256,7 @@ def exact_decompose(pattern: Graph, host: Graph,
                                       deadline, refute=refute)
     if chosen is not None:
         copies = [EmbeddedCopy(pattern, cands[i]) for i in chosen]
-        dec = Decomposition(host, target, copies)
+        dec = Decomposition(host, host.edges, copies)
         return SolveResult(SAT, dec, nodes=nodes, primes_tried=tried)
     if cert is not None:
         return SolveResult(UNSAT_LATTICE, nodes=nodes, lattice=cert,

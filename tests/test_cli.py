@@ -11,10 +11,13 @@ import decomplab
 from decomplab import cli, lp
 from decomplab.cli import (EXIT_ERROR, EXIT_INDETERMINATE, EXIT_IO, EXIT_OK,
                            EXIT_UNSAT, EXIT_USAGE, run)
+from decomplab.divisibility import fix_edge_count, make_degree_divisible
 from decomplab.graphio import parse_edge_list, serialize_edge_list
 from decomplab.graphs import (Graph, complete_graph, cycle_graph,
                               disjoint_union, path_graph)
 from decomplab.lattice import LatticeCertificate, verify_lattice_certificate
+from decomplab.pipeline import cover_down, find_vortex
+from decomplab.solver import greedy_decompose
 from test_lp import _farkas_holds
 
 
@@ -44,14 +47,56 @@ def test_ignored_flags_are_gone(tmp_path):
     assert res.exit_code == EXIT_USAGE
     res = run(["--format", "text", "solve", "--pattern", f, "--host", f])
     assert res.exit_code == EXIT_USAGE
+    # --seed and --timeout are options of the commands that read them
+    res = run(["--seed", "1", "invariants", f])
+    assert res.exit_code == EXIT_USAGE
+    res = run(["--timeout", "5", "solve", "--pattern", f, "--host", f])
+    assert res.exit_code == EXIT_USAGE
     # options that the chosen mode would not read
-    for argv in (["solve", "--rational", "--pattern", f, "--host", f],
-                 ["solve", "--greedy", "--vertex", "0", "--pattern", f,
-                  "--host", f],
-                 ["classify", "--vertex-cover", "--candidates", f],
-                 ["classify", "--delta-e", "1/2", f],
-                 ["gadget", "build", "--kind", "c6", "--strategy", "general",
-                  "--pattern", f]):
+    refused = [["solve", "--rational", "--pattern", f, "--host", f],
+               ["solve", "--greedy", "--vertex", "0", "--pattern", f,
+                "--host", f],
+               ["classify", "--vertex-cover", "--candidates", f],
+               ["classify", "--delta-e", "1/2", f],
+               ["gadget", "build", "--kind", "c6", "--strategy", "general",
+                "--pattern", f]]
+    # the 34 (mode, option) pairs that were once accepted and not read
+    unread = [["fix", "--mode", "edges", "--modulus", "7", "--pattern", f,
+               "--host", f],
+              ["fix", "--mode", "degree", "--target", "5", "--pattern", f,
+               "--host", f]]
+    # every mode, and whether it reads --seed and --timeout
+    modes = [(["invariants", f], False, False),
+             (["classify", f], False, False),
+             (["classify", "--vertex-cover", f], False, False),
+             (["classify", "--candidates", f], False, False),
+             (["solve", "--pattern", f, "--host", f], False, True),
+             (["solve", "--fractional", "--pattern", f, "--host", f],
+              False, False),
+             (["solve", "--vertex", "0", "--pattern", f, "--host", f],
+              False, True),
+             (["solve", "--greedy", "--pattern", f, "--host", f],
+              True, False),
+             (["fix", "--mode", "degree", "--pattern", f, "--host", f],
+              True, False),
+             (["fix", "--mode", "edges", "--pattern", f, "--host", f],
+              True, False),
+             (["extremal", "--pattern", f, "--family", "halves",
+               "--scale", "1"], False, False),
+             (["pipeline", "--pattern", f, "--host", f, "--mu", "1/2",
+               "--final-size", "2"], True, False)]
+    modes += [(["gadget", "build", "--kind", kind, "--pattern", f],
+               False, False)
+              for kind in ("c4", "c6", "k2r", "teleporter", "transformer",
+                           "absorber", "partite-abs")]
+    assert len(modes) == 19
+    for argv, reads_seed, reads_timeout in modes:
+        if not reads_seed:
+            unread.append(argv + ["--seed", "1"])
+        if not reads_timeout:
+            unread.append(argv + ["--timeout", "5"])
+    assert len(unread) == 34
+    for argv in refused + unread:
         res = run(argv)
         assert res.exit_code == EXIT_USAGE, argv
         assert res.payload == {"error": "usage"}, argv
@@ -69,6 +114,9 @@ def test_zero_reaches_the_builders(tmp_path):
                "--host", g])
     assert res.exit_code == EXIT_ERROR
     assert res.payload["type"] == "InputError"
+    res = run(["invariants", "--cn", "0", f])
+    assert res.exit_code == EXIT_ERROR
+    assert res.payload["type"] == "DomainError"
 
 
 @pytest.mark.parametrize("kind, pattern, options", [
@@ -358,6 +406,52 @@ def test_greedy_fix_and_pipeline_outputs(tmp_path):
              "outside_residue": 12},
             {"level": 2, "inner": 5, "greedy_copies": 0, "sweep_stalls": 18,
              "outside_residue": 13}]}
+
+
+def test_seed_and_timeout_reach_their_readers(tmp_path, monkeypatch):
+    # the modes that read --seed or --timeout take it after their command
+    # (test_greedy_fix_and_pipeline_outputs pins the outputs of seed 0)
+    k3, k12, k21 = complete_graph(3), complete_graph(12), complete_graph(21)
+    f = _write(tmp_path, "k3.txt", k3)
+    h12 = _write(tmp_path, "k12.txt", k12)
+    h21 = _write(tmp_path, "k21.txt", k21)
+    res = run(["solve", "--greedy", "--seed", "1", "--pattern", f,
+               "--host", h21])
+    out = greedy_decompose(k3, k21, seed=1)
+    assert res.payload == {"copies": len(out.copies),
+                           "leftover_edges": out.leftover.e}
+    res = run(["fix", "--mode", "degree", "--seed", "1", "--pattern", f,
+               "--host", h12])
+    want = make_degree_divisible(k12, 2, {}, seed=1)
+    assert res.payload["removed"] == serialize_edge_list(want)
+    res = run(["fix", "--mode", "edges", "--target", "1", "--seed", "1",
+               "--pattern", f, "--host", h12])
+    want = fix_edge_count(k12, list(range(12)), k3, 1, seed=1)
+    assert res.payload["removed"] == serialize_edge_list(want)
+    res = run(["pipeline", "--seed", "1", "--pattern", f, "--host", h21,
+               "--mu", "1/2", "--final-size", "5"])
+    vor = find_vortex(k21, Fraction(20, 21), Fraction(1, 2), 5, seed=1)
+    out = cover_down(k3, k21, vor, seed=1)
+    assert (res.payload["copies"], res.payload["leftover_edges"]) == (
+        len(out.copies), out.leftover.e)
+
+    # left out, the timeout is 60 s
+    timeouts = []
+
+    def spy(solve):
+        def wrapped(*args, timeout):
+            timeouts.append(timeout)
+            return solve(*args, timeout=timeout)
+        return wrapped
+
+    monkeypatch.setattr(cli, "exact_decompose", spy(cli.exact_decompose))
+    monkeypatch.setattr(cli, "cover_vertex", spy(cli.cover_vertex))
+    for mode in ([], ["--vertex", "0"]):
+        for given in ([], ["--timeout", "30"]):
+            res = run(["solve", *mode, *given, "--pattern", f,
+                       "--host", h21])
+            assert res.exit_code == EXIT_OK
+    assert timeouts == [60.0, 30.0, 60.0, 30.0]
 
 
 @pytest.mark.parametrize("target, removed_edges, max_degree, digest", [

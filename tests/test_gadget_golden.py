@@ -13,7 +13,8 @@ from decomplab.gadgets.absorbers import build_absorber
 from decomplab.gadgets.bipartite_c6 import build_c6_switcher_bipartite
 from decomplab.gadgets.switchers import (build_c4_switcher,
                                          build_c6_switcher_general,
-                                         build_k2r_switcher, build_teleporter)
+                                         build_external_teleporter,
+                                         build_k2r_switcher)
 from decomplab.gadgets.transformers import build_transformer
 from decomplab.graphs import (GraphMap, complete_graph, cycle_graph,
                               disjoint_union, path_graph)
@@ -26,8 +27,8 @@ BUILDS = {
     "c6_switcher_general_c4": lambda: build_c6_switcher_general(C4),
     "c6_switcher_bipartite_p2":
         lambda: build_c6_switcher_bipartite(path_graph(2)),
-    "teleporter_external_k2_p2": lambda: build_teleporter(
-        disjoint_union(complete_graph(2), path_graph(2)), "external"),
+    "teleporter_external_k2_p2": lambda: build_external_teleporter(
+        disjoint_union(complete_graph(2), path_graph(2))),
     "transformer_c4_c5": lambda: build_transformer(
         C4, C5, GraphMap(C5, C5, tuple(range(5)))),
     "absorber_c4_c4": lambda: build_absorber(C4, C4),

@@ -8,8 +8,9 @@ from decomplab.graphs import (Graph, complete_graph, complete_bipartite,
 from decomplab.gadgets.compose import GadgetSpace
 from decomplab.gadgets.switchers import (build_c4_switcher,
                                          build_c6_switcher_general,
-                                         build_k2r_switcher,
-                                         build_teleporter)
+                                         build_external_teleporter,
+                                         build_internal_teleporter,
+                                         build_k2r_switcher)
 from decomplab.gadgets.types import (verify_compression, verify_switcher,
                                      CertifiedSwitcher, RootedModel)
 from decomplab.invariants import chromatic_number, rooted_degeneracy
@@ -166,32 +167,32 @@ def test_switchers_past_the_colouring_enumeration_guard(build):
 
 
 def test_internal_teleporter_path():
-    sw = build_teleporter(path_graph(2), "internal")
+    sw = build_internal_teleporter(path_graph(2))
     assert_good_switcher(sw, expect_d=0)
     assert len(sw.e1) == 1 and len(sw.e2) == 1
 
 
 def test_external_teleporter_k2_plus_path():
     f = disjoint_union(Graph(2, [(0, 1)]), path_graph(2))
-    sw = build_teleporter(f, "external")
+    sw = build_external_teleporter(f)
     assert_good_switcher(sw, expect_d=0)
 
 
 def test_external_teleporter_bigger_mix():
     # components with 2 and 3 edges: gcd 1, teleporters actually appear
     f = disjoint_union(path_graph(2), path_graph(3))
-    sw = build_teleporter(f, "external")
+    sw = build_external_teleporter(f)
     assert_good_switcher(sw, expect_d=0)
 
 
 def test_teleporter_rejections():
     c6 = cycle_graph(6)
     with pytest.raises(DomainError):
-        build_teleporter(c6, "internal")   # degree gcd 2
+        build_internal_teleporter(c6)   # degree gcd 2
     with pytest.raises(DomainError):
-        build_teleporter(c6, "external")   # single component, 6 edges
+        build_external_teleporter(c6)   # single component, 6 edges
     with pytest.raises(DomainError):
-        build_teleporter(K3, "internal")   # not bipartite
+        build_internal_teleporter(K3)   # not bipartite
 
 
 def test_place_adds_a_piece_as_one_checked_update():

@@ -40,6 +40,14 @@ def test_induced_and_minus():
     assert g2.e == 5 and not g2.has_edge(0, 1)
 
 
+def test_without_vertices_takes_a_generator():
+    # the vertices to drop are read once, so an iterator drops all of them
+    p = path_graph(4)
+    assert p.without_vertices(iter([0, 1])) == path_graph(2)
+    assert p.without_vertices(v for v in (0, 4)) == path_graph(2)
+    assert p.without_vertices(v for v in (1, 3)) == Graph(3, [])
+
+
 def test_components_and_bipartition():
     g = disjoint_union(cycle_graph(4), path_graph(1))
     assert len(g.components()) == 2
