@@ -24,6 +24,7 @@ from .graphio import (parse_edge_list, serialize_certificate,
 from .graphs import GraphMap
 from .invariants import (THETA_UNDEFINED, bipartite_invariants, cn_tuples,
                          colouring_invariants, degree_gcd)
+from .lattice import verify_lattice_certificate
 from .pipeline import cover_down, find_vortex
 from .solver import (INDETERMINATE, SAT, UNSAT_LATTICE, cover_vertex,
                      exact_decompose, fractional_decompose, greedy_decompose,
@@ -262,6 +263,13 @@ def _cmd_classify(args) -> CommandResult:
     return CommandResult("ok", payload)
 
 
+def _rejected(what: str, why) -> CommandResult:
+    """An answer that its own verifier rejects: an error naming the
+    violation, and nothing of the answer."""
+    return CommandResult("error", {"error": f"{what} fails its verifier",
+                                   "violation": why}, [why or ""], EXIT_ERROR)
+
+
 def _cmd_solve(args) -> CommandResult:
     f = _load_graph(args.pattern)
     g = _load_graph(args.host)
@@ -308,9 +316,7 @@ def _cmd_solve(args) -> CommandResult:
         else:
             ok, why = verify_star_cover(f, g, args.vertex, res.decomposition)
         if not ok:
-            return CommandResult("error", {
-                "error": "the decomposition fails its verifier",
-                "violation": why}, [why or ""], EXIT_ERROR)
+            return _rejected("the decomposition", why)
         return CommandResult(
             "ok", json.loads(serialize_certificate(res.decomposition)))
     if res.status == INDETERMINATE:
@@ -318,6 +324,9 @@ def _cmd_solve(args) -> CommandResult:
                              EXIT_INDETERMINATE)
     payload = {"status": res.status}
     if res.status == UNSAT_LATTICE:
+        ok, why = verify_lattice_certificate(f, g, res.lattice)
+        if not ok:
+            return _rejected("the lattice certificate", why)
         # y over sorted(host edges), listed as [u, v, y_uv] where y_uv != 0
         payload["modulus"] = res.lattice.modulus
         payload["certificate"] = [[u, v, t] for (u, v), t

@@ -171,14 +171,9 @@ def generate_halves_family(f: Graph, m: int) -> ExtremalInstance:
     g = _two_cliques(half).with_edges([(0, half)])
     # remove one degree-1 gadget in each clique, anchored at the bridge ends
     drop = []
-    for base, anchor in ((0, 0), (half, half)):
-        vmap = {}
-        vmap[q_vertex] = anchor
-        pool = iter(v for v in range(base, base + half) if v != anchor)
-        for t in range(q_graph.n):
-            if t == q_vertex:
-                continue
-            vmap[t] = next(pool)
+    for anchor in (0, half):
+        vmap = list(range(anchor + 1, anchor + q_graph.n))
+        vmap.insert(q_vertex, anchor)
         drop.extend((vmap[a_], vmap[b_]) for a_, b_ in q_graph.edges)
     gp = g.without_edges(drop)
     h = fix_edge_count(gp, list(range(1, half)), f, gp.e, seed=m)
@@ -242,16 +237,12 @@ def generate_space_family(f: Graph, m: int) -> ExtremalInstance:
         raise StructureError(f"no feasible size at scale {m}")
     mm, s, sizes, g = best
     x = 0
-    report = {
-        "sizes": sizes, "vertex": x,
-        "degree": g.degree(x),
-        "last_class": s,
-        "needed": str(Fraction(g.degree(x)) * (1 - Fraction(chi - 2, inv.chi_vx))),
-    }
     # the arithmetic obstruction: covering d(x) edges forces more than s
     # vertices in the last class
-    forced = Fraction(g.degree(x)) * (1 - Fraction(chi - 2) / inv.chi_vx)
+    forced = Fraction(g.degree(x)) * (1 - Fraction(chi - 2, inv.chi_vx))
     assert forced > s, (forced, s)
+    report = {"sizes": sizes, "vertex": x, "degree": g.degree(x),
+              "last_class": s, "needed": str(forced)}
     return ExtremalInstance(g, None, report)
 
 
@@ -297,19 +288,15 @@ def obstruction_check(f: Graph, g: Graph,
             u in boundary and v in boundary for u, v in g.edges)
         region_closed = not any(
             (u in region) != (v in region) for u, v in g.edges)
-        if region_closed:
-            # every embedded copy meets the region in whole components
-            try:
-                return bipartite_invariants(f).tau_tilde == cert.modulus
-            except DomainError:
-                return False
-        if boundary_independent:
-            # every embedded copy meets the region in a non-supporting set
-            try:
-                return bipartite_invariants(f).tau == cert.modulus
-            except DomainError:
-                return False
-        return False
+        if not (region_closed or boundary_independent):
+            return False
+        try:
+            inv = bipartite_invariants(f)
+        except DomainError:
+            return False
+        # every embedded copy meets a closed region in whole components, and
+        # a region with an independent boundary in a non-supporting set
+        return (inv.tau_tilde if region_closed else inv.tau) == cert.modulus
 
     if cert.kind == THETA_COUNT:
         inv = colouring_invariants(f)

@@ -108,6 +108,18 @@ def _split_to_regular(g: Graph, r: int) -> tuple[Graph, GraphMap]:
     return h0, GraphMap(h0, g, tuple(img))
 
 
+def _shapes(f: Graph, h: Graph, uv: tuple, r: int):
+    """Maps from the regular preimage of `h`'s expansion onto its attached
+    shape and its bouquet, and the attached shape's pattern copies: per
+    block, the tail vertex plays the cut edge's far end, the block the rest."""
+    ex = _expand(f, h, uv)
+    _, map_att = ex.to_attached()
+    _, map_loop = ex.to_loop()
+    _, split = _split_to_regular(ex.graph, r)
+    copies = [map_att.image[off:off + f.n] for _, _, off in ex.blocks]
+    return split.compose(map_att), split.compose(map_loop), copies
+
+
 DEFAULT_ABSORBER_GUARD = 120000
 
 
@@ -135,23 +147,14 @@ def build_absorber(f: Graph, h: Graph,
     uv = min(f.edges)
     p = h.e // f.e
 
-    ex_h = _expand(f, h, uv)
-    h_att, map_att = ex_h.to_attached()
-    loop_h, map_loop_h = ex_h.to_loop()
-    h0, split_h = _split_to_regular(ex_h.graph, r)
-    to_att = split_h.compose(map_att)       # h0 -> attached shape
-    to_loop = split_h.compose(map_loop_h)   # h0 -> bouquet
-
-    pf = disjoint_union(*([f] * p))
-    ex_pf = _expand(f, pf, uv)
-    pf_att, map_pf_att = ex_pf.to_attached()
-    loop_pf, map_loop_pf = ex_pf.to_loop()
-    if loop_pf != loop_h:
+    # the leftover's shapes and those of p disjoint pattern copies
+    to_att, to_loop, h_copies = _shapes(f, h, uv, r)
+    pf_to_att, pf_to_loop, pf_copies = _shapes(
+        f, disjoint_union(*([f] * p)), uv, r)
+    if pf_to_loop.target != to_loop.target:
         # both bouquets subdivide p*e(F) pattern copies, so the shapes agree
         raise DomainError("bouquet mismatch (defect)")
-    pf0, split_pf = _split_to_regular(ex_pf.graph, r)
-    pf_to_att = split_pf.compose(map_pf_att)
-    pf_to_loop = split_pf.compose(map_loop_pf)
+    h0, pf0 = to_att.source, pf_to_att.source
 
     est = (h0.e + pf0.e) * 2 * (f.n ** 2) * 40
     if est > guard:
@@ -163,11 +166,11 @@ def build_absorber(f: Graph, h: Graph,
     space = GadgetSpace(f)
     h_ids = space.fresh(h.n)
     # pinned to the leftover block, whose own edges stay out of the absorber
-    att_map = space.place(h_att, dict(enumerate(h_ids)))
+    att_map = space.place(to_att.target, dict(enumerate(h_ids)))
     h0_map = space.place(h0, {})
-    loop_map = space.place(loop_h, {})
+    loop_map = space.place(to_loop.target, {})
     pf0_map = space.place(pf0, {})
-    pf_att_map = space.place(pf_att, {})
+    pf_att_map = space.place(pf_to_att.target, {})
 
     star = build_k2r_switcher(f, r)
     c6 = build_c6_switcher(f)
@@ -182,13 +185,10 @@ def build_absorber(f: Graph, h: Graph,
             (pf0, pf_to_loop, pf0_map, loop_map, False)):
         _place_transformer(space, src, phi, src_map, dst_map, star, c6, swap)
 
-    # one pattern copy per block of an attached shape: the tail vertex plays
-    # the cut edge's far end, the block supplies the rest
-    for tag, ex, amap, shape_map in (("cert1", ex_h, map_att, att_map),
-                                     ("cert2", ex_pf, map_pf_att, pf_att_map)):
-        for _, _, off in ex.blocks:
-            space.record(tag, [shape_map[amap.image[off + t]]
-                               for t in range(f.n)])
+    for tag, copies, shape_map in (("cert1", h_copies, att_map),
+                                   ("cert2", pf_copies, pf_att_map)):
+        for img in copies:
+            space.record(tag, [shape_map[x] for x in img])
     for j in range(p):                             # the p standalone copies
         space.record("cert2", pf_att_map[j * f.n:(j + 1) * f.n])
 

@@ -141,8 +141,8 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
             if (lab[a], lab[b]) in ((C1, C6_), (C2, C3)):
                 (h1 if lab[a] == C1 else h2).append((img[a], img[b]))
 
-    def extend(ei_or_block: int, vmap: dict, plus_side: bool):
-        xs = blocks[ei_or_block]
+    def extend(block: int, vmap: dict, h1: list, h2: list):
+        xs = blocks[block]
         xset = set(xs)
         anyx = xs[0]
         flip = 0 if rho[vmap[anyx]] == (C1 if col0[anyx] == 0 else C2) else 1
@@ -170,14 +170,13 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
         for a, b in new_edges:
             pair = frozenset((lab[a], lab[b]))
             assert pair in _EXT_OK, f"extension edge hit labels {pair}"
-        if plus_side:
-            surplus(img, lab, new_edges, h1_plus, h2_plus)
-        else:
-            surplus(img, lab, new_edges, h1_tilde, h2_tilde)
+        surplus(img, lab, new_edges, h1, h2)
         return tuple(img)
 
-    plus_copies = [extend(ei, vmap, True) for ei, vmap in delta_plus_raw]
-    minus_copies = [extend(ei, vmap, False) for ei, vmap in delta_minus_raw]
+    plus_copies = [extend(ei, vmap, h1_plus, h2_plus)
+                   for ei, vmap in delta_plus_raw]
+    minus_copies = [extend(ei, vmap, h1_tilde, h2_tilde)
+                    for ei, vmap in delta_minus_raw]
 
     # -- step-1 closure: u3, u6 and the bridging pattern copies ---------------
 
@@ -244,13 +243,7 @@ def build_c6_switcher_bipartite(f: Graph) -> CertifiedSwitcher:
     for img in plus_copies:
         space.record("cert1", img)
         space.record("cert2", mirrored(img))
-    for img in minus_copies:
-        space.record("cert1", mirrored(img))
-        space.record("cert2", img)
-    for img in (f1_img, f2_img):
-        space.record("cert1", mirrored(img))
-        space.record("cert2", img)
-    for img in fe_copies:
+    for img in minus_copies + [f1_img, f2_img] + fe_copies:
         space.record("cert1", mirrored(img))
         space.record("cert2", img)
 

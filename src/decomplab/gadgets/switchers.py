@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from collections import deque
 from functools import reduce
+from itertools import accumulate
 from math import gcd
 
 from ..errors import DomainError, InputError, ResourceError
@@ -56,76 +57,41 @@ def build_c4_switcher(f: Graph) -> CertifiedSwitcher:
 
     space = GadgetSpace(f)
     u1, u2, u3, u4 = space.fresh(4)
-    grid = {}
-    for i in range(ell):
-        for j in range(ell):
-            if (i, j) == (0, 0):
-                continue
-            grid[(i, j)] = space.fresh_one()
+    grid = {(i, j): space.fresh_one()
+            for i in range(ell) for j in range(ell) if i or j}
 
-    def row_vertex(i, j):
-        # cell (0,0) belongs to u2 in its row copy and to u4 in its column
-        return u2 if (i, j) == (0, 0) else grid[(i, j)]
-
-    def col_vertex(i, j):
-        return u4 if (i, j) == (0, 0) else grid[(i, j)]
-
-    # rows: copy i places role (i+j) mod ell at cell (i, j)
-    row_images = []
-    for i in range(ell):
-        img = [None] * ell
-        for j in range(ell):
-            img[(i + j) % ell] = row_vertex(i, j)
-        row_images.append(img)
-        for a, b in f_rows.edges:
-            space.add_edge(img[a], img[b])
-    col_images = []
-    for j in range(ell):
-        img = [None] * ell
-        for i in range(ell):
-            img[(i + j) % ell] = col_vertex(i, j)
-        col_images.append(img)
-        for a, b in f_rows.edges:
-            space.add_edge(img[a], img[b])
+    # row copy i places role (i+j) mod ell at cell (i, j), column copy i at
+    # cell (j, i); the split cell (0,0) is u2 in its row, u4 in its column
+    families = []
+    for split, cell in ((u2, lambda i, j: (i, j)), (u4, lambda i, j: (j, i))):
+        images = [[grid.get(cell(i, (k - i) % ell), split)
+                   for k in range(ell)] for i in range(ell)]
+        for img in images:
+            for a, b in f_rows.edges:
+                space.add_edge(img[a], img[b])
+        families.append(images)
 
     # u1 and u3 see every surviving cell whose role neighbours the last role
-    star = {}
     for (i, j), v in grid.items():
         if (i + j) % ell in nbr_last:
-            star[(i, j)] = v
             space.add_edge(u1, v)
             space.add_edge(u3, v)
 
-    def full_copy(tag, partial_img, last_at):
-        # roles back to original pattern vertices: vertex x plays role perm[x]
-        img = list(partial_img) + [last_at]
-        space.record(tag, [img[perm[x]] for x in range(f.n)])
-
-    # cert1 decomposes S + {u1u2, u3u4}: u1 completes the rows, u3 the
-    # columns; the split cell's row copy picks up u1u2, its column u3u4
-    for i in range(ell):
-        full_copy("cert1", row_images[i], u1)
-    for j in range(ell):
-        full_copy("cert1", col_images[j], u3)
-    # cert2 swaps the closers
-    for i in range(ell):
-        full_copy("cert2", row_images[i], u3)
-    for j in range(ell):
-        full_copy("cert2", col_images[j], u1)
+    # cert1 decomposes S + {u1u2, u3u4}: u1 closes the rows, u3 the columns,
+    # so the split cell's row copy picks up u1u2, its column u3u4; cert2
+    # swaps the closers.  Pattern vertex x plays role perm[x]
+    for side, closers in (("cert1", (u1, u3)), ("cert2", (u3, u1))):
+        for images, last in zip(families, closers):
+            for img in images:
+                space.record(side, [img[p] if p < ell else last
+                                    for p in perm])
 
     # compression: the 4-cycle of roots joined onto a clique of the other
     # colour classes; width chi+1
     chi, col = chi_colouring(fr)
-    k_c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    extra = chi - 2
-    kn = 4 + extra
-    k_edges = set(k_c4.edges)
-    for a in range(4, kn):
-        for b in range(a + 1, kn):
-            k_edges.add((a, b))
-        for rroot in range(4):
-            k_edges.add((rroot, a))
-    kg = Graph(kn, k_edges)
+    kn = chi + 2
+    kg = Graph(kn, [(0, 1), (1, 2), (2, 3), (0, 3),
+                    *((a, b) for b in range(4, kn) for a in range(b))])
     # role ell's colour goes to node 0 (c1), role 0's to node 1
     colour_node = renumber(col, {col[ell]: 0, col[0]: 1}, 4)
     psi = [0] * space.n
@@ -207,17 +173,10 @@ def build_clique_degree_star_switcher(f: Graph, v: int) -> CertifiedSwitcher:
     roots = leaves + [plus, minus]
 
     # base compression: the path plus a clique on the colour nodes, the path
-    # ends joined to every colour node except v's colour
-    extra = chi
-    kn = 3 + extra
-    k_edges = set(P2.edges)
-    for a in range(3, kn):
-        for b in range(a + 1, kn):
-            k_edges.add((a, b))
-    for a in range(4, kn):            # colour node of v (index 3) stays off
-        k_edges.add((0, a))
-        k_edges.add((2, a))
-    kg = Graph(kn, k_edges)
+    # ends joined to every colour node except v's (node 3)
+    kn = 3 + chi
+    kg = Graph(kn, [*P2.edges, *((a, b) for b in range(3, kn) for a in range(b)
+                                 if a > 2 or (a != 1 and b > 3))])
     # -1 slots belong to glued bridge interiors; their compressions fill them
     psi = [-1] * space.n
     for x in range(f.n):
@@ -299,34 +258,20 @@ def build_k2r_switcher(f: Graph, r: int) -> CertifiedSwitcher:
         space.add_edge(plus, x)
         space.add_edge(minus, x)
 
-    pool2 = w + leaves       # partitioned among the V2 stars
-    pool1 = list(w)          # partitioned among the V1 stars
-    subs = []
-    i2 = i1 = 0
-    for d in v2:
-        grp = pool2[i2:i2 + d]
-        i2 += d
-        subs.append(("v2", d, grp))
-    for d in v1:
-        grp = pool1[i1:i1 + d]
-        i1 += d
-        subs.append(("v1", d, grp))
-    assert i2 == len(pool2) and i1 == len(pool1)
-
-    base_psi = [-1] * space.n
-    for x in leaves:
-        base_psi[x] = 1
-    for x in w:
-        base_psi[x] = 1
+    # the leaves and W map to the path's middle
+    base_psi = [1] * space.n
     base_psi[plus] = 0
     base_psi[minus] = 2
     base = Compression(3, P2, tuple(base_psi), 0)
 
-    for side, d, grp in subs:
-        sub = degree_switcher(d)
-        # gadget+E+ uses: V2 stars switched to plus, V1 stars to minus
-        space.glue(sub, tuple(grp) + (plus, minus), swap=side == "v1",
-                   beta={0: 0, 1: 1, 2: 2})
+    # the V2 stars share out W and the leaves, the V1 stars W alone;
+    # gadget+E+ uses the V2 stars switched to plus, the V1 stars to minus
+    for ds, pool, swap in ((v2, w + leaves, False), (v1, w, True)):
+        cuts = list(accumulate(ds, initial=0))
+        assert cuts[-1] == len(pool)
+        for d, a, b in zip(ds, cuts, cuts[1:]):
+            space.glue(degree_switcher(d), (*pool[a:b], plus, minus),
+                       swap=swap, beta={0: 0, 1: 1, 2: 2})
 
     e1 = [(plus, x) for x in leaves]
     e2 = [(minus, x) for x in leaves]
@@ -473,7 +418,7 @@ def build_external_teleporter(f: Graph) -> CertifiedSwitcher:
             pmap = place(cvs, {})
             mmap = place(cvs, {})
         zmap = place(rest, {})
-        pieces.append((ci, side, pmap, mmap, zmap))
+        pieces.append((side, pmap, mmap, zmap))
         for x, y in sorted(f.induced_edges(cvs)):
             if i == star_occ and norm_edge(x, y) == norm_edge(*vw):
                 continue
@@ -490,31 +435,21 @@ def build_external_teleporter(f: Graph) -> CertifiedSwitcher:
     for (x, y), (x2, y2) in zip(e_minus[1], e_minus[2]):
         space.glue(tel, (x, y, x2, y2), swap=True, beta={0: 2, 1: 3})
 
-    def record_copy(tag, vmap_pairs):
-        """One pattern copy assembled from per-vertex maps."""
-        img = [None] * f.n
-        for vmap in vmap_pairs:
-            for x, gx in vmap.items():
-                img[x] = gx
-        space.record(tag, img)
-
     # gadget + {u1u2}: the anchor closes on the plus side, light occurrences
     # close on minus, heavy ones on plus; the teleporters above absorb the
     # light plus edges and the heavy minus edges
-    for ci, side, pmap, mmap, zmap in pieces:
+    for side, pmap, mmap, zmap in pieces:
         if side == 1:
             pmap, mmap = mmap, pmap
-        record_copy("cert1", (pmap, zmap))
-        record_copy("cert2", (mmap, zmap))
+        for tag, cmap in (("cert1", pmap), ("cert2", mmap)):
+            img = {**cmap, **zmap}
+            space.record(tag, map(img.get, range(f.n)))
 
     psi = [-1] * space.n
-    for (ci, side, pmap, mmap, zmap) in pieces:
-        for x, gx in pmap.items():
-            psi[gx] = colour(x)
-        for x, gx in zmap.items():
-            psi[gx] = colour(x)
-        for x, gx in mmap.items():
-            psi[gx] = 2 + colour(x)
+    for _, pmap, mmap, zmap in pieces:
+        for vmap, offset in ((pmap, 0), (zmap, 0), (mmap, 2)):
+            for x, gx in vmap.items():
+                psi[gx] = offset + colour(x)
     base = Compression(4, TWO_P1, tuple(psi), 0)
     return _finalize_switcher(space, tuple(u), [(u[0], u[1])],
                               [(u[2], u[3])], base)

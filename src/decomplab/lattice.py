@@ -1,7 +1,7 @@
 """Lattice (mod-p) certificates that no F-decomposition exists.
 
 Let A be the 0/1 incidence matrix of the candidate copies of F (one column
-per copy, one row per edge of `sorted(target)`).  A decomposition is an
+per copy, one row per edge of `sorted(host.edges)`).  A decomposition is an
 x in Z>=0^copies with A x = 1, so it needs the all-ones vector in the Z-span
 of A's columns.  By the integer Farkas lemma (Schrijver, *Theory of Linear
 and Integer Programming*, Cor. 4.1a) 1 lies outside that span exactly when
@@ -19,7 +19,7 @@ The elimination holds its GF(2) vectors as int bitsets, one bit per edge,
 so that a row operation is one XOR; at odd p it holds sparse dicts.
 
 `exact_decompose` runs `lattice_refutation` once, when its search has
-visited |target| nodes without finishing: a search that never backtracks
+visited e(host) nodes without finishing: a search that never backtracks
 needs about e(G)/e(F) + 1 nodes, so one that finds a decomposition
 without much backtracking never pays for the elimination.
 `verify_lattice_certificate` is the independent check: it recomputes the
@@ -41,7 +41,7 @@ from .graphs import Graph, degree_gcd_of, norm_edge
 @dataclass(frozen=True)
 class LatticeCertificate:
     modulus: int
-    y: tuple[int, ...]        # one residue per edge of sorted(target)
+    y: tuple[int, ...]        # one residue per edge of sorted(host.edges)
 
 
 def _prime_factors(n: int) -> set[int]:
@@ -174,7 +174,8 @@ def lattice_refutation(pattern: Graph, columns, rows: int,
                        ) -> tuple[Optional[LatticeCertificate], tuple[int, ...]]:
     """The first certificate found over `lattice_primes(pattern)`, or None;
     and the primes whose test ran to the end.  `columns` is a list (it is
-    read once per prime) of the copies' edge indices in `sorted(target)`."""
+    read once per prime) of the copies' edge indices in
+    `sorted(host.edges)`."""
     tried = []
     for p in lattice_primes(pattern):
         y = span_certificate(columns, rows, p, deadline)
@@ -186,29 +187,27 @@ def lattice_refutation(pattern: Graph, columns, rows: int,
     return None, tuple(tried)
 
 
-def verify_lattice_certificate(pattern: Graph, host: Graph, target,
+def verify_lattice_certificate(pattern: Graph, host: Graph,
                                cert: LatticeCertificate
                                ) -> tuple[bool, Optional[str]]:
-    """Check that `cert` proves `target` has no decomposition into copies of
+    """Check that `cert` proves `host` has no decomposition into copies of
     `pattern`: its modulus p is prime, it has one integer per edge of
-    `sorted(target)`, they sum to a nonzero residue, and they sum to 0 mod p
-    over the edges of every labelled embedding of `pattern` into `target`.
-    The first violation is named."""
+    `sorted(host.edges)`, they sum to a nonzero residue, and they sum to 0
+    mod p over the edges of every labelled embedding of `pattern` into
+    `host`.  The first violation is named."""
     p, y = cert.modulus, cert.y
     if not isinstance(p, int) or p < 2 or any(
             p % d == 0 for d in range(2, isqrt(p) + 1)):
         return False, f"modulus {p} is not prime"
-    edges = sorted({norm_edge(*e) for e in target})
-    if not set(edges) <= host.edges:
-        return False, "target edges must be edges of the host"
+    edges = sorted(host.edges)
     if len(y) != len(edges):
-        return False, f"{len(y)} entries for {len(edges)} target edges"
+        return False, f"{len(y)} entries for {len(edges)} host edges"
     if not all(isinstance(t, int) for t in y):
         return False, "entries must be integers"
     if sum(y) % p == 0:
         return False, f"the entries sum to 0 mod {p}"
     weight = dict(zip(edges, y))
-    for im in enumerate_embeddings(pattern, Graph(host.n, edges)):
+    for im in enumerate_embeddings(pattern, host):
         total = sum(weight[norm_edge(im[u], im[v])]
                     for u, v in pattern.edges) % p
         if total:

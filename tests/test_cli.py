@@ -11,13 +11,17 @@ import decomplab
 from decomplab import cli, lp
 from decomplab.cli import (EXIT_ERROR, EXIT_INDETERMINATE, EXIT_IO, EXIT_OK,
                            EXIT_UNSAT, EXIT_USAGE, run)
+from decomplab.classifier import classify_vx, discretisation_candidates
 from decomplab.divisibility import fix_edge_count, make_degree_divisible
+from decomplab.extremal import generate_extremal
 from decomplab.graphio import parse_edge_list, serialize_edge_list
 from decomplab.graphs import (Graph, complete_graph, cycle_graph,
                               disjoint_union, path_graph)
+from decomplab.invariants import (bipartite_invariants, cn_tuples,
+                                  colouring_invariants)
 from decomplab.lattice import LatticeCertificate, verify_lattice_certificate
 from decomplab.pipeline import cover_down, find_vortex
-from decomplab.solver import greedy_decompose
+from decomplab.solver import cover_vertex, greedy_decompose
 from test_lp import _farkas_holds
 
 
@@ -231,6 +235,90 @@ def test_colouring_commands_refuse_an_isolated_vertex(tmp_path, argv):
     assert res.payload["error"] == "pattern has an isolated vertex"
 
 
+def _q(num, den=1):
+    return {"num": num, "den": den}
+
+
+def test_invariants_payloads_match_the_library(tmp_path):
+    c4, k4, k3 = cycle_graph(4), complete_graph(4), complete_graph(3)
+    res = run(["invariants", _write(tmp_path, "c4.txt", c4)])
+    assert res.exit_code == EXIT_OK
+    inv = bipartite_invariants(c4)
+    assert (inv.tau, inv.tau_tilde, inv.bridge_edges,
+            inv.component_edge_counts) == (2, 4, [], [4])
+    assert res.payload == {
+        "vertices": 4, "edges": 4, "degree_gcd": 2,
+        "bipartite": {"tau": 2, "tau_tilde": 4, "bridges": [],
+                      "component_edge_counts": [4]}}
+
+    res = run(["invariants", "--colouring", _write(tmp_path, "k4.txt", k4)])
+    assert res.exit_code == EXIT_OK
+    inv = colouring_invariants(k4)
+    assert (inv.chi, inv.theta) == (4, 2)
+    assert res.payload["colouring"] == {
+        "chi": inv.chi, "chi_critical": _q(inv.chi_cr.numerator,
+                                           inv.chi_cr.denominator),
+        "sigma": inv.sigma, "chi_vertex": _q(inv.chi_vx.numerator,
+                                             inv.chi_vx.denominator),
+        "theta": inv.theta}
+
+    k3_path = _write(tmp_path, "k3.txt", k3)
+    res = run(["invariants", "--cn", "3", k3_path])
+    assert res.exit_code == EXIT_OK
+    assert [list(t.degrees) for t in cn_tuples(k3, 3)] == [[1, 1]]
+    assert json.loads(json.dumps(res.payload["cn_tuples"])) == [[1, 1]]
+
+    res = run(["invariants", "--bipartite", k3_path])
+    assert res.exit_code == EXIT_ERROR
+    assert res.payload["type"] == "DomainError"
+    assert "odd cycle" in res.payload["error"]
+
+
+K4_PENDANT = Graph(5, [*complete_graph(4).edges, (3, 4)])
+
+
+@pytest.mark.parametrize("flags, pattern, report, want", [
+    (["--vertex-cover"], cycle_graph(4), classify_vx,
+     {"kind": "exact", "value": _q(1, 2)}),
+    (["--vertex-cover"], path_graph(3), classify_vx,
+     {"kind": "exact", "value": _q(0)}),
+    (["--vertex-cover"], K4_PENDANT, classify_vx,
+     {"kind": "interval", "interval": [_q(2, 3), _q(3, 4)]}),
+    (["--vertex-cover", "--delta-e", "9/10"], K4_PENDANT,
+     lambda g: classify_vx(g, Fraction(9, 10)),
+     {"kind": "exact", "value": _q(9, 10)}),
+    (["--candidates"], complete_graph(5), discretisation_candidates,
+     {"kind": "set",
+      "value_set": ["fractional_threshold", _q(4, 5), _q(5, 6)]}),
+    (["--candidates"], complete_graph(3), discretisation_candidates,
+     {"kind": "bound", "value_set": ["fractional_threshold", _q(3, 4)],
+      "assumptions": [
+          "first member is the fractional threshold, not computed here",
+          "triangle: fractional threshold known to be at most 9/10"]}),
+    (["--candidates"], cycle_graph(4), discretisation_candidates,
+     {"kind": "exact", "value": _q(2, 3), "delta_F": _q(2, 3)}),
+])
+def test_classify_modes_report_the_library_values(tmp_path, flags, pattern,
+                                                  report, want):
+    res = run(["classify", *flags, _write(tmp_path, "f.txt", pattern)])
+    assert res.exit_code == EXIT_OK
+    rep = report(pattern)
+    assert res.payload == {"quantity": rep.quantity, "kind": rep.kind,
+                           "rule": rep.rule,
+                           "assumptions": rep.assumptions, **want}
+
+
+def test_solve_vertex_reports_the_violated_residue(tmp_path):
+    k3, k6 = complete_graph(3), complete_graph(6)
+    res = run(["solve", "--vertex", "0",
+               "--pattern", _write(tmp_path, "k3.txt", k3),
+               "--host", _write(tmp_path, "k6.txt", k6)])
+    assert res.exit_code == EXIT_UNSAT
+    want = {"vertex": 0, "degree": 5, "modulus": 2, "residue": 1}
+    assert cover_vertex(k3, k6, 0).report == want
+    assert res.payload == {"status": "unsat_divisibility", **want}
+
+
 def test_fractional_solve(tmp_path, monkeypatch):
     f = _write(tmp_path, "k3.txt", complete_graph(3))
     g = _write(tmp_path, "k7.txt", complete_graph(7))
@@ -372,8 +460,31 @@ def test_solve_prints_a_lattice_certificate(tmp_path):
     y = {(u, v): t for u, v, t in res.payload["certificate"]}
     assert set(y) <= host.edges and all(y.values())
     cert = LatticeCertificate(2, tuple(y.get(e, 0) for e in sorted(host.edges)))
-    assert verify_lattice_certificate(c4, host, host.edges, cert) == (True, None)
+    assert verify_lattice_certificate(c4, host, cert) == (True, None)
     json.dumps(res.payload)
+
+
+def test_solve_rejects_a_lattice_certificate_its_verifier_rejects(
+        tmp_path, monkeypatch):
+    c4 = cycle_graph(4)
+    host = generate_extremal(c4, "tau_23", 2).graph
+    exact_decompose = cli.exact_decompose
+    bad = []
+
+    def flipped(*args, **kwargs):
+        res = exact_decompose(*args, **kwargs)
+        p, y = res.lattice.modulus, res.lattice.y
+        res.lattice = LatticeCertificate(p, ((y[0] + 1) % p,) + y[1:])
+        bad.append(res.lattice)
+        return res
+
+    monkeypatch.setattr(cli, "exact_decompose", flipped)
+    res = run(["solve", "--pattern", _write(tmp_path, "c4.txt", c4),
+               "--host", _write(tmp_path, "tau23.txt", host)])
+    assert res.status == "error" and res.exit_code == EXIT_ERROR
+    ok, why = verify_lattice_certificate(c4, host, bad[0])
+    assert not ok and res.payload["violation"] == why
+    assert res.diagnostics == [why] and "certificate" not in res.payload
 
 
 def test_greedy_fix_and_pipeline_outputs(tmp_path):

@@ -98,7 +98,7 @@ def test_c4_tau_23_at_a_biting_scale_has_a_checked_lattice_refutation():
     g = generate_extremal(c4, "tau_23", 3).graph
     res = exact_decompose(c4, g, timeout=60)
     assert res.status == UNSAT_LATTICE
-    ok, why = verify_lattice_certificate(c4, g, g.edges, res.lattice)
+    ok, why = verify_lattice_certificate(c4, g, res.lattice)
     assert ok, why
 
 
