@@ -228,11 +228,16 @@ K4_MINUS_E = complete_graph(4).without_edges([(2, 3)])
     # chi = 3 and theta = 1: the hub graph joins copies at several vertices
     (K4_MINUS_E, 1, 10, "ad1120c5bf82a8f3"),
     (Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]), 3, 10, "0f498a4df24d7092"),
+    (complete_graph(4), 1, 64, "b98373ab6c96fb5e"),
+    # an odd cycle: the bundle is x's whole star in its one copy, so no hub
+    # graph is glued and the plain cover is empty
+    (cycle_graph(5), 1, 5, "0197d1f2b1730085"),
 ])
 def test_partite_absorber_is_golden(f, b, vertices, digest):
     """Pinned by its vertex count and a digest of its edges, colouring,
-    centre, bundle and both covers' images, all sorted; both covers pass
-    the star-cover verifier."""
+    centre, bundle and both covers' images, all sorted; each cover's target
+    is the edges of its images, and both covers pass the star-cover
+    verifier."""
     pa = build_partite_neighbourhood_absorber(f, b)
     assert verify_star_cover(f, pa.graph, pa.x, pa.cover_plain) == (True, None)
     assert verify_star_cover(f, pa.cover_with_w.host, pa.x,
@@ -242,3 +247,6 @@ def test_partite_absorber_is_golden(f, b, vertices, digest):
            sorted(c.image for c in pa.cover_with_w.copies))
     assert pa.graph.n == vertices
     assert hashlib.sha256(repr(key).encode()).hexdigest()[:16] == digest
+    for cover in (pa.cover_plain, pa.cover_with_w):
+        assert cover.target_edges == frozenset().union(
+            *[c.edge_image() for c in cover.copies])
