@@ -193,9 +193,7 @@ def run(argv) -> CommandResult:
                           f"--{dest.replace('_', '-')}")
     try:
         return _dispatch(args)
-    except FileNotFoundError as exc:
-        return CommandResult("error", {"error": str(exc)}, [], EXIT_FILE)
-    except ParseError as exc:
+    except (FileNotFoundError, ParseError) as exc:
         return CommandResult("error", {"error": str(exc)}, [], EXIT_FILE)
     except DecompLabError as exc:
         return CommandResult("error",
@@ -331,12 +329,10 @@ def _cmd_solve(args) -> CommandResult:
         payload["modulus"] = res.lattice.modulus
         payload["certificate"] = [[u, v, t] for (u, v), t
                                   in zip(sorted(g.edges), res.lattice.y) if t]
-    elif res.report is not None and hasattr(res.report, "degree_residues"):
+    elif res.report is not None:
         payload["edge_residue"] = res.report.edge_residue
         payload["degree_residues"] = {
             str(k): v for k, v in res.report.degree_residues.items()}
-    elif isinstance(res.report, dict):
-        payload.update(res.report)
     return CommandResult("unsat", payload, [], EXIT_UNSAT)
 
 

@@ -31,61 +31,7 @@ from .types import CertifiedAbsorber
 # -- expanded / attached / subdivided shapes -----------------------------------
 
 
-def _orient(h: Graph) -> list[tuple[int, int]]:
-    """Orientation used throughout: each edge points low to high."""
-    return sorted(h.edges)
-
-
-@dataclass
-class _Expanded:
-    """The expansion of a leftover: one pattern copy per edge with its
-    chosen edge cut open and wired back onto the leftover's endpoints."""
-
-    graph: Graph
-    h_n: int                    # leftover vertices occupy ids 0..h_n-1
-    blocks: list                # per edge: (x, y, base offset of its copy)
-    uv: tuple                   # the pattern edge that gets cut
-    pattern: Graph
-
-    def _image(self, n: int, img: list) -> tuple[Graph, GraphMap]:
-        """The graph on n vertices that the vertex map `img` makes of the
-        expansion, with that map."""
-        g = Graph(n, {norm_edge(img[a], img[b]) for a, b in self.graph.edges})
-        return g, GraphMap(self.graph, g, tuple(img))
-
-    def to_attached(self) -> tuple[Graph, GraphMap]:
-        """Identify each copy's v-end with the edge's tail: the attached
-        shape (leftover plus pendant copies, the edge x-y materialising from
-        y's v-wire).  The leftover keeps its ids; copy i keeps its block in
-        order, less v."""
-        v, k = self.uv[1], self.pattern.n - 1
-        img = list(range(self.h_n)) + [
-            x if t == v else self.h_n + k * i + t - (t > v)
-            for i, (x, _, _) in enumerate(self.blocks) for t in range(k + 1)]
-        return self._image(self.h_n + k * len(self.blocks), img)
-
-    def to_loop(self) -> tuple[Graph, GraphMap]:
-        """Identify all leftover vertices into one hub: the subdivided
-        bouquet of pattern copies."""
-        rest = self.graph.n - self.h_n
-        return self._image(1 + rest, [0] * self.h_n + list(range(1, 1 + rest)))
-
-
-def _expand(f: Graph, h: Graph, uv: tuple) -> _Expanded:
-    """One pattern copy per oriented leftover edge, with the chosen pattern
-    edge removed and replaced by wires to the edge's two endpoints."""
-    u, v = uv
-    # the cut copy; vertices f.n and f.n + 1 stand for the edge's endpoints
-    cut = Graph(f.n + 2, [*f.without_edges([uv]).edges,
-                          (u, f.n), (v, f.n + 1)])
-    space = GadgetSpace(f)
-    space.fresh(h.n)
-    blocks = [(x, y, space.place(cut, {f.n: x, f.n + 1: y})[0])
-              for x, y in _orient(h)]
-    return _Expanded(space.graph(), h.n, blocks, uv, f)
-
-
-def _split_to_regular(g: Graph, r: int) -> tuple[Graph, GraphMap]:
+def _split_to_regular(g: Graph, r: int) -> GraphMap:
     """Split every vertex into degree-r pieces: the canonical regular
     preimage with an edge-bijective map onto g."""
     if any(d % r for d in g.degrees()):
@@ -104,20 +50,46 @@ def _split_to_regular(g: Graph, r: int) -> tuple[Graph, GraphMap]:
     for e in sorted(g.edges):
         a, b = e
         edges.append((piece_of[(a, e)], piece_of[(b, e)]))
-    h0 = Graph(n0, edges)
-    return h0, GraphMap(h0, g, tuple(img))
+    return GraphMap(Graph(n0, edges), g, tuple(img))
 
 
 def _shapes(f: Graph, h: Graph, uv: tuple, r: int):
     """Maps from the regular preimage of `h`'s expansion onto its attached
-    shape and its bouquet, and the attached shape's pattern copies: per
-    block, the tail vertex plays the cut edge's far end, the block the rest."""
-    ex = _expand(f, h, uv)
-    _, map_att = ex.to_attached()
-    _, map_loop = ex.to_loop()
-    _, split = _split_to_regular(ex.graph, r)
-    copies = [map_att.image[off:off + f.n] for _, _, off in ex.blocks]
-    return split.compose(map_att), split.compose(map_loop), copies
+    shape and its bouquet, and the attached shape's pattern copies.
+
+    The expansion has one pattern copy per leftover edge x-y, taken low to
+    high, with the pattern edge uv cut open and its ends wired to x and y;
+    the leftover's vertices come first.  The attached shape identifies each
+    copy's v with x, so the edge x-y materialises from y's wire: the
+    leftover keeps its ids and copy i keeps its block in order, less v.  The
+    bouquet identifies all leftover vertices into one hub.  Per block, the
+    tail vertex plays the cut edge's far end, the block the rest.
+    """
+    u, v = uv
+    k = f.n - 1
+    # the cut copy; vertices f.n and f.n + 1 stand for the edge's endpoints
+    cut = Graph(f.n + 2, [*f.without_edges([uv]).edges,
+                          (u, f.n), (v, f.n + 1)])
+    space = GadgetSpace(f)
+    space.fresh(h.n)
+    att = list(range(h.n))
+    for i, (x, y) in enumerate(sorted(h.edges)):
+        space.place(cut, {f.n: x, f.n + 1: y})
+        att += [x if t == v else h.n + k * i + t - (t > v)
+                for t in range(f.n)]
+    rest = space.n - h.n
+    loop = [0] * h.n + list(range(1, 1 + rest))
+    ex = space.graph()
+    split = _split_to_regular(ex, r)
+    # each shape is the graph on n vertices that its image list makes of
+    # the expansion, reached from the preimage through the split
+    to_att, to_loop = [
+        GraphMap(split.source,
+                 Graph(n, {norm_edge(img[a], img[b]) for a, b in ex.edges}),
+                 tuple(img[x] for x in split.image))
+        for n, img in ((h.n + k * h.e, att), (1 + rest, loop))]
+    copies = [att[off:off + f.n] for off in range(h.n, space.n, f.n)]
+    return to_att, to_loop, copies
 
 
 DEFAULT_ABSORBER_GUARD = 120000
@@ -178,12 +150,12 @@ def build_absorber(f: Graph, h: Graph,
     # T2: bouquet + T2 in A, preimage + T2 in A + H;
     # T3: attached(pf) + T3 in A, pf preimage + T3 in A + H;
     # T4: pf preimage + T4 in A, bouquet + T4 in A + H
-    for src, phi, src_map, dst_map, swap in (
-            (h0, to_att, h0_map, att_map, False),
-            (h0, to_loop, h0_map, loop_map, True),
-            (pf0, pf_to_att, pf0_map, pf_att_map, True),
-            (pf0, pf_to_loop, pf0_map, loop_map, False)):
-        _place_transformer(space, src, phi, src_map, dst_map, star, c6, swap)
+    for phi, src_map, dst_map, swap in (
+            (to_att, h0_map, att_map, False),
+            (to_loop, h0_map, loop_map, True),
+            (pf_to_att, pf0_map, pf_att_map, True),
+            (pf_to_loop, pf0_map, loop_map, False)):
+        _place_transformer(space, phi, src_map, dst_map, star, c6, swap)
 
     for tag, copies, shape_map in (("cert1", h_copies, att_map),
                                    ("cert2", pf_copies, pf_att_map)):
@@ -342,32 +314,25 @@ def build_partite_neighbourhood_absorber(f: Graph, b: int,
             pick_for[d] = (v, heavy)
     degs = sorted(best_w)
 
-    # smallest j with br + j*M a degree sum carrying enough class-1 slots;
-    # dp[t] depends only on smaller t, so one table serves every j
-    chosen_degrees = None
+    # the smallest t = br + j*M (j < 400) that is a degree sum carrying
+    # enough class-1 slots; dp[t] depends only on smaller t
     dp = {0: 0}
     back = {}
-    done = 0
-    for j in range(400):
-        target = br + j * M
-        for t in range(done + 1, target + 1):
-            for d in degs:
-                if t - d in dp:
-                    cand = dp[t - d] + best_w[d]
-                    if t not in dp or cand > dp[t]:
-                        dp[t] = cand
-                        back[t] = d
-        done = target
-        if target in dp and dp[target] >= br:
-            seq = []
-            t = target
-            while t:
-                seq.append(back[t])
-                t -= back[t]
-            chosen_degrees = seq
+    for t in range(1, br + 399 * M + 1):
+        for d in degs:
+            if t - d in dp:
+                cand = dp[t - d] + best_w[d]
+                if t not in dp or cand > dp[t]:
+                    dp[t] = cand
+                    back[t] = d
+        if t >= br and (t - br) % M == 0 and t in dp and dp[t] >= br:
             break
-    if chosen_degrees is None:
+    else:
         raise ResourceError("no copy multiset reaches the bundle size")
+    chosen_degrees = []
+    while t:
+        chosen_degrees.append(back[t])
+        t -= back[t]
 
     space = GadgetSpace(f)
     x = space.fresh_one()
@@ -375,8 +340,7 @@ def build_partite_neighbourhood_absorber(f: Graph, b: int,
     cover_with_w = []
 
     # F'' : the chosen copies glued at x, colour-heaviest class sent to 1
-    class1_nbrs = []
-    star_class: dict = {}
+    star = []                      # x's neighbours in F''
     for d in chosen_degrees:
         v, heavy = pick_for[d]
         remap = renumber(base, {base[v]: s, heavy: 1}, 2)
@@ -385,23 +349,17 @@ def build_partite_neighbourhood_absorber(f: Graph, b: int,
             if t == v:
                 continue
             col[vmap[t]] = remap[base[t]]
-        for y in f.adj[v]:
-            star_class[vmap[y]] = remap[base[y]]
-            if remap[base[y]] == 1:
-                class1_nbrs.append(vmap[y])
+        star.extend(vmap[y] for y in f.adj[v])
         cover_with_w.append(tuple(vmap))
 
-    w_set = tuple(sorted(class1_nbrs)[:br])
+    w_set = tuple(sorted(y for y in star if col[y] == 1)[:br])
     for wv in w_set:
         # the bundle edges exist only in T + xW
         space.edges.discard(norm_edge(x, wv))
 
     # per-class residual star degrees and the balancing transport
-    a = {i: 0 for i in range(1, s)}
-    for y, cc in star_class.items():
-        if y in w_set:
-            continue
-        a[cc] += 1
+    residual = Counter(col[y] for y in star if y not in w_set)
+    a = {i: residual[i] for i in range(1, s)}
     total = sum(a.values())
     assert total % (s - 1) == 0
     abar = total // (s - 1)

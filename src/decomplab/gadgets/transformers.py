@@ -16,10 +16,10 @@ from .switchers import build_k2r_switcher
 from .types import CertifiedTransformer
 
 
-def _place_transformer(space: GadgetSpace, h: Graph, phi: GraphMap,
+def _place_transformer(space: GadgetSpace, phi: GraphMap,
                        h_ids, hp_ids, star, c6, swap: bool) -> None:
-    """Place a transformer for `h` and its image under `phi` into `space`,
-    for the space's pattern.
+    """Place a transformer for h = phi.source and its image under `phi`
+    into `space`, for the space's pattern.
 
     `h_ids` and `hp_ids` are the space vertices of h's and phi.target's
     blocks; every other vertex is fresh and neither leftover's edges join the
@@ -27,14 +27,12 @@ def _place_transformer(space: GadgetSpace, h: Graph, phi: GraphMap,
     The copies that cover T + H are recorded on the side `cert1`, those
     that cover T + H' on `cert2`; with `swap`, crosswise.
     """
-    f = space.pattern
+    f, h = space.pattern, phi.source
     r = degree_gcd_of(f)
     if f.e < 2:
         raise InputError("pattern needs at least two edges")
     if any(d != r for d in h.degrees()):
         raise DomainError(f"leftover must be {r}-regular")
-    if phi.source != h:
-        raise InputError("phi must map the given leftover")
     if not phi.is_edge_bijective():
         raise DomainError("phi must be an edge-bijective homomorphism")
 
@@ -64,10 +62,12 @@ def build_transformer(f: Graph, h: Graph, phi: GraphMap) -> CertifiedTransformer
     `phi` maps h onto h'; the two graphs land on disjoint vertex blocks of
     the gadget universe and stay independent inside it.
     """
+    if phi.source != h:
+        raise InputError("phi must map the given leftover")
     space = GadgetSpace(f)
     h_ids = space.fresh(h.n)
     hp_ids = space.fresh(phi.target.n)
-    _place_transformer(space, h, phi, h_ids, hp_ids,
+    _place_transformer(space, phi, h_ids, hp_ids,
                        build_k2r_switcher(f, degree_gcd_of(f)),
                        build_c6_switcher(f), swap=False)
     h_edges = frozenset(norm_edge(h_ids[a], h_ids[b]) for a, b in h.edges)

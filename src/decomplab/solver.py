@@ -44,7 +44,7 @@ from typing import Optional
 from .divisibility import check_divisibility
 from .embeddings import Packing, enumerate_embeddings, orbit_representatives
 from .errors import InputError
-from .graphs import Decomposition, EmbeddedCopy, Graph, degree_gcd_of
+from .graphs import Decomposition, EmbeddedCopy, Graph
 from .lattice import LatticeCertificate, lattice_refutation
 from .lp import (FEASIBLE, INDETERMINATE, INFEASIBLE, _proves_infeasible,
                  _solves, solve_equalities_box_float, solve_equalities_nonneg)
@@ -538,17 +538,15 @@ def cover_vertex(pattern: Graph, host: Graph, x: int,
     Copies are globally edge-disjoint, not just on the star: the star edges
     are the primary items and every other host edge a secondary one.
     Divisibility of the star degree by the pattern degree gcd is the cheap
-    gate.
+    gate; a refusal carries the host's divisibility report.
     """
     if pattern.e < 1:
         raise InputError("pattern needs at least one edge")
     if not (0 <= x < host.n):
         raise InputError("vertex out of range")
-    r = degree_gcd_of(pattern)
-    dx = host.degree(x)
-    if dx % r:
-        rep = {"vertex": x, "degree": dx, "modulus": r, "residue": dx % r}
-        return SolveResult(UNSAT_DIVISIBILITY, report=rep)
+    report = check_divisibility(pattern, host)
+    if x in report.degree_residues:
+        return SolveResult(UNSAT_DIVISIBILITY, report=report)
     edges = sorted(host.edges)
     cands = candidate_copies(pattern, host, through_vertex=x)
     at, columns = _copy_table(pattern, cands, host.n, edges)

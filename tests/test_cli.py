@@ -9,10 +9,11 @@ import pytest
 
 import decomplab
 from decomplab import cli, lp
-from decomplab.cli import (EXIT_ERROR, EXIT_INDETERMINATE, EXIT_IO, EXIT_OK,
-                           EXIT_UNSAT, EXIT_USAGE, run)
+from decomplab.cli import (EXIT_ERROR, EXIT_FILE, EXIT_INDETERMINATE, EXIT_IO,
+                           EXIT_OK, EXIT_UNSAT, EXIT_USAGE, run)
 from decomplab.classifier import classify_vx, discretisation_candidates
-from decomplab.divisibility import fix_edge_count, make_degree_divisible
+from decomplab.divisibility import (check_divisibility, fix_edge_count,
+                                    make_degree_divisible)
 from decomplab.extremal import generate_extremal
 from decomplab.graphio import parse_edge_list, serialize_edge_list
 from decomplab.graphs import (Graph, complete_graph, cycle_graph,
@@ -29,6 +30,18 @@ def _write(tmp_path, name, g):
     path = tmp_path / name
     path.write_text(serialize_edge_list(g))
     return str(path)
+
+
+@pytest.mark.parametrize("text", [None, "3\n0 1\n1 x\n"],
+                         ids=["missing", "malformed"])
+def test_an_unreadable_pattern_file_exits_66(tmp_path, text):
+    pattern = tmp_path / "pattern.txt"
+    if text is not None:
+        pattern.write_text(text)
+    res = run(["solve", "--pattern", str(pattern),
+               "--host", _write(tmp_path, "k3.txt", complete_graph(3))])
+    assert res.exit_code == EXIT_FILE and res.status == "error"
+    assert set(res.payload) == {"error"}
 
 
 def test_solve_and_vertex_cover(tmp_path):
@@ -314,9 +327,10 @@ def test_solve_vertex_reports_the_violated_residue(tmp_path):
                "--pattern", _write(tmp_path, "k3.txt", k3),
                "--host", _write(tmp_path, "k6.txt", k6)])
     assert res.exit_code == EXIT_UNSAT
-    want = {"vertex": 0, "degree": 5, "modulus": 2, "residue": 1}
-    assert cover_vertex(k3, k6, 0).report == want
-    assert res.payload == {"status": "unsat_divisibility", **want}
+    # the same payload as a whole-host divisibility refusal
+    assert res.payload == {"status": "unsat_divisibility", "edge_residue": 0,
+                           "degree_residues": {str(v): 1 for v in range(6)}}
+    assert cover_vertex(k3, k6, 0).report == check_divisibility(k3, k6)
 
 
 def test_fractional_solve(tmp_path, monkeypatch):
@@ -462,6 +476,10 @@ def test_solve_prints_a_lattice_certificate(tmp_path):
     cert = LatticeCertificate(2, tuple(y.get(e, 0) for e in sorted(host.edges)))
     assert verify_lattice_certificate(c4, host, cert) == (True, None)
     json.dumps(res.payload)
+    # with no time, the search stops before it asks for a certificate
+    res = run(["solve", "--timeout", "0", "--pattern", f, "--host", str(g)])
+    assert res.exit_code == EXIT_INDETERMINATE
+    assert res.payload == {"status": "indeterminate"}
 
 
 def test_solve_rejects_a_lattice_certificate_its_verifier_rejects(
@@ -517,6 +535,18 @@ def test_greedy_fix_and_pipeline_outputs(tmp_path):
              "outside_residue": 12},
             {"level": 2, "inner": 5, "greedy_copies": 0, "sweep_stalls": 18,
              "outside_residue": 13}]}
+
+    k15 = _write(tmp_path, "k15.txt", complete_graph(15))
+    res = run(["pipeline", "--pattern", f, "--host", k15, "--mu", "1/2",
+               "--final-size", "3", "--seed", "1"])
+    assert res.status == "ok" and res.exit_code == EXIT_OK
+    assert res.payload == {
+        "levels": 2, "final_size": 3, "success": True, "copies": 34,
+        "leftover_edges": 3, "stats": [
+            {"level": 1, "inner": 7, "greedy_copies": 0, "sweep_stalls": 0,
+             "outside_residue": 0},
+            {"level": 2, "inner": 3, "greedy_copies": 0, "sweep_stalls": 0,
+             "outside_residue": 0}]}
 
 
 def test_seed_and_timeout_reach_their_readers(tmp_path, monkeypatch):

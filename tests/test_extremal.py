@@ -9,7 +9,8 @@ from decomplab.extremal import (BRIDGE_CUT, TAU_COUNT, THETA_COUNT,
 from decomplab.divisibility import check_divisibility
 from decomplab.errors import StructureError
 from decomplab.graphs import (Graph, complete_bipartite, complete_graph,
-                              cycle_graph, disjoint_union, path_graph)
+                              complete_multipartite, cycle_graph,
+                              disjoint_union, path_graph)
 from decomplab.lattice import verify_lattice_certificate
 from decomplab.solver import UNSAT_LATTICE, exact_decompose
 
@@ -134,3 +135,61 @@ def test_obstruction_check_accepts_each_kind_and_refuses_a_mutation(mutate):
     for pattern, g, cert in _certified():
         assert obstruction_check(pattern, g, cert), cert.kind
         assert not obstruction_check(pattern, g, mutate(cert, g.n)), cert.kind
+
+
+def _boundary(g, region):
+    """The vertices outside `region` with a neighbour in it, sorted."""
+    return sorted({v for e in g.edges for v in e
+                   if (e[0] in region) != (e[1] in region)} - region)
+
+
+def _other_neighbour(g, cert):
+    """A neighbour of the bridge's end 0 besides the bridge's other end."""
+    return min(set(g.adj[0]) - cert.region)
+
+
+# the bases, in `_certified` order
+TAU_OPEN, TAU_CLOSED, BRIDGE, THETA = range(4)
+
+
+@pytest.mark.parametrize("base, tamper", [
+    pytest.param(TAU_OPEN, lambda f, g, c: (
+        f, g.with_edges([tuple(_boundary(g, c.region)[:2])]), c),
+        id="tau-region-neither-closed-nor-with-independent-boundary"),
+    pytest.param(TAU_OPEN, lambda f, g, c: (complete_graph(3), g, c),
+                 id="tau-pattern-not-bipartite"),
+    pytest.param(TAU_CLOSED, lambda f, g, c: (cycle_graph(4), g, c),
+                 id="tau-modulus-not-the-patterns-tau"),
+    pytest.param(THETA, lambda f, g, c: (f, g, replace(c, modulus=3)),
+                 id="theta-modulus-not-theta"),
+    pytest.param(THETA, lambda f, g, c: (complete_graph(3), g, c),
+                 id="theta-chi-below-four"),
+    # the two three-vertex classes of the K4 host merged into one
+    pytest.param(THETA, lambda f, g, c: (
+        f, complete_multipartite([4, 2, 6]), c),
+        id="theta-class-count-not-chi"),
+    # an edge inside the region's class, which keeps the classes
+    pytest.param(THETA, lambda f, g, c: (f, g.with_edges([(0, 1)]), c),
+                 id="theta-host-not-complete-multipartite"),
+    # every class has two vertices, so no difference is odd
+    pytest.param(THETA, lambda f, g, c: (
+        f, complete_multipartite([2, 2, 2, 2]), replace(c, region={0, 1})),
+        id="theta-no-class-pair-with-the-residue"),
+    pytest.param(BRIDGE, lambda f, g, c: (
+        f, g, replace(c, region=c.region | {_other_neighbour(g, c)})),
+        id="bridge-region-of-three-vertices"),
+    pytest.param(BRIDGE, lambda f, g, c: (
+        f, g, replace(c, region={0, min(set(range(1, g.n)) - g.adj[0])})),
+        id="bridge-region-not-an-edge"),
+    pytest.param(BRIDGE, lambda f, g, c: (
+        f, g, replace(c, region={0, _other_neighbour(g, c)})),
+        id="bridge-edge-not-a-bridge"),
+    pytest.param(BRIDGE, lambda f, g, c: (path_graph(2), g, c),
+                 id="bridge-pattern-with-a-bridge"),
+    pytest.param(TAU_OPEN, lambda f, g, c: (f, g, replace(c, kind="unknown")),
+                 id="unknown-kind"),
+])
+def test_obstruction_check_refuses_each_failed_condition(base, tamper):
+    f, g, cert = list(_certified())[base]
+    assert min(cert.region) == 0 and obstruction_check(f, g, cert)
+    assert not obstruction_check(*tamper(f, g, cert))

@@ -1,7 +1,8 @@
 """Every gadget verifier and the star-cover verifier refuse a damaged
 certificate: a host with an extra edge, a dropped copy, a copy of another
 pattern; a star cover also an uncovered star edge and two copies that share
-an edge."""
+an edge.  Each structural check (roots, switch sets, compression, leftover,
+pattern) refuses a gadget tampered at just that point."""
 
 from dataclasses import replace
 from itertools import combinations
@@ -12,10 +13,13 @@ from decomplab.gadgets.absorbers import (build_absorber,
                                          build_partite_neighbourhood_absorber)
 from decomplab.gadgets.switchers import build_c4_switcher
 from decomplab.gadgets.transformers import build_transformer
-from decomplab.gadgets.types import (verify_absorber, verify_star_cover,
+from decomplab.errors import InputError
+from decomplab.gadgets.types import (RootedModel, verify_absorber,
+                                     verify_compression, verify_star_cover,
                                      verify_switcher, verify_transformer)
 from decomplab.graphs import (Decomposition, EmbeddedCopy, Graph, GraphMap,
-                              complete_graph, cycle_graph)
+                              complete_graph, cycle_graph, norm_edge,
+                              path_graph)
 from decomplab.solver import cover_vertex
 
 K3 = complete_graph(3)
@@ -113,3 +117,100 @@ def test_a_star_cover_of_an_out_of_range_vertex_is_refused(x):
     cover = cover_vertex(K3, host, 0).decomposition
     assert verify_star_cover(K3, host, x, cover) == (
         False, "vertex x out of range")
+
+
+@pytest.mark.parametrize("roots, expect", [
+    ((0, 1, 0), "pairwise distinct"),
+    ((0, 3), "out of range"),
+    ((-1, 0), "out of range"),
+], ids=["repeated", "past-the-end", "negative"])
+def test_a_rooted_model_refuses_bad_roots(roots, expect):
+    with pytest.raises(InputError, match=expect):
+        RootedModel(path_graph(2), roots)
+
+
+def _roots_joined(sw):
+    m = sw.model
+    return replace(sw, model=RootedModel(
+        m.graph.with_edges([m.roots[:2]]), m.roots))
+
+
+def _off_root(sw):
+    """A model vertex that is not a root."""
+    return min(set(range(sw.model.graph.n)) - set(sw.model.roots))
+
+
+def _with_compression(sw, **changes):
+    return replace(sw, compression=replace(sw.compression, **changes))
+
+
+def _psi_folding_an_edge(sw):
+    """psi sends a non-root vertex onto its neighbour's image."""
+    u = _off_root(sw)
+    v = min(sw.model.graph.adj[u])
+    psi = list(sw.compression.psi)
+    psi[u] = psi[v]
+    return _with_compression(sw, psi=tuple(psi))
+
+
+def _leftover_on_the_gadget(gadget_edges, leftover):
+    """One gadget edge more in the leftover."""
+    return leftover | {min(gadget_edges)}
+
+
+def _leftover_next_to_the_gadget(gadget_edges, leftover):
+    """One leftover edge more, off the gadget, at a gadget neighbour of a
+    leftover vertex: that gadget edge then joins two leftover vertices."""
+    vs = {v for e in leftover for v in e}
+    w = min(v for e in gadget_edges if len(vs.intersection(e)) == 1
+            for v in e if v not in vs)
+    z = min(z for z in vs if norm_edge(w, z) not in gadget_edges)
+    return leftover | {norm_edge(w, z)}
+
+
+_SWITCHER, _TRANSFORMER, _ABSORBER = (
+    GADGETS[kind][0] for kind in ("switcher", "transformer", "absorber"))
+
+
+def _compression_check(sw):
+    return verify_compression(sw.model, sw.compression)
+
+
+@pytest.mark.parametrize("build, verify, tamper, expect", [
+    pytest.param(_SWITCHER, verify_switcher, _roots_joined,
+                 "roots not independent", id="switcher-roots-joined"),
+    pytest.param(_SWITCHER, verify_switcher, lambda sw: replace(
+        sw, e1=sw.e1 | {(_off_root(sw), sw.model.roots[0])}),
+        "not on roots", id="switcher-e1-edge-off-the-roots"),
+    pytest.param(_SWITCHER, verify_switcher, lambda sw: replace(
+        sw, e2=sw.e2 | {min(sw.e1)}), "intersect",
+        id="switcher-e1-meets-e2"),
+    pytest.param(_SWITCHER, _compression_check, lambda sw: _with_compression(
+        sw, j_size=sw.compression.k.n + 1), "J larger than K",
+        id="compression-j-larger-than-k"),
+    pytest.param(_SWITCHER, _compression_check, lambda sw: _with_compression(
+        sw, psi=sw.compression.psi[:-1]), "every model vertex",
+        id="compression-psi-too-short"),
+    pytest.param(_SWITCHER, _compression_check, _psi_folding_an_edge,
+                 "homomorphism violated", id="compression-psi-folds-an-edge"),
+    pytest.param(_TRANSFORMER, verify_transformer, lambda tr: replace(
+        tr, hp_edges=_leftover_on_the_gadget(tr.t.edges, tr.hp_edges)),
+        "overlap", id="transformer-leftover-on-the-gadget"),
+    pytest.param(_TRANSFORMER, verify_transformer, lambda tr: replace(
+        tr, hp_edges=_leftover_next_to_the_gadget(tr.t.edges, tr.hp_edges)),
+        "not independent", id="transformer-leftover-not-independent"),
+    pytest.param(_ABSORBER, verify_absorber, lambda ab: replace(
+        ab, h_edges=_leftover_on_the_gadget(ab.a.edges, ab.h_edges)),
+        "overlap", id="absorber-leftover-on-the-gadget"),
+    pytest.param(_ABSORBER, verify_absorber, lambda ab: replace(
+        ab, h_edges=_leftover_next_to_the_gadget(ab.a.edges, ab.h_edges)),
+        "not independent", id="absorber-leftover-not-independent"),
+    pytest.param(lambda: next(_covers()), lambda c: verify_star_cover(*c),
+                 lambda c: (path_graph(2),) + c[1:], "different pattern",
+                 id="star-cover-of-another-pattern"),
+])
+def test_each_gadget_check_refuses_its_tamper(build, verify, tamper, expect):
+    gadget = build()
+    assert verify(gadget) == (True, None)
+    ok, why = verify(tamper(gadget))
+    assert not ok and expect in why, why

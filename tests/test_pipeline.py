@@ -73,6 +73,20 @@ def test_cover_down_confines_k15_to_the_final_level():
     assert v.depth == 2 and res.success
 
 
+def test_cover_down_bulk_greedy_pass_places_copies_below_half():
+    # at mu = 1/2 the pass places nothing; at mu = 1/4 the outside of level
+    # 1 is large enough for it to place copies before the sweep
+    g = complete_graph(31)
+    v = find_vortex(g, Fraction(3, 4), Fraction(1, 4), 8, seed=1)
+    res = cover_down(K3, g, v, seed=1)
+    check_cover_down(g, v, res)
+    assert res.stats[0]["greedy_copies"] == 7
+    # the pass's copies come first and use outside vertices only
+    inner = set(v.sets[1])
+    assert all(inner.isdisjoint(c.image) for c in res.copies[:7])
+    assert not inner.isdisjoint(res.copies[7].image)
+
+
 @pytest.mark.parametrize("seed, copies, residues, digest", [
     (1, 570, (101, 241, 120), "7aa93655e19fc895"),
     (2, 572, (77, 205, 114), "56ed04d846b3d092"),

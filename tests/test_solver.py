@@ -507,7 +507,7 @@ def test_cover_vertex_k7():
 def test_cover_vertex_k6_residue():
     res = cover_vertex(K3, complete_graph(6), 0)
     assert res.status == UNSAT_DIVISIBILITY
-    assert res.report["residue"] == 1
+    assert res.report.degree_residues[0] == 1
 
 
 def test_cover_vertex_star_host():

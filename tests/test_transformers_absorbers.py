@@ -2,10 +2,10 @@ import hashlib
 
 import pytest
 
-from decomplab.errors import DomainError
+from decomplab.errors import DomainError, InputError
 from decomplab.gadgets.absorbers import (build_absorber,
                                          build_partite_neighbourhood_absorber,
-                                         _expand, _glue_rotated_copies)
+                                         _glue_rotated_copies, _shapes)
 from decomplab.gadgets.bipartite_c6 import (build_c6_switcher,
                                             build_c6_switcher_bipartite)
 from decomplab.gadgets.switchers import build_c6_switcher_general
@@ -99,6 +99,12 @@ def test_transformer_rejects_bad_phi():
         build_transformer(K3, h, bad)
 
 
+def test_transformer_rejects_a_map_of_another_leftover():
+    phi = GraphMap(cycle_graph(4), cycle_graph(4), (0, 1, 2, 3))
+    with pytest.raises(InputError, match="given leftover"):
+        build_transformer(C4, cycle_graph(5), phi)
+
+
 def test_transformer_nontrivial_edge_bijection():
     # C6 folds edge-bijectively onto a doubled path? no; use two disjoint
     # triangles mapping onto ... keep it honest: relabelled C5 image
@@ -152,10 +158,9 @@ def test_absorber_c4_pattern():
 
 
 def test_bouquet_counts():
-    # two triangle copies with a cut edge share one subdivision hub
-    ex = _expand(K3, path_graph(2), (0, 1))
-    loop, _ = ex.to_loop()
-    assert loop.n == 7 and loop.e == 8
+    # four triangle copies with a cut edge share one subdivision hub
+    _, to_loop, _ = _shapes(K3, C4, (0, 1), 2)
+    assert to_loop.target.n == 13 and to_loop.target.e == 16
 
 
 # -- colour rotation -------------------------------------------------------------
