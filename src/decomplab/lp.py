@@ -3,13 +3,14 @@
 A is a list of equal-length rows, each a list or a 1-D array, and both
 modes return (status, vector).  `solver.fractional_decompose` hands these
 functions the LP's quotient by the coarsest equitable partition of its
-matrix, which is 1 x 1 on an edge-transitive host, and checks the lifted
-answer on the full system with `_solves` and `_proves_infeasible`.  A system
-with one column has one candidate, x = b_i / a_i at the first row with a
-nonzero, read from the rows as they are; it is returned with no sparse
-matrix and no HiGHS call once it passes its mode's check below, and on an
-edge-transitive host that answers the whole LP.  Every other system has its
-nonzeros handed to scipy's HiGHS as a sparse matrix.
+matrix, which is 1 x 1 on every host whose edges each lie in equally many
+copies (edge-transitive or not), and checks the lifted answer on the full
+system with `_solves` and `_proves_infeasible`.  A system with one column
+has one candidate, x = b_i / a_i at the first row with a nonzero, read from
+the rows as they are; it is returned with no sparse matrix, no HiGHS call and
+no numpy or scipy import once it passes its mode's check below, and on such
+a host that answers the whole LP.  Every other system has its nonzeros
+handed to scipy's HiGHS as a sparse matrix.
 
 Float mode tries HiGHS's interior point without crossover first, which on a
 symmetric system lands on a point with few distinct values, and falls back
@@ -201,8 +202,6 @@ def solve_equalities_box_float(rows, rhs, tolerance: float = 1e-9
     """x in [0, 1]^n with every row of A x = b within `tolerance`:
     (`feasible`, x), (`infeasible`, None) on HiGHS's word, or
     (`indeterminate`, None)."""
-    import numpy as np
-    from scipy.optimize import linprog
     n = len(rows[0]) if rows else 0
     if n == 1:
         # one unknown: the first row with a nonzero fixes it; clipped and
@@ -214,6 +213,8 @@ def solve_equalities_box_float(rows, rhs, tolerance: float = 1e-9
             x = min(max(x, 0.0), 1.0)
             if all(abs(a * x - bi) <= tolerance for a, bi in zip(col, bf)):
                 return FEASIBLE, [x]
+    import numpy as np
+    from scipy.optimize import linprog
     b = np.array(rhs, dtype=float)
     if n == 0:
         return (INFEASIBLE, None) if b.any() else (FEASIBLE, [])

@@ -6,10 +6,15 @@ one column per copy, the tuple of its image edges' indices.  Every consumer
 reads the columns: the exact-cover core, the lattice test and the fractional
 LP.  The LP is solved on its quotient by the coarsest equitable partition of
 the edge/copy incidence, found by colour refinement, and the lifted answer is
-checked on the full system.  Candidates are image tuples straight from the
-embedding kernel; an `EmbeddedCopy` is built only for a copy that a result
-hands out (the chosen columns of an exact or star cover).  A fractional
-solution keeps the candidate images themselves, aligned with its weights.
+checked on the full system.  Refinement's first round splits the edges by
+their degree, one count over the columns; where that leaves one class, as on
+every host whose edges each lie in equally many copies, the quotient is
+1 x 1, and the lists of copies through each edge are built only for a later
+round, a quotient with more cells or a Farkas check.  Candidates are image
+tuples straight from the embedding kernel; an `EmbeddedCopy` is built only
+for a copy that a result hands out (the chosen columns of an exact or star
+cover).  A fractional solution keeps the candidate images themselves,
+aligned with its weights.
 
 Both exact questions run on one iterative exact-cover core, `_exact_cover`,
 over integer items (edge indices): primary items are covered exactly once,
@@ -38,6 +43,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import chain
 from typing import Optional
 
@@ -389,7 +395,7 @@ def _refine(classes: list[int], members: list,
     return new, len(ids)
 
 
-def _equitable_partition(columns: list, by_edge: list
+def _equitable_partition(columns: list, degree: list[int], by_edge
                          ) -> tuple[list[int], list[int]]:
     """The coarsest equitable partition of the edge/copy incidence, by
     colour refinement from one edge class and one copy class: (the class of
@@ -397,14 +403,18 @@ def _equitable_partition(columns: list, by_edge: list
 
     Equitable: the edges of a class each lie in the same number of copies of
     each class, and the copies of a class each have the same number of edges
-    in each class.  A step that splits no class leaves the partition stable.
-    Once the edges are discrete so are the copies, whose edge sets differ.
+    in each class.  The first edge round splits the edges by `degree`, the
+    number of copies through each; `by_edge()`, the copies through each
+    edge, is called only for a later edge round.  A step that splits no
+    class leaves the partition stable.  Once the edges are discrete so are
+    the copies, whose edge sets differ.
     """
-    n_edges, n_copies = len(by_edge), len(columns)
-    edge_class, copy_class = [0] * n_edges, [0] * n_copies
+    n_edges, n_copies = len(degree), len(columns)
+    ids: dict = {}
+    edge_class = [ids.setdefault(d, len(ids)) for d in degree]
+    count, copy_class = len(ids), [0] * n_copies
     edge_count, copy_count = min(n_edges, 1), min(n_copies, 1)
     while True:
-        edge_class, count = _refine(edge_class, by_edge, copy_class)
         if count == n_edges:
             return edge_class, list(range(n_copies))
         if count == edge_count:
@@ -414,6 +424,7 @@ def _equitable_partition(columns: list, by_edge: list
         if count == copy_count:
             return edge_class, copy_class
         copy_count = count
+        edge_class, count = _refine(edge_class, by_edge(), copy_class)
 
 
 def _quotient(edge_class: list[int], copy_class: list[int], by_edge: list):
@@ -440,17 +451,23 @@ def fractional_decompose(pattern: Graph, host: Graph, mode: str = "rational",
     The LP is solved on its quotient by the coarsest equitable partition of
     the edge/copy incidence (Grohe, Kersting, Mladenov and Selman,
     "Dimension reduction via colour refinement", ESA 2014): one row per edge
-    class and one column per copy class, which on an edge-transitive host is
-    1 x 1, and on a host with no symmetry is the full LP.  It has a solution
-    iff the full LP has: a solution z lifts to x_c = z_C, and averaging a
-    solution over each class gives one of the quotient's.  A Farkas vector
-    lifts to y_e = y_R / |R|.  The lifted answer is checked on the full
-    system before it is returned, and one that fails gives `indeterminate`.
+    class and one column per copy class, and on a host with no symmetry the
+    full LP.  It has a solution iff the full LP has: a solution z lifts to
+    x_c = z_C, and averaging a solution over each class gives one of the
+    quotient's.  A Farkas vector lifts to y_e = y_R / |R|.  The lifted
+    answer is checked on the full system before it is returned, and one
+    that fails gives `indeterminate`.
 
-    A feasible one-column quotient, as on an edge-transitive host, is
-    answered by one division with no HiGHS call.  Otherwise rational mode
-    checks HiGHS's dual-simplex vertex, and float mode tries HiGHS's
-    interior point first and falls back to that vertex (see `lp`).
+    Refinement's first edge round reads the edge degrees, the number of
+    copies through each edge, off one count over the copy table.  Where
+    every edge has the same degree d, as on any edge-transitive host but
+    also on hosts that are not, that one class is already equitable, since
+    every copy has all its e(F) edges in it: the quotient is [[d]], and the
+    lifted x_c = z is checked on each edge's row as degree·z, so the lists
+    of copies through each edge are never built.  A feasible one-column
+    quotient is answered by one division with no HiGHS call.  Otherwise
+    rational mode checks HiGHS's dual-simplex vertex, and float mode tries
+    HiGHS's interior point first and falls back to that vertex (see `lp`).
 
     Rational mode answers with an exactly checked certificate: weights, or
     a Farkas vector in `farkas` (one `Fraction` per edge of
@@ -465,32 +482,46 @@ def fractional_decompose(pattern: Graph, host: Graph, mode: str = "rational",
     cands = candidate_copies(pattern, host)
     edges = sorted(host.edges)
     _, columns = _copy_table(pattern, cands, host.n, edges)
-    by_edge = _by_item(columns, len(edges))
-    edge_class, copy_class = _equitable_partition(columns, by_edge)
-    rows = list(_quotient(edge_class, copy_class, by_edge))
+    degree = list(map(Counter(chain.from_iterable(columns)).__getitem__,
+                      range(len(edges))))
+    by_edge = cache(partial(_by_item, columns, len(edges)))
+    edge_class, copy_class = _equitable_partition(columns, degree, by_edge)
+    # one edge class: every copy has e(F) edges of it, so it is equitable
+    one_class = bool(columns) and not any(edge_class)
+    rows = ([[degree[0]]] if one_class
+            else list(_quotient(edge_class, copy_class, by_edge())))
     if mode == "float":
         status, z = solve_equalities_box_float(rows, [1.0] * len(rows),
                                                tolerance)
         if status != FEASIBLE:
             return FractionalResult(status)
         x = [z[k] for k in copy_class]
-        if not all(abs(sum(map(x.__getitem__, cs)) - 1) <= tolerance
-                   for cs in by_edge):
+        # edge e's load; at x_c = z on one edge class it reads degree[e]·z
+        loads = ((d * z[0] for d in degree) if one_class
+                 else (sum(map(x.__getitem__, cs)) for cs in by_edge()))
+        if not all(abs(t - 1) <= tolerance for t in loads):
             return FractionalResult(INDETERMINATE)
     else:
         status, v = solve_equalities_nonneg(rows, [1] * len(rows))
         if status == INDETERMINATE:
             return FractionalResult(status)
-        entries = [[(c, 1) for c in cs] for cs in by_edge]
         ones = [1] * len(edges)
         if status == INFEASIBLE:
             size = Counter(edge_class)
             y = [v[r] / size[r] for r in edge_class]
+            entries = [[(c, 1) for c in cs] for cs in by_edge()]
             if _proves_infeasible(entries, len(cands), ones, y):
                 return FractionalResult(INFEASIBLE, farkas=y)
             return FractionalResult(INDETERMINATE)
         x = [v[k] for k in copy_class]
-        if not _solves(entries, ones, x):
+        # edge e's row of the full system; at x_c = z on one edge class it
+        # reads degree[e]·z
+        if one_class:
+            lifted = _solves([[(0, d)] for d in degree], ones, v)
+        else:
+            lifted = _solves([[(c, 1) for c in cs] for cs in by_edge()],
+                             ones, x)
+        if not lifted:
             return FractionalResult(INDETERMINATE)
     return FractionalResult(FEASIBLE,
                             FractionalDecomposition(pattern, cands, x))

@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 import warnings
 from collections import Counter
 from fractions import Fraction
@@ -65,6 +68,17 @@ def _farkas_holds(pattern, host, y):
                     for es in _all_copies(pattern, host)))
 
 
+def _chang():
+    """The Chang graph that Seidel-switches T(8), the line graph of K8, on
+    the perfect matching {01, 23, 45, 67}: strongly regular (28, 12, 6, 4),
+    so every edge lies in 6 triangles, but not edge-transitive."""
+    pairs = list(combinations(range(8), 2))
+    switched = {pairs.index(p) for p in ((0, 1), (2, 3), (4, 5), (6, 7))}
+    return Graph(28, [(i, j) for i, j in combinations(range(28), 2)
+                      if bool(set(pairs[i]) & set(pairs[j]))
+                      != ((i in switched) != (j in switched))])
+
+
 def test_k4_minus_edge_infeasible_with_checked_farkas_vector():
     host = Graph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)])
     # every edge lies in a triangle, yet no weighting covers each edge once
@@ -123,15 +137,29 @@ def test_support_elimination_when_rounding_fails(monkeypatch):
     assert len(supports) == 2
 
 
-def test_rational_and_float_agree_on_random_hosts():
-    rng = random.Random(11)
-    seen = {FEASIBLE: 0, INFEASIBLE: 0}
+def _random_hosts(seed, hi):
+    """120 (pattern, random host on 4..hi vertices) pairs, then K3 on the
+    Chang graph, whose edges all lie in 6 triangles."""
+    rng = random.Random(seed)
     for _ in range(120):
         pattern = rng.choice(PATTERNS)
-        n = rng.randint(4, 7)
+        n = rng.randint(4, hi)
         dens = rng.uniform(0.4, 0.95)
-        host = Graph(n, [e for e in combinations(range(n), 2)
-                         if rng.random() < dens])
+        yield pattern, Graph(n, [e for e in combinations(range(n), 2)
+                                 if rng.random() < dens])
+    yield K3, _chang()
+
+
+def _is_chang_answer(res, sixth):
+    """Every one of the Chang graph's 336 triangles weighted `sixth`."""
+    sol = res.solution
+    return (res.status == FEASIBLE and len(sol.images) == 336
+            and set(sol.weights) == {sixth})
+
+
+def test_rational_and_float_agree_on_random_hosts():
+    seen = {FEASIBLE: 0, INFEASIBLE: 0}
+    for pattern, host in _random_hosts(11, 7):
         exact = fractional_decompose(pattern, host, mode="rational")
         approx = fractional_decompose(pattern, host, mode="float")
         assert exact.status == approx.status
@@ -141,6 +169,8 @@ def test_rational_and_float_agree_on_random_hosts():
             assert load == {e: 1 for e in host.edges}
         else:
             assert _farkas_holds(pattern, host, exact.farkas)
+    assert _is_chang_answer(exact, Fraction(1, 6))
+    assert _is_chang_answer(approx, 1 / 6)
     assert min(seen.values()) >= 20
 
 
@@ -155,15 +185,9 @@ def _classes_agree(item_class, members, member_class) -> bool:
 
 def test_quotient_matches_the_full_lp_on_random_hosts():
     # the oracle is lp on the full incidence, one 0/1 column per copy
-    rng = random.Random(26)
     seen = {FEASIBLE: 0, INFEASIBLE: 0}
     reduced = 0
-    for _ in range(120):
-        pattern = rng.choice(PATTERNS)
-        n = rng.randint(4, 8)
-        dens = rng.uniform(0.4, 0.95)
-        host = Graph(n, [e for e in combinations(range(n), 2)
-                         if rng.random() < dens])
+    for pattern, host in _random_hosts(26, 8):
         edges = sorted(host.edges)
         rows = _incidence(pattern, host)
         exact = fractional_decompose(pattern, host, mode="rational")
@@ -179,14 +203,17 @@ def test_quotient_matches_the_full_lp_on_random_hosts():
             assert _farkas_holds(pattern, host, exact.farkas)
         # the partition is equitable both ways
         _, columns = solver._copy_table(
-            pattern, candidate_copies(pattern, host), n, edges)
+            pattern, candidate_copies(pattern, host), host.n, edges)
+        by_edge = solver._by_item(columns, len(edges))
         edge_class, copy_class = solver._equitable_partition(
-            columns, solver._by_item(columns, len(edges)))
+            columns, list(map(len, by_edge)), lambda: by_edge)
         through = [[c for c, col in enumerate(columns) if e in col]
                    for e in range(len(edges))]
         assert _classes_agree(edge_class, through, copy_class)
         assert _classes_agree(copy_class, columns, edge_class)
         reduced += len(set(copy_class)) < len(columns)
+    assert _is_chang_answer(exact, Fraction(1, 6))
+    assert _is_chang_answer(approx, 1 / 6)
     assert min(seen.values()) >= 20 and reduced >= 20
 
 
@@ -381,6 +408,62 @@ def test_one_column_quotients_make_no_linprog_call(monkeypatch):
         assert _exact_loads(pattern, exact.solution) == {
             e: 1 for e in host.edges}
     assert called == [] and sparses == []
+
+
+def test_edge_regular_hosts_build_no_per_edge_lists(monkeypatch):
+    # every edge of K25 lies in 23 triangles, and every edge of the Chang
+    # graph, which is not edge-transitive, in 6: the degree round leaves one
+    # edge class, so neither the copies through each edge nor a quotient
+    # array is built
+    def refuse(*args):
+        raise AssertionError("built on an edge-regular host")
+
+    chang = _chang()
+    # no automorphism maps an edge in 8 K4s to one in 9 or 10
+    k4s = Counter(e for im in candidate_copies(complete_graph(4), chang)
+                  for e in combinations(sorted(im), 2))
+    assert Counter(k4s.values()) == {8: 48, 9: 96, 10: 24}
+    monkeypatch.setattr(solver, "_by_item", refuse)
+    monkeypatch.setattr(solver, "_quotient", refuse)
+    for host, q in ((complete_graph(25), 23), (chang, 6)):
+        exact = fractional_decompose(K3, host, mode="rational")
+        approx = fractional_decompose(K3, host, mode="float")
+        assert set(exact.solution.weights) == {Fraction(1, q)}
+        assert set(approx.solution.weights) == {1 / q}
+        assert _exact_loads(K3, exact.solution) == {e: 1 for e in host.edges}
+
+
+def test_one_edge_class_answers_are_checked_on_every_edge(monkeypatch):
+    # a wrong quotient answer on K25 (quotient [[23]]) must not be lifted:
+    # z = 1/22 fails every edge's row 23 z = 1, and the uniform y = 1 lifts
+    # to a y with yᵀA > 0, which proves nothing
+    host = complete_graph(25)
+    for answer in ((FEASIBLE, [Fraction(1, 22)]), (INFEASIBLE, [Fraction(1)])):
+        monkeypatch.setattr(solver, "solve_equalities_nonneg",
+                            lambda rows, rhs, answer=answer: answer)
+        res = fractional_decompose(K3, host, mode="rational")
+        assert res.status == INDETERMINATE and res.farkas is None
+    monkeypatch.setattr(solver, "solve_equalities_box_float",
+                        lambda rows, rhs, tolerance: (FEASIBLE, [1 / 22]))
+    res = fractional_decompose(K3, host, mode="float")
+    assert res.status == INDETERMINATE and res.solution is None
+
+
+def test_float_one_column_solve_imports_no_scipy():
+    # the one-column division runs before lp's lazy numpy and scipy imports
+    src = os.path.dirname(os.path.dirname(solver.__file__))
+    code = ("import sys\n"
+            "from decomplab.graphs import complete_graph\n"
+            "from decomplab.solver import fractional_decompose\n"
+            "res = fractional_decompose(complete_graph(3), complete_graph(9),"
+            " mode='float')\n"
+            "print(res.status, sorted(m for m in ('scipy', 'scipy.optimize')"
+            " if m in sys.modules))\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "feasible []\n"
 
 
 def _farkas_checks(rows, b, y):
